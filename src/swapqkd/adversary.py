@@ -62,6 +62,16 @@ CORRECTIONS_EXTENDED: tuple[str, ...] = ("I", "X", "Y", "Z", "S", "XS", "YS", "Z
 PRE_UNITARIES: tuple[str, ...] = ("I", "X", "Y", "Z", "S")
 
 
+# Attack kind -> the protocols it applies to, in the order the CLI lists kinds.
+ATTACK_PROTOCOLS: dict[str, tuple[str, ...]] = {
+    "none": ("six", "four"),
+    "zlg": ("six",),
+    "tailored": ("six",),
+    "four-swap": ("four",),
+    "mixed": ("six",),
+}
+
+
 class AttackSearchError(RuntimeError):
     """The exhaustive attack search found no satisfying parameters."""
 
@@ -138,17 +148,13 @@ class AttackStrategy:
     weight_zlg: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "zlg", "tailored", "four-swap", "mixed"):
+        if self.kind not in ATTACK_PROTOCOLS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
         if not 0.0 <= self.weight_zlg <= 1.0:
             raise ValueError("weight_zlg must be a probability")
 
     def compatible_protocols(self) -> tuple[str, ...]:
-        if self.kind == "none":
-            return ("six", "four")
-        if self.kind == "four-swap":
-            return ("four",)
-        return ("six",)
+        return ATTACK_PROTOCOLS[self.kind]
 
 
 def pauli_for_label(conv: BellConvention) -> dict[str, str]:
@@ -342,7 +348,7 @@ def _alice_block_plan(conv: BellConvention, correction: np.ndarray, procedure: P
     steps.append(MeasureStep("key", (1, 3)))
     steps.append(GateStep(2, correction))
     steps.append(MeasureStep("public", (4, 2)))
-    return Plan(4, ((1, 2), (3, 4)), tuple(steps), (4, 2), ())
+    return Plan(4, ((1, 2), (3, 4)), tuple(steps), ())
 
 
 def _travel_block_plan(
@@ -357,7 +363,7 @@ def _travel_block_plan(
     if procedure is Procedure.P_II:
         steps.append(GateStep(1, GATES["S"]))
     steps.append(MeasureStep("secret", (3, 1)))
-    return Plan(4, ((1, 2), (3, 4)), tuple(steps), None, ())
+    return Plan(4, ((1, 2), (3, 4)), tuple(steps), ())
 
 
 def _alice_table(

@@ -152,14 +152,10 @@ def all_conventions() -> list[BellConvention]:
 
 def derive_convention() -> BellConvention:
     """First satisfying convention in the documented enumeration order."""
-    for perm in itertools.permutations(BASE_ORDER):
-        for signs in itertools.product((1, -1), repeat=4):
-            assignment = tuple(zip(perm, signs))
-            for factor in ("first", "second"):
-                conv = BellConvention(assignment, factor)
-                if _satisfies(conv):
-                    return conv
-    raise ConventionError("no Bell labeling satisfies both defining constraints")
+    found = all_conventions()
+    if not found:
+        raise ConventionError("no Bell labeling satisfies both defining constraints")
+    return found[0]
 
 
 # Derived once by derive_convention() and frozen; the test suite re-derives

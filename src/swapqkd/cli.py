@@ -18,7 +18,7 @@ import json
 import sys
 
 from . import __version__, adversary, bell, harness, protocol
-from .adversary import AttackStrategy
+from .adversary import ATTACK_PROTOCOLS, AttackStrategy
 from .protocol import TableMismatchError
 
 FORMATS = ("human", "json", "csv")
@@ -104,15 +104,11 @@ def _cmd_reproduce_table2(args) -> int:
     return 0
 
 
-def _strategy_from_name(name: str) -> AttackStrategy:
-    return AttackStrategy(name)
-
-
 def _cmd_simulate(args) -> int:
     config = harness.SimulationConfig(
         protocol=args.protocol,
         rounds=args.rounds,
-        attack=_strategy_from_name(args.attack),
+        attack=AttackStrategy(args.attack),
         procedure_policy=args.procedure_prob,
         test_fraction=args.test_fraction,
         master_seed=args.seed,
@@ -154,7 +150,7 @@ def _cmd_detection_curve(args) -> int:
     config = harness.SimulationConfig(
         protocol=args.protocol,
         rounds=1,
-        attack=_strategy_from_name(args.attack),
+        attack=AttackStrategy(args.attack),
         procedure_policy=args.procedure_prob,
         test_fraction=1.0,
         master_seed=args.seed,
@@ -228,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo protocol run")
     p.add_argument("--protocol", choices=("six", "four"), default="six")
     p.add_argument(
-        "--attack", choices=("none", "zlg", "tailored", "four-swap", "mixed"),
+        "--attack", choices=tuple(ATTACK_PROTOCOLS),
         default="none",
     )
     p.add_argument("--rounds", type=int, default=1000)
@@ -244,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--protocol", choices=("six", "four"), default="six")
     p.add_argument(
-        "--attack", choices=("none", "zlg", "tailored", "four-swap", "mixed"),
+        "--attack", choices=tuple(ATTACK_PROTOCOLS),
         default="mixed",
     )
     p.add_argument("--n", default="1,2,4,8,16", help="comma-separated compared-pair counts")

@@ -14,11 +14,13 @@ Four-qubit protocol: Alice prepares (1,2) and (3,4) and sends qubits 2 and
 Bob, applying S to qubit 2 first under procedure II, measures (2,4); his
 result alone determines the key.
 
-Rounds are driven from declarative step plans so that the same sequence
-can be executed two ways: sampled with a RandomSource for Monte Carlo
-runs, or exhaustively enumerated over every measurement branch for exact
-tables and probabilities.  Key-inference tables are derived by exhaustive
-enumeration of adversary-free rounds, never assumed in closed form.
+Rounds are driven from declarative step plans.  Each (procedure, attack)
+plan is enumerated once over every measurement branch; the exact tables
+and probabilities read those branches, and Monte Carlo samples the same
+branch tree, drawing one uniform per measurement and picking the outcome
+by inverse CDF over its conditional probabilities.  Key-inference tables
+are derived by exhaustive enumeration of adversary-free rounds, never
+assumed in closed form.
 
 Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 0-based register happens only at the physics boundary.
@@ -30,7 +32,8 @@ import json
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
@@ -77,47 +80,6 @@ class TableMismatchError(RuntimeError):
     def __init__(self, message: str, diff: list[str]):
         super().__init__(message + "\n" + "\n".join(diff))
         self.diff = diff
-
-
-@dataclass(frozen=True)
-class Wiring:
-    """Role assignment of protocol qubit indices."""
-
-    alice_kept: tuple[int, ...]
-    alice_sends: tuple[int, ...]
-    bob_kept: tuple[int, ...]
-    bob_sends: tuple[int, ...]
-    eve_ancillas: tuple[int, ...]
-    key_pair: tuple[int, int]
-    public_pair: tuple[int, int] | None
-    bob_pair: tuple[int, int]
-
-
-# With Eve present, her ancillas are 7 and 8; the pair Alice publicly
-# measures is then physically (5, 2) and Bob's pair is physically (7, 4),
-# because Eve swaps her qubit 7 into the Alice->Bob channel and returns
-# the captured qubit 2 to Alice.
-SIX_WIRING = Wiring(
-    alice_kept=(1, 3, 5),
-    alice_sends=(2,),
-    bob_kept=(4,),
-    bob_sends=(6,),
-    eve_ancillas=(7, 8),
-    key_pair=(1, 3),
-    public_pair=(5, 6),
-    bob_pair=(2, 4),
-)
-
-FOUR_WIRING = Wiring(
-    alice_kept=(1, 3),
-    alice_sends=(2, 4),
-    bob_kept=(),
-    bob_sends=(),
-    eve_ancillas=(),
-    key_pair=(1, 3),
-    public_pair=None,
-    bob_pair=(2, 4),
-)
 
 
 # --- step plans -----------------------------------------------------------
@@ -178,7 +140,6 @@ class Plan:
     num_qubits: int
     pairs: tuple[tuple[int, int], ...]
     steps: tuple[Step, ...]
-    public_pair: tuple[int, int] | None
     events: tuple[str, ...]
 
 
@@ -235,8 +196,7 @@ def build_six_plan(
         events.append("alice:apply S to qubit 3")
     steps.append(MeasureStep("key", (1, 3)))
     events.append("alice:measure key pair (1,3)")
-    public_pair = (5, transit.alice_receives)
-    steps.append(MeasureStep("public", public_pair))
+    steps.append(MeasureStep("public", (5, transit.alice_receives)))
     events.append(f"alice:measure public pair (5,{transit.alice_receives})")
     events.append("alice:announce procedure and public result")
     if procedure is Procedure.P_II:
@@ -245,7 +205,7 @@ def build_six_plan(
     steps.append(MeasureStep("secret", (transit.bob_receives, 4)))
     events.append(f"bob:measure secret pair ({transit.bob_receives},4)")
     events.append("bob:infer key")
-    return Plan(num_qubits, pairs, tuple(steps), public_pair, tuple(events))
+    return Plan(num_qubits, pairs, tuple(steps), tuple(events))
 
 
 def build_four_plan(
@@ -275,7 +235,7 @@ def build_four_plan(
     steps.append(MeasureStep("secret", (2, 4)))
     events.append("bob:measure secret pair (2,4)")
     events.append("bob:infer key")
-    return Plan(num_qubits, pairs, tuple(steps), None, tuple(events))
+    return Plan(num_qubits, pairs, tuple(steps), tuple(events))
 
 
 # --- plan execution -------------------------------------------------------
@@ -292,30 +252,10 @@ def _engine_pair(pair: tuple[int, int]) -> tuple[int, int]:
     return (pair[0] - 1, pair[1] - 1)
 
 
-def run_plan(
-    conv: BellConvention, plan: Plan, rng: RandomSource, initial: StateVector | None = None
-) -> tuple[dict[str, str], StateVector]:
-    """Execute a plan once, sampling measurement outcomes with ``rng``."""
-    state = initial if initial is not None else _initial_state(conv, plan)
-    outcomes: dict[str, str] = {}
-    basis = conv.basis_matrix
-    for step in plan.steps:
-        if isinstance(step, GateStep):
-            state = qstate.apply_gate(state, step.matrix, step.qubit - 1)
-        elif isinstance(step, ConditionalGateStep):
-            state = qstate.apply_gate(state, step.gate_for(outcomes[step.on]), step.qubit - 1)
-        else:
-            idx, state = qstate.measure_in_basis(state, basis, _engine_pair(step.pair), rng)
-            outcomes[step.name] = LABELS[idx]
-    return outcomes, state
-
-
-def enumerate_plan(
-    conv: BellConvention, plan: Plan, initial: StateVector | None = None
-) -> list[tuple[float, dict[str, str]]]:
+def enumerate_plan(conv: BellConvention, plan: Plan) -> list[tuple[float, dict[str, str]]]:
     """All measurement branches of a plan with their exact probabilities."""
     basis = conv.basis_matrix
-    start = initial if initial is not None else _initial_state(conv, plan)
+    start = _initial_state(conv, plan)
     branches: list[tuple[float, dict[str, str]]] = []
 
     def walk(state: StateVector, step_idx: int, prob: float, outcomes: dict[str, str]) -> None:
@@ -339,6 +279,59 @@ def enumerate_plan(
 
     walk(start, 0, 1.0, {})
     return branches
+
+
+Branch = tuple[float, Mapping[str, str]]
+
+# Outcome-index prefix -> (name of the next measurement, conditional
+# probability of each of its four outcomes given the prefix).
+OutcomeTree = dict[tuple[int, ...], tuple[str, tuple[float, float, float, float]]]
+
+
+def _outcome_tree(branches: Iterable[Branch]) -> OutcomeTree:
+    """Conditional-probability tree over the branches' outcomes, in step order.
+
+    The probability of outcome ``k`` after a prefix is
+    ``mass(prefix + (k,)) / mass(prefix)``, both summed from leaf masses.
+    """
+    mass: dict[tuple[int, ...], float] = {}
+    names: dict[tuple[int, ...], str] = {}
+    for prob, outcomes in branches:
+        prefix: tuple[int, ...] = ()
+        mass[prefix] = mass.get(prefix, 0.0) + prob
+        for name, label in outcomes.items():
+            names[prefix] = name
+            prefix += (LABELS.index(label),)
+            mass[prefix] = mass.get(prefix, 0.0) + prob
+    return {
+        prefix: (name, tuple(mass.get(prefix + (k,), 0.0) / mass[prefix] for k in range(4)))
+        for prefix, name in names.items()
+    }
+
+
+def _sample_outcomes(tree: OutcomeTree, rng: RandomSource) -> dict[str, str]:
+    """One round's outcomes, one ``sample_index`` draw per measurement.
+
+    This consumes the stream exactly as measuring the statevector with
+    ``qstate.measure_in_basis`` step by step would.
+    """
+    outcomes: dict[str, str] = {}
+    prefix: tuple[int, ...] = ()
+    while prefix in tree:
+        name, probs = tree[prefix]
+        k = qstate.sample_index(probs, rng)
+        outcomes[name] = LABELS[k]
+        prefix += (k,)
+    return outcomes
+
+
+@dataclass(frozen=True)
+class RoundModel:
+    """A wired plan with its exact branches and the tree sampled from them."""
+
+    plan: Plan
+    branches: tuple[Branch, ...]
+    tree: OutcomeTree
 
 
 # --- key inference --------------------------------------------------------
@@ -482,15 +475,15 @@ class _ProtocolBase:
         self.inference = {
             p: derive_inference_table(conv, self.name, p) for p in Procedure
         }
-        self._plans: dict[tuple, Plan] = {}
-        self._initials: dict[tuple, StateVector] = {}
+        self._models: dict[tuple, RoundModel] = {}
 
     def _build(self, procedure: Procedure, transit: TransitPlan | None) -> Plan:
         raise NotImplementedError
 
-    def _plan_for(self, procedure: Procedure, attack) -> Plan:
+    def round_model(self, procedure: Procedure, attack=None) -> RoundModel:
+        """The round under ``attack``, enumerated once per attack ``cache_key``."""
         key = (procedure, attack.cache_key if attack is not None else None)
-        if key not in self._plans:
+        if key not in self._models:
             transit = None
             if attack is not None:
                 if attack.protocol != self.name:
@@ -499,25 +492,21 @@ class _ProtocolBase:
                         f"protocol, not {self.name}"
                     )
                 transit = attack.transit_plan()
-            self._plans[key] = self._build(procedure, transit)
-        return self._plans[key]
+            plan = self._build(procedure, transit)
+            # Read-only views: every caller shares these branches.
+            branches = tuple(
+                (prob, MappingProxyType(out)) for prob, out in enumerate_plan(self.conv, plan)
+            )
+            self._models[key] = RoundModel(plan, branches, _outcome_tree(branches))
+        return self._models[key]
 
-    def _initial_for(self, plan: Plan) -> StateVector:
-        key = (plan.num_qubits, plan.pairs)
-        if key not in self._initials:
-            self._initials[key] = _initial_state(self.conv, plan)
-        return self._initials[key]
-
-    def enumerate_branches(
-        self, procedure: Procedure, attack=None
-    ) -> list[tuple[float, dict[str, str]]]:
+    def enumerate_branches(self, procedure: Procedure, attack=None) -> tuple[Branch, ...]:
         """Exact distribution over (eve?, key, public?, secret) outcomes."""
-        plan = self._plan_for(procedure, attack)
-        return enumerate_plan(self.conv, plan, self._initial_for(plan))
+        return self.round_model(procedure, attack).branches
 
     def run_round(self, procedure: Procedure, attack, rng: RandomSource) -> RoundTranscript:
-        plan = self._plan_for(procedure, attack)
-        outcomes, state = run_plan(self.conv, plan, rng, self._initial_for(plan))
+        model = self.round_model(procedure, attack)
+        outcomes = _sample_outcomes(model.tree, rng)
         public = outcomes.get("public")
         secret = outcomes["secret"]
         inferred = self.inference[procedure].infer(secret, public)
@@ -532,7 +521,7 @@ class _ProtocolBase:
             bob_secret=secret,
             bob_inferred_key=inferred,
             eve_record=eve_record,
-            events=plan.events,
+            events=model.plan.events,
         )
 
     def key_distribution(self, procedure: Procedure, attack=None) -> np.ndarray:
@@ -545,7 +534,6 @@ class _ProtocolBase:
 
 class SixQubitProtocol(_ProtocolBase):
     name = "six"
-    wiring = SIX_WIRING
 
     def _build(self, procedure: Procedure, transit: TransitPlan | None) -> Plan:
         return build_six_plan(self.conv, procedure, transit)
@@ -553,7 +541,6 @@ class SixQubitProtocol(_ProtocolBase):
 
 class FourQubitProtocol(_ProtocolBase):
     name = "four"
-    wiring = FOUR_WIRING
 
     def _build(self, procedure: Procedure, transit: TransitPlan | None) -> Plan:
         return build_four_plan(self.conv, procedure, transit)
@@ -575,18 +562,6 @@ def protocol_driver(conv: BellConvention, protocol: str) -> _ProtocolBase:
     if protocol == "four":
         return four_qubit_protocol(conv)
     raise ValueError(f"unknown protocol {protocol!r}")
-
-
-def run_six_qubit_round(
-    conv: BellConvention, procedure: Procedure, adversary, rng: RandomSource
-) -> RoundTranscript:
-    return six_qubit_protocol(conv).run_round(procedure, adversary, rng)
-
-
-def run_four_qubit_round(
-    conv: BellConvention, procedure: Procedure, adversary, rng: RandomSource
-) -> RoundTranscript:
-    return four_qubit_protocol(conv).run_round(procedure, adversary, rng)
 
 
 # --- published outcome table ----------------------------------------------

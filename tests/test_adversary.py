@@ -1,7 +1,6 @@
 import json
 import time
 
-import numpy as np
 import pytest
 
 from swapqkd import adversary, protocol
@@ -22,7 +21,7 @@ from swapqkd.adversary import (
     reproduce_table2,
     zlg_outcome_rows,
 )
-from swapqkd.protocol import Procedure, protocol_driver, run_plan
+from swapqkd.protocol import Procedure, enumerate_plan, protocol_driver
 from swapqkd.qstate import RandomSource
 
 EXACT = 1e-10
@@ -97,7 +96,9 @@ def test_zlg_p2_worked_example(conv):
 
 
 def test_zlg_eve_record_contents(conv):
-    transcript = protocol.run_six_qubit_round(conv, Procedure.P_I, ZlgAttack(conv), RandomSource(8))
+    transcript = protocol.six_qubit_protocol(conv).run_round(
+        Procedure.P_I, ZlgAttack(conv), RandomSource(8)
+    )
     record = transcript.eve_record
     assert record.attack == "zlg"
     assert record.transformation == pauli_for_label(conv)[record.secret]
@@ -106,12 +107,12 @@ def test_zlg_eve_record_contents(conv):
 
 def test_zlg_substitution_keeps_valid_eight_qubit_state(conv):
     driver = protocol_driver(conv, "six")
-    attack = ZlgAttack(conv)
-    plan = driver._plan_for(Procedure.P_II, attack)
+    plan = driver.round_model(Procedure.P_II, ZlgAttack(conv)).plan
     assert plan.num_qubits == 8
-    _outcomes, state = run_plan(conv, plan, RandomSource(17))
-    assert state.num_qubits == 8
-    assert abs(np.linalg.norm(state.amplitudes) - 1.0) < 1e-12
+    # Every collapsed state along the way is a StateVector, whose
+    # construction checks the norm within 1e-12.
+    branches = enumerate_plan(conv, plan)
+    assert abs(sum(prob for prob, _ in branches) - 1.0) < 1e-12
 
 
 # --- published attack table -----------------------------------------------------
@@ -163,8 +164,8 @@ def test_tailored_is_caught_under_p1(conv):
 
 
 def test_tailored_record_uses_extended_gate_names(conv):
-    transcript = protocol.run_six_qubit_round(
-        conv, Procedure.P_II, TailoredAttack(conv), RandomSource(4)
+    transcript = protocol.six_qubit_protocol(conv).run_round(
+        Procedure.P_II, TailoredAttack(conv), RandomSource(4)
     )
     record = transcript.eve_record
     assert record.attack == "tailored"
@@ -223,7 +224,9 @@ def test_four_swap_matched_outcome_equals_key(conv):
 
 def test_four_swap_rejected_on_six_qubit_round(conv):
     with pytest.raises(protocol.WrongProtocolError):
-        protocol.run_six_qubit_round(conv, Procedure.P_I, FourSwapAttack(conv, Procedure.P_I), RandomSource(0))
+        protocol.six_qubit_protocol(conv).run_round(
+            Procedure.P_I, FourSwapAttack(conv, Procedure.P_I), RandomSource(0)
+        )
 
 
 # --- mixtures ------------------------------------------------------------------------

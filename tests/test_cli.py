@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -150,3 +151,37 @@ def test_output_is_byte_identical_across_runs(capsys, argv):
     code_b, out_b, _ = run_cli(capsys, argv)
     assert code_a == code_b == 0
     assert out_a == out_b
+
+
+# SHA-256 of stdout, captured from the per-round statevector sampler that
+# the branch-tree sampler replaced; the first seven are the acceptance
+# determinism command set.
+GOLDEN_STDOUT_SHA256 = {
+    "validate-convention --format json":
+        "93ab9265f61ae03fd53dc3900bbaeb0efa382bfca10e5ee186da5c49c90cd7aa",
+    "reproduce-table1 --format csv":
+        "f2ffe8d92d5377b2e23e7a04b922c34b30d98fc79f7520abeb8e5a739a2b30d0",
+    "reproduce-table2":
+        "915c5fef20ccdc0d76131e1e95cebcec7d32340c8ed663e6a32decdfa5838849",
+    "simulate --protocol six --attack mixed --rounds 150 --seed 7 --format json":
+        "b5bf8c9faa39ca19d0bbd3eb043eac9b0918eb4e73528a84035d917e436078ae",
+    "simulate --protocol four --attack four-swap --rounds 100 --seed 9 --format csv":
+        "986e3f11167890eaaf5382a5c0be9bfaf6a5ebe030f9797b28978e97874cf665",
+    "detection-curve --n 1,2 --reps 150 --seed 3 --format csv":
+        "ee8b7d6182141269fdd4a0fada2878b559e750a44d97fdd1d36ef08415820cc8",
+    "derive-attack":
+        "fa6a8f4e08f49cccdfa083a2d5efdeedd75b22872a49de483c7994cf5ab8a6c1",
+    "simulate --protocol six --attack mixed --rounds 2000 --seed 5 --format json":
+        "08d371d0f51023e7cba48672bd55e5651dc234d70e79d16210f8dad9481f5164",
+    "simulate --protocol four --attack four-swap --rounds 2000 --seed 5 --format json":
+        "fa9096cf7ca121e118f00084afa37f9fd768f7c4ca1bbf9530379e5484ea56ce",
+    "detection-curve --protocol six --attack mixed --n 0,1,2,4,8 --reps 300 --seed 5 --format json":
+        "50a0e4ab3e3b46d26ba971c5c3f99a8750e57e7203d61297e7d3fc3d42586055",
+}
+
+
+@pytest.mark.parametrize("command", list(GOLDEN_STDOUT_SHA256))
+def test_stdout_matches_golden_digest(capsys, command):
+    code, out, _ = run_cli(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[command]

@@ -24,8 +24,6 @@ from swapqkd.protocol import (
     mark_compared,
     protocol_driver,
     reproduce_table1,
-    run_four_qubit_round,
-    run_six_qubit_round,
     six_qubit_protocol,
     transcripts_to_csv,
 )
@@ -159,7 +157,7 @@ def test_p2_key00_public10_row(conv):
 
 
 def test_round_transcript_events_order(conv):
-    transcript = run_six_qubit_round(conv, Procedure.P_II, None, RandomSource(5))
+    transcript = six_qubit_protocol(conv).run_round(Procedure.P_II, None, RandomSource(5))
     events = list(transcript.events)
     announce = events.index("alice:announce procedure and public result")
     key_measure = events.index("alice:measure key pair (1,3)")
@@ -172,7 +170,7 @@ def test_round_transcript_events_order(conv):
 
 
 def test_four_qubit_rotation_precedes_key_measurement(conv):
-    transcript = run_four_qubit_round(conv, Procedure.P_II, None, RandomSource(5))
+    transcript = four_qubit_protocol(conv).run_round(Procedure.P_II, None, RandomSource(5))
     events = list(transcript.events)
     assert events.index("alice:apply S to qubit 1") < events.index("alice:measure key pair (1,3)")
     assert events.index("alice:measure key pair (1,3)") < events.index("alice:announce procedure")
@@ -180,7 +178,7 @@ def test_four_qubit_rotation_precedes_key_measurement(conv):
 
 
 def test_transcript_flags_and_comparison(conv):
-    transcript = run_six_qubit_round(conv, Procedure.P_I, None, RandomSource(0))
+    transcript = six_qubit_protocol(conv).run_round(Procedure.P_I, None, RandomSource(0))
     assert not transcript.compared and not transcript.detected
     compared = mark_compared(transcript)
     assert compared.compared
@@ -193,8 +191,8 @@ def test_transcript_flags_and_comparison(conv):
 
 
 def test_transcript_json_and_csv(conv):
-    rng = RandomSource(12)
-    transcripts = [run_six_qubit_round(conv, Procedure.P_I, None, rng) for _ in range(3)]
+    driver, rng = six_qubit_protocol(conv), RandomSource(12)
+    transcripts = [driver.run_round(Procedure.P_I, None, rng) for _ in range(3)]
     for t in transcripts:
         doc = json.loads(json.dumps(t.to_json_dict()))
         assert doc["protocol"] == "six"
@@ -210,20 +208,9 @@ def test_transcript_json_and_csv(conv):
     assert all(json.loads(line)["protocol"] == "six" for line in jsonl)
 
 
-def test_wiring_partitions_register():
-    for wiring, qubits in ((protocol.SIX_WIRING, 6), (protocol.FOUR_WIRING, 4)):
-        roles = (wiring.alice_kept + wiring.alice_sends
-                 + wiring.bob_kept + wiring.bob_sends)
-        assert sorted(roles) == list(range(1, qubits + 1))
-        assert sorted(wiring.key_pair + wiring.bob_pair
-                      + (wiring.public_pair or ())) == sorted(
-            set(wiring.key_pair) | set(wiring.bob_pair) | set(wiring.public_pair or ())
-        )
-
-
 def test_transcript_json_includes_eve(conv):
     attack = ZlgAttack(conv)
-    transcript = run_six_qubit_round(conv, Procedure.P_I, attack, RandomSource(3))
+    transcript = six_qubit_protocol(conv).run_round(Procedure.P_I, attack, RandomSource(3))
     doc = transcript.to_json_dict()
     assert doc["eve"]["attack"] == "zlg"
     assert doc["eve"]["transformation"] in ("I", "X", "Y", "Z")
@@ -231,8 +218,8 @@ def test_transcript_json_includes_eve(conv):
 
 
 def test_round_functions_are_deterministic(conv):
-    a = run_six_qubit_round(conv, Procedure.P_II, None, RandomSource(42))
-    b = run_six_qubit_round(conv, Procedure.P_II, None, RandomSource(42))
+    a = six_qubit_protocol(conv).run_round(Procedure.P_II, None, RandomSource(42))
+    b = six_qubit_protocol(conv).run_round(Procedure.P_II, None, RandomSource(42))
     assert a == b
 
 
