@@ -26,10 +26,10 @@ in the S-rotated basis when guessing procedure II — and forwards the pair
 in the collapsed state.
 
 Eve's key inference is computed exactly: for each attack and procedure the
-full branch distribution is enumerated once, and her inferred-key set for
-an observation is the set of keys with positive probability given that
-observation.  A matched attack makes it a singleton; a mismatched one
-leaves a two-candidate set.
+protocol driver enumerates the full branch distribution once, and her
+inferred-key set for an observation is the set of keys with positive
+probability given that observation.  A matched attack makes it a
+singleton; a mismatched one leaves a two-candidate set.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -47,8 +48,11 @@ from .protocol import (
     GateStep,
     MeasureStep,
     Plan,
+    Posterior,
     Procedure,
+    TableMismatchError,
     TransitPlan,
+    _row_diff,
     enumerate_plan,
     protocol_driver,
 )
@@ -133,30 +137,6 @@ class TailoredParams:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class AttackStrategy:
-    """Harness-level description of the eavesdropper's behavior.
-
-    kind "none" (no eavesdropper), "zlg" or "tailored" (six-qubit),
-    "four-swap" (four-qubit, per-round uniform procedure guess), or
-    "mixed" (six-qubit: zlg with probability ``weight_zlg``, else the
-    tailored attack).
-    """
-
-    kind: str
-    tailored: TailoredParams | None = None
-    weight_zlg: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.kind not in ATTACK_PROTOCOLS:
-            raise ValueError(f"unknown attack kind {self.kind!r}")
-        if not 0.0 <= self.weight_zlg <= 1.0:
-            raise ValueError("weight_zlg must be a probability")
-
-    def compatible_protocols(self) -> tuple[str, ...]:
-        return ATTACK_PROTOCOLS[self.kind]
-
-
 def pauli_for_label(conv: BellConvention) -> dict[str, str]:
     """The Pauli that shifts the labeled-00 pair state to each label.
 
@@ -184,20 +164,9 @@ class _PosteriorMixin:
     protocol: str
     kind: str
 
-    def __init__(self) -> None:
-        self._posteriors: dict[Procedure, dict] = {}
-
-    def _posterior(self, procedure: Procedure) -> dict:
-        if procedure not in self._posteriors:
-            driver = protocol_driver(self.conv, self.protocol)
-            support: dict[tuple, set[str]] = {}
-            for prob, out in driver.enumerate_branches(procedure, self):
-                obs = (out["eve"], out.get("public"))
-                support.setdefault(obs, set()).add(out["key"])
-            self._posteriors[procedure] = {
-                obs: tuple(sorted(keys)) for obs, keys in support.items()
-            }
-        return self._posteriors[procedure]
+    def _posterior(self, procedure: Procedure) -> Posterior:
+        """Eve's inferred-key sets, shared by every attack with this ``cache_key``."""
+        return protocol_driver(self.conv, self.protocol).round_model(procedure, self).posterior
 
     def transformation_for(self, eve_outcome: str) -> str | None:
         return None
@@ -221,7 +190,6 @@ class ZlgAttack(_PosteriorMixin):
     kind = "zlg"
 
     def __init__(self, conv: BellConvention):
-        super().__init__()
         self.conv = conv
         self.pauli_map = pauli_for_label(conv)
         self.cache_key = ("zlg",)
@@ -249,7 +217,6 @@ class TailoredAttack(_PosteriorMixin):
     kind = "tailored"
 
     def __init__(self, conv: BellConvention, params: "TailoredParams | None" = None):
-        super().__init__()
         self.conv = conv
         self.params = params if params is not None else FROZEN_TAILORED_PARAMS
         self.cache_key = ("tailored", self.params)
@@ -280,7 +247,6 @@ class FourSwapAttack(_PosteriorMixin):
     kind = "four-swap"
 
     def __init__(self, conv: BellConvention, guess: Procedure):
-        super().__init__()
         self.conv = conv
         self.guess = guess
         self.cache_key = ("four-swap", guess)
@@ -298,6 +264,43 @@ class FourSwapAttack(_PosteriorMixin):
                 GateStep(2, GATES["S"]),
             )
         return TransitPlan(steps=steps)
+
+
+Attack = ZlgAttack | TailoredAttack | FourSwapAttack
+
+
+@dataclass(frozen=True)
+class AttackStrategy:
+    """Harness-level description of the eavesdropper's behavior.
+
+    kind "none" (no eavesdropper), "zlg" or "tailored" (six-qubit),
+    "four-swap" (four-qubit, per-round uniform procedure guess), or
+    "mixed" (six-qubit: zlg with probability ``weight_zlg``, else the
+    tailored attack).
+    """
+
+    kind: str
+    weight_zlg: ClassVar[float] = 0.5
+
+    def __post_init__(self) -> None:
+        if self.kind not in ATTACK_PROTOCOLS:
+            raise ValueError(f"unknown attack kind {self.kind!r}")
+
+    def compatible_protocols(self) -> tuple[str, ...]:
+        return ATTACK_PROTOCOLS[self.kind]
+
+    def mixture(self, conv: BellConvention) -> tuple[tuple[float, Attack | None], ...]:
+        """The attacks this kind draws each round, with their weights."""
+        if self.kind == "none":
+            return ((1.0, None),)
+        if self.kind == "zlg":
+            return ((1.0, ZlgAttack(conv)),)
+        if self.kind == "tailored":
+            return ((1.0, TailoredAttack(conv)),)
+        if self.kind == "mixed":
+            weight = self.weight_zlg
+            return ((weight, ZlgAttack(conv)), (1.0 - weight, TailoredAttack(conv)))
+        return tuple((0.5, FourSwapAttack(conv, guess)) for guess in Procedure)
 
 
 # --- exact attack statistics ------------------------------------------------
@@ -320,12 +323,11 @@ def eve_information_probability(
     conv: BellConvention, protocol: str, procedure: Procedure, attack
 ) -> float:
     """Probability that Eve's inferred-key set is exactly the true key."""
-    driver = protocol_driver(conv, protocol)
-    posterior = attack._posterior(procedure)
+    model = protocol_driver(conv, protocol).round_model(procedure, attack)
     return sum(
         prob
-        for prob, out in driver.enumerate_branches(procedure, attack)
-        if posterior[(out["eve"], out.get("public"))] == (out["key"],)
+        for prob, out in model.branches
+        if model.posterior[(out["eve"], out.get("public"))] == (out["key"],)
     )
 
 
@@ -340,79 +342,60 @@ def eve_information_probability(
 # 8-qubit round engine before being returned.
 
 
-def _alice_block_plan(conv: BellConvention, correction: np.ndarray, procedure: Procedure) -> Plan:
+def _alice_block_plan(correction: str, procedure: Procedure) -> Plan:
     # block qubits 1,2,3,5 -> 1,2,3,4
     steps: list = []
     if procedure is Procedure.P_II:
         steps.append(GateStep(3, GATES["S"]))
     steps.append(MeasureStep("key", (1, 3)))
-    steps.append(GateStep(2, correction))
+    steps.append(GateStep(2, qstate.gate(correction)))
     steps.append(MeasureStep("public", (4, 2)))
-    return Plan(4, ((1, 2), (3, 4)), tuple(steps), ())
+    return Plan(4, ((1, 2), (3, 4)), tuple(steps))
 
 
-def _travel_block_plan(
-    conv: BellConvention, u6: np.ndarray, u8: np.ndarray, procedure: Procedure
-) -> Plan:
+def _travel_block_plan(u6: str, u8: str, procedure: Procedure) -> Plan:
     # block qubits 4,6,7,8 -> 1,2,3,4
     steps: list = [
-        GateStep(2, u6),
-        GateStep(4, u8),
+        GateStep(2, qstate.gate(u6)),
+        GateStep(4, qstate.gate(u8)),
         MeasureStep("eve", (2, 4)),
     ]
     if procedure is Procedure.P_II:
         steps.append(GateStep(1, GATES["S"]))
     steps.append(MeasureStep("secret", (3, 1)))
-    return Plan(4, ((1, 2), (3, 4)), tuple(steps), ())
+    return Plan(4, ((1, 2), (3, 4)), tuple(steps))
 
 
-def _alice_table(
-    conv: BellConvention, correction_name: str, procedure: Procedure
-) -> dict[str, list[tuple[str, float]]]:
-    """key -> [(public, conditional probability)] for one correction gate."""
-    plan = _alice_block_plan(conv, qstate.gate(correction_name), procedure)
+ConditionalTable = dict[str, tuple[float, list[tuple[str, float]]]]
+
+
+def _conditional_table(conv: BellConvention, plan: Plan, given: str, then: str) -> ConditionalTable:
+    """``given`` outcome -> (marginal, [(``then`` outcome, conditional probability)])."""
     joint: dict[str, dict[str, float]] = {}
     for prob, out in enumerate_plan(conv, plan):
-        joint.setdefault(out["key"], {}).setdefault(out["public"], 0.0)
-        joint[out["key"]][out["public"]] += prob
+        cell = joint.setdefault(out[given], {})
+        cell[out[then]] = cell.get(out[then], 0.0) + prob
     table = {}
-    for key, publics in joint.items():
-        total = sum(publics.values())
-        table[key] = [(p, w / total) for p, w in sorted(publics.items())]
-    return table
-
-
-def _travel_table(
-    conv: BellConvention, u6_name: str, u8_name: str, procedure: Procedure
-) -> dict[str, tuple[float, list[tuple[str, float]]]]:
-    """eve outcome -> (marginal probability, [(secret, conditional prob)])."""
-    plan = _travel_block_plan(conv, qstate.gate(u6_name), qstate.gate(u8_name), procedure)
-    joint: dict[str, dict[str, float]] = {}
-    for prob, out in enumerate_plan(conv, plan):
-        joint.setdefault(out["eve"], {}).setdefault(out["secret"], 0.0)
-        joint[out["eve"]][out["secret"]] += prob
-    table = {}
-    for m, secrets in joint.items():
-        total = sum(secrets.values())
-        table[m] = (total, [(s, w / total) for s, w in sorted(secrets.items())])
+    for outcome, cell in joint.items():
+        total = sum(cell.values())
+        table[outcome] = (total, [(o, w / total) for o, w in sorted(cell.items())])
     return table
 
 
 def _candidate_p1_detection(
-    conv: BellConvention,
     params: TailoredParams,
-    travel_p1: dict,
-    alice_tables_p1: dict[str, dict],
+    travel_p1: ConditionalTable,
+    alice_tables_p1: dict[str, ConditionalTable],
     infer_p1,
 ) -> float:
     detection = 0.0
     for m, (prob_m, secrets) in travel_p1.items():
         alice = alice_tables_p1[params.correction(m)]
-        for key, publics in alice.items():
+        for key, (prob_key, publics) in alice.items():
             for public, ap in publics:
                 for secret, sp in secrets:
                     if infer_p1(secret, public) != key:
-                        detection += prob_m * 0.25 * ap * sp
+                        detection += prob_m * prob_key * ap * sp
     return detection
 
 
@@ -437,10 +420,20 @@ def derive_tailored_attack(conv: BellConvention) -> TailoredParams:
     infer_p2 = driver.inference[Procedure.P_II].infer
 
     for corrections in (CORRECTIONS_PAULI, CORRECTIONS_EXTENDED):
-        alice_p2 = {g: _alice_table(conv, g, Procedure.P_II) for g in corrections}
-        alice_p1 = {g: _alice_table(conv, g, Procedure.P_I) for g in corrections}
+        # key -> (marginal, [(public, conditional p)]), per correction gate
+        alice_p2 = {
+            g: _conditional_table(conv, _alice_block_plan(g, Procedure.P_II), "key", "public")
+            for g in corrections
+        }
+        alice_p1 = {
+            g: _conditional_table(conv, _alice_block_plan(g, Procedure.P_I), "key", "public")
+            for g in corrections
+        }
         for u6, u8 in itertools.product(PRE_UNITARIES, repeat=2):
-            travel_p2 = _travel_table(conv, u6, u8, Procedure.P_II)
+            # Eve's outcome -> (marginal, [(secret, conditional p)])
+            travel_p2 = _conditional_table(
+                conv, _travel_block_plan(u6, u8, Procedure.P_II), "eve", "secret"
+            )
             # Undetected under (ii) needs Bob's secret pinned by Eve's outcome.
             taus = {}
             for m, (_pm, secrets) in sorted(travel_p2.items()):
@@ -454,7 +447,7 @@ def derive_tailored_attack(conv: BellConvention) -> TailoredParams:
                 good = []
                 for g in corrections:
                     ok = True
-                    for key, publics in alice_p2[g].items():
+                    for key, (_pk, publics) in alice_p2[g].items():
                         if len(publics) != 1 or infer_p2(taus[m], publics[0][0]) != key:
                             ok = False
                             break
@@ -463,10 +456,12 @@ def derive_tailored_attack(conv: BellConvention) -> TailoredParams:
                 valid.append(good)
             if not all(valid):
                 continue
-            travel_p1 = _travel_table(conv, u6, u8, Procedure.P_I)
+            travel_p1 = _conditional_table(
+                conv, _travel_block_plan(u6, u8, Procedure.P_I), "eve", "secret"
+            )
             for combo in itertools.product(*valid):
                 params = TailoredParams((u6, u8), tuple(zip(LABELS, combo)))
-                if _candidate_p1_detection(conv, params, travel_p1, alice_p1, infer_p1) > 0.0:
+                if _candidate_p1_detection(params, travel_p1, alice_p1, infer_p1) > 0.0:
                     _verify_tailored(conv, params)
                     return params
     raise AttackSearchError(
@@ -568,8 +563,6 @@ def zlg_outcome_rows(conv: BellConvention) -> list[tuple[str, ...]]:
 
 def reproduce_table2(conv: BellConvention) -> list[tuple[str, ...]]:
     """Reproduce the attack outcome table; raise on any drift."""
-    from .protocol import TableMismatchError, _row_diff
-
     rows = zlg_outcome_rows(conv)
     if tuple(rows) != EXPECTED_TABLE2:
         raise TableMismatchError(

@@ -169,15 +169,13 @@ def _cmd_detection_curve(args) -> int:
             for pt in points
         ]
         sys.stdout.write(_json_doc(payload))
-    elif args.format == "csv":
-        sys.stdout.write(harness.curve_to_csv(points))
     else:
         rows = [
             (str(pt.n), f"{pt.empirical:.6f}", f"{pt.theoretical:.6f}",
              f"{pt.ci_low:.6f}", f"{pt.ci_high:.6f}")
             for pt in points
         ]
-        _emit_table(harness.CURVE_COLUMNS, rows, "human")
+        _emit_table(harness.CURVE_COLUMNS, rows, args.format)
     return 0
 
 

@@ -22,12 +22,11 @@ compared bits.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from . import bell
-from .adversary import AttackStrategy, FourSwapAttack, TailoredAttack, ZlgAttack
+from .adversary import AttackStrategy
 from .protocol import Procedure, RoundTranscript, mark_compared, protocol_driver
 from .qstate import RandomSource
 
@@ -109,9 +108,6 @@ class SimulationReport:
             "key_bits_per_transmitted_qubit": self.key_bits_per_transmitted_qubit,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-
 
 def _binomial_ci(successes: int, trials: int) -> tuple[float, float]:
     if trials == 0:
@@ -122,27 +118,13 @@ def _binomial_ci(successes: int, trials: int) -> tuple[float, float]:
 
 
 def _attack_picker(strategy: AttackStrategy) -> Callable[[RandomSource], object]:
-    """Per-round attack materialization; draws at most one coin from rng."""
-    conv = bell.convention()
-    if strategy.kind == "none":
-        return lambda rng: None
-    if strategy.kind == "zlg":
-        attack = ZlgAttack(conv)
+    """Per-round attack draw from the strategy's mixture; one coin only for two attacks."""
+    mixture = strategy.mixture(bell.convention())
+    if len(mixture) == 1:
+        attack = mixture[0][1]
         return lambda rng: attack
-    if strategy.kind == "tailored":
-        attack = TailoredAttack(conv, strategy.tailored)
-        return lambda rng: attack
-    if strategy.kind == "mixed":
-        zlg = ZlgAttack(conv)
-        tailored = TailoredAttack(conv, strategy.tailored)
-        weight = strategy.weight_zlg
-        return lambda rng: zlg if rng.uniform() < weight else tailored
-    if strategy.kind == "four-swap":
-        guesses = {p: FourSwapAttack(conv, p) for p in Procedure}
-        return lambda rng: (
-            guesses[Procedure.P_I] if rng.uniform() < 0.5 else guesses[Procedure.P_II]
-        )
-    raise ValueError(f"unknown attack kind {strategy.kind!r}")
+    (weight, first), (_, second) = mixture
+    return lambda rng: first if rng.uniform() < weight else second
 
 
 def _run_one_round(driver, picker, policy: float, rng: RandomSource) -> RoundTranscript:
@@ -195,15 +177,6 @@ class CurvePoint:
 
 
 CURVE_COLUMNS = ("n", "empirical", "theoretical", "ci_low", "ci_high")
-
-
-def curve_to_csv(points: Sequence[CurvePoint]) -> str:
-    lines = [",".join(CURVE_COLUMNS)]
-    for pt in points:
-        lines.append(
-            f"{pt.n},{pt.empirical:.6f},{pt.theoretical:.6f},{pt.ci_low:.6f},{pt.ci_high:.6f}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 def detection_curve(

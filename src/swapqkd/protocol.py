@@ -18,9 +18,9 @@ Rounds are driven from declarative step plans.  Each (procedure, attack)
 plan is enumerated once over every measurement branch; the exact tables
 and probabilities read those branches, and Monte Carlo samples the same
 branch tree, drawing one uniform per measurement and picking the outcome
-by inverse CDF over its conditional probabilities.  Key-inference tables
-are derived by exhaustive enumeration of adversary-free rounds, never
-assumed in closed form.
+by inverse CDF over its conditional probabilities.  Bob's key-inference
+tables and Eve's posteriors are read off those same branches (the
+adversary-free ones for Bob), never assumed in closed form.
 
 Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 0-based register happens only at the physics boundary.
@@ -47,8 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover
 # Branch probabilities in these protocols are multiples of 1/4 per
 # measurement; anything below this is numerical dust, not a branch.
 PROB_CUTOFF = 1e-9
-
-EXACT_ATOL = 1e-10
 
 
 class Procedure(Enum):
@@ -140,7 +138,6 @@ class Plan:
     num_qubits: int
     pairs: tuple[tuple[int, int], ...]
     steps: tuple[Step, ...]
-    events: tuple[str, ...]
 
 
 def _touched_qubits(step: Step) -> tuple[int, ...]:
@@ -175,67 +172,41 @@ def _validate_transit(transit: TransitPlan, protocol: str) -> None:
             raise MalformedAdversaryError("attack forwards the same qubit to both parties")
 
 
-def build_six_plan(
-    conv: BellConvention, procedure: Procedure, transit: TransitPlan | None
-) -> Plan:
+def build_six_plan(procedure: Procedure, transit: TransitPlan | None) -> Plan:
     transit = transit or _NO_ATTACK_TRANSIT
     _validate_transit(transit, "six")
     pairs = ((1, 2), (3, 5), (4, 6)) + transit.ancilla_pairs
     num_qubits = 6 + 2 * len(transit.ancilla_pairs)
 
+    # Eve's steps, then Alice's key and public measurements (the public
+    # result is announced with the procedure), then Bob's secret measurement.
     steps: list[Step] = list(transit.steps)
-    events = [
-        "alice:prepare pairs (1,2) and (3,5)",
-        "bob:prepare pair (4,6)",
-        "channel:alice sends qubit 2, bob sends qubit 6",
-    ]
-    if transit.steps or transit.ancilla_pairs:
-        events.append("eve:intercept in-flight qubits")
     if procedure is Procedure.P_II:
         steps.append(GateStep(3, GATES["S"]))
-        events.append("alice:apply S to qubit 3")
     steps.append(MeasureStep("key", (1, 3)))
-    events.append("alice:measure key pair (1,3)")
     steps.append(MeasureStep("public", (5, transit.alice_receives)))
-    events.append(f"alice:measure public pair (5,{transit.alice_receives})")
-    events.append("alice:announce procedure and public result")
     if procedure is Procedure.P_II:
         steps.append(GateStep(4, GATES["S"]))
-        events.append("bob:apply S to qubit 4")
     steps.append(MeasureStep("secret", (transit.bob_receives, 4)))
-    events.append(f"bob:measure secret pair ({transit.bob_receives},4)")
-    events.append("bob:infer key")
-    return Plan(num_qubits, pairs, tuple(steps), tuple(events))
+    return Plan(num_qubits, pairs, tuple(steps))
 
 
-def build_four_plan(
-    conv: BellConvention, procedure: Procedure, transit: TransitPlan | None
-) -> Plan:
+def build_four_plan(procedure: Procedure, transit: TransitPlan | None) -> Plan:
     transit = transit or _NO_ATTACK_TRANSIT
     _validate_transit(transit, "four")
     pairs = ((1, 2), (3, 4)) + transit.ancilla_pairs
     num_qubits = 4 + 2 * len(transit.ancilla_pairs)
 
+    # Eve's steps, then Alice's key measurement (the procedure is announced
+    # after it), then Bob's secret measurement.
     steps: list[Step] = list(transit.steps)
-    events = [
-        "alice:prepare pairs (1,2) and (3,4)",
-        "channel:alice sends qubits 2 and 4",
-    ]
-    if transit.steps or transit.ancilla_pairs:
-        events.append("eve:intercept in-flight qubits")
     if procedure is Procedure.P_II:
         steps.append(GateStep(1, GATES["S"]))
-        events.append("alice:apply S to qubit 1")
     steps.append(MeasureStep("key", (1, 3)))
-    events.append("alice:measure key pair (1,3)")
-    events.append("alice:announce procedure")
     if procedure is Procedure.P_II:
         steps.append(GateStep(2, GATES["S"]))
-        events.append("bob:apply S to qubit 2")
     steps.append(MeasureStep("secret", (2, 4)))
-    events.append("bob:measure secret pair (2,4)")
-    events.append("bob:infer key")
-    return Plan(num_qubits, pairs, tuple(steps), tuple(events))
+    return Plan(num_qubits, pairs, tuple(steps))
 
 
 # --- plan execution -------------------------------------------------------
@@ -325,13 +296,30 @@ def _sample_outcomes(tree: OutcomeTree, rng: RandomSource) -> dict[str, str]:
     return outcomes
 
 
+# (Eve's outcome, public result or None) -> keys with positive probability.
+Posterior = Mapping[tuple[str, str | None], tuple[str, ...]]
+
+
+def _eve_posterior(branches: Iterable[Branch]) -> Posterior:
+    """Eve's exact inferred-key sets; empty for an adversary-free round."""
+    support: dict[tuple[str, str | None], set[str]] = {}
+    for _prob, out in branches:
+        if "eve" in out:
+            support.setdefault((out["eve"], out.get("public")), set()).add(out["key"])
+    return MappingProxyType({obs: tuple(sorted(keys)) for obs, keys in support.items()})
+
+
 @dataclass(frozen=True)
 class RoundModel:
-    """A wired plan with its exact branches and the tree sampled from them."""
+    """A wired plan, its exact branches, and what is read off them.
+
+    ``tree`` is what Monte Carlo samples; ``posterior`` is Eve's inference.
+    """
 
     plan: Plan
     branches: tuple[Branch, ...]
     tree: OutcomeTree
+    posterior: Posterior
 
 
 # --- key inference --------------------------------------------------------
@@ -339,7 +327,7 @@ class RoundModel:
 
 @dataclass(frozen=True)
 class InferenceTable:
-    """Bob's key inference, derived by exhaustive adversary-free simulation.
+    """Bob's key inference, derived from every adversary-free branch.
 
     Six-qubit entries are keyed (public, secret); four-qubit entries are
     keyed by secret alone.
@@ -364,17 +352,11 @@ class InferenceTable:
 
 
 def derive_inference_table(
-    conv: BellConvention, protocol: str, procedure: Procedure
+    protocol: str, procedure: Procedure, branches: Iterable[Branch]
 ) -> InferenceTable:
-    """Build the inference table from every adversary-free branch."""
-    if protocol == "six":
-        plan = build_six_plan(conv, procedure, None)
-    elif protocol == "four":
-        plan = build_four_plan(conv, procedure, None)
-    else:
-        raise ValueError(f"unknown protocol {protocol!r}")
+    """Build the inference table from the adversary-free ``branches``."""
     mapping: dict[tuple[str, ...], str] = {}
-    for _prob, outcome in enumerate_plan(conv, plan):
+    for _prob, outcome in branches:
         obs = (
             (outcome["public"], outcome["secret"])
             if protocol == "six"
@@ -407,7 +389,6 @@ class RoundTranscript:
     eve_record: "EveRecord | None" = None
     compared: bool = False
     detected: bool = False
-    events: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.detected and not self.compared:
@@ -472,10 +453,11 @@ class _ProtocolBase:
 
     def __init__(self, conv: BellConvention):
         self.conv = conv
-        self.inference = {
-            p: derive_inference_table(conv, self.name, p) for p in Procedure
-        }
         self._models: dict[tuple, RoundModel] = {}
+        self.inference = {
+            p: derive_inference_table(self.name, p, self.enumerate_branches(p))
+            for p in Procedure
+        }
 
     def _build(self, procedure: Procedure, transit: TransitPlan | None) -> Plan:
         raise NotImplementedError
@@ -497,7 +479,9 @@ class _ProtocolBase:
             branches = tuple(
                 (prob, MappingProxyType(out)) for prob, out in enumerate_plan(self.conv, plan)
             )
-            self._models[key] = RoundModel(plan, branches, _outcome_tree(branches))
+            self._models[key] = RoundModel(
+                plan, branches, _outcome_tree(branches), _eve_posterior(branches)
+            )
         return self._models[key]
 
     def enumerate_branches(self, procedure: Procedure, attack=None) -> tuple[Branch, ...]:
@@ -521,7 +505,6 @@ class _ProtocolBase:
             bob_secret=secret,
             bob_inferred_key=inferred,
             eve_record=eve_record,
-            events=model.plan.events,
         )
 
     def key_distribution(self, procedure: Procedure, attack=None) -> np.ndarray:
@@ -536,14 +519,14 @@ class SixQubitProtocol(_ProtocolBase):
     name = "six"
 
     def _build(self, procedure: Procedure, transit: TransitPlan | None) -> Plan:
-        return build_six_plan(self.conv, procedure, transit)
+        return build_six_plan(procedure, transit)
 
 
 class FourQubitProtocol(_ProtocolBase):
     name = "four"
 
     def _build(self, procedure: Procedure, transit: TransitPlan | None) -> Plan:
-        return build_four_plan(self.conv, procedure, transit)
+        return build_four_plan(procedure, transit)
 
 
 @lru_cache(maxsize=8)

@@ -5,6 +5,7 @@ import pytest
 
 from swapqkd import adversary, protocol
 from swapqkd.adversary import (
+    ATTACK_PROTOCOLS,
     CORRECTIONS_EXTENDED,
     EXPECTED_TABLE2,
     AttackSearchError,
@@ -70,6 +71,14 @@ def test_zlg_under_p2_eve_has_two_candidates_everywhere(conv):
     for (eve, _public), keys in posterior.items():
         assert len(keys) == 2
     assert eve_information_probability(conv, "six", Procedure.P_II, attack) == 0.0
+
+
+def test_posterior_is_shared_across_attack_instances(conv):
+    for procedure in Procedure:
+        posterior = ZlgAttack(conv)._posterior(procedure)
+        assert ZlgAttack(conv)._posterior(procedure) is posterior
+        with pytest.raises(TypeError):
+            posterior[("00", "00")] = ("11",)
 
 
 def test_zlg_p2_worked_example(conv):
@@ -253,11 +262,22 @@ def test_fair_mixture_detection_averages_one_quarter(conv):
 def test_attack_strategy_validation():
     with pytest.raises(ValueError):
         AttackStrategy("quantum-woodpecker")
-    with pytest.raises(ValueError):
-        AttackStrategy("mixed", weight_zlg=1.5)
+    assert AttackStrategy("mixed").weight_zlg == 0.5
     assert AttackStrategy("none").compatible_protocols() == ("six", "four")
     assert AttackStrategy("four-swap").compatible_protocols() == ("four",)
     assert AttackStrategy("mixed").compatible_protocols() == ("six",)
+
+
+@pytest.mark.parametrize("kind", list(ATTACK_PROTOCOLS))
+def test_attack_mixture_is_a_distribution_over_compatible_attacks(conv, kind):
+    strategy = AttackStrategy(kind)
+    mixture = strategy.mixture(conv)
+    assert abs(sum(weight for weight, _ in mixture) - 1.0) < EXACT
+    for weight, attack in mixture:
+        assert weight > 0.0
+        if attack is not None:
+            assert attack.protocol in strategy.compatible_protocols()
+    assert (mixture == ((1.0, None),)) == (kind == "none")
 
 
 def test_eve_record_requires_inference():

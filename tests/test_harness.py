@@ -2,13 +2,12 @@ import math
 
 import pytest
 
-from swapqkd import harness
+from swapqkd import cli
 from swapqkd.adversary import AttackStrategy
 from swapqkd.harness import (
     CurvePoint,
     SimulationConfig,
     bits_tested_curve,
-    curve_to_csv,
     detection_curve,
     run_simulation,
     splitmix64,
@@ -150,16 +149,21 @@ def test_bits_tested_curve_maps_bits_to_pairs():
         bits_tested_curve(config, [3], 150)
 
 
-def test_curve_is_reproducible_and_csv_stable():
+def test_curve_is_reproducible_and_csv_stable(capsys):
     config = SimulationConfig(protocol="four", rounds=1,
                               attack=AttackStrategy("four-swap"), master_seed=9)
     points_a = detection_curve(config, [1, 2], 120)
     points_b = detection_curve(config, [1, 2], 120)
     assert points_a == points_b
-    csv_text = curve_to_csv(points_a)
-    lines = csv_text.strip().split("\n")
+    argv = ["detection-curve", "--protocol", "four", "--attack", "four-swap",
+            "--n", "1,2", "--reps", "120", "--seed", "9", "--format", "csv"]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0] == "n,empirical,theoretical,ci_low,ci_high"
-    assert len(lines) == 3
+    assert lines[1:] == [
+        f"{pt.n},{pt.empirical:.6f},{pt.theoretical:.6f},{pt.ci_low:.6f},{pt.ci_high:.6f}"
+        for pt in points_a
+    ]
 
 
 def test_curve_point_fields():

@@ -17,9 +17,9 @@ from swapqkd.protocol import (
     TableMismatchError,
     TransitPlan,
     WrongProtocolError,
+    SixQubitProtocol,
     build_four_plan,
     build_six_plan,
-    derive_inference_table,
     four_qubit_protocol,
     mark_compared,
     protocol_driver,
@@ -78,7 +78,7 @@ def test_four_qubit_branch_counts(conv):
 
 def test_six_inference_tables_are_total_and_balanced(conv):
     for procedure in Procedure:
-        table = derive_inference_table(conv, "six", procedure).as_dict()
+        table = protocol_driver(conv, "six").inference[procedure].as_dict()
         assert len(table) == 16  # every (public, secret) combination reachable
         for key in LABELS:
             assert sum(1 for v in table.values() if v == key) == 4
@@ -86,18 +86,18 @@ def test_six_inference_tables_are_total_and_balanced(conv):
 
 def test_four_inference_tables_are_total(conv):
     for procedure in Procedure:
-        table = derive_inference_table(conv, "four", procedure).as_dict()
+        table = protocol_driver(conv, "four").inference[procedure].as_dict()
         assert len(table) == 4
         assert sorted(table.values()) == sorted(LABELS)
 
 
 def test_inference_rejects_unknown_protocol(conv):
     with pytest.raises(ValueError):
-        derive_inference_table(conv, "five", Procedure.P_I)
+        protocol_driver(conv, "five")
 
 
 def test_inference_lookup_unknown_observation(conv):
-    table = derive_inference_table(conv, "six", Procedure.P_I)
+    table = protocol_driver(conv, "six").inference[Procedure.P_I]
     with pytest.raises(KeyError):
         table.infer("00", None)
 
@@ -107,7 +107,7 @@ def test_six_p1_inference_is_swap_table_composition(conv):
     # measurement swaps (2,5) out of the first two pairs, the public
     # measurement swaps (2,4) out of (2,5) and (4,6).
     swap = derive_swap_table(conv)
-    table = derive_inference_table(conv, "six", Procedure.P_I)
+    table = protocol_driver(conv, "six").inference[Procedure.P_I]
     for key in LABELS:
         middle = swap.lookup("00", "00", key)
         for public in LABELS:
@@ -135,6 +135,20 @@ def test_table_mismatch_diff_is_row_level():
 # --- specific published rows ----------------------------------------------------
 
 
+def test_driver_enumerates_each_adversary_free_plan_once(conv, monkeypatch):
+    # Bob's inference tables and the outcome table read the driver's memo.
+    calls = []
+    real = protocol.enumerate_plan
+    monkeypatch.setattr(
+        protocol, "enumerate_plan", lambda *args: calls.append(1) or real(*args)
+    )
+    fresh = SixQubitProtocol(conv)
+    assert len(calls) == 2  # one adversary-free plan per procedure
+    monkeypatch.setattr(protocol, "six_qubit_protocol", lambda _conv: fresh)
+    assert tuple(reproduce_table1(conv)) == EXPECTED_TABLE1
+    assert len(calls) == 2
+
+
 def test_p1_key00_public01_row(conv):
     drv = six_qubit_protocol(conv)
     outs = [o for _p, o in drv.enumerate_branches(Procedure.P_I)
@@ -156,25 +170,30 @@ def test_p2_key00_public10_row(conv):
 # --- transcripts -----------------------------------------------------------------
 
 
+def _step_names(plan):
+    """Plan steps as ("S", qubit) for the basis change, (name, pair) for a measurement."""
+    names = []
+    for step in plan.steps:
+        if isinstance(step, MeasureStep):
+            names.append((step.name, step.pair))
+        else:
+            assert np.array_equal(step.matrix, GATES["S"])
+            names.append(("S", step.qubit))
+    return names
+
+
 def test_round_transcript_events_order(conv):
-    transcript = six_qubit_protocol(conv).run_round(Procedure.P_II, None, RandomSource(5))
-    events = list(transcript.events)
-    announce = events.index("alice:announce procedure and public result")
-    key_measure = events.index("alice:measure key pair (1,3)")
-    bob_rotate = events.index("bob:apply S to qubit 4")
-    bob_measure = events.index("bob:measure secret pair (2,4)")
-    alice_rotate = events.index("alice:apply S to qubit 3")
-    assert key_measure < announce
-    assert alice_rotate < key_measure
-    assert announce < bob_rotate < bob_measure
+    # Alice rotates and measures the key, then the public pair (announced
+    # with the procedure); only then does Bob rotate and measure.
+    plan = six_qubit_protocol(conv).round_model(Procedure.P_II).plan
+    assert _step_names(plan) == [
+        ("S", 3), ("key", (1, 3)), ("public", (5, 6)), ("S", 4), ("secret", (2, 4)),
+    ]
 
 
 def test_four_qubit_rotation_precedes_key_measurement(conv):
-    transcript = four_qubit_protocol(conv).run_round(Procedure.P_II, None, RandomSource(5))
-    events = list(transcript.events)
-    assert events.index("alice:apply S to qubit 1") < events.index("alice:measure key pair (1,3)")
-    assert events.index("alice:measure key pair (1,3)") < events.index("alice:announce procedure")
-    assert events.index("bob:apply S to qubit 2") < events.index("bob:measure secret pair (2,4)")
+    plan = four_qubit_protocol(conv).round_model(Procedure.P_II).plan
+    assert _step_names(plan) == [("S", 1), ("key", (1, 3)), ("S", 2), ("secret", (2, 4))]
 
 
 def test_transcript_flags_and_comparison(conv):
@@ -272,9 +291,9 @@ def test_wrong_protocol_attack_is_rejected(conv):
 
 def test_plan_builders_reject_malformed_transit(conv):
     with pytest.raises(MalformedAdversaryError):
-        build_six_plan(conv, Procedure.P_I, TransitPlan(steps=(GateStep(3, GATES["X"]),)))
+        build_six_plan(Procedure.P_I, TransitPlan(steps=(GateStep(3, GATES["X"]),)))
     with pytest.raises(MalformedAdversaryError):
-        build_four_plan(conv, Procedure.P_I, TransitPlan(steps=(GateStep(6, GATES["X"]),)))
+        build_four_plan(Procedure.P_I, TransitPlan(steps=(GateStep(6, GATES["X"]),)))
 
 
 # --- ambiguity guard ----------------------------------------------------------
