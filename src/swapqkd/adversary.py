@@ -171,15 +171,13 @@ class _PosteriorMixin:
     def transformation_for(self, eve_outcome: str) -> str | None:
         return None
 
-    def eve_record(
-        self, eve_outcome: str, procedure: Procedure, public: str | None
-    ) -> EveRecord:
-        inferred = self._posterior(procedure)[(eve_outcome, public)]
+    def eve_record(self, eve_outcome: str, inferred_keys: tuple[str, ...]) -> EveRecord:
+        """One round's record, given Eve's posterior for what she observed."""
         return EveRecord(
             attack=self.kind,
             secret=eve_outcome,
             transformation=self.transformation_for(eve_outcome),
-            inferred_keys=inferred,
+            inferred_keys=inferred_keys,
         )
 
 
@@ -419,21 +417,30 @@ def derive_tailored_attack(conv: BellConvention) -> TailoredParams:
     infer_p1 = driver.inference[Procedure.P_I].infer
     infer_p2 = driver.inference[Procedure.P_II].infer
 
-    for corrections in (CORRECTIONS_PAULI, CORRECTIONS_EXTENDED):
-        # key -> (marginal, [(public, conditional p)]), per correction gate
-        alice_p2 = {
-            g: _conditional_table(conv, _alice_block_plan(g, Procedure.P_II), "key", "public")
-            for g in corrections
+    # Each block plan is enumerated once per search.  Alice's tables, per
+    # procedure and correction gate: key -> (marginal, [(public, conditional p)]).
+    alice_p1, alice_p2 = (
+        {
+            g: _conditional_table(conv, _alice_block_plan(g, p), "key", "public")
+            for g in CORRECTIONS_EXTENDED
         }
-        alice_p1 = {
-            g: _conditional_table(conv, _alice_block_plan(g, Procedure.P_I), "key", "public")
-            for g in corrections
-        }
-        for u6, u8 in itertools.product(PRE_UNITARIES, repeat=2):
-            # Eve's outcome -> (marginal, [(secret, conditional p)])
-            travel_p2 = _conditional_table(
-                conv, _travel_block_plan(u6, u8, Procedure.P_II), "eve", "secret"
+        for p in Procedure
+    )
+    # Travel tables, Eve's outcome -> (marginal, [(secret, conditional p)]),
+    # memoized per (u6, u8, procedure) across both correction sets.
+    travel_tables: dict[tuple[str, str, Procedure], ConditionalTable] = {}
+
+    def travel(u6: str, u8: str, procedure: Procedure) -> ConditionalTable:
+        key = (u6, u8, procedure)
+        if key not in travel_tables:
+            travel_tables[key] = _conditional_table(
+                conv, _travel_block_plan(u6, u8, procedure), "eve", "secret"
             )
+        return travel_tables[key]
+
+    for corrections in (CORRECTIONS_PAULI, CORRECTIONS_EXTENDED):
+        for u6, u8 in itertools.product(PRE_UNITARIES, repeat=2):
+            travel_p2 = travel(u6, u8, Procedure.P_II)
             # Undetected under (ii) needs Bob's secret pinned by Eve's outcome.
             taus = {}
             for m, (_pm, secrets) in sorted(travel_p2.items()):
@@ -456,9 +463,7 @@ def derive_tailored_attack(conv: BellConvention) -> TailoredParams:
                 valid.append(good)
             if not all(valid):
                 continue
-            travel_p1 = _conditional_table(
-                conv, _travel_block_plan(u6, u8, Procedure.P_I), "eve", "secret"
-            )
+            travel_p1 = travel(u6, u8, Procedure.P_I)
             for combo in itertools.product(*valid):
                 params = TailoredParams((u6, u8), tuple(zip(LABELS, combo)))
                 if _candidate_p1_detection(params, travel_p1, alice_p1, infer_p1) > 0.0:

@@ -65,9 +65,29 @@ def _act(matrix: np.ndarray, factor: str, vec: np.ndarray) -> np.ndarray:
     raise ValueError(f"factor must be 'first' or 'second', got {factor!r}")
 
 
-def _overlap_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - |<a|b>| for unit vectors; 0 means equal up to global phase."""
-    return float(abs(1.0 - abs(np.vdot(a, b))))
+# The acting factors in enumeration order, and S and Z on each of them as
+# two-qubit operators (index = position in _FACTORS).
+_FACTORS: tuple[str, ...] = ("first", "second")
+_S_ON = np.stack([np.kron(GATES["S"], np.eye(2)), np.kron(np.eye(2), GATES["S"])])
+_Z_ON = np.stack([np.kron(GATES["Z"], np.eye(2)), np.kron(np.eye(2), GATES["Z"])])
+
+
+def _overlap_residuals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """1 - |<a|b>| over the last axis of unit vectors; 0 means equal up to phase."""
+    return np.abs(1.0 - np.abs(np.einsum("...i,...i->...", a.conj(), b)))
+
+
+def _residuals(states: np.ndarray, factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of the two defining constraints for a batch of labelings.
+
+    ``states`` is ``(..., 4, 4)``, row k the state of LABELS[k]; ``factor``
+    is ``(...)``, each entry an index into _FACTORS.
+    """
+    plus_plus = (states[..., 1, :] + states[..., 2, :]) / np.sqrt(2)
+    target2 = (states[..., 0, :] - states[..., 3, :]) / np.sqrt(2)
+    rotated = np.einsum("...ij,...j->...i", _S_ON[factor], states[..., 0, :])
+    flipped = np.einsum("...ij,...j->...i", _Z_ON[factor], plus_plus)
+    return _overlap_residuals(plus_plus, rotated), _overlap_residuals(target2, flipped)
 
 
 @dataclass(frozen=True)
@@ -119,17 +139,14 @@ class BellConvention:
 
 def convention_residuals(conv: BellConvention) -> tuple[float, float]:
     """Residuals of the two defining constraints (0 = exact)."""
-    s = conv.states
-    plus_plus = (s["01"] + s["10"]) / np.sqrt(2)
-    target2 = (s["00"] - s["11"]) / np.sqrt(2)
-    r1 = _overlap_residual(plus_plus, _act(GATES["S"], conv.acting_factor, s["00"]))
-    r2 = _overlap_residual(target2, _act(GATES["Z"], conv.acting_factor, plus_plus))
-    return r1, r2
+    r1, r2 = _residuals(conv.basis_matrix, np.array(_FACTORS.index(conv.acting_factor)))
+    return float(r1), float(r2)
 
 
-def _satisfies(conv: BellConvention) -> bool:
-    r1, r2 = convention_residuals(conv)
-    return r1 <= CONSTRAINT_ATOL and r2 <= CONSTRAINT_ATOL
+# Every candidate labeling, in enumeration order: permutations of
+# BASE_ORDER assigned to labels 00,01,10,11, then sign tuples.
+_PERMUTATIONS = tuple(itertools.permutations(range(len(BASE_ORDER))))
+_SIGN_TUPLES = tuple(itertools.product((1, -1), repeat=len(LABELS)))
 
 
 def all_conventions() -> list[BellConvention]:
@@ -137,17 +154,24 @@ def all_conventions() -> list[BellConvention]:
 
     Order: permutations of BASE_ORDER assigned to labels 00,01,10,11 (in
     itertools.permutations order), then sign tuples over (+1, -1), then
-    acting factor "first" before "second".
+    acting factor "first" before "second".  All candidates are scored in
+    one batch; a convention object is built only for those that pass.
     """
-    found = []
-    for perm in itertools.permutations(BASE_ORDER):
-        for signs in itertools.product((1, -1), repeat=4):
-            assignment = tuple(zip(perm, signs))
-            for factor in ("first", "second"):
-                conv = BellConvention(assignment, factor)
-                if _satisfies(conv):
-                    found.append(conv)
-    return found
+    base = np.stack([BASE_STATES[name] for name in BASE_ORDER])
+    signs = np.array(_SIGN_TUPLES)
+    # (permutation, signs, row, amplitude), then one copy per acting factor.
+    states = signs[None, :, :, None] * base[np.array(_PERMUTATIONS)][:, None]
+    shape = states.shape[:2] + (len(_FACTORS),)
+    states = np.broadcast_to(states[:, :, None], shape + (4, 4))
+    r1, r2 = _residuals(states, np.broadcast_to(np.arange(len(_FACTORS)), shape))
+    passing = (r1 <= CONSTRAINT_ATOL) & (r2 <= CONSTRAINT_ATOL)
+    return [
+        BellConvention(
+            tuple((BASE_ORDER[i], s) for i, s in zip(_PERMUTATIONS[p], _SIGN_TUPLES[g])),
+            _FACTORS[f],
+        )
+        for p, g, f in zip(*np.nonzero(passing))
+    ]
 
 
 def derive_convention() -> BellConvention:

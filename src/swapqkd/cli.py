@@ -1,9 +1,11 @@
 """Command-line front end: reproduction, simulation, and derivation workflows.
 
-Every subcommand accepts ``--seed`` (64-bit integer, default 0) and
+Every subcommand accepts ``--seed`` (integer in [0, 2**64), default 0) and
 ``--format {human,json,csv}``.  Output is deterministic: the same argv and
 seed produce byte-identical stdout.  Exit codes: 0 success, 1 reproduction
-mismatch (row diff on stderr), 2 invalid arguments (usage on stderr).
+mismatch (row diff on stderr), 2 invalid input (an argument argparse
+rejects, or a ``swapqkd: error: ...`` line on stderr, for instance for a
+seed out of range or an ``--emit-params`` path that cannot be written).
 
 The table subcommands are self-checking: they compare the freshly
 simulated rows against the embedded expected rows and exit nonzero on any
@@ -183,8 +185,13 @@ def _cmd_derive_attack(args) -> int:
     params = adversary.derive_tailored_attack(bell.convention())
     text = params.to_json() + "\n"
     if args.emit_params:
-        with open(args.emit_params, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.emit_params, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(
+                f"cannot write --emit-params {args.emit_params}: {exc.strerror}"
+            ) from exc
     sys.stdout.write(text)
     return 0
 
@@ -261,6 +268,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= args.seed < 2**64:
+            raise ValueError(f"--seed must be in [0, 2**64), got {args.seed}")
         return args.func(args)
     except ValueError as exc:
         parser.exit(2, f"swapqkd: error: {exc}\n")

@@ -241,12 +241,8 @@ def enumerate_plan(conv: BellConvention, plan: Plan) -> list[tuple[float, dict[s
             walk(qstate.apply_gate(state, matrix, step.qubit - 1), step_idx + 1, prob, outcomes)
         else:
             pair = _engine_pair(step.pair)
-            probs = qstate.basis_probabilities(state, basis, pair)
-            for k, p in enumerate(probs):
-                if p <= PROB_CUTOFF:
-                    continue
-                _, collapsed = qstate.collapse_onto(state, basis, pair, k)
-                walk(collapsed, step_idx + 1, prob * float(p), {**outcomes, step.name: LABELS[k]})
+            for k, p, collapsed in qstate.live_outcomes(state, basis, pair, PROB_CUTOFF):
+                walk(collapsed, step_idx + 1, prob * p, {**outcomes, step.name: LABELS[k]})
 
     walk(start, 0, 1.0, {})
     return branches
@@ -496,7 +492,8 @@ class _ProtocolBase:
         inferred = self.inference[procedure].infer(secret, public)
         eve_record = None
         if attack is not None:
-            eve_record = attack.eve_record(outcomes["eve"], procedure, public)
+            eve = outcomes["eve"]
+            eve_record = attack.eve_record(eve, model.posterior[(eve, public)])
         return RoundTranscript(
             protocol=self.name,
             procedure=procedure,

@@ -238,6 +238,29 @@ def _check_basis(basis: np.ndarray) -> np.ndarray:
     return basis
 
 
+def _project(
+    state: StateVector, basis: np.ndarray, pair: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project the pair onto every basis state at once.
+
+    Returns ``(amps, probs)``: row k of ``amps`` is the rest of the register
+    given outcome k (unnormalized), and ``probs[k]`` its Born probability.
+    """
+    _check_pair(state, pair)
+    basis = _check_basis(basis)
+    amps = basis.conj() @ _pair_matrix(state, pair)
+    return amps, np.einsum("kr,kr->k", amps, amps.conj()).real
+
+
+def _collapsed(
+    state: StateVector, basis: np.ndarray, pair: tuple[int, int],
+    amps: np.ndarray, probs: np.ndarray, outcome: int,
+) -> StateVector:
+    """The state after outcome ``outcome`` of a :func:`_project` call."""
+    new_mat = np.outer(basis[outcome], amps[outcome]) / np.sqrt(probs[outcome])
+    return StateVector(state.num_qubits, _pair_unmatrix(state, pair, new_mat))
+
+
 def basis_probabilities(
     state: StateVector, basis: np.ndarray, pair: tuple[int, int]
 ) -> np.ndarray:
@@ -246,24 +269,7 @@ def basis_probabilities(
     ``basis`` is a 4x4 array whose rows are orthonormal two-qubit states in
     the pair-index convention.  The result sums to 1 within 1e-10.
     """
-    _check_pair(state, pair)
-    basis = _check_basis(basis)
-    mat = _pair_matrix(state, pair)
-    amps = basis.conj() @ mat
-    return np.einsum("kr,kr->k", amps, amps.conj()).real
-
-
-def _collapse_from_mat(
-    state: StateVector, basis: np.ndarray, pair: tuple[int, int], mat: np.ndarray, outcome: int
-) -> tuple[float, StateVector]:
-    amps_k = basis[outcome].conj() @ mat
-    prob = float(np.real(np.vdot(amps_k, amps_k)))
-    if prob < DEGENERACY_FLOOR:
-        raise DegenerateMeasurementError(
-            f"outcome {outcome} has probability {prob:.3e}, below {DEGENERACY_FLOOR}"
-        )
-    new_mat = np.outer(basis[outcome], amps_k) / np.sqrt(prob)
-    return prob, StateVector(state.num_qubits, _pair_unmatrix(state, pair, new_mat))
+    return _project(state, basis, pair)[1]
 
 
 def collapse_onto(
@@ -274,12 +280,31 @@ def collapse_onto(
     Returns ``(probability, collapsed_state)``.  Raises
     :class:`DegenerateMeasurementError` if the outcome has no weight.
     """
-    _check_pair(state, pair)
-    basis = _check_basis(basis)
     if not 0 <= outcome < 4:
         raise ValueError(f"outcome must be 0..3, got {outcome}")
-    mat = _pair_matrix(state, pair)
-    return _collapse_from_mat(state, basis, pair, mat, outcome)
+    amps, probs = _project(state, basis, pair)
+    prob = float(probs[outcome])
+    if prob < DEGENERACY_FLOOR:
+        raise DegenerateMeasurementError(
+            f"outcome {outcome} has probability {prob:.3e}, below {DEGENERACY_FLOOR}"
+        )
+    return prob, _collapsed(state, basis, pair, amps, probs, outcome)
+
+
+def live_outcomes(
+    state: StateVector, basis: np.ndarray, pair: tuple[int, int], floor: float
+) -> list[tuple[int, float, StateVector]]:
+    """Every outcome of measuring the pair whose probability exceeds ``floor``.
+
+    Projects once and returns ``(outcome, probability, collapsed_state)`` in
+    outcome order.  Every collapsed state is norm-checked on construction.
+    """
+    amps, probs = _project(state, basis, pair)
+    return [
+        (k, float(probs[k]), _collapsed(state, basis, pair, amps, probs, k))
+        for k in range(4)
+        if probs[k] > floor
+    ]
 
 
 class RandomSource:
@@ -322,14 +347,8 @@ def measure_in_basis(
     Returns ``(outcome index 0..3, collapsed state)``; the outcome is sampled
     from the Born probabilities using ``rng``.
     """
-    _check_pair(state, pair)
-    basis = _check_basis(basis)
-    mat = _pair_matrix(state, pair)
-    amps = basis.conj() @ mat
-    probs = np.einsum("kr,kr->k", amps, amps.conj()).real
+    amps, probs = _project(state, basis, pair)
     if float(np.max(probs)) < DEGENERACY_FLOOR:
         raise DegenerateMeasurementError("all four outcome probabilities are ~0")
     outcome = sample_index(probs, rng)
-    prob_k = float(probs[outcome])
-    new_mat = np.outer(basis[outcome], amps[outcome]) / np.sqrt(prob_k)
-    return outcome, StateVector(state.num_qubits, _pair_unmatrix(state, pair, new_mat))
+    return outcome, _collapsed(state, basis, pair, amps, probs, outcome)

@@ -154,6 +154,18 @@ def test_search_regenerates_frozen_params(conv):
     assert derive_tailored_attack(conv) == params  # deterministic
 
 
+def test_search_enumerates_each_block_plan_once(conv, monkeypatch):
+    # 16 Alice tables (8 corrections x 2 procedures) plus 26 distinct travel
+    # tables; the Pauli and widened passes share the travel tables.
+    calls = []
+    real = adversary.enumerate_plan
+    monkeypatch.setattr(
+        adversary, "enumerate_plan", lambda *args: calls.append(1) or real(*args)
+    )
+    assert derive_tailored_attack(conv) == adversary.FROZEN_TAILORED_PARAMS
+    assert len(calls) == 42
+
+
 def test_tailored_defeats_p2(conv):
     attack = TailoredAttack(conv)
     assert attack_detection_probability(conv, "six", Procedure.P_II, attack) == 0.0

@@ -1,3 +1,4 @@
+import itertools
 import time
 
 import numpy as np
@@ -40,6 +41,37 @@ def test_derivation_enumeration_is_fast_and_exhaustive():
     for conv in found:
         r1, r2 = convention_residuals(conv)
         assert r1 < 1e-10 and r2 < 1e-10
+
+
+# --- loop oracle for the batched convention search ----------------------------
+
+
+def oracle_conventions() -> list[tuple[BellConvention, float, float]]:
+    """Every satisfying candidate with its residuals, scored one at a time."""
+    found = []
+    for perm in itertools.permutations(bell.BASE_ORDER):
+        for signs in itertools.product((1, -1), repeat=4):
+            states = [sign * bell.BASE_STATES[name] for name, sign in zip(perm, signs)]
+            plus_plus = (states[1] + states[2]) / np.sqrt(2)
+            target2 = (states[0] - states[3]) / np.sqrt(2)
+            for factor in ("first", "second"):
+                if factor == "first":
+                    s_op, z_op = np.kron(GATES["S"], np.eye(2)), np.kron(GATES["Z"], np.eye(2))
+                else:
+                    s_op, z_op = np.kron(np.eye(2), GATES["S"]), np.kron(np.eye(2), GATES["Z"])
+                r1 = abs(1.0 - abs(np.vdot(plus_plus, s_op @ states[0])))
+                r2 = abs(1.0 - abs(np.vdot(target2, z_op @ plus_plus)))
+                if r1 <= bell.CONSTRAINT_ATOL and r2 <= bell.CONSTRAINT_ATOL:
+                    found.append((BellConvention(tuple(zip(perm, signs)), factor), r1, r2))
+    return found
+
+
+def test_batched_search_matches_loop_oracle():
+    oracle = oracle_conventions()
+    assert all_conventions() == [conv for conv, _r1, _r2 in oracle]
+    for conv, r1, r2 in oracle:
+        b1, b2 = convention_residuals(conv)
+        assert abs(b1 - r1) <= 1e-15 and abs(b2 - r2) <= 1e-15
 
 
 def test_residuals_of_frozen_convention(conv):

@@ -87,6 +87,28 @@ def test_unknown_flag_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_64_bits_exits_2(capsys, seed):
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce-table1", "--seed", seed])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("swapqkd: error: --seed")
+    assert "Traceback" not in err
+
+
+def test_unwritable_emit_params_exits_2(capsys, tmp_path):
+    target = tmp_path / "missing" / "p.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["derive-attack", "--emit-params", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("swapqkd: error: cannot write --emit-params")
+    assert "Traceback" not in captured.err
+    assert not target.exists()
+
+
 def test_table_drift_exits_1_with_row_diff(capsys, monkeypatch):
     from swapqkd import cli as cli_module
     from swapqkd.protocol import TableMismatchError

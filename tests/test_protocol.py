@@ -256,7 +256,7 @@ class _BadAttack:
     def transit_plan(self):
         return self._transit
 
-    def eve_record(self, outcome, procedure, public):  # pragma: no cover
+    def eve_record(self, outcome, inferred_keys):  # pragma: no cover
         return None
 
 

@@ -11,6 +11,7 @@ from swapqkd.qstate import (
     basis_probabilities,
     collapse_onto,
     init_basis_state,
+    live_outcomes,
     measure_in_basis,
     prepare_pairs,
 )
@@ -41,6 +42,22 @@ def oracle_pair_probs(state: StateVector, basis: np.ndarray, pair) -> list[float
             total += abs(amp) ** 2
         probs.append(total)
     return probs
+
+
+def oracle_collapse(state: StateVector, basis: np.ndarray, pair, k: int) -> np.ndarray:
+    """Amplitudes of (|b_k><b_k| on the pair) |state>, renormalized, index by index."""
+    i, j = pair
+    amps = state.amplitudes
+    out = np.zeros_like(amps)
+    for idx in range(len(amps)):
+        base = idx & ~((1 << i) | (1 << j))
+        rest = sum(
+            np.conj(basis[k][2 * bi + bj]) * amps[base | (bi << i) | (bj << j)]
+            for bi in (0, 1)
+            for bj in (0, 1)
+        )
+        out[idx] = basis[k][2 * ((idx >> i) & 1) + ((idx >> j) & 1)] * rest
+    return out / np.linalg.norm(out)
 
 
 def random_state(rng: np.random.Generator, n: int) -> StateVector:
@@ -265,6 +282,30 @@ def test_collapse_onto_zero_weight_is_degenerate(conv):
     state = prepare_pairs(2, [(0, 1, conv.states["00"])])
     with pytest.raises(DegenerateMeasurementError):
         collapse_onto(state, conv.basis_matrix, (0, 1), 3)
+
+
+def test_live_outcomes_match_probabilities_and_collapse(conv):
+    rng = np.random.default_rng(41)
+    basis = conv.basis_matrix
+    for n in (6, 8):
+        state = random_state(rng, n)
+        for pair in ((0, 1), (1, 0), (2, n - 1), (n - 1, 3)):
+            probs = basis_probabilities(state, basis, pair)
+            live = live_outcomes(state, basis, pair, 1e-9)
+            assert [k for k, _p, _s in live] == [k for k in range(4) if probs[k] > 1e-9]
+            for k, p, collapsed in live:
+                want_p, want_state = collapse_onto(state, basis, pair, k)
+                assert abs(p - want_p) < 1e-12
+                assert abs(p - oracle_pair_probs(state, basis, pair)[k]) < 1e-12
+                for want in (want_state.amplitudes, oracle_collapse(state, basis, pair, k)):
+                    assert np.allclose(collapsed.amplitudes, want, rtol=0.0, atol=1e-12)
+
+
+def test_live_outcomes_skip_zero_weight(conv):
+    state = prepare_pairs(4, [(0, 1, conv.states["10"]), (2, 3, conv.states["00"])])
+    live = live_outcomes(state, conv.basis_matrix, (0, 1), 1e-9)
+    assert [(k, round(p, 12)) for k, p, _s in live] == [(2, 1.0)]
+    assert live[0][2].equals_up_to_phase(state)
 
 
 # --- randomness -------------------------------------------------------------
