@@ -6,17 +6,16 @@ interception point, before any announcement exists.  What she hears later
 (the procedure choice, and in the six-qubit protocol the public result)
 only feeds her classical key inference.
 
-Six-qubit interception ("zlg"): Eve holds an ancilla pair (7,8) in the
-labeled-00 state.  She captures qubit 2 on its way to Bob and sends her
-qubit 7 instead, captures qubit 6 on its way to Alice and Bell-measures it
-with qubit 8, then applies an outcome-dependent Pauli to the captured
-qubit 2 and forwards that to Alice.  Bob's secret measurement therefore
-physically acts on (7,4) and Alice's public measurement on (5,2).
-
-Six-qubit "tailored": same interception shape, but Eve rotates qubits 6
-and 8 before her Bell measurement and draws her corrections on qubit 2
-from a wider gate set.  The parameters are not hardcoded: they are found
-by :func:`derive_tailored_attack`, an exhaustive deterministic search, and
+Six-qubit interception: Eve holds an ancilla pair (7,8) in the labeled-00
+state.  She captures qubit 2 on its way to Bob and sends her qubit 7
+instead, captures qubit 6 on its way to Alice, rotates qubits 6 and 8 and
+Bell-measures them, then applies an outcome-dependent correction to the
+captured qubit 2 and forwards that to Alice.  Bob's secret measurement
+therefore physically acts on (7,4) and Alice's public measurement on
+(5,2).  The two six-qubit attacks are this one interception with two
+parameter choices: "zlg", the published attack, uses no rotation and
+Pauli corrections; "tailored", its procedure-(ii) mirror, is found by
+:func:`derive_tailored_attack`, an exhaustive deterministic search, and
 the found values are frozen in :data:`FROZEN_TAILORED_PARAMS` with a
 regeneration test.
 
@@ -96,7 +95,7 @@ class EveRecord:
 
 @dataclass(frozen=True)
 class TailoredParams:
-    """Parameters of the six-qubit attack matched to procedure (ii).
+    """Parameters of the six-qubit interception.
 
     ``pre_unitaries`` act on qubits 6 and 8 before Eve's Bell measurement;
     ``pauli_map`` maps her outcome to the correction applied to qubit 2.
@@ -115,9 +114,10 @@ class TailoredParams:
         for name in mapping.values():
             if name not in CORRECTIONS_EXTENDED:
                 raise ValueError(f"correction {name!r} not in {CORRECTIONS_EXTENDED}")
+        object.__setattr__(self, "_corrections", mapping)
 
     def correction(self, outcome: str) -> str:
-        return dict(self.pauli_map)[outcome]
+        return self._corrections[outcome]  # type: ignore[attr-defined]
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,35 +181,8 @@ class _PosteriorMixin:
         )
 
 
-class ZlgAttack(_PosteriorMixin):
-    """The published six-qubit interception with Pauli corrections."""
-
-    protocol = "six"
-    kind = "zlg"
-
-    def __init__(self, conv: BellConvention):
-        self.conv = conv
-        self.pauli_map = pauli_for_label(conv)
-        self.cache_key = ("zlg",)
-
-    def transit_plan(self) -> TransitPlan:
-        gates = tuple((m, GATES[self.pauli_map[m]]) for m in LABELS)
-        return TransitPlan(
-            steps=(
-                MeasureStep("eve", (6, 8)),
-                ConditionalGateStep(qubit=2, on="eve", gates=gates),
-            ),
-            ancilla_pairs=((7, 8),),
-            alice_receives=2,
-            bob_receives=7,
-        )
-
-    def transformation_for(self, eve_outcome: str) -> str:
-        return self.pauli_map[eve_outcome]
-
-
 class TailoredAttack(_PosteriorMixin):
-    """Six-qubit interception with rotated measurement and corrections."""
+    """Six-qubit interception: rotate 6 and 8, Bell-measure them, correct 2."""
 
     protocol = "six"
     kind = "tailored"
@@ -217,7 +190,7 @@ class TailoredAttack(_PosteriorMixin):
     def __init__(self, conv: BellConvention, params: "TailoredParams | None" = None):
         self.conv = conv
         self.params = params if params is not None else FROZEN_TAILORED_PARAMS
-        self.cache_key = ("tailored", self.params)
+        self.cache_key = (self.kind, self.params)
 
     def transit_plan(self) -> TransitPlan:
         u6, u8 = self.params.pre_unitaries
@@ -236,6 +209,15 @@ class TailoredAttack(_PosteriorMixin):
 
     def transformation_for(self, eve_outcome: str) -> str:
         return self.params.correction(eve_outcome)
+
+
+class ZlgAttack(TailoredAttack):
+    """The published interception: no rotation, Pauli corrections."""
+
+    kind = "zlg"
+
+    def __init__(self, conv: BellConvention):
+        super().__init__(conv, TailoredParams(("I", "I"), tuple(pauli_for_label(conv).items())))
 
 
 class FourSwapAttack(_PosteriorMixin):
@@ -264,7 +246,7 @@ class FourSwapAttack(_PosteriorMixin):
         return TransitPlan(steps=steps)
 
 
-Attack = ZlgAttack | TailoredAttack | FourSwapAttack
+Attack = TailoredAttack | FourSwapAttack
 
 
 @dataclass(frozen=True)

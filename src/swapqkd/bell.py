@@ -271,14 +271,16 @@ def derive_swap_table(conv: BellConvention) -> SwapTable:
             st = qstate.prepare_pairs(
                 4, [(0, 1, conv.states[a]), (2, 3, conv.states[b])]
             )
-            probs = bell_probabilities(conv, st, (0, 2))
-            if not np.allclose(probs, 0.25, rtol=0.0, atol=CONSTRAINT_ATOL):
+            # One projection of (1,3) yields every outcome and its remainder.
+            live = qstate.live_outcomes(st, conv.basis_matrix, (0, 2), qstate.DEGENERACY_FLOOR)
+            probs = [p for _k, p, _collapsed in live]
+            if len(live) != 4 or not np.allclose(probs, 0.25, rtol=0.0, atol=CONSTRAINT_ATOL):
                 raise ConventionError(
                     f"swap outcomes for (a={a}, b={b}) are not uniform: {probs}"
                 )
             results = {}
-            for k, m in enumerate(LABELS):
-                _, collapsed = qstate.collapse_onto(st, conv.basis_matrix, (0, 2), k)
+            for k, _p, collapsed in live:
+                m = LABELS[k]
                 rest = bell_probabilities(conv, collapsed, (1, 3))
                 (hits,) = np.nonzero(rest > 1.0 - CONSTRAINT_ATOL)
                 if len(hits) != 1:

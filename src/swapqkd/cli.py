@@ -21,7 +21,7 @@ import sys
 
 from . import __version__, adversary, bell, harness, protocol
 from .adversary import ATTACK_PROTOCOLS, AttackStrategy
-from .protocol import TableMismatchError
+from .protocol import PLAN_BUILDERS, TableMismatchError
 
 FORMATS = ("human", "json", "csv")
 
@@ -149,12 +149,10 @@ def _config_dict(config: harness.SimulationConfig) -> dict:
 
 
 def _cmd_detection_curve(args) -> int:
-    config = harness.SimulationConfig(
+    config = harness.CurveConfig(
         protocol=args.protocol,
-        rounds=1,
         attack=AttackStrategy(args.attack),
         procedure_policy=args.procedure_prob,
-        test_fraction=1.0,
         master_seed=args.seed,
     )
     n_values = [int(x) for x in args.n.split(",") if x != ""]
@@ -227,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reproduce_table2)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo protocol run")
-    p.add_argument("--protocol", choices=("six", "four"), default="six")
+    p.add_argument("--protocol", choices=tuple(PLAN_BUILDERS), default="six")
     p.add_argument(
         "--attack", choices=tuple(ATTACK_PROTOCOLS),
         default="none",
@@ -243,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         "detection-curve", parents=[common],
         help="empirical vs theoretical detection probability per compared pairs",
     )
-    p.add_argument("--protocol", choices=("six", "four"), default="six")
+    p.add_argument("--protocol", choices=tuple(PLAN_BUILDERS), default="six")
     p.add_argument(
         "--attack", choices=tuple(ATTACK_PROTOCOLS),
         default="mixed",

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 from . import bell
 from .adversary import AttackStrategy
-from .protocol import Procedure, RoundTranscript, mark_compared, protocol_driver
+from .protocol import PLAN_BUILDERS, Procedure, RoundTranscript, mark_compared, protocol_driver
 from .qstate import RandomSource
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -43,30 +43,39 @@ def splitmix64(master_seed: int, index: int) -> int:
 
 
 @dataclass(frozen=True)
-class SimulationConfig:
-    """One Monte Carlo run: protocol, attack, coin biases, seeding."""
+class CurveConfig:
+    """What a detection curve reads: protocol, attack, procedure coin, seeding."""
 
     protocol: str = "six"
-    rounds: int = 1000
     attack: AttackStrategy = field(default_factory=lambda: AttackStrategy("none"))
     procedure_policy: float = 0.5  # probability Alice picks procedure (i)
-    test_fraction: float = 0.5  # fraction of rounds publicly compared
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.protocol not in ("six", "four"):
+        if self.protocol not in PLAN_BUILDERS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
         if not 0.0 <= self.procedure_policy <= 1.0:
             raise ValueError("procedure_policy must be a probability")
-        if not 0.0 <= self.test_fraction <= 1.0:
-            raise ValueError("test_fraction must be a probability")
         if self.protocol not in self.attack.compatible_protocols():
             raise ValueError(
                 f"attack {self.attack.kind!r} does not apply to the "
                 f"{self.protocol}-qubit protocol"
             )
+
+
+@dataclass(frozen=True)
+class SimulationConfig(CurveConfig):
+    """One Monte Carlo run: a curve's settings plus a length and a test coin."""
+
+    rounds: int = 1000
+    test_fraction: float = 0.5  # fraction of rounds publicly compared
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if not 0.0 <= self.test_fraction <= 1.0:
+            raise ValueError("test_fraction must be a probability")
 
 
 @dataclass(frozen=True)
@@ -180,7 +189,7 @@ CURVE_COLUMNS = ("n", "empirical", "theoretical", "ci_low", "ci_high")
 
 
 def detection_curve(
-    config: SimulationConfig, n_values: Sequence[int], repetitions: int
+    config: CurveConfig, n_values: Sequence[int], repetitions: int
 ) -> list[CurvePoint]:
     """Empirical vs theoretical probability of catching the eavesdropper.
 
@@ -214,7 +223,7 @@ def detection_curve(
 
 
 def bits_tested_curve(
-    config: SimulationConfig, bit_counts: Sequence[int], repetitions: int
+    config: CurveConfig, bit_counts: Sequence[int], repetitions: int
 ) -> list[CurvePoint]:
     """Detection probability as a function of the number of tested bits.
 

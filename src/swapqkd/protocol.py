@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -207,6 +207,13 @@ def build_four_plan(procedure: Procedure, transit: TransitPlan | None) -> Plan:
         steps.append(GateStep(2, GATES["S"]))
     steps.append(MeasureStep("secret", (2, 4)))
     return Plan(num_qubits, pairs, tuple(steps))
+
+
+# Protocol name -> plan builder, in the order the CLI lists protocols.
+PLAN_BUILDERS: dict[str, Callable[[Procedure, TransitPlan | None], Plan]] = {
+    "six": build_six_plan,
+    "four": build_four_plan,
+}
 
 
 # --- plan execution -------------------------------------------------------
@@ -445,18 +452,18 @@ def transcripts_to_jsonl(transcripts: Iterable[RoundTranscript]) -> str:
 
 
 class _ProtocolBase:
-    name: str
+    """One protocol's round driver; ``name`` picks its plan builder."""
 
-    def __init__(self, conv: BellConvention):
+    def __init__(self, conv: BellConvention, name: str):
+        if name not in PLAN_BUILDERS:
+            raise ValueError(f"unknown protocol {name!r}")
         self.conv = conv
+        self.name = name
+        self._build = PLAN_BUILDERS[name]
         self._models: dict[tuple, RoundModel] = {}
         self.inference = {
-            p: derive_inference_table(self.name, p, self.enumerate_branches(p))
-            for p in Procedure
+            p: derive_inference_table(name, p, self.enumerate_branches(p)) for p in Procedure
         }
-
-    def _build(self, procedure: Procedure, transit: TransitPlan | None) -> Plan:
-        raise NotImplementedError
 
     def round_model(self, procedure: Procedure, attack=None) -> RoundModel:
         """The round under ``attack``, enumerated once per attack ``cache_key``."""
@@ -512,36 +519,9 @@ class _ProtocolBase:
         return np.array([probs[lab] for lab in LABELS])
 
 
-class SixQubitProtocol(_ProtocolBase):
-    name = "six"
-
-    def _build(self, procedure: Procedure, transit: TransitPlan | None) -> Plan:
-        return build_six_plan(procedure, transit)
-
-
-class FourQubitProtocol(_ProtocolBase):
-    name = "four"
-
-    def _build(self, procedure: Procedure, transit: TransitPlan | None) -> Plan:
-        return build_four_plan(procedure, transit)
-
-
-@lru_cache(maxsize=8)
-def six_qubit_protocol(conv: BellConvention) -> SixQubitProtocol:
-    return SixQubitProtocol(conv)
-
-
-@lru_cache(maxsize=8)
-def four_qubit_protocol(conv: BellConvention) -> FourQubitProtocol:
-    return FourQubitProtocol(conv)
-
-
+@lru_cache(maxsize=16)
 def protocol_driver(conv: BellConvention, protocol: str) -> _ProtocolBase:
-    if protocol == "six":
-        return six_qubit_protocol(conv)
-    if protocol == "four":
-        return four_qubit_protocol(conv)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    return _ProtocolBase(conv, protocol)
 
 
 # --- published outcome table ----------------------------------------------
@@ -563,7 +543,7 @@ EXPECTED_TABLE1: tuple[tuple[str, str, str, str, str], ...] = (
 
 def six_qubit_outcome_rows(conv: BellConvention) -> list[tuple[str, str, str, str, str]]:
     """All distinct adversary-free six-qubit rows with key 00."""
-    driver = six_qubit_protocol(conv)
+    driver = protocol_driver(conv, "six")
     rows = set()
     for procedure in Procedure:
         table = driver.inference[procedure]

@@ -104,8 +104,23 @@ def test_zlg_p2_worked_example(conv):
     assert attack._posterior(Procedure.P_II)[("01", "11")] == ("00", "11")
 
 
+def test_zlg_is_the_interception_without_rotation(conv):
+    # zlg is the six-qubit interception with no pre-rotation and the Pauli
+    # corrections; its branches are those of that parameter choice.
+    params = TailoredParams(("I", "I"), tuple(pauli_for_label(conv).items()))
+    zlg = ZlgAttack(conv)
+    assert isinstance(zlg, TailoredAttack)
+    assert zlg.params == params
+    assert zlg.cache_key == ("zlg", params)
+    driver = protocol_driver(conv, "six")
+    for procedure in Procedure:
+        assert driver.enumerate_branches(procedure, zlg) == driver.enumerate_branches(
+            procedure, TailoredAttack(conv, params)
+        )
+
+
 def test_zlg_eve_record_contents(conv):
-    transcript = protocol.six_qubit_protocol(conv).run_round(
+    transcript = protocol_driver(conv, "six").run_round(
         Procedure.P_I, ZlgAttack(conv), RandomSource(8)
     )
     record = transcript.eve_record
@@ -185,7 +200,7 @@ def test_tailored_is_caught_under_p1(conv):
 
 
 def test_tailored_record_uses_extended_gate_names(conv):
-    transcript = protocol.six_qubit_protocol(conv).run_round(
+    transcript = protocol_driver(conv, "six").run_round(
         Procedure.P_II, TailoredAttack(conv), RandomSource(4)
     )
     record = transcript.eve_record
@@ -245,7 +260,7 @@ def test_four_swap_matched_outcome_equals_key(conv):
 
 def test_four_swap_rejected_on_six_qubit_round(conv):
     with pytest.raises(protocol.WrongProtocolError):
-        protocol.six_qubit_protocol(conv).run_round(
+        protocol_driver(conv, "six").run_round(
             Procedure.P_I, FourSwapAttack(conv, Procedure.P_I), RandomSource(0)
         )
 

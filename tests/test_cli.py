@@ -109,6 +109,26 @@ def test_unwritable_emit_params_exits_2(capsys, tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--protocol", "four", "--attack", "mixed"],
+        ["--procedure-prob", "1.5"],
+        ["--reps", "99"],
+        ["--n", "-1"],
+    ],
+    ids=["incompatible-attack", "procedure-prob", "reps", "negative-n"],
+)
+def test_detection_curve_invalid_input_exits_2(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["detection-curve", *extra])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("swapqkd: error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_table_drift_exits_1_with_row_diff(capsys, monkeypatch):
     from swapqkd import cli as cli_module
     from swapqkd.protocol import TableMismatchError

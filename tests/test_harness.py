@@ -5,6 +5,7 @@ import pytest
 from swapqkd import cli
 from swapqkd.adversary import AttackStrategy
 from swapqkd.harness import (
+    CurveConfig,
     CurvePoint,
     SimulationConfig,
     bits_tested_curve,
@@ -136,6 +137,22 @@ def test_detection_curve_validation():
         detection_curve(config, [1], 99)
     with pytest.raises(ValueError):
         detection_curve(config, [-1], 100)
+
+
+def test_curve_reads_only_its_own_config():
+    # A curve has no run length or test coin: a CurveConfig gives the same
+    # points as any SimulationConfig sharing its four fields.
+    fields = dict(protocol="six", attack=AttackStrategy("mixed"), procedure_policy=0.3,
+                  master_seed=5)
+    points = detection_curve(CurveConfig(**fields), [1, 3], 100)
+    config = SimulationConfig(rounds=7, test_fraction=0.0, **fields)
+    assert detection_curve(config, [1, 3], 100) == points
+    with pytest.raises(ValueError):
+        CurveConfig(protocol="five")
+    with pytest.raises(ValueError):
+        CurveConfig(procedure_policy=1.5)
+    with pytest.raises(ValueError):
+        CurveConfig(protocol="four", attack=AttackStrategy("mixed"))
 
 
 def test_bits_tested_curve_maps_bits_to_pairs():

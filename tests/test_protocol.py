@@ -17,14 +17,11 @@ from swapqkd.protocol import (
     TableMismatchError,
     TransitPlan,
     WrongProtocolError,
-    SixQubitProtocol,
     build_four_plan,
     build_six_plan,
-    four_qubit_protocol,
     mark_compared,
     protocol_driver,
     reproduce_table1,
-    six_qubit_protocol,
     transcripts_to_csv,
 )
 from swapqkd.qstate import GATES, RandomSource
@@ -54,7 +51,7 @@ def test_key_is_uniform(driver):
 
 
 def test_six_qubit_branch_counts(conv):
-    drv = six_qubit_protocol(conv)
+    drv = protocol_driver(conv, "six")
     for procedure in Procedure:
         branches = drv.enumerate_branches(procedure)
         # 4 keys x 4 publics, secret fully determined
@@ -64,7 +61,7 @@ def test_six_qubit_branch_counts(conv):
 
 
 def test_four_qubit_branch_counts(conv):
-    drv = four_qubit_protocol(conv)
+    drv = protocol_driver(conv, "four")
     for procedure in Procedure:
         branches = drv.enumerate_branches(procedure)
         assert len(branches) == 4
@@ -94,6 +91,14 @@ def test_four_inference_tables_are_total(conv):
 def test_inference_rejects_unknown_protocol(conv):
     with pytest.raises(ValueError):
         protocol_driver(conv, "five")
+
+
+def test_one_cached_driver_per_named_protocol(conv):
+    assert tuple(protocol.PLAN_BUILDERS) == ("six", "four")
+    for name in protocol.PLAN_BUILDERS:
+        driver = protocol_driver(conv, name)
+        assert driver.name == name
+        assert protocol_driver(conv, name) is driver
 
 
 def test_inference_lookup_unknown_observation(conv):
@@ -142,15 +147,15 @@ def test_driver_enumerates_each_adversary_free_plan_once(conv, monkeypatch):
     monkeypatch.setattr(
         protocol, "enumerate_plan", lambda *args: calls.append(1) or real(*args)
     )
-    fresh = SixQubitProtocol(conv)
+    fresh = protocol._ProtocolBase(conv, "six")
     assert len(calls) == 2  # one adversary-free plan per procedure
-    monkeypatch.setattr(protocol, "six_qubit_protocol", lambda _conv: fresh)
+    monkeypatch.setattr(protocol, "protocol_driver", lambda _conv, _name: fresh)
     assert tuple(reproduce_table1(conv)) == EXPECTED_TABLE1
     assert len(calls) == 2
 
 
 def test_p1_key00_public01_row(conv):
-    drv = six_qubit_protocol(conv)
+    drv = protocol_driver(conv, "six")
     outs = [o for _p, o in drv.enumerate_branches(Procedure.P_I)
             if o["key"] == "00" and o["public"] == "01"]
     assert len(outs) == 1
@@ -159,7 +164,7 @@ def test_p1_key00_public01_row(conv):
 
 
 def test_p2_key00_public10_row(conv):
-    drv = six_qubit_protocol(conv)
+    drv = protocol_driver(conv, "six")
     outs = [o for _p, o in drv.enumerate_branches(Procedure.P_II)
             if o["key"] == "00" and o["public"] == "10"]
     assert len(outs) == 1
@@ -185,19 +190,19 @@ def _step_names(plan):
 def test_round_transcript_events_order(conv):
     # Alice rotates and measures the key, then the public pair (announced
     # with the procedure); only then does Bob rotate and measure.
-    plan = six_qubit_protocol(conv).round_model(Procedure.P_II).plan
+    plan = protocol_driver(conv, "six").round_model(Procedure.P_II).plan
     assert _step_names(plan) == [
         ("S", 3), ("key", (1, 3)), ("public", (5, 6)), ("S", 4), ("secret", (2, 4)),
     ]
 
 
 def test_four_qubit_rotation_precedes_key_measurement(conv):
-    plan = four_qubit_protocol(conv).round_model(Procedure.P_II).plan
+    plan = protocol_driver(conv, "four").round_model(Procedure.P_II).plan
     assert _step_names(plan) == [("S", 1), ("key", (1, 3)), ("S", 2), ("secret", (2, 4))]
 
 
 def test_transcript_flags_and_comparison(conv):
-    transcript = six_qubit_protocol(conv).run_round(Procedure.P_I, None, RandomSource(0))
+    transcript = protocol_driver(conv, "six").run_round(Procedure.P_I, None, RandomSource(0))
     assert not transcript.compared and not transcript.detected
     compared = mark_compared(transcript)
     assert compared.compared
@@ -210,7 +215,7 @@ def test_transcript_flags_and_comparison(conv):
 
 
 def test_transcript_json_and_csv(conv):
-    driver, rng = six_qubit_protocol(conv), RandomSource(12)
+    driver, rng = protocol_driver(conv, "six"), RandomSource(12)
     transcripts = [driver.run_round(Procedure.P_I, None, rng) for _ in range(3)]
     for t in transcripts:
         doc = json.loads(json.dumps(t.to_json_dict()))
@@ -229,7 +234,7 @@ def test_transcript_json_and_csv(conv):
 
 def test_transcript_json_includes_eve(conv):
     attack = ZlgAttack(conv)
-    transcript = six_qubit_protocol(conv).run_round(Procedure.P_I, attack, RandomSource(3))
+    transcript = protocol_driver(conv, "six").run_round(Procedure.P_I, attack, RandomSource(3))
     doc = transcript.to_json_dict()
     assert doc["eve"]["attack"] == "zlg"
     assert doc["eve"]["transformation"] in ("I", "X", "Y", "Z")
@@ -237,8 +242,8 @@ def test_transcript_json_includes_eve(conv):
 
 
 def test_round_functions_are_deterministic(conv):
-    a = six_qubit_protocol(conv).run_round(Procedure.P_II, None, RandomSource(42))
-    b = six_qubit_protocol(conv).run_round(Procedure.P_II, None, RandomSource(42))
+    a = protocol_driver(conv, "six").run_round(Procedure.P_II, None, RandomSource(42))
+    b = protocol_driver(conv, "six").run_round(Procedure.P_II, None, RandomSource(42))
     assert a == b
 
 
@@ -263,30 +268,30 @@ class _BadAttack:
 def test_attack_may_not_touch_protected_qubits(conv):
     bad = _BadAttack(TransitPlan(steps=(GateStep(1, GATES["X"]),)))
     with pytest.raises(MalformedAdversaryError):
-        six_qubit_protocol(conv).run_round(Procedure.P_I, bad, RandomSource(0))
+        protocol_driver(conv, "six").run_round(Procedure.P_I, bad, RandomSource(0))
 
 
 def test_attack_ancillas_must_extend_register(conv):
     bad = _BadAttack(TransitPlan(ancilla_pairs=((9, 10),)))
     with pytest.raises(MalformedAdversaryError):
-        six_qubit_protocol(conv).run_round(Procedure.P_I, bad, RandomSource(0))
+        protocol_driver(conv, "six").run_round(Procedure.P_I, bad, RandomSource(0))
 
 
 def test_attack_may_not_reuse_reserved_names(conv):
     bad = _BadAttack(TransitPlan(steps=(MeasureStep("key", (2, 6)),)))
     with pytest.raises(MalformedAdversaryError):
-        six_qubit_protocol(conv).run_round(Procedure.P_I, bad, RandomSource(0))
+        protocol_driver(conv, "six").run_round(Procedure.P_I, bad, RandomSource(0))
 
 
 def test_attack_may_not_forward_same_qubit_twice(conv):
     bad = _BadAttack(TransitPlan(alice_receives=2, bob_receives=2))
     with pytest.raises(MalformedAdversaryError):
-        six_qubit_protocol(conv).run_round(Procedure.P_I, bad, RandomSource(0))
+        protocol_driver(conv, "six").run_round(Procedure.P_I, bad, RandomSource(0))
 
 
 def test_wrong_protocol_attack_is_rejected(conv):
     with pytest.raises(WrongProtocolError):
-        four_qubit_protocol(conv).run_round(Procedure.P_I, ZlgAttack(conv), RandomSource(0))
+        protocol_driver(conv, "four").run_round(Procedure.P_I, ZlgAttack(conv), RandomSource(0))
 
 
 def test_plan_builders_reject_malformed_transit(conv):
