@@ -193,12 +193,14 @@ class TailoredAttack(_PosteriorMixin):
         self.cache_key = (self.kind, self.params)
 
     def transit_plan(self) -> TransitPlan:
-        u6, u8 = self.params.pre_unitaries
+        rotations = tuple(
+            GateStep(q, qstate.gate(u))
+            for q, u in zip((6, 8), self.params.pre_unitaries)
+            if u != "I"
+        )
         gates = tuple((m, qstate.gate(self.params.correction(m))) for m in LABELS)
         return TransitPlan(
-            steps=(
-                GateStep(6, qstate.gate(u6)),
-                GateStep(8, qstate.gate(u8)),
+            steps=rotations + (
                 MeasureStep("eve", (6, 8)),
                 ConditionalGateStep(qubit=2, on="eve", gates=gates),
             ),

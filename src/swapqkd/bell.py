@@ -265,30 +265,33 @@ class SwapTable:
 
 def derive_swap_table(conv: BellConvention) -> SwapTable:
     """Compute the swap algebra by exhaustive four-qubit simulation."""
+    basis = conv.basis_matrix
+    cells = list(itertools.product(LABELS, repeat=2))
+    states = np.stack([
+        qstate.prepare_pairs(4, [(0, 1, conv.states[a]), (2, 3, conv.states[b])]).amplitudes
+        for a, b in cells
+    ])
+    # One projection of (1,3) measures all 16 states.  proj[s, m] is what
+    # outcome m leaves on qubits (4,2), unnormalized: as a two-qubit register
+    # whose qubit 0 is qubit 2, its pair (0,1) is the remainder pair (2,4).
+    proj, probs = qstate.project_rows(states, 4, basis, (0, 2))
+    _, rest = qstate.project_rows(proj.reshape(-1, 4), 2, basis, (0, 1))
+    rest = rest.reshape(len(cells), 4, 4)
     entries = []
-    for a in LABELS:
-        for b in LABELS:
-            st = qstate.prepare_pairs(
-                4, [(0, 1, conv.states[a]), (2, 3, conv.states[b])]
+    for (a, b), cell_probs, cell_rest in zip(cells, probs, rest):
+        if not np.allclose(cell_probs, 0.25, rtol=0.0, atol=CONSTRAINT_ATOL):
+            raise ConventionError(
+                f"swap outcomes for (a={a}, b={b}) are not uniform: {cell_probs.tolist()}"
             )
-            # One projection of (1,3) yields every outcome and its remainder.
-            live = qstate.live_outcomes(st, conv.basis_matrix, (0, 2), qstate.DEGENERACY_FLOOR)
-            probs = [p for _k, p, _collapsed in live]
-            if len(live) != 4 or not np.allclose(probs, 0.25, rtol=0.0, atol=CONSTRAINT_ATOL):
+        results = {}
+        for m, remainder in zip(LABELS, cell_rest / cell_probs[:, None]):
+            (hits,) = np.nonzero(remainder > 1.0 - CONSTRAINT_ATOL)
+            if len(hits) != 1:
                 raise ConventionError(
-                    f"swap outcomes for (a={a}, b={b}) are not uniform: {probs}"
+                    f"swap remainder for (a={a}, b={b}, m={m}) is not a Bell state"
                 )
-            results = {}
-            for k, _p, collapsed in live:
-                m = LABELS[k]
-                rest = bell_probabilities(conv, collapsed, (1, 3))
-                (hits,) = np.nonzero(rest > 1.0 - CONSTRAINT_ATOL)
-                if len(hits) != 1:
-                    raise ConventionError(
-                        f"swap remainder for (a={a}, b={b}, m={m}) is not a Bell state"
-                    )
-                results[m] = LABELS[int(hits[0])]
-            if len(set(results.values())) != 4:
-                raise ConventionError(f"swap map for (a={a}, b={b}) is not a bijection")
-            entries.extend((((a, b, m), r)) for m, r in results.items())
+            results[m] = LABELS[int(hits[0])]
+        if len(set(results.values())) != 4:
+            raise ConventionError(f"swap map for (a={a}, b={b}) is not a bijection")
+        entries.extend((((a, b, m), r)) for m, r in results.items())
     return SwapTable(tuple(entries))

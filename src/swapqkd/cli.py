@@ -16,6 +16,7 @@ regression tests.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -194,6 +195,7 @@ def _cmd_derive_attack(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="swapqkd",

@@ -231,28 +231,35 @@ def _engine_pair(pair: tuple[int, int]) -> tuple[int, int]:
 
 
 def enumerate_plan(conv: BellConvention, plan: Plan) -> list[tuple[float, dict[str, str]]]:
-    """All measurement branches of a plan with their exact probabilities."""
-    basis = conv.basis_matrix
-    start = _initial_state(conv, plan)
-    branches: list[tuple[float, dict[str, str]]] = []
+    """All measurement branches of a plan with their exact probabilities.
 
-    def walk(state: StateVector, step_idx: int, prob: float, outcomes: dict[str, str]) -> None:
-        if step_idx == len(plan.steps):
-            branches.append((prob, outcomes))
-            return
-        step = plan.steps[step_idx]
+    Breadth-first over the steps: the live branches are the rows of one
+    amplitude batch, so each gate is one batched matmul and each measurement
+    one batched projection.  A measurement keeps its survivors in (branch,
+    outcome) order, which is the order of a depth-first walk.
+    """
+    n = plan.num_qubits
+    basis = conv.basis_matrix
+    amps = _initial_state(conv, plan).amplitudes[None]
+    masses = [1.0]
+    outcomes: list[dict[str, str]] = [{}]
+    for step in plan.steps:
         if isinstance(step, GateStep):
-            walk(qstate.apply_gate(state, step.matrix, step.qubit - 1), step_idx + 1, prob, outcomes)
+            amps = qstate.gate_rows(amps, n, (step.matrix,), step.qubit - 1)
         elif isinstance(step, ConditionalGateStep):
-            matrix = step.gate_for(outcomes[step.on])
-            walk(qstate.apply_gate(state, matrix, step.qubit - 1), step_idx + 1, prob, outcomes)
+            labels, matrices = zip(*step.gates)
+            choice = np.array([labels.index(out[step.on]) for out in outcomes], dtype=int)
+            amps = qstate.gate_rows(amps, n, matrices, step.qubit - 1, choice)
         else:
             pair = _engine_pair(step.pair)
-            for k, p, collapsed in qstate.live_outcomes(state, basis, pair, PROB_CUTOFF):
-                walk(collapsed, step_idx + 1, prob * p, {**outcomes, step.name: LABELS[k]})
-
-    walk(start, 0, 1.0, {})
-    return branches
+            proj, probs = qstate.project_rows(amps, n, basis, pair)
+            picks = np.flatnonzero(probs > PROB_CUTOFF)
+            amps = qstate.collapse_rows(n, basis, pair, proj, probs, picks)
+            del proj
+            live = [divmod(pick, 4) for pick in picks.tolist()]
+            masses = [masses[b] * p for (b, _k), p in zip(live, probs.flat[picks].tolist())]
+            outcomes = [{**outcomes[b], step.name: LABELS[k]} for b, k in live]
+    return list(zip(masses, outcomes))
 
 
 Branch = tuple[float, Mapping[str, str]]

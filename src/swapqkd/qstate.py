@@ -11,8 +11,10 @@ Conventions, fixed once for the whole package:
   is the high bit of the pair index.
 
 States are dense complex128 vectors; at 8 qubits (256 amplitudes) there is
-no reason for anything cleverer.  All operations are pure: they return new
-:class:`StateVector` instances and never mutate their inputs.
+no reason for anything cleverer.  Gates, projections and collapses are
+computed by three batch kernels over ``(rows, 2**n)`` arrays, one state per
+row; the :class:`StateVector` functions are batches of one.  All operations
+are pure: they return new arrays or instances and never mutate their inputs.
 """
 
 from __future__ import annotations
@@ -159,68 +161,64 @@ def prepare_pairs(num_qubits: int, pairs: list[tuple[int, int, np.ndarray]]) -> 
     return StateVector(num_qubits, amps)
 
 
-def _axis(state: StateVector, qubit: int) -> int:
-    # qubit q is bit q of the index, i.e. axis (n-1-q) of the reshaped array
-    return state.num_qubits - 1 - qubit
-
-
-# Memoized axis permutations for moving a qubit (or pair) to the front of
-# the reshaped state and back; keyed by (num_qubits, qubits...).
+# Memoized axis permutations of a ``(rows,) + (2,) * n`` amplitude batch
+# that move the given qubits' axes to just after the row axis, and back;
+# keyed by (n, qubits...).
 _PERM_MEMO: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
 
 
-def _front_perm(n: int, front_axes: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    key = (n,) + front_axes
+def _front_perm(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    key = (n,) + qubits
     if key not in _PERM_MEMO:
-        fwd = front_axes + tuple(k for k in range(n) if k not in front_axes)
-        inv = [0] * n
+        # qubit q is bit q of the index, i.e. axis n - q (axis 0 holds the rows)
+        front = tuple(n - q for q in qubits)
+        fwd = (0,) + front + tuple(k for k in range(1, n + 1) if k not in front)
+        inv = [0] * (n + 1)
         for pos, ax in enumerate(fwd):
             inv[ax] = pos
         _PERM_MEMO[key] = (fwd, tuple(inv))
     return _PERM_MEMO[key]
 
 
-def apply_gate(state: StateVector, gate_matrix: np.ndarray, qubit: int) -> StateVector:
-    """Apply a single-qubit unitary to one tensor factor."""
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {state.num_qubits}-qubit state")
-    matrix = np.asarray(gate_matrix, dtype=complex)
-    if id(matrix) not in _KNOWN_GOOD_GATES:
-        if not is_unitary(matrix):
-            raise ValueError("gate is not unitary within 1e-12")
-        matrix.setflags(write=False)
-        if len(_KNOWN_GOOD_GATES) > 1024:
-            _KNOWN_GOOD_GATES.clear()
-        _KNOWN_GOOD_GATES[id(matrix)] = matrix
-    n = state.num_qubits
-    fwd, inv = _front_perm(n, (_axis(state, qubit),))
-    arr = state.amplitudes.reshape((2,) * n).transpose(fwd).reshape(2, -1)
-    out = (matrix @ arr).reshape((2,) * n).transpose(inv)
-    return StateVector(n, out.reshape(-1))
+def _to_front(amps: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """View a ``(rows, 2**n)`` batch as ``(rows, 2**len(qubits), rest)``.
+
+    The middle index is 2*bit_first + bit_second for a pair.
+    """
+    fwd, _ = _front_perm(n, qubits)
+    arr = amps.reshape((len(amps),) + (2,) * n).transpose(fwd)
+    return arr.reshape(len(amps), 2 ** len(qubits), -1)
 
 
-def _pair_matrix(state: StateVector, pair: tuple[int, int]) -> np.ndarray:
-    """View the state as a (4, rest) matrix, row index = 2*bit_i + bit_j."""
-    i, j = pair
-    n = state.num_qubits
-    fwd, _ = _front_perm(n, (_axis(state, i), _axis(state, j)))
-    return state.amplitudes.reshape((2,) * n).transpose(fwd).reshape(4, -1)
+def _from_front(mat: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
+    _, inv = _front_perm(n, qubits)
+    return mat.reshape((len(mat),) + (2,) * n).transpose(inv).reshape(len(mat), -1)
 
 
-def _pair_unmatrix(state: StateVector, pair: tuple[int, int], mat: np.ndarray) -> np.ndarray:
-    i, j = pair
-    n = state.num_qubits
-    _, inv = _front_perm(n, (_axis(state, i), _axis(state, j)))
-    return mat.reshape((2,) * n).transpose(inv).reshape(-1)
+def _check_qubit(num_qubits: int, qubit: int) -> None:
+    if not 0 <= qubit < num_qubits:
+        raise ValueError(f"qubit {qubit} out of range for {num_qubits}-qubit state")
 
 
-def _check_pair(state: StateVector, pair: tuple[int, int]) -> None:
+def _check_pair(num_qubits: int, pair: tuple[int, int]) -> None:
     i, j = pair
     if i == j:
         raise ValueError("pair indices must be distinct")
     for q in (i, j):
-        if not 0 <= q < state.num_qubits:
-            raise ValueError(f"qubit {q} out of range for {state.num_qubits}-qubit state")
+        _check_qubit(num_qubits, q)
+
+
+def _check_gate(gate_matrix: np.ndarray) -> np.ndarray:
+    matrix = np.asarray(gate_matrix, dtype=complex)
+    if id(matrix) in _KNOWN_GOOD_GATES:
+        return matrix
+    if not is_unitary(matrix):
+        raise ValueError("gate is not unitary within 1e-12")
+    matrix.setflags(write=False)
+    if len(_KNOWN_GOOD_GATES) > 1024:
+        _KNOWN_GOOD_GATES.clear()
+    _KNOWN_GOOD_GATES[id(matrix)] = matrix
+    return matrix
 
 
 def _check_basis(basis: np.ndarray) -> np.ndarray:
@@ -238,27 +236,96 @@ def _check_basis(basis: np.ndarray) -> np.ndarray:
     return basis
 
 
+# --- batch kernels ----------------------------------------------------------
+#
+# A batch is a ``(rows, 2**n)`` complex array, one pure state per row.  These
+# three kernels are the only place gates, projections and collapses are
+# computed; the single-state functions below are batches of one.
+
+
+def gate_rows(
+    amps: np.ndarray, num_qubits: int, gates: tuple[np.ndarray, ...], qubit: int,
+    choice: np.ndarray | None = None,
+) -> np.ndarray:
+    """Apply a single-qubit unitary to one qubit of every row of a batch.
+
+    Row b gets ``gates[choice[b]]``, or ``gates[0]`` for every row when
+    ``choice`` is None.  Every gate is checked for unitarity.
+    """
+    _check_qubit(num_qubits, qubit)
+    checked = [_check_gate(g) for g in gates]
+    matrix = checked[0] if choice is None else np.array(checked)[choice]
+    return _from_front(matrix @ _to_front(amps, num_qubits, (qubit,)), num_qubits, (qubit,))
+
+
+def project_rows(
+    amps: np.ndarray, num_qubits: int, basis: np.ndarray, pair: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project the pair of every row onto every basis state at once.
+
+    ``basis`` is a 4x4 array whose rows are orthonormal two-qubit states in
+    the pair-index convention.  Returns ``(proj, probs)``: ``proj[b, k]`` is
+    the rest of row b's register given outcome k (unnormalized), and
+    ``probs[b, k]`` its Born probability.
+    """
+    _check_pair(num_qubits, pair)
+    basis = _check_basis(basis)
+    proj = basis.conj() @ _to_front(amps, num_qubits, pair)
+    return proj, np.einsum("bkr,bkr->bk", proj, proj.conj()).real
+
+
+def collapse_rows(
+    num_qubits: int, basis: np.ndarray, pair: tuple[int, int],
+    proj: np.ndarray, probs: np.ndarray, picks: np.ndarray,
+) -> np.ndarray:
+    """States after a :func:`project_rows` call, renormalized.
+
+    ``picks`` index the flattened ``(rows, 4)`` outcome grid: pick
+    ``4 * b + k`` is batch row b after outcome k, so
+    ``np.flatnonzero(probs > floor)`` keeps every live outcome in (row,
+    outcome) order.  Raises ValueError unless every resulting row has unit
+    norm within 1e-12.
+    """
+    basis = _check_basis(basis)
+    # outer(basis state, projection) / sqrt(p), in that order: normalizing
+    # the projection first changes the last bits of later branch masses.
+    mat = basis[picks % 4, :, None] * proj.reshape(-1, 1, proj.shape[-1])[picks]
+    mat /= np.sqrt(probs.reshape(-1, 1, 1)[picks])
+    parts = mat.view(np.float64).reshape(len(mat), 1, -1)  # real and imaginary parts
+    squared = parts @ parts.transpose(0, 2, 1)
+    # |norm - 1| <= 1e-12 is |norm**2 - 1| <= 2e-12, up to 1e-24.
+    deviation = np.abs(squared - 1.0)
+    if len(mat) and not deviation.max() <= 2 * ATOL_ALGEBRA:
+        bad = int(np.argmin(deviation <= 2 * ATOL_ALGEBRA))
+        raise ValueError(
+            f"state norm {float(np.sqrt(squared.flat[bad]))!r} is not 1 within {ATOL_ALGEBRA} "
+            "(non-finite amplitudes also land here)"
+        )
+    return _from_front(mat, num_qubits, pair)
+
+
+# --- single states ----------------------------------------------------------
+
+
+def apply_gate(state: StateVector, gate_matrix: np.ndarray, qubit: int) -> StateVector:
+    """Apply a single-qubit unitary to one tensor factor."""
+    n = state.num_qubits
+    return StateVector(n, gate_rows(state.amplitudes[None], n, (gate_matrix,), qubit)[0])
+
+
 def _project(
     state: StateVector, basis: np.ndarray, pair: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Project the pair onto every basis state at once.
-
-    Returns ``(amps, probs)``: row k of ``amps`` is the rest of the register
-    given outcome k (unnormalized), and ``probs[k]`` its Born probability.
-    """
-    _check_pair(state, pair)
-    basis = _check_basis(basis)
-    amps = basis.conj() @ _pair_matrix(state, pair)
-    return amps, np.einsum("kr,kr->k", amps, amps.conj()).real
+    return project_rows(state.amplitudes[None], state.num_qubits, basis, pair)
 
 
 def _collapsed(
     state: StateVector, basis: np.ndarray, pair: tuple[int, int],
-    amps: np.ndarray, probs: np.ndarray, outcome: int,
-) -> StateVector:
-    """The state after outcome ``outcome`` of a :func:`_project` call."""
-    new_mat = np.outer(basis[outcome], amps[outcome]) / np.sqrt(probs[outcome])
-    return StateVector(state.num_qubits, _pair_unmatrix(state, pair, new_mat))
+    proj: np.ndarray, probs: np.ndarray, outcomes: np.ndarray,
+) -> list[StateVector]:
+    """The state after each of ``outcomes`` of a :func:`_project` call."""
+    collapsed = collapse_rows(state.num_qubits, basis, pair, proj, probs, outcomes)
+    return [StateVector(state.num_qubits, amps) for amps in collapsed]
 
 
 def basis_probabilities(
@@ -269,7 +336,7 @@ def basis_probabilities(
     ``basis`` is a 4x4 array whose rows are orthonormal two-qubit states in
     the pair-index convention.  The result sums to 1 within 1e-10.
     """
-    return _project(state, basis, pair)[1]
+    return _project(state, basis, pair)[1][0]
 
 
 def collapse_onto(
@@ -282,13 +349,13 @@ def collapse_onto(
     """
     if not 0 <= outcome < 4:
         raise ValueError(f"outcome must be 0..3, got {outcome}")
-    amps, probs = _project(state, basis, pair)
-    prob = float(probs[outcome])
+    proj, probs = _project(state, basis, pair)
+    prob = float(probs[0, outcome])
     if prob < DEGENERACY_FLOOR:
         raise DegenerateMeasurementError(
             f"outcome {outcome} has probability {prob:.3e}, below {DEGENERACY_FLOOR}"
         )
-    return prob, _collapsed(state, basis, pair, amps, probs, outcome)
+    return prob, _collapsed(state, basis, pair, proj, probs, np.array([outcome]))[0]
 
 
 def live_outcomes(
@@ -297,14 +364,12 @@ def live_outcomes(
     """Every outcome of measuring the pair whose probability exceeds ``floor``.
 
     Projects once and returns ``(outcome, probability, collapsed_state)`` in
-    outcome order.  Every collapsed state is norm-checked on construction.
+    outcome order.  Every collapsed state is norm-checked.
     """
-    amps, probs = _project(state, basis, pair)
-    return [
-        (k, float(probs[k]), _collapsed(state, basis, pair, amps, probs, k))
-        for k in range(4)
-        if probs[k] > floor
-    ]
+    proj, probs = _project(state, basis, pair)
+    live = np.flatnonzero(probs > floor)
+    collapsed = _collapsed(state, basis, pair, proj, probs, live)
+    return [(int(k), float(probs[0, k]), after) for k, after in zip(live, collapsed)]
 
 
 class RandomSource:
@@ -347,8 +412,8 @@ def measure_in_basis(
     Returns ``(outcome index 0..3, collapsed state)``; the outcome is sampled
     from the Born probabilities using ``rng``.
     """
-    amps, probs = _project(state, basis, pair)
-    if float(np.max(probs)) < DEGENERACY_FLOOR:
+    proj, probs = _project(state, basis, pair)
+    if probs.max() < DEGENERACY_FLOOR:
         raise DegenerateMeasurementError("all four outcome probabilities are ~0")
-    outcome = sample_index(probs, rng)
-    return outcome, _collapsed(state, basis, pair, amps, probs, outcome)
+    outcome = sample_index(probs[0], rng)
+    return outcome, _collapsed(state, basis, pair, proj, probs, np.array([outcome]))[0]

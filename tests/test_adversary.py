@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -22,8 +23,15 @@ from swapqkd.adversary import (
     reproduce_table2,
     zlg_outcome_rows,
 )
-from swapqkd.protocol import Procedure, enumerate_plan, protocol_driver
-from swapqkd.qstate import RandomSource
+from swapqkd.protocol import (
+    GateStep,
+    MeasureStep,
+    Procedure,
+    build_six_plan,
+    enumerate_plan,
+    protocol_driver,
+)
+from swapqkd.qstate import GATES, RandomSource
 
 EXACT = 1e-10
 
@@ -119,6 +127,21 @@ def test_zlg_is_the_interception_without_rotation(conv):
         )
 
 
+def test_identity_pre_rotations_emit_no_gate(conv):
+    # zlg's plan has no gate before Eve's measurement, and its branches are
+    # bit-identical to the plan that applies the two identity gates.
+    transit = ZlgAttack(conv).transit_plan()
+    assert isinstance(transit.steps[0], MeasureStep)
+    identities = (GateStep(6, GATES["I"]), GateStep(8, GATES["I"]))
+    with_identities = replace(transit, steps=identities + transit.steps)
+    for procedure in Procedure:
+        want = enumerate_plan(conv, build_six_plan(procedure, with_identities))
+        got = enumerate_plan(conv, build_six_plan(procedure, transit))
+        assert [(p.hex(), out) for p, out in got] == [(p.hex(), out) for p, out in want]
+    tailored = TailoredAttack(conv).transit_plan()  # rotates only qubit 8
+    assert [s.qubit for s in tailored.steps if isinstance(s, GateStep)] == [8]
+
+
 def test_zlg_eve_record_contents(conv):
     transcript = protocol_driver(conv, "six").run_round(
         Procedure.P_I, ZlgAttack(conv), RandomSource(8)
@@ -133,8 +156,7 @@ def test_zlg_substitution_keeps_valid_eight_qubit_state(conv):
     driver = protocol_driver(conv, "six")
     plan = driver.round_model(Procedure.P_II, ZlgAttack(conv)).plan
     assert plan.num_qubits == 8
-    # Every collapsed state along the way is a StateVector, whose
-    # construction checks the norm within 1e-12.
+    # Every collapsed branch along the way is norm-checked within 1e-12.
     branches = enumerate_plan(conv, plan)
     assert abs(sum(prob for prob, _ in branches) - 1.0) < 1e-12
 

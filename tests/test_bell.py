@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from swapqkd import adversary, bell, protocol
+from swapqkd import adversary, bell, protocol, qstate
 from swapqkd.bell import (
     LABELS,
     BellConvention,
@@ -144,6 +144,25 @@ def test_swap_table_xor_structure_finding(conv):
     # remainder label is exactly a xor b xor m (identity permutation).
     perm = derive_swap_table(conv).xor_permutation()
     assert perm == {lab: lab for lab in LABELS}
+
+
+def _swap_table_oracle(conv):
+    """Measure each two-pair state's (1,3) outcome, then Bell-measure the rest."""
+    entries = []
+    for a, b in itertools.product(LABELS, repeat=2):
+        state = prepare_pairs(4, [(0, 1, conv.states[a]), (2, 3, conv.states[b])])
+        for k, _p, after in qstate.live_outcomes(state, conv.basis_matrix, (0, 2), 1e-9):
+            (hit,) = np.nonzero(bell_probabilities(conv, after, (1, 3)) > 0.5)
+            entries.append(((a, b, LABELS[k]), LABELS[int(hit[0])]))
+    return tuple(entries)
+
+
+def test_swap_table_matches_per_outcome_oracle(monkeypatch):
+    want = [_swap_table_oracle(candidate) for candidate in all_conventions()]
+    # The table is read off one batched projection, never per outcome.
+    monkeypatch.setattr(qstate, "basis_probabilities", None)
+    got = [derive_swap_table(candidate).entries for candidate in all_conventions()]
+    assert got == want
 
 
 def test_label_xor():

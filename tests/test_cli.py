@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import swapqkd
 from swapqkd import adversary
 from swapqkd.cli import main
 
@@ -127,6 +132,23 @@ def test_detection_curve_invalid_input_exits_2(capsys, extra):
     assert captured.out == ""
     assert captured.err.startswith("swapqkd: error: ")
     assert "Traceback" not in captured.err
+
+
+def test_cached_parser_carries_nothing_between_calls(capsys):
+    # The parser is built once per process; a failing call must not change
+    # what a later call in the same process prints.
+    with pytest.raises(SystemExit) as exc:
+        main(["detection-curve", "--attack", "mixed", "--reps", "5", "--seed", "11"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    argv = ["simulate", "--attack", "mixed", "--rounds", "40", "--seed", "11"]
+    code, out, err = run_cli(capsys, argv)
+    env = {**os.environ, "PYTHONPATH": str(Path(swapqkd.__file__).parents[1])}
+    fresh = subprocess.run(
+        [sys.executable, "-m", "swapqkd.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert (fresh.returncode, fresh.stderr) == (0, "")
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 def test_table_drift_exits_1_with_row_diff(capsys, monkeypatch):

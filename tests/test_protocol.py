@@ -1,17 +1,21 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
 
-from swapqkd import bell, protocol
-from swapqkd.adversary import ZlgAttack
+from swapqkd import adversary, bell, protocol
+from swapqkd.adversary import FourSwapAttack, TailoredAttack, ZlgAttack
 from swapqkd.bell import LABELS, derive_swap_table
 from swapqkd.protocol import (
     EXPECTED_TABLE1,
+    PROB_CUTOFF,
     AmbiguityError,
+    ConditionalGateStep,
     GateStep,
     MalformedAdversaryError,
     MeasureStep,
+    Plan,
     Procedure,
     RoundTranscript,
     TableMismatchError,
@@ -68,6 +72,96 @@ def test_four_qubit_branch_counts(conv):
         for prob, out in branches:
             assert abs(prob - 1 / 4) < 1e-10
             assert out["secret"] == out["key"]  # derived: secret pins the key
+
+
+# --- breadth-first enumeration ---------------------------------------------------
+
+
+def _walk_oracle(conv, plan):
+    """The depth-first walk that enumerate_plan replaced, one state at a time.
+
+    It keeps that walk's own arithmetic: a gate is ``matrix @ (2, rest)``, a
+    measurement projects with ``basis.conj() @ (4, rest)`` and collapses as
+    ``outer(basis[k], projection) / sqrt(p)``.
+    """
+    basis = conv.basis_matrix
+    n = plan.num_qubits
+    branches = []
+
+    def front(amps, qubits):
+        axes = [n - q for q in qubits]  # 1-based qubit q is bit q - 1
+        return np.moveaxis(amps.reshape((2,) * n), axes, range(len(axes))), axes
+
+    def back(mat, axes):
+        return np.moveaxis(mat.reshape((2,) * n), range(len(axes)), axes).reshape(-1)
+
+    def walk(amps, idx, prob, outcomes):
+        if idx == len(plan.steps):
+            branches.append((prob, outcomes))
+            return
+        step = plan.steps[idx]
+        if isinstance(step, MeasureStep):
+            arr, axes = front(amps, step.pair)
+            proj = basis.conj() @ arr.reshape(4, -1)
+            probs = np.einsum("kr,kr->k", proj, proj.conj()).real
+            for k in range(4):
+                if probs[k] > PROB_CUTOFF:
+                    after = back(np.outer(basis[k], proj[k]) / np.sqrt(probs[k]), axes)
+                    out = {**outcomes, step.name: LABELS[k]}
+                    walk(after, idx + 1, prob * float(probs[k]), out)
+            return
+        matrix = step.matrix if isinstance(step, GateStep) else step.gate_for(outcomes[step.on])
+        arr, axes = front(amps, (step.qubit,))
+        walk(back(matrix @ arr.reshape(2, -1), axes), idx + 1, prob, outcomes)
+
+    walk(protocol._initial_state(conv, plan).amplitudes, 0, 1.0, {})
+    return branches
+
+
+def _exact_pass_plans():
+    """Every plan an exact pass can enumerate: 834 in all.
+
+    Both procedures of six/{none, zlg, tailored} and four/{none, four-swap
+    guessing (i), guessing (ii)} for each of the 64 conventions, then the
+    16 Alice-block and 50 travel-block plans of the tailored-attack search.
+    """
+    for conv in bell.all_conventions():
+        six = [None, ZlgAttack(conv).transit_plan(), TailoredAttack(conv).transit_plan()]
+        four = [None] + [FourSwapAttack(conv, guess).transit_plan() for guess in Procedure]
+        for procedure in Procedure:
+            for transit in six:
+                yield conv, build_six_plan(procedure, transit)
+            for transit in four:
+                yield conv, build_four_plan(procedure, transit)
+    conv = bell.convention()
+    for procedure in Procedure:
+        for correction in adversary.CORRECTIONS_EXTENDED:
+            yield conv, adversary._alice_block_plan(correction, procedure)
+    for u6, u8 in itertools.product(adversary.PRE_UNITARIES, repeat=2):
+        for procedure in Procedure:
+            yield conv, adversary._travel_block_plan(u6, u8, procedure)
+
+
+def test_breadth_first_enumeration_matches_depth_first_walk():
+    plans = list(_exact_pass_plans())
+    assert len(plans) == 834
+    for conv, plan in plans:
+        got = protocol.enumerate_plan(conv, plan)
+        want = _walk_oracle(conv, plan)
+        assert [list(out.items()) for _p, out in got] == [list(out.items()) for _p, out in want]
+        assert [p.hex() for p, _out in got] == [p.hex() for p, _out in want]
+
+
+def test_enumeration_rejects_non_unitary_gates(conv):
+    shear = np.array([[1, 1], [0, 1]], dtype=complex)
+    with pytest.raises(ValueError, match="not unitary"):
+        protocol.enumerate_plan(conv, Plan(2, ((1, 2),), (GateStep(1, shear),)))
+    gates = tuple((lab, shear if lab == "11" else GATES["I"]) for lab in LABELS)
+    plan = Plan(
+        4, ((1, 2), (3, 4)), (MeasureStep("m", (1, 3)), ConditionalGateStep(2, "m", gates))
+    )
+    with pytest.raises(ValueError, match="not unitary"):
+        protocol.enumerate_plan(conv, plan)
 
 
 # --- inference tables ---------------------------------------------------------

@@ -308,6 +308,44 @@ def test_live_outcomes_skip_zero_weight(conv):
     assert live[0][2].equals_up_to_phase(state)
 
 
+def test_batch_kernels_match_single_states(conv):
+    # A batch row gets exactly what the same state gets as a batch of one.
+    rng = np.random.default_rng(43)
+    basis = conv.basis_matrix
+    states = [random_state(rng, 8) for _ in range(5)]
+    amps = np.stack([s.amplitudes for s in states])
+    gates = (GATES["S"], GATES["Y"])
+    choice = np.array([1, 0, 0, 1, 1])
+    rotated = qstate.gate_rows(amps, 8, gates, 5, choice)
+    for row, state, c in zip(rotated, states, choice):
+        assert np.array_equal(row, apply_gate(state, gates[c], 5).amplitudes)
+    proj, probs = qstate.project_rows(amps, 8, basis, (6, 2))
+    rows, outcomes = np.array([0, 2, 4, 4]), np.array([3, 0, 1, 2])
+    collapsed = qstate.collapse_rows(8, basis, (6, 2), proj, probs, 4 * rows + outcomes)
+    for b, state in enumerate(states):
+        assert np.array_equal(probs[b], basis_probabilities(state, basis, (6, 2)))
+    for row, b, k in zip(collapsed, rows, outcomes):
+        live = {kk: after for kk, _p, after in live_outcomes(states[b], basis, (6, 2), 0.0)}
+        assert np.array_equal(row, live[k].amplitudes)
+
+
+def test_collapse_rows_checks_every_norm(conv):
+    rng = np.random.default_rng(44)
+    basis = conv.basis_matrix
+    amps = np.stack([random_state(rng, 4).amplitudes for _ in range(3)])
+    proj, probs = qstate.project_rows(amps, 4, basis, (0, 1))
+    picks = np.array([0, 5, 10])  # row b after outcome b
+    qstate.collapse_rows(4, basis, (0, 1), proj, probs, picks)
+    wrong = probs.copy()
+    wrong[1, 1] *= 2.0
+    with pytest.raises(ValueError, match="not 1 within"):
+        qstate.collapse_rows(4, basis, (0, 1), proj, wrong, picks)
+    broken = proj.copy()
+    broken[2, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="not 1 within"):
+        qstate.collapse_rows(4, basis, (0, 1), broken, probs, picks)
+
+
 # --- randomness -------------------------------------------------------------
 
 
