@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .protocol import (
     TableMismatchError,
     TransitPlan,
     _row_diff,
-    enumerate_plan,
+    enumerate_plans,
     protocol_driver,
 )
 from .qstate import GATES
@@ -351,17 +351,28 @@ def _travel_block_plan(u6: str, u8: str, procedure: Procedure) -> Plan:
 ConditionalTable = dict[str, tuple[float, list[tuple[str, float]]]]
 
 
-def _conditional_table(conv: BellConvention, plan: Plan, given: str, then: str) -> ConditionalTable:
-    """``given`` outcome -> (marginal, [(``then`` outcome, conditional probability)])."""
-    joint: dict[str, dict[str, float]] = {}
-    for prob, out in enumerate_plan(conv, plan):
-        cell = joint.setdefault(out[given], {})
-        cell[out[then]] = cell.get(out[then], 0.0) + prob
-    table = {}
-    for outcome, cell in joint.items():
-        total = sum(cell.values())
-        table[outcome] = (total, [(o, w / total) for o, w in sorted(cell.items())])
-    return table
+def _block_tables(conv: BellConvention, build: Callable[..., Plan], names: Sequence) -> list[dict]:
+    """Per procedure, one batch of the plans ``build(name, procedure)``.
+
+    Each plan gives a table: its first measurement's outcome -> (marginal,
+    [(its second measurement's outcome, conditional probability)]).
+    """
+    families = []
+    for procedure in Procedure:
+        plans = [build(name, procedure) for name in names]
+        tables: dict[object, ConditionalTable] = {}
+        for name, branches in zip(names, enumerate_plans(conv, plans)):
+            joint: dict[str, dict[str, float]] = {}
+            for prob, out in branches:
+                first, second = out.values()
+                cell = joint.setdefault(first, {})
+                cell[second] = cell.get(second, 0.0) + prob
+            tables[name] = {}
+            for outcome, cell in joint.items():
+                total = sum(cell.values())
+                tables[name][outcome] = (total, [(o, w / total) for o, w in sorted(cell.items())])
+        families.append(tables)
+    return families
 
 
 def _candidate_p1_detection(
@@ -401,56 +412,32 @@ def derive_tailored_attack(conv: BellConvention) -> TailoredParams:
     infer_p1 = driver.inference[Procedure.P_I].infer
     infer_p2 = driver.inference[Procedure.P_II].infer
 
-    # Each block plan is enumerated once per search.  Alice's tables, per
-    # procedure and correction gate: key -> (marginal, [(public, conditional p)]).
-    alice_p1, alice_p2 = (
-        {
-            g: _conditional_table(conv, _alice_block_plan(g, p), "key", "public")
-            for g in CORRECTIONS_EXTENDED
-        }
-        for p in Procedure
-    )
-    # Travel tables, Eve's outcome -> (marginal, [(secret, conditional p)]),
-    # memoized per (u6, u8, procedure) across both correction sets.
-    travel_tables: dict[tuple[str, str, Procedure], ConditionalTable] = {}
-
-    def travel(u6: str, u8: str, procedure: Procedure) -> ConditionalTable:
-        key = (u6, u8, procedure)
-        if key not in travel_tables:
-            travel_tables[key] = _conditional_table(
-                conv, _travel_block_plan(u6, u8, procedure), "eve", "secret"
-            )
-        return travel_tables[key]
+    # Every block plan is enumerated once, in four batches: Alice's tables (key
+    # -> public) by correction, the travel tables (Eve's outcome -> secret) by (u6, u8).
+    alice_p1, alice_p2 = _block_tables(conv, _alice_block_plan, CORRECTIONS_EXTENDED)
+    rotations = list(itertools.product(PRE_UNITARIES, repeat=2))
+    travel_p1, travel_p2 = _block_tables(conv, lambda r, p: _travel_block_plan(*r, p), rotations)
 
     for corrections in (CORRECTIONS_PAULI, CORRECTIONS_EXTENDED):
-        for u6, u8 in itertools.product(PRE_UNITARIES, repeat=2):
-            travel_p2 = travel(u6, u8, Procedure.P_II)
+        for u6, u8 in rotations:
             # Undetected under (ii) needs Bob's secret pinned by Eve's outcome.
-            taus = {}
-            for m, (_pm, secrets) in sorted(travel_p2.items()):
-                if len(secrets) != 1:
-                    break
-                taus[m] = secrets[0][0]
-            if len(taus) != len(travel_p2):
+            travel = travel_p2[u6, u8]
+            if any(len(secrets) != 1 for _pm, secrets in travel.values()):
                 continue
-            valid: list[list[str]] = []
-            for m in LABELS:
-                good = []
-                for g in corrections:
-                    ok = True
-                    for key, (_pk, publics) in alice_p2[g].items():
-                        if len(publics) != 1 or infer_p2(taus[m], publics[0][0]) != key:
-                            ok = False
-                            break
-                    if ok:
-                        good.append(g)
-                valid.append(good)
+            taus = {m: secrets[0][0] for m, (_pm, secrets) in travel.items()}
+            # Per outcome, the corrections that pin a public result Bob decodes right.
+            valid = [
+                [g for g in corrections if all(
+                    len(publics) == 1 and infer_p2(taus[m], publics[0][0]) == key
+                    for key, (_pk, publics) in alice_p2[g].items()
+                )]
+                for m in LABELS
+            ]
             if not all(valid):
                 continue
-            travel_p1 = travel(u6, u8, Procedure.P_I)
             for combo in itertools.product(*valid):
                 params = TailoredParams((u6, u8), tuple(zip(LABELS, combo)))
-                if _candidate_p1_detection(params, travel_p1, alice_p1, infer_p1) > 0.0:
+                if _candidate_p1_detection(params, travel_p1[u6, u8], alice_p1, infer_p1) > 0.0:
                     _verify_tailored(conv, params)
                     return params
     raise AttackSearchError(

@@ -31,9 +31,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -226,43 +226,64 @@ def _initial_state(conv: BellConvention, plan: Plan) -> StateVector:
     )
 
 
-def _engine_pair(pair: tuple[int, int]) -> tuple[int, int]:
-    return (pair[0] - 1, pair[1] - 1)
+Branch = tuple[float, Mapping[str, str]]
 
 
-def enumerate_plan(conv: BellConvention, plan: Plan) -> list[tuple[float, dict[str, str]]]:
-    """All measurement branches of a plan with their exact probabilities.
+def enumerate_plan(conv: BellConvention, plan: Plan) -> list[Branch]:
+    """All measurement branches of a plan with their exact probabilities."""
+    return enumerate_plans(conv, (plan,))[0]
 
-    Breadth-first over the steps: the live branches are the rows of one
-    amplitude batch, so each gate is one batched matmul and each measurement
-    one batched projection.  A measurement keeps its survivors in (branch,
-    outcome) order, which is the order of a depth-first walk.
+
+def _skeleton(step: Step) -> Step:
+    """The step with its gate matrices left out."""
+    if isinstance(step, GateStep):
+        return replace(step, matrix=None)
+    if isinstance(step, ConditionalGateStep):
+        return replace(step, gates=tuple((label, None) for label, _ in step.gates))
+    return step
+
+
+def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Branch]]:
+    """:func:`enumerate_plan` for plans that differ only in gate matrices.
+
+    Every live branch of every plan is a row of one amplitude batch, so each
+    step is one batched gate or projection.  Survivors of a measurement keep
+    (row, outcome) order: each plan's branches come out in depth-first order.
     """
-    n = plan.num_qubits
+    if len({(p.num_qubits, p.pairs, tuple(map(_skeleton, p.steps))) for p in plans}) != 1:
+        raise ValueError("enumerate_plans needs plans that differ only in gate matrices")
+    n = plans[0].num_qubits
     basis = conv.basis_matrix
-    amps = _initial_state(conv, plan).amplitudes[None]
-    masses = [1.0]
-    outcomes: list[dict[str, str]] = [{}]
-    for step in plan.steps:
+    amps = np.repeat(_initial_state(conv, plans[0]).amplitudes[None], len(plans), axis=0)
+    owner = np.arange(len(plans))  # the plan each row belongs to
+    masses = [1.0] * len(plans)
+    outcomes: list[dict[str, str]] = [{} for _ in plans]
+    for steps in zip(*(p.steps for p in plans)):
+        step = steps[0]
         if isinstance(step, GateStep):
-            amps = qstate.gate_rows(amps, n, (step.matrix,), step.qubit - 1)
+            matrices = tuple(s.matrix for s in steps)
+            shared = all(m is matrices[0] for m in matrices)
+            amps = qstate.gate_rows(amps, n, matrices, step.qubit - 1, None if shared else owner)
         elif isinstance(step, ConditionalGateStep):
-            labels, matrices = zip(*step.gates)
-            choice = np.array([labels.index(out[step.on]) for out in outcomes], dtype=int)
+            labels = [label for label, _ in step.gates]
+            matrices = tuple(g for s in steps for _, g in s.gates)  # plan-major
+            choice = owner * len(labels) + [labels.index(out[step.on]) for out in outcomes]
             amps = qstate.gate_rows(amps, n, matrices, step.qubit - 1, choice)
         else:
-            pair = _engine_pair(step.pair)
+            pair = (step.pair[0] - 1, step.pair[1] - 1)
             proj, probs = qstate.project_rows(amps, n, basis, pair)
             picks = np.flatnonzero(probs > PROB_CUTOFF)
             amps = qstate.collapse_rows(n, basis, pair, proj, probs, picks)
             del proj
+            owner = owner[picks // 4]
             live = [divmod(pick, 4) for pick in picks.tolist()]
             masses = [masses[b] * p for (b, _k), p in zip(live, probs.flat[picks].tolist())]
             outcomes = [{**outcomes[b], step.name: LABELS[k]} for b, k in live]
-    return list(zip(masses, outcomes))
+    branches: list[list[Branch]] = [[] for _ in plans]
+    for i, mass, out in zip(owner.tolist(), masses, outcomes):
+        branches[i].append((mass, out))
+    return branches
 
-
-Branch = tuple[float, Mapping[str, str]]
 
 # Outcome-index prefix -> (name of the next measurement, conditional
 # probability of each of its four outcomes given the prefix).
@@ -323,13 +344,16 @@ def _eve_posterior(branches: Iterable[Branch]) -> Posterior:
 class RoundModel:
     """A wired plan, its exact branches, and what is read off them.
 
-    ``tree`` is what Monte Carlo samples; ``posterior`` is Eve's inference.
+    ``tree`` (built on first read) is what Monte Carlo samples; ``posterior`` is Eve's inference.
     """
 
     plan: Plan
     branches: tuple[Branch, ...]
-    tree: OutcomeTree
     posterior: Posterior
+
+    @cached_property
+    def tree(self) -> OutcomeTree:
+        return _outcome_tree(self.branches)
 
 
 # --- key inference --------------------------------------------------------
@@ -489,9 +513,7 @@ class _ProtocolBase:
             branches = tuple(
                 (prob, MappingProxyType(out)) for prob, out in enumerate_plan(self.conv, plan)
             )
-            self._models[key] = RoundModel(
-                plan, branches, _outcome_tree(branches), _eve_posterior(branches)
-            )
+            self._models[key] = RoundModel(plan, branches, _eve_posterior(branches))
         return self._models[key]
 
     def enumerate_branches(self, procedure: Procedure, attack=None) -> tuple[Branch, ...]:

@@ -19,6 +19,7 @@ are pure: they return new arrays or instances and never mutate their inputs.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,14 +57,16 @@ class DegenerateMeasurementError(RuntimeError):
     """All outcome probabilities vanished; impossible for valid input."""
 
 
+@functools.cache
 def gate(name: str) -> np.ndarray:
-    """Look up a gate by name; compound names compose right to left."""
+    """One read-only array per gate name; compound names compose right to left."""
     if name in GATES:
         return GATES[name]
     if name and all(c in GATES for c in name):
         out = np.eye(2, dtype=complex)
         for c in name:
             out = out @ GATES[c]
+        out.setflags(write=False)
         return out
     raise ValueError(f"unknown gate name {name!r}")
 

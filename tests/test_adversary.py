@@ -1,5 +1,7 @@
+import itertools
 import json
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -191,16 +193,32 @@ def test_search_regenerates_frozen_params(conv):
     assert derive_tailored_attack(conv) == params  # deterministic
 
 
+def _plan_key(plan):
+    """A block plan as hashable data: its steps with gate matrices as bytes."""
+    steps = tuple(
+        (step.qubit, step.matrix.tobytes()) if isinstance(step, GateStep) else step
+        for step in plan.steps
+    )
+    return plan.num_qubits, plan.pairs, steps
+
+
 def test_search_enumerates_each_block_plan_once(conv, monkeypatch):
-    # 16 Alice tables (8 corrections x 2 procedures) plus 26 distinct travel
-    # tables; the Pauli and widened passes share the travel tables.
-    calls = []
-    real = adversary.enumerate_plan
+    # Four batches, one per block and procedure: 16 Alice-block plans (8
+    # corrections x 2 procedures) and 50 travel-block plans (25 pre-rotation
+    # pairs x 2 procedures), each exactly once.
+    batches = []
+    real = adversary.enumerate_plans
     monkeypatch.setattr(
-        adversary, "enumerate_plan", lambda *args: calls.append(1) or real(*args)
+        adversary, "enumerate_plans", lambda conv, plans: batches.append(plans) or real(conv, plans)
     )
     assert derive_tailored_attack(conv) == adversary.FROZEN_TAILORED_PARAMS
-    assert len(calls) == 42
+    assert sorted(len(plans) for plans in batches) == [8, 8, 25, 25]
+    want = [adversary._alice_block_plan(g, p) for p in Procedure for g in CORRECTIONS_EXTENDED]
+    rotations = itertools.product(adversary.PRE_UNITARIES, repeat=2)
+    want += [adversary._travel_block_plan(u6, u8, p) for u6, u8 in rotations for p in Procedure]
+    assert len(set(map(_plan_key, want))) == 66
+    got = Counter(_plan_key(plan) for plans in batches for plan in plans)
+    assert got == Counter(map(_plan_key, want))
 
 
 def test_tailored_defeats_p2(conv):

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,6 +119,14 @@ def _walk_oracle(conv, plan):
     return branches
 
 
+def _search_families():
+    """The tailored-attack search's four plan families, as it batches them."""
+    rotations = list(itertools.product(adversary.PRE_UNITARIES, repeat=2))
+    for procedure in Procedure:
+        yield [adversary._alice_block_plan(g, procedure) for g in adversary.CORRECTIONS_EXTENDED]
+        yield [adversary._travel_block_plan(u6, u8, procedure) for u6, u8 in rotations]
+
+
 def _exact_pass_plans():
     """Every plan an exact pass can enumerate: 834 in all.
 
@@ -134,22 +143,39 @@ def _exact_pass_plans():
             for transit in four:
                 yield conv, build_four_plan(procedure, transit)
     conv = bell.convention()
-    for procedure in Procedure:
-        for correction in adversary.CORRECTIONS_EXTENDED:
-            yield conv, adversary._alice_block_plan(correction, procedure)
-    for u6, u8 in itertools.product(adversary.PRE_UNITARIES, repeat=2):
-        for procedure in Procedure:
-            yield conv, adversary._travel_block_plan(u6, u8, procedure)
+    for family in _search_families():
+        for plan in family:
+            yield conv, plan
+
+
+def _assert_same_branches(got, want):
+    assert [list(out.items()) for _p, out in got] == [list(out.items()) for _p, out in want]
+    assert [p.hex() for p, _out in got] == [p.hex() for p, _out in want]
 
 
 def test_breadth_first_enumeration_matches_depth_first_walk():
     plans = list(_exact_pass_plans())
     assert len(plans) == 834
     for conv, plan in plans:
-        got = protocol.enumerate_plan(conv, plan)
-        want = _walk_oracle(conv, plan)
-        assert [list(out.items()) for _p, out in got] == [list(out.items()) for _p, out in want]
-        assert [p.hex() for p, _out in got] == [p.hex() for p, _out in want]
+        _assert_same_branches(protocol.enumerate_plan(conv, plan), _walk_oracle(conv, plan))
+    # Each search family as one batch: every plan gets what it gets alone.
+    conv = bell.convention()
+    for family in _search_families():
+        batch = protocol.enumerate_plans(conv, family)
+        assert len(batch) == len(family)
+        for plan, got in zip(family, batch):
+            _assert_same_branches(got, _walk_oracle(conv, plan))
+    # Conditional gates that differ per plan: interceptions sharing the frozen
+    # pre-rotations, each with its own correction map.
+    frozen = adversary.FROZEN_TAILORED_PARAMS
+    names = [name for _m, name in frozen.pauli_map]
+    maps = [frozen.pauli_map, ZlgAttack(conv).params.pauli_map]
+    maps += [tuple(zip(LABELS, names[k:] + names[:k])) for k in (1, 2)]
+    for procedure in Procedure:
+        attacks = [TailoredAttack(conv, replace(frozen, pauli_map=m)) for m in maps]
+        family = [build_six_plan(procedure, attack.transit_plan()) for attack in attacks]
+        for plan, got in zip(family, protocol.enumerate_plans(conv, family)):
+            _assert_same_branches(got, _walk_oracle(conv, plan))
 
 
 def test_enumeration_rejects_non_unitary_gates(conv):
@@ -162,6 +188,47 @@ def test_enumeration_rejects_non_unitary_gates(conv):
     )
     with pytest.raises(ValueError, match="not unitary"):
         protocol.enumerate_plan(conv, plan)
+    # In a batch, one plan's non-unitary matrix fails the whole batch.
+    flips = ConditionalGateStep(2, "m", tuple((lab, GATES["X"]) for lab in LABELS))
+    unitary = replace(plan, steps=(plan.steps[0], flips))
+    with pytest.raises(ValueError, match="not unitary"):
+        protocol.enumerate_plans(conv, [unitary, plan])
+    single = Plan(2, ((1, 2),), (GateStep(1, GATES["S"]),))
+    with pytest.raises(ValueError, match="not unitary"):
+        protocol.enumerate_plans(conv, [single, replace(single, steps=(GateStep(1, shear),))])
+
+
+def test_enumerate_plans_rejects_mismatched_skeletons(conv):
+    base = adversary._travel_block_plan("X", "S", Procedure.P_I)
+    steps = base.steps
+    assert isinstance(steps[0], GateStep) and isinstance(steps[2], MeasureStep)
+    # Plans that differ only in gate matrices batch together.
+    other = adversary._travel_block_plan("Y", "I", Procedure.P_I)
+    assert len(protocol.enumerate_plans(conv, [base, other])) == 2
+    cond = ConditionalGateStep(1, "eve", tuple((lab, GATES["X"]) for lab in LABELS))
+    six = build_six_plan(Procedure.P_I, TailoredAttack(conv).transit_plan())
+    at = next(i for i, s in enumerate(six.steps) if isinstance(s, ConditionalGateStep))
+    tail = six.steps[at]
+    mismatched = [
+        adversary._travel_block_plan("X", "S", Procedure.P_II),  # one more step
+        replace(base, pairs=((1, 3), (2, 4))),
+        replace(base, steps=(GateStep(3, steps[0].matrix),) + steps[1:]),  # another qubit
+        replace(base, steps=steps[:2] + (MeasureStep("m", (2, 4)),) + steps[3:]),  # name
+        replace(base, steps=steps[:2] + (MeasureStep("eve", (4, 2)),) + steps[3:]),  # pair
+        replace(base, steps=(cond,) + steps[1:]),  # a conditional gate for a gate
+    ]
+    for plan in mismatched:
+        with pytest.raises(ValueError, match="differ only in gate matrices"):
+            protocol.enumerate_plans(conv, [base, plan])
+    for changed in (
+        replace(tail, on="key"),
+        replace(tail, gates=tail.gates[::-1]),  # labels in another order
+    ):
+        steps6 = six.steps[:at] + (changed,) + six.steps[at + 1:]
+        with pytest.raises(ValueError, match="differ only in gate matrices"):
+            protocol.enumerate_plans(conv, [six, replace(six, steps=steps6)])
+    with pytest.raises(ValueError, match="differ only in gate matrices"):
+        protocol.enumerate_plans(conv, [])
 
 
 # --- inference tables ---------------------------------------------------------
@@ -232,6 +299,28 @@ def test_table_mismatch_diff_is_row_level():
 
 
 # --- specific published rows ----------------------------------------------------
+
+
+def test_exact_reads_leave_the_outcome_tree_unbuilt(conv, monkeypatch):
+    # Tables, probabilities, posteriors and the attack search read only the
+    # branches; the tree Monte Carlo samples is built on its first read.
+    fresh = protocol._ProtocolBase(conv, "six")
+    monkeypatch.setattr(protocol, "protocol_driver", lambda _conv, _name: fresh)
+    monkeypatch.setattr(adversary, "protocol_driver", lambda _conv, _name: fresh)
+    assert tuple(reproduce_table1(conv)) == EXPECTED_TABLE1
+    assert tuple(adversary.reproduce_table2(conv)) == adversary.EXPECTED_TABLE2
+    assert adversary.derive_tailored_attack(conv) == adversary.FROZEN_TAILORED_PARAMS
+    for procedure in Procedure:
+        for attack in (ZlgAttack(conv), TailoredAttack(conv)):
+            adversary.attack_detection_probability(conv, "six", procedure, attack)
+            adversary.eve_information_probability(conv, "six", procedure, attack)
+    models = list(fresh._models.values())
+    assert len(models) == 6
+    assert all("tree" not in vars(model) for model in models)
+    fresh.run_round(Procedure.P_II, TailoredAttack(conv), RandomSource(0))
+    model = fresh.round_model(Procedure.P_II, TailoredAttack(conv))
+    assert vars(model)["tree"] is model.tree == protocol._outcome_tree(model.branches)
+    assert sum("tree" in vars(m) for m in models) == 1
 
 
 def test_driver_enumerates_each_adversary_free_plan_once(conv, monkeypatch):

@@ -139,6 +139,31 @@ def test_gate_lookup_composes_right_to_left():
         qstate.gate("Q")
 
 
+def test_compound_gates_are_one_read_only_array_each(monkeypatch):
+    # One array per name, so the kernels' unitarity memo hits on every use.
+    amps = np.eye(2, dtype=complex)
+    for name in ("XS", "YS", "ZS"):
+        matrix = qstate.gate(name)
+        assert qstate.gate(name) is matrix
+        assert not matrix.flags.writeable
+        assert np.array_equal(matrix, GATES[name[0]] @ GATES[name[1]])
+        qstate.gate_rows(amps, 1, (matrix,), 0)
+    checks = []
+    real = qstate.is_unitary
+    monkeypatch.setattr(qstate, "is_unitary", lambda m: checks.append(1) or real(m))
+    for name in ("XS", "YS", "ZS"):
+        qstate.gate_rows(amps, 1, (qstate.gate(name),), 0)
+    assert checks == []
+    # A matrix not known to be unitary is still checked, and rejected, on
+    # both the broadcast and the per-row path.
+    shear = np.array([[1, 1], [0, 1]], dtype=complex)
+    with pytest.raises(ValueError, match="not unitary"):
+        qstate.gate_rows(amps, 1, (shear,), 0)
+    with pytest.raises(ValueError, match="not unitary"):
+        qstate.gate_rows(amps, 1, (qstate.gate("XS"), shear), 0, np.array([0, 0]))
+    assert len(checks) == 2
+
+
 def test_s_on_zero_gives_equal_superposition():
     state = apply_gate(init_basis_state(1, "0"), GATES["S"], 0)
     assert np.allclose(state.amplitudes, [SQRT2_INV, SQRT2_INV])
