@@ -205,8 +205,7 @@ class TailoredAttack(_PosteriorMixin):
                 ConditionalGateStep(qubit=2, on="eve", gates=gates),
             ),
             ancilla_pairs=((7, 8),),
-            alice_receives=2,
-            bob_receives=7,
+            forward=((6, 2), (2, 7)),
         )
 
     def transformation_for(self, eve_outcome: str) -> str:
@@ -297,7 +296,7 @@ def attack_detection_probability(
     return sum(
         prob
         for prob, out in driver.enumerate_branches(procedure, attack)
-        if table.infer(out["secret"], out.get("public")) != out["key"]
+        if table.infer(out) != out["key"]
     )
 
 
@@ -379,7 +378,7 @@ def _candidate_p1_detection(
     params: TailoredParams,
     travel_p1: ConditionalTable,
     alice_tables_p1: dict[str, ConditionalTable],
-    infer_p1,
+    inferred_p1: dict[tuple[str, ...], str],
 ) -> float:
     detection = 0.0
     for m, (prob_m, secrets) in travel_p1.items():
@@ -387,7 +386,7 @@ def _candidate_p1_detection(
         for key, (prob_key, publics) in alice.items():
             for public, ap in publics:
                 for secret, sp in secrets:
-                    if infer_p1(secret, public) != key:
+                    if inferred_p1[public, secret] != key:
                         detection += prob_m * prob_key * ap * sp
     return detection
 
@@ -409,8 +408,9 @@ def derive_tailored_attack(conv: BellConvention) -> TailoredParams:
     The winner is re-verified against the full eight-qubit round engine.
     """
     driver = protocol_driver(conv, "six")
-    infer_p1 = driver.inference[Procedure.P_I].infer
-    infer_p2 = driver.inference[Procedure.P_II].infer
+    # Bob's key by (public, secret), per procedure.
+    inferred_p1 = driver.inference[Procedure.P_I].as_dict()
+    inferred_p2 = driver.inference[Procedure.P_II].as_dict()
 
     # Every block plan is enumerated once, in four batches: Alice's tables (key
     # -> public) by correction, the travel tables (Eve's outcome -> secret) by (u6, u8).
@@ -428,7 +428,7 @@ def derive_tailored_attack(conv: BellConvention) -> TailoredParams:
             # Per outcome, the corrections that pin a public result Bob decodes right.
             valid = [
                 [g for g in corrections if all(
-                    len(publics) == 1 and infer_p2(taus[m], publics[0][0]) == key
+                    len(publics) == 1 and inferred_p2[publics[0][0], taus[m]] == key
                     for key, (_pk, publics) in alice_p2[g].items()
                 )]
                 for m in LABELS
@@ -437,7 +437,7 @@ def derive_tailored_attack(conv: BellConvention) -> TailoredParams:
                 continue
             for combo in itertools.product(*valid):
                 params = TailoredParams((u6, u8), tuple(zip(LABELS, combo)))
-                if _candidate_p1_detection(params, travel_p1[u6, u8], alice_p1, infer_p1) > 0.0:
+                if _candidate_p1_detection(params, travel_p1[u6, u8], alice_p1, inferred_p1) > 0.0:
                     _verify_tailored(conv, params)
                     return params
     raise AttackSearchError(
@@ -453,7 +453,7 @@ def _verify_tailored(conv: BellConvention, params: TailoredParams) -> None:
     table = driver.inference[Procedure.P_II]
     posterior = attack._posterior(Procedure.P_II)
     for prob, out in driver.enumerate_branches(Procedure.P_II, attack):
-        if table.infer(out["secret"], out["public"]) != out["key"]:
+        if table.infer(out) != out["key"]:
             raise AttackSearchError("block-table search and full engine disagree on (ii)")
         if posterior[(out["eve"], out["public"])] != (out["key"],):
             raise AttackSearchError("found attack does not pin the key under (ii)")
@@ -520,7 +520,7 @@ def zlg_outcome_rows(conv: BellConvention) -> list[tuple[str, ...]]:
         for _prob, out in driver.enumerate_branches(procedure, attack):
             if out["key"] != "00":
                 continue
-            inferred = table.infer(out["secret"], out["public"])
+            inferred = table.infer(out)
             eve_inferred = " or ".join(posterior[(out["eve"], out["public"])])
             rows.add(
                 (

@@ -22,7 +22,7 @@ import sys
 
 from . import __version__, adversary, bell, harness, protocol
 from .adversary import ATTACK_PROTOCOLS, AttackStrategy
-from .protocol import PLAN_BUILDERS, TableMismatchError
+from .protocol import PROTOCOLS, TableMismatchError
 
 FORMATS = ("human", "json", "csv")
 
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_reproduce_table2)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo protocol run")
-    p.add_argument("--protocol", choices=tuple(PLAN_BUILDERS), default="six")
+    p.add_argument("--protocol", choices=tuple(PROTOCOLS), default="six")
     p.add_argument(
         "--attack", choices=tuple(ATTACK_PROTOCOLS),
         default="none",
@@ -243,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         "detection-curve", parents=[common],
         help="empirical vs theoretical detection probability per compared pairs",
     )
-    p.add_argument("--protocol", choices=tuple(PLAN_BUILDERS), default="six")
+    p.add_argument("--protocol", choices=tuple(PROTOCOLS), default="six")
     p.add_argument(
         "--attack", choices=tuple(ATTACK_PROTOCOLS),
         default="mixed",

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 from . import bell
 from .adversary import AttackStrategy
-from .protocol import PLAN_BUILDERS, Procedure, RoundTranscript, mark_compared, protocol_driver
+from .protocol import PROTOCOLS, Procedure, RoundTranscript, mark_compared, protocol_driver
 from .qstate import RandomSource
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -52,7 +52,7 @@ class CurveConfig:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.protocol not in PLAN_BUILDERS:
+        if self.protocol not in PROTOCOLS:
             raise ValueError(f"unknown protocol {self.protocol!r}")
         if not 0.0 <= self.procedure_policy <= 1.0:
             raise ValueError("procedure_policy must be a probability")

@@ -14,13 +14,17 @@ Four-qubit protocol: Alice prepares (1,2) and (3,4) and sends qubits 2 and
 Bob, applying S to qubit 2 first under procedure II, measures (2,4); his
 result alone determines the key.
 
-Rounds are driven from declarative step plans.  Each (procedure, attack)
-plan is enumerated once over every measurement branch; the exact tables
-and probabilities read those branches, and Monte Carlo samples the same
-branch tree, drawing one uniform per measurement and picking the outcome
-by inverse CDF over its conditional probabilities.  Bob's key-inference
-tables and Eve's posteriors are read off those same branches (the
-adversary-free ones for Bob), never assumed in closed form.
+Each protocol is one :data:`PROTOCOLS` entry: its pairs, its in-flight
+qubits, Alice's and Bob's steps, and the outcomes Bob infers the key from.
+:func:`build_plan` and its channel check read only the entry, never the
+protocol's name, and reroute the honest steps through an attack's
+``forward`` map.  Each (procedure, attack) plan is enumerated once over
+every measurement branch; the exact tables and probabilities read those
+branches, and Monte Carlo samples the same branch tree, drawing one
+uniform per measurement and picking the outcome by inverse CDF over its
+conditional probabilities.  Bob's key-inference tables and Eve's
+posteriors are read off those same branches (the adversary-free ones for
+Bob), never assumed in closed form.
 
 Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 0-based register happens only at the physics boundary.
@@ -29,11 +33,12 @@ Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,7 +66,7 @@ class Procedure(Enum):
 
 
 class AmbiguityError(RuntimeError):
-    """A (public, secret) combination is consistent with two keys."""
+    """An observation Bob infers the key from is consistent with two keys."""
 
 
 class MalformedAdversaryError(RuntimeError):
@@ -117,18 +122,58 @@ class TransitPlan:
     ``steps`` run at the interception point, before any announcement
     exists; the channel structurally cannot leak Alice's procedure choice
     to them.  ``ancilla_pairs`` are extra qubit pairs prepared in the
-    labeled-00 state and appended to the register.  For the six-qubit
-    protocol ``alice_receives``/``bob_receives`` name the physical qubits
-    delivered in place of the honest 6 and 2.
+    labeled-00 state and appended to the register.  ``forward`` pairs an
+    in-flight qubit with the physical qubit delivered in its place; an
+    in-flight qubit it does not name is delivered as itself.
     """
 
     steps: tuple[Step, ...] = ()
     ancilla_pairs: tuple[tuple[int, int], ...] = ()
-    alice_receives: int = 6
-    bob_receives: int = 2
+    forward: tuple[tuple[int, int], ...] = ()
 
 
-_NO_ATTACK_TRANSIT = TransitPlan()
+# What Bob's and Eve's inference read, in every protocol: no attack may measure into them.
+RESERVED_NAMES = frozenset({"key", "public", "secret"})
+
+
+@dataclass(frozen=True)
+class ProtocolSpec:
+    """One protocol's geometry.
+
+    ``pairs`` start in the labeled-00 state; ``in_flight`` qubits travel
+    between the parties.  ``steps`` are Alice's measurements, then Bob's, as
+    if nothing were intercepted; their ``GateStep``s are the procedure-(ii)
+    S rotations.  Bob infers the key from the ``observed`` outcomes.
+    """
+
+    pairs: tuple[tuple[int, int], ...]
+    in_flight: frozenset[int]
+    steps: tuple[GateStep | MeasureStep, ...]
+    observed: tuple[str, ...]
+
+
+# Protocol name -> spec, in the order the CLI lists protocols.  Steps: Alice's
+# line, then Bob's; the six-qubit public result is announced with the procedure.
+PROTOCOLS: dict[str, ProtocolSpec] = {
+    "six": ProtocolSpec(
+        pairs=((1, 2), (3, 5), (4, 6)),
+        in_flight=frozenset({2, 6}),
+        steps=(
+            GateStep(3, GATES["S"]), MeasureStep("key", (1, 3)), MeasureStep("public", (5, 6)),
+            GateStep(4, GATES["S"]), MeasureStep("secret", (2, 4)),
+        ),
+        observed=("public", "secret"),
+    ),
+    "four": ProtocolSpec(
+        pairs=((1, 2), (3, 4)),
+        in_flight=frozenset({2, 4}),
+        steps=(
+            GateStep(1, GATES["S"]), MeasureStep("key", (1, 3)),
+            GateStep(2, GATES["S"]), MeasureStep("secret", (2, 4)),
+        ),
+        observed=("secret",),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -140,80 +185,41 @@ class Plan:
     steps: tuple[Step, ...]
 
 
-def _touched_qubits(step: Step) -> tuple[int, ...]:
-    if isinstance(step, GateStep):
-        return (step.qubit,)
-    if isinstance(step, MeasureStep):
-        return step.pair
-    return (step.qubit,)
-
-
-def _validate_transit(transit: TransitPlan, protocol: str) -> None:
-    base = 6 if protocol == "six" else 4
-    in_flight = {2, 6} if protocol == "six" else {2, 4}
+def _validate_transit(spec: ProtocolSpec, transit: TransitPlan) -> None:
+    base = 2 * len(spec.pairs)
     ancilla = [q for pair in transit.ancilla_pairs for q in pair]
     if sorted(ancilla) != list(range(base + 1, base + 1 + len(ancilla))):
         raise MalformedAdversaryError(
             f"ancilla pairs must extend the register contiguously, got {transit.ancilla_pairs}"
         )
-    allowed = in_flight | set(ancilla)
-    reserved = {"key", "public", "secret"}
+    allowed = spec.in_flight | set(ancilla)
     for step in transit.steps:
-        bad = set(_touched_qubits(step)) - allowed
+        bad = set(step.pair if isinstance(step, MeasureStep) else (step.qubit,)) - allowed
         if bad:
             raise MalformedAdversaryError(f"attack touches protected qubits {sorted(bad)}")
-        if isinstance(step, MeasureStep) and step.name in reserved:
+        if isinstance(step, MeasureStep) and step.name in RESERVED_NAMES:
             raise MalformedAdversaryError(f"attack reuses reserved measurement name {step.name!r}")
-    if protocol == "six":
-        for q in (transit.alice_receives, transit.bob_receives):
-            if q not in allowed:
-                raise MalformedAdversaryError(f"attack forwards a protected qubit {q}")
-        if transit.alice_receives == transit.bob_receives:
-            raise MalformedAdversaryError("attack forwards the same qubit to both parties")
+    route = dict(transit.forward)
+    if len(route) < len(transit.forward) or not route.keys() <= spec.in_flight:
+        raise MalformedAdversaryError(f"forwards protected or repeated sources {transit.forward}")
+    delivered = [route.get(q, q) for q in sorted(spec.in_flight)]
+    if len(set(delivered)) < len(delivered) or not set(delivered) <= allowed:
+        raise MalformedAdversaryError(f"delivers protected or repeated qubits {delivered}")
 
 
-def build_six_plan(procedure: Procedure, transit: TransitPlan | None) -> Plan:
-    transit = transit or _NO_ATTACK_TRANSIT
-    _validate_transit(transit, "six")
-    pairs = ((1, 2), (3, 5), (4, 6)) + transit.ancilla_pairs
-    num_qubits = 6 + 2 * len(transit.ancilla_pairs)
-
-    # Eve's steps, then Alice's key and public measurements (the public
-    # result is announced with the procedure), then Bob's secret measurement.
+def build_plan(spec: ProtocolSpec, procedure: Procedure, transit: TransitPlan | None) -> Plan:
+    """Eve's steps, then the honest steps on the qubits actually delivered."""
+    transit = transit or TransitPlan()
+    _validate_transit(spec, transit)
+    route = dict(transit.forward)
     steps: list[Step] = list(transit.steps)
-    if procedure is Procedure.P_II:
-        steps.append(GateStep(3, GATES["S"]))
-    steps.append(MeasureStep("key", (1, 3)))
-    steps.append(MeasureStep("public", (5, transit.alice_receives)))
-    if procedure is Procedure.P_II:
-        steps.append(GateStep(4, GATES["S"]))
-    steps.append(MeasureStep("secret", (transit.bob_receives, 4)))
-    return Plan(num_qubits, pairs, tuple(steps))
-
-
-def build_four_plan(procedure: Procedure, transit: TransitPlan | None) -> Plan:
-    transit = transit or _NO_ATTACK_TRANSIT
-    _validate_transit(transit, "four")
-    pairs = ((1, 2), (3, 4)) + transit.ancilla_pairs
-    num_qubits = 4 + 2 * len(transit.ancilla_pairs)
-
-    # Eve's steps, then Alice's key measurement (the procedure is announced
-    # after it), then Bob's secret measurement.
-    steps: list[Step] = list(transit.steps)
-    if procedure is Procedure.P_II:
-        steps.append(GateStep(1, GATES["S"]))
-    steps.append(MeasureStep("key", (1, 3)))
-    if procedure is Procedure.P_II:
-        steps.append(GateStep(2, GATES["S"]))
-    steps.append(MeasureStep("secret", (2, 4)))
-    return Plan(num_qubits, pairs, tuple(steps))
-
-
-# Protocol name -> plan builder, in the order the CLI lists protocols.
-PLAN_BUILDERS: dict[str, Callable[[Procedure, TransitPlan | None], Plan]] = {
-    "six": build_six_plan,
-    "four": build_four_plan,
-}
+    for step in spec.steps:
+        if isinstance(step, MeasureStep):
+            steps.append(replace(step, pair=tuple(route.get(q, q) for q in step.pair)))
+        elif procedure is Procedure.P_II:
+            steps.append(replace(step, qubit=route.get(step.qubit, step.qubit)))
+    pairs = spec.pairs + transit.ancilla_pairs
+    return Plan(2 * len(pairs), pairs, tuple(steps))
 
 
 # --- plan execution -------------------------------------------------------
@@ -363,48 +369,42 @@ class RoundModel:
 class InferenceTable:
     """Bob's key inference, derived from every adversary-free branch.
 
-    Six-qubit entries are keyed (public, secret); four-qubit entries are
-    keyed by secret alone.
+    Entries are keyed by the values of the ``observed`` outcomes, in order.
     """
 
-    protocol: str
+    observed: tuple[str, ...]
     procedure: Procedure
     entries: tuple[tuple[tuple[str, ...], str], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_map", dict(self.entries))
+        key = operator.itemgetter(*self.observed)  # built once: infer() runs every round
+        table = {key(dict(zip(self.observed, obs))): k for obs, k in self.entries}
+        object.__setattr__(self, "_key", key)
+        object.__setattr__(self, "_map", table)
 
-    def infer(self, secret: str, public: str | None = None) -> str:
-        key = (public, secret) if self.protocol == "six" else (secret,)
-        table: dict = self._map  # type: ignore[attr-defined]
-        if key not in table:
-            raise KeyError(f"no inference entry for {key}")
-        return table[key]
+    def infer(self, outcomes: Mapping[str, str | None]) -> str:
+        """Bob's key for a round's outcomes; ``KeyError`` if no branch observed them."""
+        return self._map[self._key(outcomes)]  # type: ignore[attr-defined]
 
     def as_dict(self) -> dict[tuple[str, ...], str]:
         return dict(self.entries)
 
 
 def derive_inference_table(
-    protocol: str, procedure: Procedure, branches: Iterable[Branch]
+    observed: tuple[str, ...], procedure: Procedure, branches: Iterable[Branch]
 ) -> InferenceTable:
     """Build the inference table from the adversary-free ``branches``."""
     mapping: dict[tuple[str, ...], str] = {}
     for _prob, outcome in branches:
-        obs = (
-            (outcome["public"], outcome["secret"])
-            if protocol == "six"
-            else (outcome["secret"],)
-        )
+        obs = tuple(outcome[name] for name in observed)
         key = outcome["key"]
         if mapping.get(obs, key) != key:
             raise AmbiguityError(
-                f"{protocol}/{procedure.printed}: observation {obs} is consistent "
+                f"{procedure.printed}: observation {observed} = {obs} is consistent "
                 f"with keys {mapping[obs]} and {key}; the protocol could not work"
             )
         mapping[obs] = key
-    entries = tuple(sorted(mapping.items()))
-    return InferenceTable(protocol, procedure, entries)
+    return InferenceTable(observed, procedure, tuple(sorted(mapping.items())))
 
 
 # --- transcripts ----------------------------------------------------------
@@ -483,32 +483,31 @@ def transcripts_to_jsonl(transcripts: Iterable[RoundTranscript]) -> str:
 
 
 class _ProtocolBase:
-    """One protocol's round driver; ``name`` picks its plan builder."""
+    """One protocol's round driver; ``name`` picks its spec."""
 
     def __init__(self, conv: BellConvention, name: str):
-        if name not in PLAN_BUILDERS:
+        if name not in PROTOCOLS:
             raise ValueError(f"unknown protocol {name!r}")
         self.conv = conv
         self.name = name
-        self._build = PLAN_BUILDERS[name]
+        self.spec = PROTOCOLS[name]
         self._models: dict[tuple, RoundModel] = {}
         self.inference = {
-            p: derive_inference_table(name, p, self.enumerate_branches(p)) for p in Procedure
+            p: derive_inference_table(self.spec.observed, p, self.enumerate_branches(p))
+            for p in Procedure
         }
 
     def round_model(self, procedure: Procedure, attack=None) -> RoundModel:
         """The round under ``attack``, enumerated once per attack ``cache_key``."""
         key = (procedure, attack.cache_key if attack is not None else None)
         if key not in self._models:
-            transit = None
-            if attack is not None:
-                if attack.protocol != self.name:
-                    raise WrongProtocolError(
-                        f"attack {attack.kind!r} targets the {attack.protocol}-qubit "
-                        f"protocol, not {self.name}"
-                    )
-                transit = attack.transit_plan()
-            plan = self._build(procedure, transit)
+            if attack is not None and attack.protocol != self.name:
+                raise WrongProtocolError(
+                    f"attack {attack.kind!r} targets the {attack.protocol}-qubit "
+                    f"protocol, not {self.name}"
+                )
+            transit = attack.transit_plan() if attack is not None else None
+            plan = build_plan(self.spec, procedure, transit)
             # Read-only views: every caller shares these branches.
             branches = tuple(
                 (prob, MappingProxyType(out)) for prob, out in enumerate_plan(self.conv, plan)
@@ -524,8 +523,7 @@ class _ProtocolBase:
         model = self.round_model(procedure, attack)
         outcomes = _sample_outcomes(model.tree, rng)
         public = outcomes.get("public")
-        secret = outcomes["secret"]
-        inferred = self.inference[procedure].infer(secret, public)
+        inferred = self.inference[procedure].infer(outcomes)
         eve_record = None
         if attack is not None:
             eve = outcomes["eve"]
@@ -535,7 +533,7 @@ class _ProtocolBase:
             procedure=procedure,
             key=outcomes["key"],
             public_result=public,
-            bob_secret=secret,
+            bob_secret=outcomes["secret"],
             bob_inferred_key=inferred,
             eve_record=eve_record,
         )
@@ -579,7 +577,7 @@ def six_qubit_outcome_rows(conv: BellConvention) -> list[tuple[str, str, str, st
         for prob, out in driver.enumerate_branches(procedure):
             if out["key"] != "00":
                 continue
-            inferred = table.infer(out["secret"], out["public"])
+            inferred = table.infer(out)
             rows.add((procedure.printed, out["key"], out["public"], out["secret"], inferred))
     return sorted(rows, key=lambda r: (r[0], r[3], r[2]))
 

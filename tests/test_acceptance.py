@@ -78,7 +78,7 @@ def test_acceptance_no_eavesdropper_correctness(conv):
         driver = protocol.protocol_driver(conv, name)
         for procedure in Procedure:
             for _prob, out in driver.enumerate_branches(procedure):
-                inferred = driver.inference[procedure].infer(out["secret"], out.get("public"))
+                inferred = driver.inference[procedure].infer(out)
                 assert inferred == out["key"]
                 checked += 1
     _pass("no-eavesdropper", f"inferred == key on all {checked} branches (100%)")

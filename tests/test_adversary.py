@@ -28,8 +28,9 @@ from swapqkd.adversary import (
 from swapqkd.protocol import (
     GateStep,
     MeasureStep,
+    PROTOCOLS,
     Procedure,
-    build_six_plan,
+    build_plan,
     enumerate_plan,
     protocol_driver,
 )
@@ -110,7 +111,7 @@ def test_zlg_p2_worked_example(conv):
     assert abs(publics["11"] / total - 0.5) < EXACT
     detected = [o for _p, o in slice_ if o["public"] == "11" and o["secret"] == "00"]
     assert detected
-    assert driver.inference[Procedure.P_II].infer("00", "11") == "11"
+    assert driver.inference[Procedure.P_II].infer({"public": "11", "secret": "00"}) == "11"
     assert attack._posterior(Procedure.P_II)[("01", "11")] == ("00", "11")
 
 
@@ -137,8 +138,8 @@ def test_identity_pre_rotations_emit_no_gate(conv):
     identities = (GateStep(6, GATES["I"]), GateStep(8, GATES["I"]))
     with_identities = replace(transit, steps=identities + transit.steps)
     for procedure in Procedure:
-        want = enumerate_plan(conv, build_six_plan(procedure, with_identities))
-        got = enumerate_plan(conv, build_six_plan(procedure, transit))
+        want = enumerate_plan(conv, build_plan(PROTOCOLS["six"], procedure, with_identities))
+        got = enumerate_plan(conv, build_plan(PROTOCOLS["six"], procedure, transit))
         assert [(p.hex(), out) for p, out in got] == [(p.hex(), out) for p, out in want]
     tailored = TailoredAttack(conv).transit_plan()  # rotates only qubit 8
     assert [s.qubit for s in tailored.steps if isinstance(s, GateStep)] == [8]

@@ -9,7 +9,7 @@ import pytest
 
 import swapqkd
 from swapqkd import adversary
-from swapqkd.cli import main
+from swapqkd.cli import FORMATS, main
 
 
 def run_cli(capsys, argv):
@@ -249,3 +249,37 @@ def test_stdout_matches_golden_digest(capsys, command):
     code, out, _ = run_cli(capsys, command.split())
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[command]
+
+
+SWEEP_CONFIGS = (
+    ("six", "none"), ("six", "zlg"), ("six", "tailored"), ("six", "mixed"),
+    ("four", "none"), ("four", "four-swap"),
+)
+
+# SHA-256 over every sweep command's argv, exit code, stdout and stderr, in
+# order; captured before protocols became one spec table.
+SWEEP_SHA256 = "fda3453fbb2102c6411fc679285493f4e8ba4db1b33a70298844623fbd430dfd"
+
+
+def _sweep_commands():
+    """Each table command in three formats, then simulate and a short curve
+    for every attack config x seed x format: 120 commands."""
+    for command in ("validate-convention", "reproduce-table1", "reproduce-table2", "derive-attack"):
+        for fmt in FORMATS:
+            yield [command, "--format", fmt]
+    for proto, attack in SWEEP_CONFIGS:
+        for seed in ("0", "7", "123456789"):
+            for fmt in FORMATS:
+                common = ["--protocol", proto, "--attack", attack, "--seed", seed, "--format", fmt]
+                yield ["simulate", *common, "--rounds", "300"]
+                yield ["detection-curve", *common, "--n", "0,1,3", "--reps", "100"]
+
+
+def test_command_sweep_is_byte_identical(capsys):
+    digest = hashlib.sha256()
+    commands = list(_sweep_commands())
+    assert len(commands) == 120
+    for argv in commands:
+        code, out, err = run_cli(capsys, argv)
+        digest.update((json.dumps([argv, code, out, err]) + "\n").encode())
+    assert digest.hexdigest() == SWEEP_SHA256

@@ -11,6 +11,7 @@ from swapqkd.bell import LABELS, derive_swap_table
 from swapqkd.protocol import (
     EXPECTED_TABLE1,
     PROB_CUTOFF,
+    PROTOCOLS,
     AmbiguityError,
     ConditionalGateStep,
     GateStep,
@@ -22,8 +23,7 @@ from swapqkd.protocol import (
     TableMismatchError,
     TransitPlan,
     WrongProtocolError,
-    build_four_plan,
-    build_six_plan,
+    build_plan,
     mark_compared,
     protocol_driver,
     reproduce_table1,
@@ -45,7 +45,7 @@ def test_inferred_key_equals_key_on_every_branch(driver):
         branches = driver.enumerate_branches(procedure)
         assert abs(sum(p for p, _ in branches) - 1.0) < 1e-10
         for _prob, out in branches:
-            inferred = driver.inference[procedure].infer(out["secret"], out.get("public"))
+            inferred = driver.inference[procedure].infer(out)
             assert inferred == out["key"]
 
 
@@ -139,9 +139,9 @@ def _exact_pass_plans():
         four = [None] + [FourSwapAttack(conv, guess).transit_plan() for guess in Procedure]
         for procedure in Procedure:
             for transit in six:
-                yield conv, build_six_plan(procedure, transit)
+                yield conv, build_plan(PROTOCOLS["six"], procedure, transit)
             for transit in four:
-                yield conv, build_four_plan(procedure, transit)
+                yield conv, build_plan(PROTOCOLS["four"], procedure, transit)
     conv = bell.convention()
     for family in _search_families():
         for plan in family:
@@ -173,7 +173,7 @@ def test_breadth_first_enumeration_matches_depth_first_walk():
     maps += [tuple(zip(LABELS, names[k:] + names[:k])) for k in (1, 2)]
     for procedure in Procedure:
         attacks = [TailoredAttack(conv, replace(frozen, pauli_map=m)) for m in maps]
-        family = [build_six_plan(procedure, attack.transit_plan()) for attack in attacks]
+        family = [build_plan(PROTOCOLS["six"], procedure, a.transit_plan()) for a in attacks]
         for plan, got in zip(family, protocol.enumerate_plans(conv, family)):
             _assert_same_branches(got, _walk_oracle(conv, plan))
 
@@ -206,7 +206,7 @@ def test_enumerate_plans_rejects_mismatched_skeletons(conv):
     other = adversary._travel_block_plan("Y", "I", Procedure.P_I)
     assert len(protocol.enumerate_plans(conv, [base, other])) == 2
     cond = ConditionalGateStep(1, "eve", tuple((lab, GATES["X"]) for lab in LABELS))
-    six = build_six_plan(Procedure.P_I, TailoredAttack(conv).transit_plan())
+    six = build_plan(PROTOCOLS["six"], Procedure.P_I, TailoredAttack(conv).transit_plan())
     at = next(i for i, s in enumerate(six.steps) if isinstance(s, ConditionalGateStep))
     tail = six.steps[at]
     mismatched = [
@@ -255,8 +255,8 @@ def test_inference_rejects_unknown_protocol(conv):
 
 
 def test_one_cached_driver_per_named_protocol(conv):
-    assert tuple(protocol.PLAN_BUILDERS) == ("six", "four")
-    for name in protocol.PLAN_BUILDERS:
+    assert tuple(PROTOCOLS) == ("six", "four")
+    for name in PROTOCOLS:
         driver = protocol_driver(conv, name)
         assert driver.name == name
         assert protocol_driver(conv, name) is driver
@@ -265,7 +265,7 @@ def test_one_cached_driver_per_named_protocol(conv):
 def test_inference_lookup_unknown_observation(conv):
     table = protocol_driver(conv, "six").inference[Procedure.P_I]
     with pytest.raises(KeyError):
-        table.infer("00", None)
+        table.infer({"public": None, "secret": "00"})
 
 
 def test_six_p1_inference_is_swap_table_composition(conv):
@@ -278,7 +278,7 @@ def test_six_p1_inference_is_swap_table_composition(conv):
         middle = swap.lookup("00", "00", key)
         for public in LABELS:
             secret = swap.lookup(middle, "00", public)
-            assert table.infer(secret, public) == key
+            assert table.infer({"public": public, "secret": secret}) == key
 
 
 # --- published outcome table ---------------------------------------------------
@@ -343,7 +343,7 @@ def test_p1_key00_public01_row(conv):
             if o["key"] == "00" and o["public"] == "01"]
     assert len(outs) == 1
     assert outs[0]["secret"] == "01"
-    assert drv.inference[Procedure.P_I].infer("01", "01") == "00"
+    assert drv.inference[Procedure.P_I].infer({"public": "01", "secret": "01"}) == "00"
 
 
 def test_p2_key00_public10_row(conv):
@@ -352,7 +352,7 @@ def test_p2_key00_public10_row(conv):
             if o["key"] == "00" and o["public"] == "10"]
     assert len(outs) == 1
     assert outs[0]["secret"] == "01"
-    assert drv.inference[Procedure.P_II].infer("01", "10") == "00"
+    assert drv.inference[Procedure.P_II].infer({"public": "10", "secret": "01"}) == "00"
 
 
 # --- transcripts -----------------------------------------------------------------
@@ -434,12 +434,12 @@ def test_round_functions_are_deterministic(conv):
 
 
 class _BadAttack:
-    protocol = "six"
     kind = "bad"
     cache_key = ("bad",)
 
-    def __init__(self, transit):
+    def __init__(self, transit, protocol="six"):
         self._transit = transit
+        self.protocol = protocol
 
     def transit_plan(self):
         return self._transit
@@ -460,16 +460,67 @@ def test_attack_ancillas_must_extend_register(conv):
         protocol_driver(conv, "six").run_round(Procedure.P_I, bad, RandomSource(0))
 
 
-def test_attack_may_not_reuse_reserved_names(conv):
-    bad = _BadAttack(TransitPlan(steps=(MeasureStep("key", (2, 6)),)))
-    with pytest.raises(MalformedAdversaryError):
-        protocol_driver(conv, "six").run_round(Procedure.P_I, bad, RandomSource(0))
+@pytest.mark.parametrize("name", list(PROTOCOLS))
+def test_attack_may_not_reuse_reserved_names(conv, name):
+    # The same three names in every protocol: a four-qubit attack measuring
+    # "public" would otherwise feed Eve's posterior key.
+    assert protocol.RESERVED_NAMES == {"key", "public", "secret"}
+    pair = tuple(sorted(PROTOCOLS[name].in_flight))
+    for reserved in sorted(protocol.RESERVED_NAMES):
+        bad = _BadAttack(TransitPlan(steps=(MeasureStep(reserved, pair),)), name)
+        with pytest.raises(MalformedAdversaryError, match="reserved measurement name"):
+            protocol_driver(conv, name).run_round(Procedure.P_I, bad, RandomSource(0))
+    build_plan(PROTOCOLS[name], Procedure.P_I, TransitPlan(steps=(MeasureStep("eve", pair),)))
 
 
 def test_attack_may_not_forward_same_qubit_twice(conv):
-    bad = _BadAttack(TransitPlan(alice_receives=2, bob_receives=2))
+    bad = _BadAttack(TransitPlan(forward=((6, 2), (2, 2))))
     with pytest.raises(MalformedAdversaryError):
         protocol_driver(conv, "six").run_round(Procedure.P_I, bad, RandomSource(0))
+
+
+@pytest.mark.parametrize(
+    "forward",
+    [
+        ((2, 1), (4, 3)),  # delivers Alice's qubits 1 and 3 to Bob
+        ((4, 1),),  # one protected qubit
+        ((1, 2),),  # from a qubit that is not in flight
+        ((2, 4), (2, 2)),  # one in-flight qubit forwarded twice
+        ((2, 4),),  # 4 arrives in place of 2, and as itself
+    ],
+)
+def test_four_qubit_forwarding_is_checked(forward):
+    with pytest.raises(MalformedAdversaryError):
+        build_plan(PROTOCOLS["four"], Procedure.P_I, TransitPlan(forward=forward))
+
+
+def test_forwarding_reroutes_the_honest_steps():
+    # Swapping Bob's two qubits in flight moves his S and his measurement.
+    plan = build_plan(PROTOCOLS["four"], Procedure.P_II, TransitPlan(forward=((2, 4), (4, 2))))
+    assert _step_names(plan) == [("S", 1), ("key", (1, 3)), ("S", 4), ("secret", (4, 2))]
+    # The six-qubit interception: Alice measures (5, 2), Bob (7, 4).
+    transit = TransitPlan(ancilla_pairs=((7, 8),), forward=((6, 2), (2, 7)))
+    plan = build_plan(PROTOCOLS["six"], Procedure.P_II, transit)
+    assert plan.num_qubits == 8 and plan.pairs[-1] == (7, 8)
+    assert _step_names(plan) == [
+        ("S", 3), ("key", (1, 3)), ("public", (5, 2)), ("S", 4), ("secret", (7, 4)),
+    ]
+
+
+def test_spec_is_checked_by_its_own_geometry():
+    # A spec validates transits by its own in-flight set and register, never
+    # by its protocol's name.
+    only_4 = replace(PROTOCOLS["four"], in_flight=frozenset({4}))
+    for transit in (
+        TransitPlan(steps=(GateStep(2, GATES["X"]),)),
+        TransitPlan(steps=(MeasureStep("eve", (2, 4)),)),
+        TransitPlan(forward=((4, 2),)),
+    ):
+        with pytest.raises(MalformedAdversaryError):
+            build_plan(only_4, Procedure.P_I, transit)
+    build_plan(only_4, Procedure.P_I, TransitPlan(steps=(GateStep(4, GATES["X"]),)))
+    with pytest.raises(MalformedAdversaryError, match="contiguously"):
+        build_plan(only_4, Procedure.P_I, TransitPlan(ancilla_pairs=((7, 8),)))
 
 
 def test_wrong_protocol_attack_is_rejected(conv):
@@ -479,9 +530,9 @@ def test_wrong_protocol_attack_is_rejected(conv):
 
 def test_plan_builders_reject_malformed_transit(conv):
     with pytest.raises(MalformedAdversaryError):
-        build_six_plan(Procedure.P_I, TransitPlan(steps=(GateStep(3, GATES["X"]),)))
+        build_plan(PROTOCOLS["six"], Procedure.P_I, TransitPlan(steps=(GateStep(3, GATES["X"]),)))
     with pytest.raises(MalformedAdversaryError):
-        build_four_plan(Procedure.P_I, TransitPlan(steps=(GateStep(6, GATES["X"]),)))
+        build_plan(PROTOCOLS["four"], Procedure.P_I, TransitPlan(steps=(GateStep(6, GATES["X"]),)))
 
 
 # --- ambiguity guard ----------------------------------------------------------
