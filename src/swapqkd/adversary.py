@@ -144,11 +144,13 @@ def pauli_for_label(conv: BellConvention) -> dict[str, str]:
     the pair in the keyed Bell state (up to phase).  This reproduces the
     published outcome-to-transformation column of the interception attack.
     """
+    # Each Pauli on the pair's second qubit: (I x P) v is P applied to v's rows.
+    pair = conv.states["00"].reshape(2, 2)
+    images = {name: (pair @ GATES[name].T).reshape(-1) for name in CORRECTIONS_PAULI}
     mapping = {}
     for label in LABELS:
         target = conv.states[label]
-        for name in CORRECTIONS_PAULI:
-            image = np.kron(np.eye(2), GATES[name]) @ conv.states["00"]
+        for name, image in images.items():
             if abs(abs(np.vdot(target, image)) - 1.0) <= 1e-10:
                 mapping[label] = name
                 break
@@ -320,47 +322,52 @@ def eve_information_probability(
 # couple only through Eve's classical outcome, so each candidate can be
 # scored from two small per-block branch tables instead of one 8-qubit
 # enumeration.  The winning candidate is re-verified against the full
-# 8-qubit round engine before being returned.
+# 8-qubit round engine before being returned.  As in ``protocol.build_plan``,
+# procedure (i) applies ``I`` where (ii) rotates, so a block's plans for both
+# procedures enumerate as one batch.
 
 
 def _alice_block_plan(correction: str, procedure: Procedure) -> Plan:
     # block qubits 1,2,3,5 -> 1,2,3,4
-    steps: list = []
-    if procedure is Procedure.P_II:
-        steps.append(GateStep(3, GATES["S"]))
-    steps.append(MeasureStep("key", (1, 3)))
-    steps.append(GateStep(2, qstate.gate(correction)))
-    steps.append(MeasureStep("public", (4, 2)))
-    return Plan(4, ((1, 2), (3, 4)), tuple(steps))
+    rotation = GATES["S"] if procedure is Procedure.P_II else GATES["I"]
+    steps = (
+        GateStep(3, rotation),
+        MeasureStep("key", (1, 3)),
+        GateStep(2, qstate.gate(correction)),
+        MeasureStep("public", (4, 2)),
+    )
+    return Plan(4, ((1, 2), (3, 4)), steps)
 
 
 def _travel_block_plan(u6: str, u8: str, procedure: Procedure) -> Plan:
     # block qubits 4,6,7,8 -> 1,2,3,4
-    steps: list = [
+    rotation = GATES["S"] if procedure is Procedure.P_II else GATES["I"]
+    steps = (
         GateStep(2, qstate.gate(u6)),
         GateStep(4, qstate.gate(u8)),
         MeasureStep("eve", (2, 4)),
-    ]
-    if procedure is Procedure.P_II:
-        steps.append(GateStep(1, GATES["S"]))
-    steps.append(MeasureStep("secret", (3, 1)))
-    return Plan(4, ((1, 2), (3, 4)), tuple(steps))
+        GateStep(1, rotation),
+        MeasureStep("secret", (3, 1)),
+    )
+    return Plan(4, ((1, 2), (3, 4)), steps)
 
 
 ConditionalTable = dict[str, tuple[float, list[tuple[str, float]]]]
 
 
 def _block_tables(conv: BellConvention, build: Callable[..., Plan], names: Sequence) -> list[dict]:
-    """Per procedure, one batch of the plans ``build(name, procedure)``.
+    """Per procedure, the tables of the plans ``build(name, procedure)``.
 
-    Each plan gives a table: its first measurement's outcome -> (marginal,
-    [(its second measurement's outcome, conditional probability)]).
+    Every plan of both procedures is enumerated in one batch.  Each plan gives
+    a table: its first measurement's outcome -> (marginal, [(its second
+    measurement's outcome, conditional probability)]).
     """
+    plans = [build(name, procedure) for procedure in Procedure for name in names]
+    found = iter(enumerate_plans(conv, plans))
     families = []
-    for procedure in Procedure:
-        plans = [build(name, procedure) for name in names]
+    for _procedure in Procedure:
         tables: dict[object, ConditionalTable] = {}
-        for name, branches in zip(names, enumerate_plans(conv, plans)):
+        for name, branches in zip(names, found):
             joint: dict[str, dict[str, float]] = {}
             for prob, out in branches:
                 first, second = out.values()
@@ -412,8 +419,8 @@ def derive_tailored_attack(conv: BellConvention) -> TailoredParams:
     inferred_p1 = driver.inference[Procedure.P_I].as_dict()
     inferred_p2 = driver.inference[Procedure.P_II].as_dict()
 
-    # Every block plan is enumerated once, in four batches: Alice's tables (key
-    # -> public) by correction, the travel tables (Eve's outcome -> secret) by (u6, u8).
+    # Every block plan is enumerated once, in two batches over both procedures: Alice's
+    # tables (key -> public) by correction, the travel tables (Eve's outcome -> secret) by (u6, u8).
     alice_p1, alice_p2 = _block_tables(conv, _alice_block_plan, CORRECTIONS_EXTENDED)
     rotations = list(itertools.product(PRE_UNITARIES, repeat=2))
     travel_p1, travel_p2 = _block_tables(conv, lambda r, p: _travel_block_plan(*r, p), rotations)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -107,27 +108,28 @@ class BellConvention:
     def __post_init__(self) -> None:
         if len(self.assignment) != 4:
             raise ValueError("assignment must list four signed states")
-        states = {}
-        for label, (name, sign) in zip(LABELS, self.assignment):
+        for name, sign in self.assignment:
             if name not in BASE_STATES or sign not in (1, -1):
                 raise ValueError(f"bad assignment entry {(name, sign)!r}")
+
+    # Built on first read: all_conventions() makes 64 conventions that mostly
+    # go unread.
+    @cached_property
+    def states(self) -> dict[str, np.ndarray]:
+        """Label -> two-qubit pair state (index 2*b_first + b_second)."""
+        states = {}
+        for label, (name, sign) in zip(LABELS, self.assignment):
             vec = sign * BASE_STATES[name]
             vec.setflags(write=False)
             states[label] = vec
-        basis = np.vstack([states[lab] for lab in LABELS])
-        basis.setflags(write=False)
-        object.__setattr__(self, "_states", states)
-        object.__setattr__(self, "_basis", basis)
+        return states
 
-    @property
-    def states(self) -> dict[str, np.ndarray]:
-        """Label -> two-qubit pair state (index 2*b_first + b_second)."""
-        return self._states  # type: ignore[attr-defined]
-
-    @property
+    @cached_property
     def basis_matrix(self) -> np.ndarray:
         """4x4 array, row k = state of LABELS[k]."""
-        return self._basis  # type: ignore[attr-defined]
+        basis = np.vstack([self.states[lab] for lab in LABELS])
+        basis.setflags(write=False)
+        return basis
 
     def describe(self) -> list[str]:
         signs = {1: "+", -1: "-"}
@@ -267,31 +269,39 @@ def derive_swap_table(conv: BellConvention) -> SwapTable:
     """Compute the swap algebra by exhaustive four-qubit simulation."""
     basis = conv.basis_matrix
     cells = list(itertools.product(LABELS, repeat=2))
-    states = np.stack([
-        qstate.prepare_pairs(4, [(0, 1, conv.states[a]), (2, 3, conv.states[b])]).amplitudes
-        for a, b in cells
-    ])
+    # states[4 * x + y] has pairs (1,2) in LABELS[x] and (3,4) in LABELS[y];
+    # output axes run from qubit 4 down to qubit 1, the amplitude-index order.
+    pair = basis.reshape(4, 2, 2)
+    states = np.einsum("xab,ycd->xydcba", pair, pair).reshape(len(cells), 16)
+    norms = np.sqrt(np.einsum("sa,sa->s", states, states.conj()).real)
+    if not np.abs(norms - 1.0).max() <= qstate.ATOL_ALGEBRA:
+        raise ValueError(
+            f"two-pair state norms {norms.tolist()} are not 1 within {qstate.ATOL_ALGEBRA}"
+        )
     # One projection of (1,3) measures all 16 states.  proj[s, m] is what
     # outcome m leaves on qubits (4,2), unnormalized: as a two-qubit register
     # whose qubit 0 is qubit 2, its pair (0,1) is the remainder pair (2,4).
     proj, probs = qstate.project_rows(states, 4, basis, (0, 2))
     _, rest = qstate.project_rows(proj.reshape(-1, 4), 2, basis, (0, 1))
     rest = rest.reshape(len(cells), 4, 4)
-    entries = []
-    for (a, b), cell_probs, cell_rest in zip(cells, probs, rest):
-        if not np.allclose(cell_probs, 0.25, rtol=0.0, atol=CONSTRAINT_ATOL):
+    uniform = (np.abs(probs - 0.25) <= CONSTRAINT_ATOL).all(axis=1)
+    # hits[s, m, r]: outcome m leaves the remainder pair in Bell state r.
+    hits = rest > (1.0 - CONSTRAINT_ATOL) * probs[:, :, None]
+    single = hits.sum(axis=2) == 1
+    # With one state per outcome, the map is a bijection when it reaches all four.
+    bijective = hits.any(axis=1).all(axis=1)
+    for s in np.flatnonzero(~(uniform & single.all(axis=1) & bijective))[:1]:
+        a, b = cells[s]
+        if not uniform[s]:
             raise ConventionError(
-                f"swap outcomes for (a={a}, b={b}) are not uniform: {cell_probs.tolist()}"
+                f"swap outcomes for (a={a}, b={b}) are not uniform: {probs[s].tolist()}"
             )
-        results = {}
-        for m, remainder in zip(LABELS, cell_rest / cell_probs[:, None]):
-            (hits,) = np.nonzero(remainder > 1.0 - CONSTRAINT_ATOL)
-            if len(hits) != 1:
-                raise ConventionError(
-                    f"swap remainder for (a={a}, b={b}, m={m}) is not a Bell state"
-                )
-            results[m] = LABELS[int(hits[0])]
-        if len(set(results.values())) != 4:
-            raise ConventionError(f"swap map for (a={a}, b={b}) is not a bijection")
-        entries.extend((((a, b, m), r)) for m, r in results.items())
-    return SwapTable(tuple(entries))
+        if not single[s].all():
+            m = LABELS[int(np.argmin(single[s]))]
+            raise ConventionError(f"swap remainder for (a={a}, b={b}, m={m}) is not a Bell state")
+        raise ConventionError(f"swap map for (a={a}, b={b}) is not a bijection")
+    return SwapTable(tuple(
+        ((a, b, m), LABELS[r])
+        for (a, b), row in zip(cells, hits.argmax(axis=2).tolist())
+        for m, r in zip(LABELS, row)
+    ))

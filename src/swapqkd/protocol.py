@@ -18,11 +18,11 @@ Each protocol is one :data:`PROTOCOLS` entry: its pairs, its in-flight
 qubits, Alice's and Bob's steps, and the outcomes Bob infers the key from.
 :func:`build_plan` and its channel check read only the entry, never the
 protocol's name, and reroute the honest steps through an attack's
-``forward`` map.  Each (procedure, attack) plan is enumerated once over
-every measurement branch; the exact tables and probabilities read those
-branches, and Monte Carlo samples the same branch tree, drawing one
-uniform per measurement and picking the outcome by inverse CDF over its
-conditional probabilities.  Bob's key-inference tables and Eve's
+``forward`` map.  An attack's two procedure plans are enumerated once, as
+one batch, over every measurement branch; the exact tables and
+probabilities read those branches, and Monte Carlo samples the same branch
+tree, drawing one uniform per measurement and picking the outcome by
+inverse CDF over its conditional probabilities.  Bob's key-inference tables and Eve's
 posteriors are read off those same branches (the adversary-free ones for
 Bob), never assumed in closed form.
 
@@ -143,7 +143,9 @@ class ProtocolSpec:
     ``pairs`` start in the labeled-00 state; ``in_flight`` qubits travel
     between the parties.  ``steps`` are Alice's measurements, then Bob's, as
     if nothing were intercepted; their ``GateStep``s are the procedure-(ii)
-    S rotations.  Bob infers the key from the ``observed`` outcomes.
+    S rotations, which procedure (i) replaces with the identity so that both
+    procedures share one step skeleton.  Bob infers the key from the
+    ``observed`` outcomes.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -208,7 +210,11 @@ def _validate_transit(spec: ProtocolSpec, transit: TransitPlan) -> None:
 
 
 def build_plan(spec: ProtocolSpec, procedure: Procedure, transit: TransitPlan | None) -> Plan:
-    """Eve's steps, then the honest steps on the qubits actually delivered."""
+    """Eve's steps, then the honest steps on the qubits actually delivered.
+
+    Procedure (i) applies ``I`` where (ii) rotates, so the two procedures'
+    plans differ only in gate matrices and enumerate as one batch.
+    """
     transit = transit or TransitPlan()
     _validate_transit(spec, transit)
     route = dict(transit.forward)
@@ -216,8 +222,9 @@ def build_plan(spec: ProtocolSpec, procedure: Procedure, transit: TransitPlan | 
     for step in spec.steps:
         if isinstance(step, MeasureStep):
             steps.append(replace(step, pair=tuple(route.get(q, q) for q in step.pair)))
-        elif procedure is Procedure.P_II:
-            steps.append(replace(step, qubit=route.get(step.qubit, step.qubit)))
+        else:
+            matrix = step.matrix if procedure is Procedure.P_II else GATES["I"]
+            steps.append(GateStep(route.get(step.qubit, step.qubit), matrix))
     pairs = spec.pairs + transit.ancilla_pairs
     return Plan(2 * len(pairs), pairs, tuple(steps))
 
@@ -240,12 +247,12 @@ def enumerate_plan(conv: BellConvention, plan: Plan) -> list[Branch]:
     return enumerate_plans(conv, (plan,))[0]
 
 
-def _skeleton(step: Step) -> Step:
+def _skeleton(step: Step) -> tuple | MeasureStep:
     """The step with its gate matrices left out."""
     if isinstance(step, GateStep):
-        return replace(step, matrix=None)
+        return (GateStep, step.qubit)
     if isinstance(step, ConditionalGateStep):
-        return replace(step, gates=tuple((label, None) for label, _ in step.gates))
+        return (ConditionalGateStep, step.qubit, step.on, tuple(label for label, _ in step.gates))
     return step
 
 
@@ -262,8 +269,10 @@ def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Br
     basis = conv.basis_matrix
     amps = np.repeat(_initial_state(conv, plans[0]).amplitudes[None], len(plans), axis=0)
     owner = np.arange(len(plans))  # the plan each row belongs to
-    masses = [1.0] * len(plans)
-    outcomes: list[dict[str, str]] = [{} for _ in plans]
+    masses = np.ones(len(plans))
+    # Column j holds each row's outcome index of the j-th measurement.
+    picked = np.empty((len(plans), 0), dtype=np.intp)
+    column: dict[str, int] = {}  # measurement name, in first-measured order -> its latest column
     for steps in zip(*(p.steps for p in plans)):
         step = steps[0]
         if isinstance(step, GateStep):
@@ -273,21 +282,22 @@ def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Br
         elif isinstance(step, ConditionalGateStep):
             labels = [label for label, _ in step.gates]
             matrices = tuple(g for s in steps for _, g in s.gates)  # plan-major
-            choice = owner * len(labels) + [labels.index(out[step.on]) for out in outcomes]
-            amps = qstate.gate_rows(amps, n, matrices, step.qubit - 1, choice)
+            on = [labels.index(LABELS[k]) for k in picked[:, column[step.on]].tolist()]
+            amps = qstate.gate_rows(amps, n, matrices, step.qubit - 1, owner * len(labels) + on)
         else:
             pair = (step.pair[0] - 1, step.pair[1] - 1)
             proj, probs = qstate.project_rows(amps, n, basis, pair)
             picks = np.flatnonzero(probs > PROB_CUTOFF)
             amps = qstate.collapse_rows(n, basis, pair, proj, probs, picks)
             del proj
-            owner = owner[picks // 4]
-            live = [divmod(pick, 4) for pick in picks.tolist()]
-            masses = [masses[b] * p for (b, _k), p in zip(live, probs.flat[picks].tolist())]
-            outcomes = [{**outcomes[b], step.name: LABELS[k]} for b, k in live]
+            rows, outcome = np.divmod(picks, 4)
+            owner = owner[rows]
+            masses = masses[rows] * probs.flat[picks]
+            column[step.name] = picked.shape[1]
+            picked = np.column_stack((picked[rows], outcome))
     branches: list[list[Branch]] = [[] for _ in plans]
-    for i, mass, out in zip(owner.tolist(), masses, outcomes):
-        branches[i].append((mass, out))
+    for i, mass, row in zip(owner.tolist(), masses.tolist(), picked.tolist()):
+        branches[i].append((mass, {name: LABELS[row[j]] for name, j in column.items()}))
     return branches
 
 
@@ -498,8 +508,12 @@ class _ProtocolBase:
         }
 
     def round_model(self, procedure: Procedure, attack=None) -> RoundModel:
-        """The round under ``attack``, enumerated once per attack ``cache_key``."""
-        key = (procedure, attack.cache_key if attack is not None else None)
+        """The round under ``attack``.
+
+        Both procedures' plans are enumerated as one batch, once per attack ``cache_key``.
+        """
+        attack_key = attack.cache_key if attack is not None else None
+        key = (procedure, attack_key)
         if key not in self._models:
             if attack is not None and attack.protocol != self.name:
                 raise WrongProtocolError(
@@ -507,12 +521,11 @@ class _ProtocolBase:
                     f"protocol, not {self.name}"
                 )
             transit = attack.transit_plan() if attack is not None else None
-            plan = build_plan(self.spec, procedure, transit)
-            # Read-only views: every caller shares these branches.
-            branches = tuple(
-                (prob, MappingProxyType(out)) for prob, out in enumerate_plan(self.conv, plan)
-            )
-            self._models[key] = RoundModel(plan, branches, _eve_posterior(branches))
+            plans = [build_plan(self.spec, p, transit) for p in Procedure]
+            for p, plan, found in zip(Procedure, plans, enumerate_plans(self.conv, plans)):
+                # Read-only views: every caller shares these branches.
+                branches = tuple((prob, MappingProxyType(out)) for prob, out in found)
+                self._models[p, attack_key] = RoundModel(plan, branches, _eve_posterior(branches))
         return self._models[key]
 
     def enumerate_branches(self, procedure: Procedure, attack=None) -> tuple[Branch, ...]:

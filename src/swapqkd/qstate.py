@@ -75,7 +75,8 @@ def is_unitary(matrix: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.shape != (2, 2):
         return False
-    return bool(np.allclose(matrix @ matrix.conj().T, np.eye(2), rtol=0.0, atol=atol))
+    # A NaN entry makes the maximum NaN, which fails the comparison.
+    return bool(np.abs(matrix @ matrix.conj().T - np.eye(2)).max() <= atol)
 
 
 # Validation memo keyed by array identity: gate matrices and measurement
@@ -230,7 +231,7 @@ def _check_basis(basis: np.ndarray) -> np.ndarray:
         return basis
     if basis.shape != (4, 4):
         raise ValueError("basis must be four two-qubit states (a 4x4 array of rows)")
-    if not np.allclose(basis @ basis.conj().T, np.eye(4), rtol=0.0, atol=ATOL_MEASURE):
+    if not np.abs(basis @ basis.conj().T - np.eye(4)).max() <= ATOL_MEASURE:
         raise ValueError("basis states are not orthonormal within 1e-10")
     basis.setflags(write=False)
     if len(_KNOWN_GOOD_BASES) > 1024:
@@ -292,9 +293,12 @@ def collapse_rows(
     basis = _check_basis(basis)
     # outer(basis state, projection) / sqrt(p), in that order: normalizing
     # the projection first changes the last bits of later branch masses.
+    # Dividing a complex number by a real one multiplies both of its parts by
+    # the reciprocal, so scaling the real and imaginary parts in place gives
+    # the same bits without a complex division.
     mat = basis[picks % 4, :, None] * proj.reshape(-1, 1, proj.shape[-1])[picks]
-    mat /= np.sqrt(probs.reshape(-1, 1, 1)[picks])
     parts = mat.view(np.float64).reshape(len(mat), 1, -1)  # real and imaginary parts
+    parts *= 1.0 / np.sqrt(probs.reshape(-1, 1, 1)[picks])
     squared = parts @ parts.transpose(0, 2, 1)
     # |norm - 1| <= 1e-12 is |norm**2 - 1| <= 2e-12, up to 1e-24.
     deviation = np.abs(squared - 1.0)

@@ -182,6 +182,65 @@ def test_bad_convention_raises_on_swap_derivation():
     assert len(table.as_dict()) == 64
 
 
+def _derive_with_edited_probabilities(monkeypatch, conv, call, edit):
+    """derive_swap_table with ``edit(probs)`` applied to one project_rows call's result."""
+    real, calls = qstate.project_rows, []
+
+    def project(*args):
+        proj, probs = real(*args)
+        if len(calls) == call:
+            probs = probs.copy()
+            edit(probs)
+        calls.append(1)
+        return proj, probs
+
+    monkeypatch.setattr(qstate, "project_rows", project)
+    return derive_swap_table(conv)
+
+
+def test_swap_derivation_rejects_malformed_outcomes(conv, monkeypatch):
+    # The first projection gives each two-pair state's (1,3) outcome
+    # probabilities, one row per (a, b) cell; the second, one row per (cell,
+    # outcome), the probabilities of the remainder pair's Bell states.
+    def skewed(probs):
+        probs[5] = [0.5, 0.5, 0.0, 0.0]
+
+    with pytest.raises(ConventionError, match=r"\(a=01, b=01\) are not uniform"):
+        _derive_with_edited_probabilities(monkeypatch, conv, 0, skewed)
+
+    def split(probs):
+        probs[4 * 2 + 3] = [0.125, 0.125, 0.0, 0.0]
+
+    with pytest.raises(ConventionError, match=r"\(a=00, b=10, m=11\) is not a Bell state"):
+        _derive_with_edited_probabilities(monkeypatch, conv, 1, split)
+
+    def collapsed(probs):
+        probs[4:8] = [0.25, 0.0, 0.0, 0.0]
+
+    with pytest.raises(ConventionError, match=r"\(a=00, b=01\) is not a bijection"):
+        _derive_with_edited_probabilities(monkeypatch, conv, 1, collapsed)
+
+
+def test_swap_derivation_checks_state_norms(monkeypatch):
+    monkeypatch.setitem(bell.BASE_STATES, "phi+", 2 * bell.BASE_STATES["phi+"])
+    stretched = BellConvention(bell.FROZEN_CONVENTION.assignment, "second")
+    with pytest.raises(ValueError, match="norms"):
+        derive_swap_table(stretched)
+
+
+def test_convention_arrays_are_built_on_first_read():
+    conv = BellConvention(bell.FROZEN_CONVENTION.assignment, "second")
+    assert "states" not in vars(conv) and "basis_matrix" not in vars(conv)
+    assert conv.basis_matrix is conv.basis_matrix
+    assert np.array_equal(conv.basis_matrix, bell.FROZEN_CONVENTION.basis_matrix)
+    assert not conv.basis_matrix.flags.writeable
+    assert not any(vec.flags.writeable for vec in conv.states.values())
+    # The assignment is still checked on construction.
+    for assignment in ((("phi+", 1),) * 3, (("phi+", 2),) * 4, (("chi", 1),) * 4):
+        with pytest.raises(ValueError):
+            BellConvention(assignment, "second")
+
+
 def test_convention_error_message():
     with pytest.raises(ConventionError):
         raise ConventionError("probe")

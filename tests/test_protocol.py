@@ -178,6 +178,32 @@ def test_breadth_first_enumeration_matches_depth_first_walk():
             _assert_same_branches(got, _walk_oracle(conv, plan))
 
 
+def test_round_models_match_depth_first_walk_without_identity_steps():
+    # Procedure (i) plans carry an identity where (ii) rotates, so that both
+    # procedures batch together.  Every driver round model must still be
+    # bit-identical to the depth-first walk of the plan without those steps.
+    checked = 0
+    for conv in bell.all_conventions():
+        for name, attacks in (
+            ("six", (None, ZlgAttack(conv), TailoredAttack(conv))),
+            ("four", (None,) + tuple(FourSwapAttack(conv, guess) for guess in Procedure)),
+        ):
+            driver = protocol._ProtocolBase(conv, name)
+            measures_only = tuple(s for s in PROTOCOLS[name].steps if isinstance(s, MeasureStep))
+            unrotated = replace(PROTOCOLS[name], steps=measures_only)
+            for attack in attacks:
+                transit = attack.transit_plan() if attack is not None else None
+                for procedure in Procedure:
+                    model = driver.round_model(procedure, attack)
+                    spec = unrotated if procedure is Procedure.P_I else PROTOCOLS[name]
+                    plan = build_plan(spec, procedure, transit)
+                    if procedure is Procedure.P_I:
+                        assert len(plan.steps) < len(model.plan.steps)
+                    _assert_same_branches(model.branches, _walk_oracle(conv, plan))
+                    checked += 1
+    assert checked == 64 * 12
+
+
 def test_enumeration_rejects_non_unitary_gates(conv):
     shear = np.array([[1, 1], [0, 1]], dtype=complex)
     with pytest.raises(ValueError, match="not unitary"):
@@ -202,15 +228,18 @@ def test_enumerate_plans_rejects_mismatched_skeletons(conv):
     base = adversary._travel_block_plan("X", "S", Procedure.P_I)
     steps = base.steps
     assert isinstance(steps[0], GateStep) and isinstance(steps[2], MeasureStep)
-    # Plans that differ only in gate matrices batch together.
-    other = adversary._travel_block_plan("Y", "I", Procedure.P_I)
-    assert len(protocol.enumerate_plans(conv, [base, other])) == 2
+    # Plans that differ only in gate matrices batch together, across procedures too.
+    others = [
+        adversary._travel_block_plan("Y", "I", Procedure.P_I),
+        adversary._travel_block_plan("X", "S", Procedure.P_II),
+    ]
+    assert len(protocol.enumerate_plans(conv, [base] + others)) == 3
     cond = ConditionalGateStep(1, "eve", tuple((lab, GATES["X"]) for lab in LABELS))
     six = build_plan(PROTOCOLS["six"], Procedure.P_I, TailoredAttack(conv).transit_plan())
     at = next(i for i, s in enumerate(six.steps) if isinstance(s, ConditionalGateStep))
     tail = six.steps[at]
     mismatched = [
-        adversary._travel_block_plan("X", "S", Procedure.P_II),  # one more step
+        replace(base, steps=steps + (GateStep(1, GATES["X"]),)),  # one more step
         replace(base, pairs=((1, 3), (2, 4))),
         replace(base, steps=(GateStep(3, steps[0].matrix),) + steps[1:]),  # another qubit
         replace(base, steps=steps[:2] + (MeasureStep("m", (2, 4)),) + steps[3:]),  # name
@@ -326,15 +355,16 @@ def test_exact_reads_leave_the_outcome_tree_unbuilt(conv, monkeypatch):
 def test_driver_enumerates_each_adversary_free_plan_once(conv, monkeypatch):
     # Bob's inference tables and the outcome table read the driver's memo.
     calls = []
-    real = protocol.enumerate_plan
+    real = protocol.enumerate_plans
     monkeypatch.setattr(
-        protocol, "enumerate_plan", lambda *args: calls.append(1) or real(*args)
+        protocol, "enumerate_plans", lambda conv, plans: calls.append(plans) or real(conv, plans)
     )
     fresh = protocol._ProtocolBase(conv, "six")
-    assert len(calls) == 2  # one adversary-free plan per procedure
+    # One batch holding the adversary-free plan of each procedure.
+    assert calls == [[build_plan(PROTOCOLS["six"], p, None) for p in Procedure]]
     monkeypatch.setattr(protocol, "protocol_driver", lambda _conv, _name: fresh)
     assert tuple(reproduce_table1(conv)) == EXPECTED_TABLE1
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_p1_key00_public01_row(conv):

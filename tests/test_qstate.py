@@ -201,6 +201,28 @@ def test_apply_gate_rejects_bad_input():
         apply_gate(state, np.array([[1, 1], [0, 1]], dtype=complex), 0)
 
 
+def test_is_unitary_rejects_nan_and_near_misses():
+    assert qstate.is_unitary(GATES["S"])
+    assert qstate.is_unitary(np.array([[1, 1e-13], [0, 1]], dtype=complex))
+    assert not qstate.is_unitary(np.array([[1, 1e-11], [0, 1]], dtype=complex))
+    nan = np.eye(2, dtype=complex)
+    nan[1, 0] = np.nan
+    assert not qstate.is_unitary(nan)
+    assert not qstate.is_unitary(np.eye(3))
+
+
+def test_check_basis_rejects_bad_shape_and_non_orthonormal(conv):
+    with pytest.raises(ValueError, match="4x4"):
+        qstate._check_basis(np.eye(2, dtype=complex))
+    with pytest.raises(ValueError, match="orthonormal"):
+        qstate._check_basis(conv.basis_matrix * (1 + 1e-9))
+    nan = np.eye(4, dtype=complex)
+    nan[2, 3] = np.nan
+    with pytest.raises(ValueError, match="orthonormal"):
+        qstate._check_basis(nan)
+    assert qstate._check_basis(conv.basis_matrix) is conv.basis_matrix
+
+
 def test_apply_gate_preserves_norm_on_random_states():
     rng = np.random.default_rng(7)
     for _ in range(50):
