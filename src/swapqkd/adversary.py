@@ -306,11 +306,12 @@ def eve_information_probability(
     conv: BellConvention, protocol: str, procedure: Procedure, attack
 ) -> float:
     """Probability that Eve's inferred-key set is exactly the true key."""
-    model = protocol_driver(conv, protocol).round_model(procedure, attack)
+    driver = protocol_driver(conv, protocol)
+    model = driver.round_model(procedure, attack)
     return sum(
         prob
         for prob, out in model.branches
-        if model.posterior[(out["eve"], out.get("public"))] == (out["key"],)
+        if model.posterior[driver.spec.eve_observation(out)] == (out["key"],)
     )
 
 
@@ -462,7 +463,7 @@ def _verify_tailored(conv: BellConvention, params: TailoredParams) -> None:
     for prob, out in driver.enumerate_branches(Procedure.P_II, attack):
         if table.infer(out) != out["key"]:
             raise AttackSearchError("block-table search and full engine disagree on (ii)")
-        if posterior[(out["eve"], out["public"])] != (out["key"],):
+        if posterior[driver.spec.eve_observation(out)] != (out["key"],):
             raise AttackSearchError("found attack does not pin the key under (ii)")
     if attack_detection_probability(conv, "six", Procedure.P_I, attack) <= 0.0:
         raise AttackSearchError("found attack is undetectable under (i)")
@@ -528,7 +529,7 @@ def zlg_outcome_rows(conv: BellConvention) -> list[tuple[str, ...]]:
             if out["key"] != "00":
                 continue
             inferred = table.infer(out)
-            eve_inferred = " or ".join(posterior[(out["eve"], out["public"])])
+            eve_inferred = " or ".join(posterior[driver.spec.eve_observation(out)])
             rows.add(
                 (
                     procedure.printed,

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import qstate
-from .qstate import GATES, StateVector, RandomSource
+from .qstate import GATES
 
 LABELS: tuple[str, ...] = ("00", "01", "10", "11")
 
@@ -40,8 +40,6 @@ BASE_STATES: dict[str, np.ndarray] = {
     "psi-": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
 }
 BASE_ORDER: tuple[str, ...] = ("phi+", "phi-", "psi+", "psi-")
-
-ROTATED_LABELS: tuple[str, ...] = ("++", "+-", "-+", "--")
 
 CONSTRAINT_ATOL = 1e-10
 
@@ -55,15 +53,6 @@ def label_xor(*labels: str) -> str:
     for lab in labels:
         out ^= int(lab, 2)
     return format(out, "02b")
-
-
-def _act(matrix: np.ndarray, factor: str, vec: np.ndarray) -> np.ndarray:
-    """Apply a one-qubit gate to one factor of a two-qubit pair state."""
-    if factor == "first":
-        return (np.kron(matrix, np.eye(2)) @ vec)
-    if factor == "second":
-        return (np.kron(np.eye(2), matrix) @ vec)
-    raise ValueError(f"factor must be 'first' or 'second', got {factor!r}")
 
 
 # The acting factors in enumeration order, and S and Z on each of them as
@@ -196,41 +185,6 @@ FROZEN_CONVENTION = BellConvention(
 def convention() -> BellConvention:
     """The frozen package-wide convention."""
     return FROZEN_CONVENTION
-
-
-def bell_state(conv: BellConvention, label: str) -> StateVector:
-    """The labeled Bell state as a two-qubit StateVector."""
-    if label not in LABELS:
-        raise ValueError(f"unknown Bell label {label!r}")
-    return StateVector(2, conv.states[label].copy())
-
-
-def bell_probabilities(
-    conv: BellConvention, state: StateVector, pair: tuple[int, int]
-) -> np.ndarray:
-    """Born probabilities of the four labeled outcomes on a pair."""
-    return qstate.basis_probabilities(state, conv.basis_matrix, pair)
-
-
-def bell_measure(
-    conv: BellConvention, state: StateVector, pair: tuple[int, int], rng: RandomSource
-) -> tuple[str, StateVector]:
-    """Measure a pair in the labeled Bell basis; returns (label, collapsed)."""
-    outcome, collapsed = qstate.measure_in_basis(state, conv.basis_matrix, pair, rng)
-    return LABELS[outcome], collapsed
-
-
-def rotated_states(conv: BellConvention) -> dict[str, np.ndarray]:
-    """Images of the Bell states under S on the acting factor.
-
-    Keyed by sign labels with 0 <-> '+' and 1 <-> '-', so "++" is the image
-    of |00>, "-+" the image of |10>, and so on.
-    """
-    out = {}
-    for label in LABELS:
-        key = "".join("+" if b == "0" else "-" for b in label)
-        out[key] = _act(GATES["S"], conv.acting_factor, conv.states[label])
-    return out
 
 
 @dataclass(frozen=True)

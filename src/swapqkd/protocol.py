@@ -145,13 +145,26 @@ class ProtocolSpec:
     if nothing were intercepted; their ``GateStep``s are the procedure-(ii)
     S rotations, which procedure (i) replaces with the identity so that both
     procedures share one step skeleton.  Bob infers the key from the
-    ``observed`` outcomes.
+    ``observed`` outcomes; the ``announced`` outcomes are made public, so Eve
+    observes them with her own outcome ``eve``.  ``eve_observation(outcomes)``
+    reads that observation: ``eve`` alone, or a tuple of ``eve`` and the
+    announced outcomes.  Every observed or announced name must be measured by
+    ``steps``.
     """
 
     pairs: tuple[tuple[int, int], ...]
     in_flight: frozenset[int]
     steps: tuple[GateStep | MeasureStep, ...]
     observed: tuple[str, ...]
+    announced: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        measured = {step.name for step in self.steps if isinstance(step, MeasureStep)}
+        unmeasured = sorted(set(self.observed + self.announced) - measured)
+        if unmeasured:
+            raise ValueError(f"observed or announced outcomes {unmeasured} are never measured")
+        # Built once: Eve's observation keys her posterior in every attacked round.
+        object.__setattr__(self, "eve_observation", operator.itemgetter("eve", *self.announced))
 
 
 # Protocol name -> spec, in the order the CLI lists protocols.  Steps: Alice's
@@ -165,6 +178,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
             GateStep(4, GATES["S"]), MeasureStep("secret", (2, 4)),
         ),
         observed=("public", "secret"),
+        announced=("public",),
     ),
     "four": ProtocolSpec(
         pairs=((1, 2), (3, 4)),
@@ -174,6 +188,7 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
             GateStep(2, GATES["S"]), MeasureStep("secret", (2, 4)),
         ),
         observed=("secret",),
+        announced=(),
     ),
 }
 
@@ -330,8 +345,9 @@ def _outcome_tree(branches: Iterable[Branch]) -> OutcomeTree:
 def _sample_outcomes(tree: OutcomeTree, rng: RandomSource) -> dict[str, str]:
     """One round's outcomes, one ``sample_index`` draw per measurement.
 
-    This consumes the stream exactly as measuring the statevector with
-    ``qstate.measure_in_basis`` step by step would.
+    This consumes the stream exactly as measuring the statevector step by
+    step would; the test suite's lockstep statevector sampler
+    (``tests/oracle.py``) checks it draw for draw.
     """
     outcomes: dict[str, str] = {}
     prefix: tuple[int, ...] = ()
@@ -343,16 +359,17 @@ def _sample_outcomes(tree: OutcomeTree, rng: RandomSource) -> dict[str, str]:
     return outcomes
 
 
-# (Eve's outcome, public result or None) -> keys with positive probability.
-Posterior = Mapping[tuple[str, str | None], tuple[str, ...]]
+# Eve's observation (``ProtocolSpec.eve_observation`` of a branch) -> keys
+# with positive probability.
+Posterior = Mapping[str | tuple[str, ...], tuple[str, ...]]
 
 
-def _eve_posterior(branches: Iterable[Branch]) -> Posterior:
+def _eve_posterior(spec: ProtocolSpec, branches: Iterable[Branch]) -> Posterior:
     """Eve's exact inferred-key sets; empty for an adversary-free round."""
-    support: dict[tuple[str, str | None], set[str]] = {}
+    support: dict[str | tuple[str, ...], set[str]] = {}
     for _prob, out in branches:
         if "eve" in out:
-            support.setdefault((out["eve"], out.get("public")), set()).add(out["key"])
+            support.setdefault(spec.eve_observation(out), set()).add(out["key"])
     return MappingProxyType({obs: tuple(sorted(keys)) for obs, keys in support.items()})
 
 
@@ -525,7 +542,8 @@ class _ProtocolBase:
             for p, plan, found in zip(Procedure, plans, enumerate_plans(self.conv, plans)):
                 # Read-only views: every caller shares these branches.
                 branches = tuple((prob, MappingProxyType(out)) for prob, out in found)
-                self._models[p, attack_key] = RoundModel(plan, branches, _eve_posterior(branches))
+                posterior = _eve_posterior(self.spec, branches)
+                self._models[p, attack_key] = RoundModel(plan, branches, posterior)
         return self._models[key]
 
     def enumerate_branches(self, procedure: Procedure, attack=None) -> tuple[Branch, ...]:
@@ -539,8 +557,8 @@ class _ProtocolBase:
         inferred = self.inference[procedure].infer(outcomes)
         eve_record = None
         if attack is not None:
-            eve = outcomes["eve"]
-            eve_record = attack.eve_record(eve, model.posterior[(eve, public)])
+            observation = self.spec.eve_observation(outcomes)
+            eve_record = attack.eve_record(outcomes["eve"], model.posterior[observation])
         return RoundTranscript(
             protocol=self.name,
             procedure=procedure,

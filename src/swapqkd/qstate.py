@@ -3,9 +3,7 @@
 Conventions, fixed once for the whole package:
 
 * Amplitude indexing: qubit ``q`` occupies bit ``q`` of the basis-state
-  index, i.e. qubit 0 is the least significant bit.  The bit string passed
-  to :func:`init_basis_state` reads like a binary literal (leftmost
-  character is the highest-numbered qubit).
+  index, i.e. qubit 0 is the least significant bit.
 * Pair addressing: operations on a qubit pair ``(i, j)`` index the four
   two-qubit amplitudes as ``2 * bit_i + bit_j`` — the first-listed qubit
   is the high bit of the pair index.
@@ -13,8 +11,8 @@ Conventions, fixed once for the whole package:
 States are dense complex128 vectors; at 8 qubits (256 amplitudes) there is
 no reason for anything cleverer.  Gates, projections and collapses are
 computed by three batch kernels over ``(rows, 2**n)`` arrays, one state per
-row; the :class:`StateVector` functions are batches of one.  All operations
-are pure: they return new arrays or instances and never mutate their inputs.
+row.  All operations are pure: they return new arrays or instances and never
+mutate their inputs.
 """
 
 from __future__ import annotations
@@ -32,11 +30,6 @@ MAX_QUBITS = 8
 ATOL_ALGEBRA = 1e-12
 ATOL_MEASURE = 1e-10
 
-# Probability floor below which a measurement outcome is treated as
-# unreachable; for valid normalized inputs at least one outcome always
-# clears it by a huge margin.
-DEGENERACY_FLOOR = 1e-14
-
 _SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 # Single-qubit gate library.  "S" is the protocol's basis-change gate (the
@@ -51,10 +44,6 @@ GATES: dict[str, np.ndarray] = {
 }
 for _m in GATES.values():
     _m.setflags(write=False)
-
-
-class DegenerateMeasurementError(RuntimeError):
-    """All outcome probabilities vanished; impossible for valid input."""
 
 
 @functools.cache
@@ -117,25 +106,6 @@ class StateVector:
             )
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-
-    def overlap(self, other: "StateVector") -> complex:
-        """Inner product <self|other>."""
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
-
-    def equals_up_to_phase(self, other: "StateVector", atol: float = ATOL_MEASURE) -> bool:
-        """Ray equality: |<self|other>| == 1 within ``atol``."""
-        return abs(abs(self.overlap(other)) - 1.0) <= atol
-
-
-def init_basis_state(num_qubits: int, bits: str) -> StateVector:
-    """Computational basis state |bits>, e.g. ``init_basis_state(2, "10")``."""
-    if len(bits) != num_qubits:
-        raise ValueError(f"bit string {bits!r} does not match num_qubits={num_qubits}")
-    if any(c not in "01" for c in bits):
-        raise ValueError(f"bit string {bits!r} must contain only 0 and 1")
-    amps = np.zeros(2**num_qubits, dtype=complex)
-    amps[int(bits, 2)] = 1.0
-    return StateVector(num_qubits, amps)
 
 
 def prepare_pairs(num_qubits: int, pairs: list[tuple[int, int, np.ndarray]]) -> StateVector:
@@ -244,7 +214,7 @@ def _check_basis(basis: np.ndarray) -> np.ndarray:
 #
 # A batch is a ``(rows, 2**n)`` complex array, one pure state per row.  These
 # three kernels are the only place gates, projections and collapses are
-# computed; the single-state functions below are batches of one.
+# computed.
 
 
 def gate_rows(
@@ -311,74 +281,6 @@ def collapse_rows(
     return _from_front(mat, num_qubits, pair)
 
 
-# --- single states ----------------------------------------------------------
-
-
-def apply_gate(state: StateVector, gate_matrix: np.ndarray, qubit: int) -> StateVector:
-    """Apply a single-qubit unitary to one tensor factor."""
-    n = state.num_qubits
-    return StateVector(n, gate_rows(state.amplitudes[None], n, (gate_matrix,), qubit)[0])
-
-
-def _project(
-    state: StateVector, basis: np.ndarray, pair: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    return project_rows(state.amplitudes[None], state.num_qubits, basis, pair)
-
-
-def _collapsed(
-    state: StateVector, basis: np.ndarray, pair: tuple[int, int],
-    proj: np.ndarray, probs: np.ndarray, outcomes: np.ndarray,
-) -> list[StateVector]:
-    """The state after each of ``outcomes`` of a :func:`_project` call."""
-    collapsed = collapse_rows(state.num_qubits, basis, pair, proj, probs, outcomes)
-    return [StateVector(state.num_qubits, amps) for amps in collapsed]
-
-
-def basis_probabilities(
-    state: StateVector, basis: np.ndarray, pair: tuple[int, int]
-) -> np.ndarray:
-    """Born probabilities of the four basis outcomes on the given pair.
-
-    ``basis`` is a 4x4 array whose rows are orthonormal two-qubit states in
-    the pair-index convention.  The result sums to 1 within 1e-10.
-    """
-    return _project(state, basis, pair)[1][0]
-
-
-def collapse_onto(
-    state: StateVector, basis: np.ndarray, pair: tuple[int, int], outcome: int
-) -> tuple[float, StateVector]:
-    """Project the pair onto one basis state and renormalize.
-
-    Returns ``(probability, collapsed_state)``.  Raises
-    :class:`DegenerateMeasurementError` if the outcome has no weight.
-    """
-    if not 0 <= outcome < 4:
-        raise ValueError(f"outcome must be 0..3, got {outcome}")
-    proj, probs = _project(state, basis, pair)
-    prob = float(probs[0, outcome])
-    if prob < DEGENERACY_FLOOR:
-        raise DegenerateMeasurementError(
-            f"outcome {outcome} has probability {prob:.3e}, below {DEGENERACY_FLOOR}"
-        )
-    return prob, _collapsed(state, basis, pair, proj, probs, np.array([outcome]))[0]
-
-
-def live_outcomes(
-    state: StateVector, basis: np.ndarray, pair: tuple[int, int], floor: float
-) -> list[tuple[int, float, StateVector]]:
-    """Every outcome of measuring the pair whose probability exceeds ``floor``.
-
-    Projects once and returns ``(outcome, probability, collapsed_state)`` in
-    outcome order.  Every collapsed state is norm-checked.
-    """
-    proj, probs = _project(state, basis, pair)
-    live = np.flatnonzero(probs > floor)
-    collapsed = _collapsed(state, basis, pair, proj, probs, live)
-    return [(int(k), float(probs[0, k]), after) for k, after in zip(live, collapsed)]
-
-
 class RandomSource:
     """Deterministic uniform stream: identical seed, identical stream.
 
@@ -409,18 +311,3 @@ def sample_index(probabilities: np.ndarray, rng: RandomSource) -> int:
         if u < acc:
             return k
     return last_live  # u landed in the rounding gap above the last bucket
-
-
-def measure_in_basis(
-    state: StateVector, basis: np.ndarray, pair: tuple[int, int], rng: RandomSource
-) -> tuple[int, StateVector]:
-    """Projective measurement of a pair in an arbitrary orthonormal basis.
-
-    Returns ``(outcome index 0..3, collapsed state)``; the outcome is sampled
-    from the Born probabilities using ``rng``.
-    """
-    proj, probs = _project(state, basis, pair)
-    if probs.max() < DEGENERACY_FLOOR:
-        raise DegenerateMeasurementError("all four outcome probabilities are ~0")
-    outcome = sample_index(probs[0], rng)
-    return outcome, _collapsed(state, basis, pair, proj, probs, np.array([outcome]))[0]

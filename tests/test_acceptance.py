@@ -182,6 +182,14 @@ def test_acceptance_physics_properties(conv):
     for name in adversary.CORRECTIONS_EXTENDED:
         assert qstate.is_unitary(qstate.gate(name), atol=1e-12), name
 
+    basis = conv.basis_matrix
+
+    def measure(amps, n, pair, sampler):
+        """Sample an outcome of one state with the batch kernels; (outcome, collapsed)."""
+        proj, probs = qstate.project_rows(amps, n, basis, pair)
+        outcome = qstate.sample_index(probs[0], sampler)
+        return outcome, qstate.collapse_rows(n, basis, pair, proj, probs, np.array([outcome]))
+
     rng = np.random.default_rng(2024)
     gate_names = list(GATES)
     states_checked = 0
@@ -190,20 +198,21 @@ def test_acceptance_physics_properties(conv):
         amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         state = qstate.StateVector(n, amps / np.linalg.norm(amps))
 
-        out = qstate.apply_gate(state, GATES[gate_names[trial % len(gate_names)]],
-                                int(rng.integers(n)))
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+        out = qstate.gate_rows(state.amplitudes[None], n,
+                               (GATES[gate_names[trial % len(gate_names)]],),
+                               int(rng.integers(n)))
+        assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
         qubits = rng.choice(n, size=2, replace=False)
         pair = (int(qubits[0]), int(qubits[1]))
-        probs = qstate.basis_probabilities(out, conv.basis_matrix, pair)
+        _proj, probs = qstate.project_rows(out, n, basis, pair)
         assert abs(float(probs.sum()) - 1.0) < 1e-10
 
         sampler = RandomSource(trial)
-        outcome, collapsed = qstate.measure_in_basis(out, conv.basis_matrix, pair, sampler)
-        outcome2, collapsed2 = qstate.measure_in_basis(collapsed, conv.basis_matrix, pair, sampler)
+        outcome, collapsed = measure(out, n, pair, sampler)
+        outcome2, collapsed2 = measure(collapsed, n, pair, sampler)
         assert outcome2 == outcome
-        overlap = abs(np.vdot(collapsed.amplitudes, collapsed2.amplitudes))
+        overlap = abs(np.vdot(collapsed[0], collapsed2[0]))
         assert abs(overlap - 1.0) < 1e-10
         states_checked += 1
     assert states_checked == 1000

@@ -10,16 +10,14 @@ from swapqkd.bell import (
     BellConvention,
     ConventionError,
     all_conventions,
-    bell_measure,
-    bell_probabilities,
-    bell_state,
     convention_residuals,
     derive_convention,
     derive_swap_table,
     label_xor,
-    rotated_states,
 )
 from swapqkd.qstate import GATES, RandomSource, prepare_pairs
+
+import oracle
 
 
 def reduced_single_qubit(amps: np.ndarray, keep_first: bool) -> np.ndarray:
@@ -87,43 +85,51 @@ def test_convention_basis_is_orthonormal(conv):
 
 def test_bell_states_are_maximally_entangled(conv):
     for label in LABELS:
-        amps = bell_state(conv, label).amplitudes
+        amps = conv.states[label]
         for keep_first in (True, False):
             rho = reduced_single_qubit(amps, keep_first)
             assert np.allclose(rho, np.eye(2) / 2, atol=1e-12)
 
 
 def test_bell_state_rejects_unknown_label(conv):
-    with pytest.raises(ValueError):
-        bell_state(conv, "2")
+    assert list(conv.states) == list(LABELS)
+    with pytest.raises(KeyError):
+        conv.states["2"]
+
+
+def _on_acting_factor(conv, matrix, pair_states):
+    """``matrix`` on the acting factor of each row's pair; a pair is qubits (1, 0)."""
+    qubit = 0 if conv.acting_factor == "second" else 1
+    return oracle.gate(pair_states.reshape(-1, 2, 2), matrix, qubit).reshape(-1, 4)
 
 
 def test_rotation_of_label00_expands_as_01_plus_10(conv):
     # Expansion coefficients of the rotated 00 state in the Bell basis.
-    rotated = bell._act(GATES["S"], conv.acting_factor, conv.states["00"])
+    (rotated,) = _on_acting_factor(conv, GATES["S"], conv.states["00"])
     coeffs = conv.basis_matrix.conj() @ rotated
     phase = coeffs[1] / abs(coeffs[1])
     assert np.allclose(coeffs / phase, [0, 2**-0.5, 2**-0.5, 0], atol=1e-12)
 
 
 def test_rotated_states_are_orthonormal(conv):
-    mats = rotated_states(conv)
-    assert sorted(mats) == sorted(bell.ROTATED_LABELS)
-    stack = np.vstack([mats[k] for k in bell.ROTATED_LABELS])
+    stack = _on_acting_factor(conv, GATES["S"], conv.basis_matrix)
     assert np.allclose(stack @ stack.conj().T, np.eye(4), atol=1e-10)
 
 
 def test_bell_measure_on_fresh_state_is_deterministic(conv):
     state = prepare_pairs(2, [(0, 1, conv.states["01"])])
-    label, collapsed = bell_measure(conv, state, (0, 1), RandomSource(0))
-    assert label == "01"
-    assert collapsed.equals_up_to_phase(state)
+    basis = conv.basis_matrix
+    proj, probs = qstate.project_rows(state.amplitudes[None], 2, basis, (0, 1))
+    k = qstate.sample_index(probs[0], RandomSource(0))
+    assert LABELS[k] == "01"
+    collapsed = qstate.collapse_rows(2, basis, (0, 1), proj, probs, np.array([k]))[0]
+    assert abs(abs(np.vdot(collapsed, state.amplitudes)) - 1.0) <= 1e-10
 
 
 def test_bell_measure_uniform_across_independent_pairs(conv):
     vec = conv.states["00"]
     state = prepare_pairs(4, [(0, 1, vec), (2, 3, vec)])
-    probs = bell_probabilities(conv, state, (0, 2))
+    _proj, probs = qstate.project_rows(state.amplitudes[None], 4, conv.basis_matrix, (0, 2))
     assert np.allclose(probs, 0.25, atol=1e-10)
 
 
@@ -147,20 +153,24 @@ def test_swap_table_xor_structure_finding(conv):
 
 
 def _swap_table_oracle(conv):
-    """Measure each two-pair state's (1,3) outcome, then Bell-measure the rest."""
+    """Measure each two-pair state's (1,3) outcome, then Bell-measure the rest.
+
+    Every state, projection and collapse comes from ``tests/oracle.py``.
+    """
+    basis = conv.basis_matrix
     entries = []
     for a, b in itertools.product(LABELS, repeat=2):
-        state = prepare_pairs(4, [(0, 1, conv.states[a]), (2, 3, conv.states[b])])
-        for k, _p, after in qstate.live_outcomes(state, conv.basis_matrix, (0, 2), 1e-9):
-            (hit,) = np.nonzero(bell_probabilities(conv, after, (1, 3)) > 0.5)
+        state = oracle.product_state(4, [(0, 1, conv.states[a]), (2, 3, conv.states[b])])
+        proj, probs = oracle.project(state, basis, (0, 2))
+        for k in np.flatnonzero(probs[0] > 1e-9):
+            after = oracle.collapse(4, basis, (0, 2), proj, probs, np.array([k]))
+            (hit,) = np.nonzero(oracle.project(after, basis, (1, 3))[1][0] > 0.5)
             entries.append(((a, b, LABELS[k]), LABELS[int(hit[0])]))
     return tuple(entries)
 
 
-def test_swap_table_matches_per_outcome_oracle(monkeypatch):
+def test_swap_table_matches_per_outcome_oracle():
     want = [_swap_table_oracle(candidate) for candidate in all_conventions()]
-    # The table is read off one batched projection, never per outcome.
-    monkeypatch.setattr(qstate, "basis_probabilities", None)
     got = [derive_swap_table(candidate).entries for candidate in all_conventions()]
     assert got == want
 

@@ -10,7 +10,6 @@ from swapqkd.adversary import FourSwapAttack, TailoredAttack, ZlgAttack
 from swapqkd.bell import LABELS, derive_swap_table
 from swapqkd.protocol import (
     EXPECTED_TABLE1,
-    PROB_CUTOFF,
     PROTOCOLS,
     AmbiguityError,
     ConditionalGateStep,
@@ -30,6 +29,8 @@ from swapqkd.protocol import (
     transcripts_to_csv,
 )
 from swapqkd.qstate import GATES, RandomSource
+
+import oracle
 
 
 @pytest.fixture(scope="module", params=["six", "four"])
@@ -78,47 +79,6 @@ def test_four_qubit_branch_counts(conv):
 # --- breadth-first enumeration ---------------------------------------------------
 
 
-def _walk_oracle(conv, plan):
-    """The depth-first walk that enumerate_plan replaced, one state at a time.
-
-    It keeps that walk's own arithmetic: a gate is ``matrix @ (2, rest)``, a
-    measurement projects with ``basis.conj() @ (4, rest)`` and collapses as
-    ``outer(basis[k], projection) / sqrt(p)``.
-    """
-    basis = conv.basis_matrix
-    n = plan.num_qubits
-    branches = []
-
-    def front(amps, qubits):
-        axes = [n - q for q in qubits]  # 1-based qubit q is bit q - 1
-        return np.moveaxis(amps.reshape((2,) * n), axes, range(len(axes))), axes
-
-    def back(mat, axes):
-        return np.moveaxis(mat.reshape((2,) * n), range(len(axes)), axes).reshape(-1)
-
-    def walk(amps, idx, prob, outcomes):
-        if idx == len(plan.steps):
-            branches.append((prob, outcomes))
-            return
-        step = plan.steps[idx]
-        if isinstance(step, MeasureStep):
-            arr, axes = front(amps, step.pair)
-            proj = basis.conj() @ arr.reshape(4, -1)
-            probs = np.einsum("kr,kr->k", proj, proj.conj()).real
-            for k in range(4):
-                if probs[k] > PROB_CUTOFF:
-                    after = back(np.outer(basis[k], proj[k]) / np.sqrt(probs[k]), axes)
-                    out = {**outcomes, step.name: LABELS[k]}
-                    walk(after, idx + 1, prob * float(probs[k]), out)
-            return
-        matrix = step.matrix if isinstance(step, GateStep) else step.gate_for(outcomes[step.on])
-        arr, axes = front(amps, (step.qubit,))
-        walk(back(matrix @ arr.reshape(2, -1), axes), idx + 1, prob, outcomes)
-
-    walk(protocol._initial_state(conv, plan).amplitudes, 0, 1.0, {})
-    return branches
-
-
 def _search_families():
     """The tailored-attack search's four plan families, as it batches them."""
     rotations = list(itertools.product(adversary.PRE_UNITARIES, repeat=2))
@@ -157,14 +117,14 @@ def test_breadth_first_enumeration_matches_depth_first_walk():
     plans = list(_exact_pass_plans())
     assert len(plans) == 834
     for conv, plan in plans:
-        _assert_same_branches(protocol.enumerate_plan(conv, plan), _walk_oracle(conv, plan))
+        _assert_same_branches(protocol.enumerate_plan(conv, plan), oracle.walk(conv, plan))
     # Each search family as one batch: every plan gets what it gets alone.
     conv = bell.convention()
     for family in _search_families():
         batch = protocol.enumerate_plans(conv, family)
         assert len(batch) == len(family)
         for plan, got in zip(family, batch):
-            _assert_same_branches(got, _walk_oracle(conv, plan))
+            _assert_same_branches(got, oracle.walk(conv, plan))
     # Conditional gates that differ per plan: interceptions sharing the frozen
     # pre-rotations, each with its own correction map.
     frozen = adversary.FROZEN_TAILORED_PARAMS
@@ -175,7 +135,7 @@ def test_breadth_first_enumeration_matches_depth_first_walk():
         attacks = [TailoredAttack(conv, replace(frozen, pauli_map=m)) for m in maps]
         family = [build_plan(PROTOCOLS["six"], procedure, a.transit_plan()) for a in attacks]
         for plan, got in zip(family, protocol.enumerate_plans(conv, family)):
-            _assert_same_branches(got, _walk_oracle(conv, plan))
+            _assert_same_branches(got, oracle.walk(conv, plan))
 
 
 def test_round_models_match_depth_first_walk_without_identity_steps():
@@ -199,7 +159,7 @@ def test_round_models_match_depth_first_walk_without_identity_steps():
                     plan = build_plan(spec, procedure, transit)
                     if procedure is Procedure.P_I:
                         assert len(plan.steps) < len(model.plan.steps)
-                    _assert_same_branches(model.branches, _walk_oracle(conv, plan))
+                    _assert_same_branches(model.branches, oracle.walk(conv, plan))
                     checked += 1
     assert checked == 64 * 12
 
@@ -551,6 +511,24 @@ def test_spec_is_checked_by_its_own_geometry():
     build_plan(only_4, Procedure.P_I, TransitPlan(steps=(GateStep(4, GATES["X"]),)))
     with pytest.raises(MalformedAdversaryError, match="contiguously"):
         build_plan(only_4, Procedure.P_I, TransitPlan(ancilla_pairs=((7, 8),)))
+
+
+def test_eve_observes_her_outcome_and_the_announced_ones():
+    six, four = PROTOCOLS["six"], PROTOCOLS["four"]
+    assert (six.announced, four.announced) == (("public",), ())
+    out = {"eve": "01", "key": "10", "public": "11", "secret": "00"}
+    assert six.eve_observation(out) == ("01", "11")
+    assert four.eve_observation(out) == "01"
+    # An announced name that no step measures would key Eve's posterior on a
+    # missing value; the spec refuses it, and so does Bob's observation.
+    with pytest.raises(ValueError, match=r"\['public'\] are never measured"):
+        replace(four, announced=("public",))
+    with pytest.raises(ValueError, match=r"\['broadcast'\] are never measured"):
+        replace(six, announced=("broadcast",))
+    with pytest.raises(ValueError, match=r"\['public'\] are never measured"):
+        replace(four, observed=("public",))
+    with pytest.raises(KeyError):
+        six.eve_observation({"eve": "01", "key": "10", "secret": "00"})
 
 
 def test_wrong_protocol_attack_is_rejected(conv):

@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 
-from swapqkd import bell, qstate
+from swapqkd import qstate
 from swapqkd.qstate import (
     GATES,
-    DegenerateMeasurementError,
     RandomSource,
     StateVector,
-    apply_gate,
-    basis_probabilities,
-    collapse_onto,
-    init_basis_state,
-    live_outcomes,
-    measure_in_basis,
+    collapse_rows,
+    gate_rows,
     prepare_pairs,
+    project_rows,
 )
+
+import oracle
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -65,30 +63,47 @@ def random_state(rng: np.random.Generator, n: int) -> StateVector:
     return StateVector(n, amps / np.linalg.norm(amps))
 
 
+def same_ray(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:
+    """|<a|b>| == 1 within ``atol``: the states are equal up to a global phase."""
+    return abs(abs(np.vdot(a, b)) - 1.0) <= atol
+
+
+def measure(amps: np.ndarray, basis: np.ndarray, pair, rng: RandomSource):
+    """One sampled measurement of a single state through the batch kernels."""
+    n = int(np.log2(len(amps)))
+    proj, probs = project_rows(amps[None], n, basis, pair)
+    k = qstate.sample_index(probs[0], rng)
+    return k, collapse_rows(n, basis, pair, proj, probs, np.array([k]))[0]
+
+
+def basis_pair(bits: str) -> np.ndarray:
+    """The two-qubit computational basis state |bits>, pair-indexed."""
+    return np.eye(4, dtype=complex)[int(bits, 2)]
+
+
 # --- construction -----------------------------------------------------------
 
 
 def test_init_basis_state_single_qubit():
-    state = init_basis_state(1, "0")
-    assert np.allclose(state.amplitudes, [1, 0])
+    # A one-qubit basis state is a valid register, and X on qubit 0 flips
+    # its only bit.
+    state = StateVector(1, np.array([1.0, 0.0]))
+    assert np.array_equal(gate_rows(state.amplitudes[None], 1, (GATES["X"],), 0), [[0, 1]])
 
 
 def test_init_basis_state_index_matches_bit_pattern():
-    state = init_basis_state(2, "10")
+    # Qubit q is bit q of the amplitude index: qubit 1 set, qubit 0 clear is 0b10.
+    state = prepare_pairs(2, [(1, 0, basis_pair("10"))])
     assert state.amplitudes[0b10] == 1.0
     assert np.count_nonzero(state.amplitudes) == 1
+    assert np.array_equal(oracle.product_state(2, [(1, 0, basis_pair("10"))]).reshape(-1),
+                          state.amplitudes)
 
 
 def test_init_basis_state_six_qubits_all_zero():
-    state = init_basis_state(6, "000000")
+    state = prepare_pairs(6, [(q, q + 1, basis_pair("00")) for q in (0, 2, 4)])
     assert state.amplitudes[0] == 1.0
     assert len(state.amplitudes) == 64
-
-
-@pytest.mark.parametrize("bits", ["0", "001", "02"])
-def test_init_basis_state_rejects_bad_strings(bits):
-    with pytest.raises(ValueError):
-        init_basis_state(2, bits)
 
 
 def test_state_vector_rejects_unnormalized_and_nonfinite():
@@ -165,40 +180,37 @@ def test_compound_gates_are_one_read_only_array_each(monkeypatch):
 
 
 def test_s_on_zero_gives_equal_superposition():
-    state = apply_gate(init_basis_state(1, "0"), GATES["S"], 0)
-    assert np.allclose(state.amplitudes, [SQRT2_INV, SQRT2_INV])
+    out = gate_rows(np.array([[1.0, 0.0]], dtype=complex), 1, (GATES["S"],), 0)
+    assert np.allclose(out, [[SQRT2_INV, SQRT2_INV]])
 
 
 def test_identity_gate_is_noop():
     rng = np.random.default_rng(1)
     state = random_state(rng, 3)
-    out = apply_gate(state, GATES["I"], 1)
-    assert np.allclose(out.amplitudes, state.amplitudes)
+    out = gate_rows(state.amplitudes[None], 3, (GATES["I"],), 1)
+    assert np.allclose(out[0], state.amplitudes)
 
 
 def test_s_on_acting_factor_of_label00_gives_01_plus_10(conv):
     # Two-qubit check of the defining rotation identity, in Bell labels.
-    state = bell.bell_state(conv, "00")
     qubit = 0 if conv.acting_factor == "second" else 1  # pair (q1, q0)
-    rotated = apply_gate(state, GATES["S"], qubit)
-    target = StateVector(2, (conv.states["01"] + conv.states["10"]) / np.sqrt(2))
-    assert rotated.equals_up_to_phase(target)
+    rotated = gate_rows(conv.states["00"][None], 2, (GATES["S"],), qubit)[0]
+    assert same_ray(rotated, (conv.states["01"] + conv.states["10"]) / np.sqrt(2))
 
 
 def test_z_on_acting_factor_of_plus_plus_gives_00_minus_11(conv):
-    plus_plus = StateVector(2, (conv.states["01"] + conv.states["10"]) / np.sqrt(2))
+    plus_plus = (conv.states["01"] + conv.states["10"]) / np.sqrt(2)
     qubit = 0 if conv.acting_factor == "second" else 1
-    flipped = apply_gate(plus_plus, GATES["Z"], qubit)
-    target = StateVector(2, (conv.states["00"] - conv.states["11"]) / np.sqrt(2))
-    assert flipped.equals_up_to_phase(target)
+    flipped = gate_rows(plus_plus[None], 2, (GATES["Z"],), qubit)[0]
+    assert same_ray(flipped, (conv.states["00"] - conv.states["11"]) / np.sqrt(2))
 
 
 def test_apply_gate_rejects_bad_input():
-    state = init_basis_state(2, "00")
+    amps = np.eye(4, dtype=complex)[:1]
     with pytest.raises(ValueError):
-        apply_gate(state, GATES["X"], 2)
+        gate_rows(amps, 2, (GATES["X"],), 2)
     with pytest.raises(ValueError):
-        apply_gate(state, np.array([[1, 1], [0, 1]], dtype=complex), 0)
+        gate_rows(amps, 2, (np.array([[1, 1], [0, 1]], dtype=complex),), 0)
 
 
 def test_is_unitary_rejects_nan_and_near_misses():
@@ -229,16 +241,21 @@ def test_apply_gate_preserves_norm_on_random_states():
         n = int(rng.integers(2, 7))
         state = random_state(rng, n)
         name = ["I", "X", "Y", "Z", "S"][int(rng.integers(5))]
-        out = apply_gate(state, GATES[name], int(rng.integers(n)))
-        assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+        out = gate_rows(state.amplitudes[None], n, (GATES[name],), int(rng.integers(n)))
+        assert abs(np.linalg.norm(out[0]) - 1.0) < 1e-12
 
 
 # --- measurement ------------------------------------------------------------
 
 
+def born(state: StateVector, basis: np.ndarray, pair) -> np.ndarray:
+    """The four outcome probabilities of one state, from :func:`project_rows`."""
+    return project_rows(state.amplitudes[None], state.num_qubits, basis, pair)[1][0]
+
+
 def test_basis_probabilities_on_eigenstate(conv):
     state = prepare_pairs(2, [(0, 1, conv.states["10"])])
-    probs = basis_probabilities(state, conv.basis_matrix, (0, 1))
+    probs = born(state, conv.basis_matrix, (0, 1))
     assert np.allclose(probs, [0, 0, 1, 0], atol=1e-12)
 
 
@@ -249,7 +266,7 @@ def test_basis_probabilities_match_oracle_on_random_states(conv):
         state = random_state(rng, n)
         qubits = rng.choice(n, size=2, replace=False)
         pair = (int(qubits[0]), int(qubits[1]))
-        probs = basis_probabilities(state, conv.basis_matrix, pair)
+        probs = born(state, conv.basis_matrix, pair)
         assert np.allclose(probs, oracle_pair_probs(state, conv.basis_matrix, pair), atol=1e-10)
         assert abs(probs.sum() - 1.0) < 1e-10
 
@@ -258,9 +275,8 @@ def test_basis_probabilities_uniform_on_swapped_pair(conv):
     # One qubit from each of two independent pairs is maximally mixed.
     vec = conv.states["00"]
     state = prepare_pairs(4, [(0, 1, vec), (2, 3, vec)])
-    probs = basis_probabilities(state, conv.basis_matrix, (0, 2))
-    oracle = oracle_pair_probs(state, conv.basis_matrix, (0, 2))
-    assert np.allclose(oracle, 0.25, atol=1e-12)
+    probs = born(state, conv.basis_matrix, (0, 2))
+    assert np.allclose(oracle_pair_probs(state, conv.basis_matrix, (0, 2)), 0.25, atol=1e-12)
     assert np.allclose(probs, 0.25, atol=1e-10)
 
 
@@ -270,29 +286,29 @@ def test_six_qubit_initial_state_key_pair_is_uniform(conv):
     vec = conv.states["00"]
     state = prepare_pairs(6, [(0, 1, vec), (2, 4, vec), (3, 5, vec)])
     pair = (0, 2)
-    oracle = oracle_pair_probs(state, conv.basis_matrix, pair)
-    assert np.allclose(oracle, 0.25, atol=1e-12)
-    assert np.allclose(basis_probabilities(state, conv.basis_matrix, pair), 0.25, atol=1e-10)
+    assert np.allclose(oracle_pair_probs(state, conv.basis_matrix, pair), 0.25, atol=1e-12)
+    assert np.allclose(born(state, conv.basis_matrix, pair), 0.25, atol=1e-10)
 
 
 def test_basis_probabilities_rejects_bad_basis_and_pair():
-    state = init_basis_state(2, "00")
+    amps = np.eye(4, dtype=complex)[:1]
     bad = np.eye(4, dtype=complex)
     bad[0, 0] = 0.9
     with pytest.raises(ValueError):
-        basis_probabilities(state, bad, (0, 1))
+        project_rows(amps, 2, bad, (0, 1))
     with pytest.raises(ValueError):
-        basis_probabilities(state, np.eye(4, dtype=complex), (1, 1))
+        project_rows(amps, 2, np.eye(4, dtype=complex), (1, 1))
     with pytest.raises(ValueError):
-        basis_probabilities(state, np.eye(4, dtype=complex), (0, 2))
+        project_rows(amps, 2, np.eye(4, dtype=complex), (0, 2))
 
 
 def test_measure_eigenstate_is_deterministic_and_stable(conv):
     state = prepare_pairs(2, [(0, 1, conv.states["01"])])
     for seed in range(5):
-        outcome, collapsed = measure_in_basis(state, conv.basis_matrix, (0, 1), RandomSource(seed))
+        rng = RandomSource(seed)
+        outcome, collapsed = measure(state.amplitudes, conv.basis_matrix, (0, 1), rng)
         assert outcome == 1
-        assert collapsed.equals_up_to_phase(state)
+        assert same_ray(collapsed, state.amplitudes)
 
 
 def test_remeasurement_is_idempotent(conv):
@@ -300,35 +316,37 @@ def test_remeasurement_is_idempotent(conv):
     for trial in range(20):
         state = random_state(rng_states, 4)
         rng = RandomSource(trial)
-        outcome, collapsed = measure_in_basis(state, conv.basis_matrix, (1, 3), rng)
-        outcome2, collapsed2 = measure_in_basis(collapsed, conv.basis_matrix, (1, 3), rng)
+        outcome, collapsed = measure(state.amplitudes, conv.basis_matrix, (1, 3), rng)
+        outcome2, collapsed2 = measure(collapsed, conv.basis_matrix, (1, 3), rng)
         assert outcome2 == outcome
-        assert abs(abs(np.vdot(collapsed.amplitudes, collapsed2.amplitudes)) - 1.0) < 1e-10
+        assert abs(abs(np.vdot(collapsed, collapsed2)) - 1.0) < 1e-10
 
 
 def test_measurement_is_bit_exact_deterministic(conv):
     state = random_state(np.random.default_rng(3), 5)
-    a = measure_in_basis(state, conv.basis_matrix, (0, 4), RandomSource(99))
-    b = measure_in_basis(state, conv.basis_matrix, (0, 4), RandomSource(99))
+    a = measure(state.amplitudes, conv.basis_matrix, (0, 4), RandomSource(99))
+    b = measure(state.amplitudes, conv.basis_matrix, (0, 4), RandomSource(99))
     assert a[0] == b[0]
-    assert np.array_equal(a[1].amplitudes, b[1].amplitudes)
+    assert np.array_equal(a[1], b[1])
 
 
 def test_collapse_onto_probability_and_norm(conv):
     state = random_state(np.random.default_rng(31), 4)
-    probs = basis_probabilities(state, conv.basis_matrix, (0, 2))
-    for k in range(4):
-        if probs[k] < 1e-12:
-            continue
-        p, collapsed = collapse_onto(state, conv.basis_matrix, (0, 2), k)
-        assert abs(p - probs[k]) < 1e-12
-        assert abs(np.linalg.norm(collapsed.amplitudes) - 1.0) < 1e-12
+    proj, probs = project_rows(state.amplitudes[None], 4, conv.basis_matrix, (0, 2))
+    live = np.flatnonzero(probs[0] >= 1e-12)
+    collapsed = collapse_rows(4, conv.basis_matrix, (0, 2), proj, probs, live)
+    for k, after in zip(live, collapsed):
+        assert abs(probs[0, k] - oracle_pair_probs(state, conv.basis_matrix, (0, 2))[k]) < 1e-12
+        assert abs(np.linalg.norm(after) - 1.0) < 1e-12
 
 
 def test_collapse_onto_zero_weight_is_degenerate(conv):
+    # Collapsing onto an outcome with no weight cannot give a unit state.
     state = prepare_pairs(2, [(0, 1, conv.states["00"])])
-    with pytest.raises(DegenerateMeasurementError):
-        collapse_onto(state, conv.basis_matrix, (0, 1), 3)
+    proj, probs = project_rows(state.amplitudes[None], 2, conv.basis_matrix, (0, 1))
+    assert probs[0, 3] == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError, match="not 1"):
+        collapse_rows(2, conv.basis_matrix, (0, 1), proj, probs, np.array([3]))
 
 
 def test_live_outcomes_match_probabilities_and_collapse(conv):
@@ -336,44 +354,53 @@ def test_live_outcomes_match_probabilities_and_collapse(conv):
     basis = conv.basis_matrix
     for n in (6, 8):
         state = random_state(rng, n)
+        tensor = state.amplitudes.reshape((1,) + (2,) * n)
         for pair in ((0, 1), (1, 0), (2, n - 1), (n - 1, 3)):
-            probs = basis_probabilities(state, basis, pair)
-            live = live_outcomes(state, basis, pair, 1e-9)
-            assert [k for k, _p, _s in live] == [k for k in range(4) if probs[k] > 1e-9]
-            for k, p, collapsed in live:
-                want_p, want_state = collapse_onto(state, basis, pair, k)
-                assert abs(p - want_p) < 1e-12
-                assert abs(p - oracle_pair_probs(state, basis, pair)[k]) < 1e-12
-                for want in (want_state.amplitudes, oracle_collapse(state, basis, pair, k)):
-                    assert np.allclose(collapsed.amplitudes, want, rtol=0.0, atol=1e-12)
+            proj, probs = project_rows(state.amplitudes[None], n, basis, pair)
+            live = np.flatnonzero(probs[0] > 1e-9)
+            by_index = oracle_pair_probs(state, basis, pair)
+            assert live.tolist() == [k for k in range(4) if by_index[k] > 1e-9]
+            collapsed = collapse_rows(n, basis, pair, proj, probs, live)
+            want_proj, want_probs = oracle.project(tensor, basis, pair)
+            for k, after in zip(live, collapsed):
+                assert abs(probs[0, k] - by_index[k]) < 1e-12
+                want = oracle.collapse(n, basis, pair, want_proj, want_probs, np.array([k]))
+                for expected in (want.reshape(-1), oracle_collapse(state, basis, pair, k)):
+                    assert np.allclose(after, expected, rtol=0.0, atol=1e-12)
 
 
 def test_live_outcomes_skip_zero_weight(conv):
     state = prepare_pairs(4, [(0, 1, conv.states["10"]), (2, 3, conv.states["00"])])
-    live = live_outcomes(state, conv.basis_matrix, (0, 1), 1e-9)
-    assert [(k, round(p, 12)) for k, p, _s in live] == [(2, 1.0)]
-    assert live[0][2].equals_up_to_phase(state)
+    proj, probs = project_rows(state.amplitudes[None], 4, conv.basis_matrix, (0, 1))
+    live = np.flatnonzero(probs[0] > 1e-9)
+    assert [(int(k), round(float(probs[0, k]), 12)) for k in live] == [(2, 1.0)]
+    after = collapse_rows(4, conv.basis_matrix, (0, 1), proj, probs, live)[0]
+    assert same_ray(after, state.amplitudes)
 
 
 def test_batch_kernels_match_single_states(conv):
-    # A batch row gets exactly what the same state gets as a batch of one.
+    # The kernels against tests/oracle.py, row by row.  The gate, the
+    # projection and the probabilities are the same arithmetic in both, so
+    # they must agree bit for bit.  The collapse divides by sqrt(p) in the
+    # oracle and multiplies by its reciprocal in the kernel, which numpy's
+    # complex-by-real division does too, so it is bit for bit as well.
     rng = np.random.default_rng(43)
     basis = conv.basis_matrix
-    states = [random_state(rng, 8) for _ in range(5)]
-    amps = np.stack([s.amplitudes for s in states])
+    amps = np.stack([random_state(rng, 8).amplitudes for _ in range(5)])
+    tensor = amps.reshape((5,) + (2,) * 8)
     gates = (GATES["S"], GATES["Y"])
     choice = np.array([1, 0, 0, 1, 1])
-    rotated = qstate.gate_rows(amps, 8, gates, 5, choice)
-    for row, state, c in zip(rotated, states, choice):
-        assert np.array_equal(row, apply_gate(state, gates[c], 5).amplitudes)
-    proj, probs = qstate.project_rows(amps, 8, basis, (6, 2))
+    rotated = gate_rows(amps, 8, gates, 5, choice)
+    want = oracle.gate(tensor, np.array(gates)[choice], 5)
+    assert np.array_equal(rotated, want.reshape(5, -1))
+    proj, probs = project_rows(amps, 8, basis, (6, 2))
+    want_proj, want_probs = oracle.project(tensor, basis, (6, 2))
+    assert np.array_equal(proj, want_proj)
+    assert np.array_equal(probs, want_probs)
     rows, outcomes = np.array([0, 2, 4, 4]), np.array([3, 0, 1, 2])
-    collapsed = qstate.collapse_rows(8, basis, (6, 2), proj, probs, 4 * rows + outcomes)
-    for b, state in enumerate(states):
-        assert np.array_equal(probs[b], basis_probabilities(state, basis, (6, 2)))
-    for row, b, k in zip(collapsed, rows, outcomes):
-        live = {kk: after for kk, _p, after in live_outcomes(states[b], basis, (6, 2), 0.0)}
-        assert np.array_equal(row, live[k].amplitudes)
+    collapsed = collapse_rows(8, basis, (6, 2), proj, probs, 4 * rows + outcomes)
+    want = oracle.collapse(8, basis, (6, 2), want_proj[rows], want_probs[rows], outcomes)
+    assert np.array_equal(collapsed, want.reshape(len(rows), -1))
 
 
 def test_collapse_rows_checks_every_norm(conv):

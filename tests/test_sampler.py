@@ -1,19 +1,26 @@
-"""The branch-tree sampler against the statevector it replaced.
+"""The branch-tree sampler against an independent statevector.
 
 Monte Carlo rounds sample the conditional-probability tree built from a
 driver's exact branches.  These tests pin that tree to the branch masses
 and check, round by round, that it draws the same outcomes from the same
-uniforms as executing the plan on a statevector with ``measure_in_basis``.
+uniforms as the lockstep statevector sampler of ``tests/oracle.py``, which
+shares no code with the engine's kernels.
 """
 
+import ast
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from swapqkd import harness, qstate
+from swapqkd import harness
 from swapqkd.adversary import AttackStrategy, FourSwapAttack, TailoredAttack, ZlgAttack
 from swapqkd.bell import LABELS
 from swapqkd.harness import splitmix64
-from swapqkd.protocol import ConditionalGateStep, MeasureStep, Procedure, protocol_driver
+from swapqkd.protocol import MeasureStep, Procedure, protocol_driver
 from swapqkd.qstate import RandomSource
+
+import oracle
 
 HARNESS_CONFIGS = [
     ("six", "none"),
@@ -26,47 +33,59 @@ HARNESS_CONFIGS = [
 ROUNDS_PER_CONFIG = 10_000
 
 
-def _statevector_round(conv, plan, rng):
-    """Execute a plan step by step on a statevector, sampling each measurement."""
-    state = qstate.prepare_pairs(
-        plan.num_qubits, [(i - 1, j - 1, conv.states["00"]) for i, j in plan.pairs]
-    )
-    outcomes = {}
-    for step in plan.steps:
-        if isinstance(step, MeasureStep):
-            pair = (step.pair[0] - 1, step.pair[1] - 1)
-            k, state = qstate.measure_in_basis(state, conv.basis_matrix, pair, rng)
-            outcomes[step.name] = LABELS[k]
-        else:
-            conditional = isinstance(step, ConditionalGateStep)
-            matrix = step.gate_for(outcomes[step.on]) if conditional else step.matrix
-            state = qstate.apply_gate(state, matrix, step.qubit - 1)
-    return outcomes
-
-
 @pytest.mark.parametrize("protocol_name,kind", HARNESS_CONFIGS)
 def test_tree_sampler_matches_statevector_draw_for_draw(conv, protocol_name, kind):
     driver = protocol_driver(conv, protocol_name)
     picker = harness._attack_picker(AttackStrategy(kind))
     policy = 0.5
-    mismatches = []
+    got = []
+    rounds = {}  # plan id -> (plan, procedure, round indices, uniforms)
     for i in range(ROUNDS_PER_CONFIG):
         seed = splitmix64(2024, i)
         rng, ref_rng = RandomSource(seed), RandomSource(seed)
         transcript = harness._run_one_round(driver, picker, policy, rng)
-        # The reference consumes the attack and procedure coins in the same order.
+        eve = transcript.eve_record.secret if transcript.eve_record else None
+        got.append((transcript.procedure, transcript.key, transcript.public_result,
+                    transcript.bob_secret, eve, rng.uniform()))
+        # The reference draws the attack and procedure coins in the same
+        # order, then one uniform per measurement of the round's plan, then
+        # the next uniform.
         attack = picker(ref_rng)
         procedure = Procedure.P_I if ref_rng.uniform() < policy else Procedure.P_II
         plan = driver.round_model(procedure, attack).plan
-        ref = _statevector_round(conv, plan, ref_rng)
-        eve = transcript.eve_record.secret if transcript.eve_record else None
-        got = (transcript.procedure, transcript.key, transcript.public_result,
-               transcript.bob_secret, eve, rng.uniform())
-        want = (procedure, ref["key"], ref.get("public"), ref["secret"], ref.get("eve"),
-                ref_rng.uniform())
-        if got != want:
-            mismatches.append((i, got, want))
+        draws = [ref_rng.uniform() for step in plan.steps if isinstance(step, MeasureStep)]
+        group = rounds.setdefault(id(plan), (plan, procedure, [], []))
+        group[2].append(i)
+        group[3].append(draws + [ref_rng.uniform()])
+    want = [None] * ROUNDS_PER_CONFIG
+    for plan, procedure, indices, uniforms in rounds.values():
+        uniforms = np.array(uniforms)
+        out = oracle.sample(conv, plan, uniforms[:, :-1])
+        for r, i in enumerate(indices):
+            row = {name: labels[r] for name, labels in out.items()}
+            want[i] = (procedure, row["key"], row.get("public"), row["secret"], row.get("eve"),
+                       float(uniforms[r, -1]))
+    mismatches = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
     assert mismatches == []
+
+
+def test_oracle_shares_no_code_with_the_kernels():
+    # The oracle is only independent while it computes everything itself.
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported, named = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {f"{node.module}.{alias.name}" for alias in node.names}
+            named |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+    assert "swapqkd.bell" in imported  # the parse saw the imports
+    assert not {name for name in imported if name.startswith("swapqkd.qstate")}
+    assert not named & {"qstate", "gate_rows", "project_rows", "collapse_rows", "prepare_pairs"}
 
 
 def _round_configs(conv):
