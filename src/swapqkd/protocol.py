@@ -24,7 +24,8 @@ probabilities read those branches, and Monte Carlo samples the same branch
 tree, drawing one uniform per measurement and picking the outcome by
 inverse CDF over its conditional probabilities.  Bob's key-inference tables and Eve's
 posteriors are read off those same branches (the adversary-free ones for
-Bob), never assumed in closed form.
+Bob), never assumed in closed form.  A round model holds each leaf's
+transcript, built on the first Monte Carlo read: a round is a walk and a lookup.
 
 Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 0-based register happens only at the physics boundary.
@@ -34,11 +35,11 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -132,10 +133,6 @@ class TransitPlan:
     forward: tuple[tuple[int, int], ...] = ()
 
 
-# What Bob's and Eve's inference read, in every protocol: no attack may measure into them.
-RESERVED_NAMES = frozenset({"key", "public", "secret"})
-
-
 @dataclass(frozen=True)
 class ProtocolSpec:
     """One protocol's geometry.
@@ -191,6 +188,9 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         announced=(),
     ),
 }
+
+# What Bob's and Eve's inference read, in every protocol: no attack may measure into them.
+RESERVED_NAMES = frozenset({"key"}.union(*(s.observed + s.announced for s in PROTOCOLS.values())))
 
 
 @dataclass(frozen=True)
@@ -342,21 +342,17 @@ def _outcome_tree(branches: Iterable[Branch]) -> OutcomeTree:
     }
 
 
-def _sample_outcomes(tree: OutcomeTree, rng: RandomSource) -> dict[str, str]:
-    """One round's outcomes, one ``sample_index`` draw per measurement.
+def _sample_path(tree: OutcomeTree, rng: RandomSource) -> tuple[int, ...]:
+    """One round's outcome-index path to a leaf, one ``sample_index`` draw per measurement.
 
     This consumes the stream exactly as measuring the statevector step by
     step would; the test suite's lockstep statevector sampler
     (``tests/oracle.py``) checks it draw for draw.
     """
-    outcomes: dict[str, str] = {}
-    prefix: tuple[int, ...] = ()
-    while prefix in tree:
-        name, probs = tree[prefix]
-        k = qstate.sample_index(probs, rng)
-        outcomes[name] = LABELS[k]
-        prefix += (k,)
-    return outcomes
+    path: tuple[int, ...] = ()
+    while (node := tree.get(path)) is not None:
+        path += (qstate.sample_index(node[1], rng),)
+    return path
 
 
 # Eve's observation (``ProtocolSpec.eve_observation`` of a branch) -> keys
@@ -377,16 +373,25 @@ def _eve_posterior(spec: ProtocolSpec, branches: Iterable[Branch]) -> Posterior:
 class RoundModel:
     """A wired plan, its exact branches, and what is read off them.
 
-    ``tree`` (built on first read) is what Monte Carlo samples; ``posterior`` is Eve's inference.
+    ``posterior`` is Eve's inference; Monte Carlo samples ``tree`` and reads ``leaves``
+    (outcome-index path -> ``transcript`` of the branch's outcomes), both built on first read.
     """
 
     plan: Plan
     branches: tuple[Branch, ...]
     posterior: Posterior
+    transcript: Callable[[Mapping[str, str]], "RoundTranscript"] = field(compare=False, repr=False)
 
     @cached_property
     def tree(self) -> OutcomeTree:
         return _outcome_tree(self.branches)
+
+    @cached_property
+    def leaves(self) -> dict[tuple[int, ...], "RoundTranscript"]:
+        return {
+            tuple(map(LABELS.index, out.values())): self.transcript(out)
+            for _prob, out in self.branches
+        }
 
 
 # --- key inference --------------------------------------------------------
@@ -530,8 +535,8 @@ class _ProtocolBase:
         Both procedures' plans are enumerated as one batch, once per attack ``cache_key``.
         """
         attack_key = attack.cache_key if attack is not None else None
-        key = (procedure, attack_key)
-        if key not in self._models:
+        model = self._models.get((procedure, attack_key))
+        if model is None:
             if attack is not None and attack.protocol != self.name:
                 raise WrongProtocolError(
                     f"attack {attack.kind!r} targets the {attack.protocol}-qubit "
@@ -543,29 +548,35 @@ class _ProtocolBase:
                 # Read-only views: every caller shares these branches.
                 branches = tuple((prob, MappingProxyType(out)) for prob, out in found)
                 posterior = _eve_posterior(self.spec, branches)
-                self._models[p, attack_key] = RoundModel(plan, branches, posterior)
-        return self._models[key]
+                transcript = partial(self._transcript, p, attack, posterior)
+                self._models[p, attack_key] = RoundModel(plan, branches, posterior, transcript)
+            model = self._models[procedure, attack_key]
+        return model
 
     def enumerate_branches(self, procedure: Procedure, attack=None) -> tuple[Branch, ...]:
         """Exact distribution over (eve?, key, public?, secret) outcomes."""
         return self.round_model(procedure, attack).branches
 
     def run_round(self, procedure: Procedure, attack, rng: RandomSource) -> RoundTranscript:
+        """The transcript of the leaf this round's draws reach, shared by every such round."""
         model = self.round_model(procedure, attack)
-        outcomes = _sample_outcomes(model.tree, rng)
-        public = outcomes.get("public")
-        inferred = self.inference[procedure].infer(outcomes)
+        return model.leaves[_sample_path(model.tree, rng)]
+
+    def _transcript(
+        self, procedure: Procedure, attack, posterior: Posterior, outcomes: Mapping[str, str]
+    ) -> RoundTranscript:
+        """The round that measured ``outcomes``; ``public_result`` is the announced outcome."""
         eve_record = None
         if attack is not None:
             observation = self.spec.eve_observation(outcomes)
-            eve_record = attack.eve_record(outcomes["eve"], model.posterior[observation])
+            eve_record = attack.eve_record(outcomes["eve"], posterior[observation])
         return RoundTranscript(
             protocol=self.name,
             procedure=procedure,
             key=outcomes["key"],
-            public_result=public,
+            public_result="".join(outcomes[name] for name in self.spec.announced) or None,
             bob_secret=outcomes["secret"],
-            bob_inferred_key=inferred,
+            bob_inferred_key=self.inference[procedure].infer(outcomes),
             eve_record=eve_record,
         )
 

@@ -292,7 +292,8 @@ def test_table_mismatch_diff_is_row_level():
 
 def test_exact_reads_leave_the_outcome_tree_unbuilt(conv, monkeypatch):
     # Tables, probabilities, posteriors and the attack search read only the
-    # branches; the tree Monte Carlo samples is built on its first read.
+    # branches; the tree Monte Carlo samples and its leaf transcripts are
+    # built on the first Monte Carlo read.
     fresh = protocol._ProtocolBase(conv, "six")
     monkeypatch.setattr(protocol, "protocol_driver", lambda _conv, _name: fresh)
     monkeypatch.setattr(adversary, "protocol_driver", lambda _conv, _name: fresh)
@@ -306,10 +307,98 @@ def test_exact_reads_leave_the_outcome_tree_unbuilt(conv, monkeypatch):
     models = list(fresh._models.values())
     assert len(models) == 6
     assert all("tree" not in vars(model) for model in models)
-    fresh.run_round(Procedure.P_II, TailoredAttack(conv), RandomSource(0))
+    assert all("leaves" not in vars(model) for model in models)
+    transcript = fresh.run_round(Procedure.P_II, TailoredAttack(conv), RandomSource(0))
     model = fresh.round_model(Procedure.P_II, TailoredAttack(conv))
     assert vars(model)["tree"] is model.tree == protocol._outcome_tree(model.branches)
     assert sum("tree" in vars(m) for m in models) == 1
+    assert transcript in vars(model)["leaves"].values()
+    assert sum("leaves" in vars(m) for m in models) == 1
+
+
+def _driver_configs(conv):
+    """The six driver configurations, each under both procedures."""
+    for name, attacks in (
+        ("six", (None, ZlgAttack(conv), TailoredAttack(conv))),
+        ("four", (None,) + tuple(FourSwapAttack(conv, guess) for guess in Procedure)),
+    ):
+        for attack in attacks:
+            for procedure in Procedure:
+                yield name, procedure, attack
+
+
+def test_leaf_transcripts_match_a_per_branch_rebuild(conv):
+    checked = 0
+    for name, procedure, attack in _driver_configs(conv):
+        driver = protocol._ProtocolBase(conv, name)
+        model = driver.round_model(procedure, attack)
+        branches = driver.enumerate_branches(procedure, attack)
+        assert len(model.leaves) == len(branches)
+        for _prob, out in branches:
+            eve_record = None
+            if attack is not None:
+                observation = (out["eve"], out["public"]) if name == "six" else out["eve"]
+                eve_record = attack.eve_record(out["eve"], model.posterior[observation])
+            want = RoundTranscript(
+                protocol=name,
+                procedure=procedure,
+                key=out["key"],
+                public_result=out.get("public"),
+                bob_secret=out["secret"],
+                bob_inferred_key=driver.inference[procedure].infer(out),
+                eve_record=eve_record,
+            )
+            assert model.leaves[tuple(LABELS.index(label) for label in out.values())] == want
+            checked += 1
+    # Six: 16 + 16 free, 16 + 64 per attack; four: 4 + 4 free, 4 + 16 per guess.
+    assert checked == 32 + 2 * 80 + 8 + 2 * 20
+
+
+def test_callers_never_change_a_shared_leaf_transcript(conv):
+    driver, attack = protocol_driver(conv, "six"), ZlgAttack(conv)
+    model = driver.round_model(Procedure.P_II, attack)
+    # Two seeds whose rounds reach the same leaf, one where Bob infers the wrong key.
+    seeds_by_path = {}
+    for seed in itertools.count():
+        path = protocol._sample_path(model.tree, RandomSource(seed))
+        seeds_by_path.setdefault(path, []).append(seed)
+        leaf = model.leaves[path]
+        if len(seeds_by_path[path]) == 2 and leaf.bob_inferred_key != leaf.key:
+            break
+    first_seed, second_seed = seeds_by_path[path]
+    first = driver.run_round(Procedure.P_II, attack, RandomSource(first_seed))
+    assert first is leaf
+    compared = mark_compared(first)
+    assert compared.compared and compared.detected
+    second = driver.run_round(Procedure.P_II, attack, RandomSource(second_seed))
+    assert second == first and not second.compared and not second.detected
+
+
+def test_public_result_reads_the_announced_outcome(conv, monkeypatch):
+    six = PROTOCOLS["six"]
+    renamed_steps = tuple(
+        replace(s, name="broadcast") if isinstance(s, MeasureStep) and s.name == "public" else s
+        for s in six.steps
+    )
+    renamed = replace(six, steps=renamed_steps, observed=("broadcast", "secret"),
+                      announced=("broadcast",))
+    monkeypatch.setitem(PROTOCOLS, "renamed", renamed)
+    monkeypatch.setitem(PROTOCOLS, "silent", replace(six, announced=()))
+    drivers = {name: protocol._ProtocolBase(conv, name) for name in ("six", "renamed", "silent")}
+    for seed in range(50):
+        procedure = Procedure.P_I if seed % 2 else Procedure.P_II
+        rounds = {name: d.run_round(procedure, None, RandomSource(seed))
+                  for name, d in drivers.items()}
+        assert rounds["six"].public_result in LABELS
+        assert rounds["renamed"] == replace(rounds["six"], protocol="renamed")
+        assert rounds["silent"] == replace(rounds["six"], protocol="silent", public_result=None)
+    row = transcripts_to_csv([rounds["renamed"]]).splitlines()[1].split(",")
+    assert row[2] == rounds["six"].public_result
+
+
+def test_reserved_names_are_read_off_the_spec_table():
+    derived = {"key"}.union(*(spec.observed + spec.announced for spec in PROTOCOLS.values()))
+    assert protocol.RESERVED_NAMES == derived == {"key", "public", "secret"}
 
 
 def test_driver_enumerates_each_adversary_free_plan_once(conv, monkeypatch):
