@@ -6,7 +6,9 @@ finalizer applied to ``master_seed + (i + 1) * 0x9E3779B97F4A7C15`` (mod
 2^64).  Curve experiments nest the same scheme: experiment ``r`` of curve
 point ``n`` draws its per-round seeds from
 ``splitmix64(splitmix64(master_seed, n), r)``.  Serial and concurrent
-execution therefore see identical per-round streams.
+execution therefore see identical per-round streams.  Under seed contract v1
+each stream is numpy's ``Generator(PCG64(seed)).random()``, computed in-package
+(``qstate.random_sources``, seeded in chunks) and pinned to numpy by a test.
 
 Within one round the uniform stream is consumed in a fixed order: the
 attack-selection coin (only for strategies that need one), Alice's
@@ -23,12 +25,13 @@ compared bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Sequence
 
 from . import bell
 from .adversary import AttackStrategy
 from .protocol import PROTOCOLS, Procedure, RoundTranscript, mark_compared, protocol_driver
-from .qstate import RandomSource
+from .qstate import RandomSource, random_sources
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -148,8 +151,7 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     picker = _attack_picker(config.attack)
 
     compared = detected = agreed = eve_informed = 0
-    for i in range(config.rounds):
-        rng = RandomSource(splitmix64(config.master_seed, i))
+    for rng in random_sources(splitmix64(config.master_seed, i) for i in range(config.rounds)):
         transcript = _run_one_round(driver, picker, config.procedure_policy, rng)
         if rng.uniform() < config.test_fraction:
             transcript = mark_compared(transcript)
@@ -205,12 +207,14 @@ def detection_curve(
     driver = protocol_driver(bell.convention(), config.protocol)
     picker = _attack_picker(config.attack)
 
+    point_seeds = [splitmix64(config.master_seed, n) for n in n_values]
+    sources = random_sources(
+        splitmix64(seed, rep) for seed in point_seeds for rep in range(repetitions)
+    )
     points = []
     for n in n_values:
         hits = 0
-        point_seed = splitmix64(config.master_seed, n)
-        for rep in range(repetitions):
-            rng = RandomSource(splitmix64(point_seed, rep))
+        for rng in islice(sources, repetitions):
             for _ in range(n):
                 transcript = _run_one_round(driver, picker, config.procedure_policy, rng)
                 if transcript.bob_inferred_key != transcript.key:

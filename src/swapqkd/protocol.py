@@ -318,14 +318,14 @@ def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Br
 
 # Outcome-index prefix -> (name of the next measurement, conditional
 # probability of each of its four outcomes given the prefix).
-OutcomeTree = dict[tuple[int, ...], tuple[str, tuple[float, float, float, float]]]
+OutcomeTree = dict[tuple[int, ...], tuple[str, qstate.Distribution]]
 
 
 def _outcome_tree(branches: Iterable[Branch]) -> OutcomeTree:
     """Conditional-probability tree over the branches' outcomes, in step order.
 
-    The probability of outcome ``k`` after a prefix is
-    ``mass(prefix + (k,)) / mass(prefix)``, both summed from leaf masses.
+    The probability of outcome ``k`` after a prefix is ``mass(prefix + (k,)) /
+    mass(prefix)``, both summed from leaf masses, in a :class:`qstate.Distribution`.
     """
     mass: dict[tuple[int, ...], float] = {}
     names: dict[tuple[int, ...], str] = {}
@@ -337,13 +337,14 @@ def _outcome_tree(branches: Iterable[Branch]) -> OutcomeTree:
             prefix += (LABELS.index(label),)
             mass[prefix] = mass.get(prefix, 0.0) + prob
     return {
-        prefix: (name, tuple(mass.get(prefix + (k,), 0.0) / mass[prefix] for k in range(4)))
+        prefix: (name, qstate.Distribution(mass.get(prefix + (k,), 0.0) / mass[prefix]
+                                           for k in range(4)))
         for prefix, name in names.items()
     }
 
 
 def _sample_path(tree: OutcomeTree, rng: RandomSource) -> tuple[int, ...]:
-    """One round's outcome-index path to a leaf, one ``sample_index`` draw per measurement.
+    """One round's outcome-index path to a leaf, one ``sample_index`` pick per measurement.
 
     This consumes the stream exactly as measuring the statevector step by
     step would; the test suite's lockstep statevector sampler
@@ -351,7 +352,7 @@ def _sample_path(tree: OutcomeTree, rng: RandomSource) -> tuple[int, ...]:
     """
     path: tuple[int, ...] = ()
     while (node := tree.get(path)) is not None:
-        path += (qstate.sample_index(node[1], rng),)
+        path += (node[1].pick(rng.uniform()),)
     return path
 
 

@@ -18,7 +18,10 @@ mutate their inputs.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, islice
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -281,33 +284,100 @@ def collapse_rows(
     return _from_front(mat, num_qubits, pair)
 
 
-class RandomSource:
-    """Deterministic uniform stream: identical seed, identical stream.
+# --- randomness ---------------------------------------------------------------
+#
+# numpy's ``Generator(PCG64(seed)).random()`` stream with Python ints, seeded the
+# way numpy's SeedSequence (a four-word pool) and PCG64's set-seq init seed it.
 
-    Backed by numpy's PCG64; the seed is reduced to 64 bits.
+_MASK32, _MASK53, _MASK64, _MASK128 = ((1 << n) - 1 for n in (32, 53, 64, 128))
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+SEED_CHUNK = 1024  # seeds per vectorized pass of :func:`random_sources`
+
+
+def _hash_steps(const: int, mult: int, steps: int) -> list[tuple[int, int]]:
+    """Each SeedSequence hash step xors a running constant and multiplies by the next."""
+    out = []
+    for _ in range(steps):
+        out.append((const, const := const * mult & _MASK32))
+    return out
+
+
+_ENTROPY_STEPS = _hash_steps(0x43B0D7E5, 0x931E8875, 16)  # 4 pool words, then 12 mixes
+_MIX_PAIRS = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+_DRAW_STEPS = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _seed_words(seed):
+    """``np.random.SeedSequence(seed).generate_state(4, np.uint64)``, elementwise.
+
+    ``seed`` is a Python int in [0, 2**64) or a uint64 array; every product is
+    masked to 32 bits, so both give the same words.
     """
+    pool = []  # the seed's two 32-bit words are its entropy; a missing one hashes as 0
+    for word, (xor, mul) in zip((seed & _MASK32, seed >> 32, 0, 0), _ENTROPY_STEPS):
+        word = (word ^ xor) * mul & _MASK32
+        pool.append(word ^ word >> 16)
+    for (src, dst), (xor, mul) in zip(_MIX_PAIRS, _ENTROPY_STEPS[4:]):
+        word = (pool[src] ^ xor) * mul & _MASK32
+        word = (0xCA01F9DD * pool[dst] - 0x4973F715 * (word ^ word >> 16)) & _MASK32
+        pool[dst] = word ^ word >> 16
+    words = []
+    for k, (xor, mul) in enumerate(_DRAW_STEPS):
+        word = (pool[k % 4] ^ xor) * mul & _MASK32
+        words.append(word ^ word >> 16)
+    return [words[k] | words[k + 1] << 32 for k in (0, 2, 4, 6)]
 
-    def __init__(self, seed: int):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
+
+class RandomSource:
+    """Deterministic uniform stream: numpy's ``Generator(PCG64(seed)).random()`` bit
+    for bit, the seed reduced to 64 bits, with no numpy generator built.  ``words``
+    are the seed's :func:`_seed_words` when :func:`random_sources` has them."""
+
+    __slots__ = ("seed", "_state", "_inc")
+
+    def __init__(self, seed: int, words: Sequence[int] | None = None):
+        self.seed = int(seed) & _MASK64
+        s_high, s_low, i_high, i_low = _seed_words(self.seed) if words is None else words
+        # PCG64's set-seq init: an odd increment, then two LCG steps around the seed.
+        self._inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
+        self._state = ((self._inc + (s_high << 64 | s_low)) * _PCG64_MULT + self._inc) & _MASK128
 
     def uniform(self) -> float:
-        """Next uniform float in [0, 1)."""
-        return float(self._gen.random())
+        """Next uniform float in [0, 1): the top 53 bits of the next XSL-RR output."""
+        self._state = state = (self._state * _PCG64_MULT + self._inc) & _MASK128
+        x = (state >> 64 ^ state) & _MASK64  # xor the halves; rotate right by the top 6 bits
+        return ((x << 64 | x) >> (11 + (state >> 122)) & _MASK53) * 2.0**-53
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
 
 
+def random_sources(seeds: Iterable[int]) -> Iterator[RandomSource]:
+    """``RandomSource(seed)`` for each seed in order, seeded ``SEED_CHUNK`` at a time."""
+    seeds = iter(seeds)
+    while chunk := [int(seed) & _MASK64 for seed in islice(seeds, SEED_CHUNK)]:
+        words = _seed_words(np.array(chunk, dtype=np.uint64))
+        for seed, *seed_words in zip(chunk, *(w.tolist() for w in words)):
+            yield RandomSource(seed, seed_words)
+
+
+class Distribution(tuple):
+    """Outcome probabilities; ``thresholds[k]`` is ``p_0 + ... + p_k`` summed left
+    to right, a negative p counting as 0, and ``last_live`` the last k with p > 0."""
+
+    def __new__(cls, probabilities: Iterable[float]):
+        self = super().__new__(cls, probabilities)
+        self.thresholds = list(accumulate(max(float(p), 0.0) for p in self))
+        self.last_live = max((k for k, p in enumerate(self) if p > 0.0), default=0)
+        return self
+
+    def pick(self, u: float) -> int:
+        """The first index whose threshold exceeds ``u``; ``last_live`` when ``u``
+        lands in the rounding gap above the last threshold."""
+        k = bisect_right(self.thresholds, u)
+        return k if k < len(self) else self.last_live
+
+
 def sample_index(probabilities: np.ndarray, rng: RandomSource) -> int:
     """Sample an index by inverse CDF; ties broken toward lower index."""
-    u = rng.uniform()
-    acc = 0.0
-    last_live = 0
-    for k, p in enumerate(probabilities):
-        if p > 0.0:
-            last_live = k
-        acc += max(float(p), 0.0)
-        if u < acc:
-            return k
-    return last_live  # u landed in the rounding gap above the last bucket
+    return Distribution(probabilities).pick(rng.uniform())

@@ -251,6 +251,37 @@ def test_stdout_matches_golden_digest(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT_SHA256[command]
 
 
+# SHA-256 of stdout at master seeds that fill all 64 bits, captured from
+# numpy's own PCG64 generator before RandomSource computed the stream itself.
+FULL_RANGE_SEED_SHA256 = {
+    "simulate --protocol four --attack four-swap --rounds 300 --seed 9223372036854775808 --format json":
+        "577861b321d20dc2a51c477dd2c431b5e0c11c55db3cec6e2c0b0f099abcdfaa",
+    "simulate --protocol six --attack mixed --rounds 300 --seed 9223372036854775808 --format json":
+        "06c12ed2cc4bbc1e393b559338d22f6039449daf72168d66f22aaaee94aa472f",
+    "detection-curve --protocol six --attack mixed --n 1,2,4,8,16 --reps 100 --seed 9223372036854775808 --format json":
+        "46640ce1fc77d97516d0d9704b2a61e4db6c3bd796c3ca7d901da8e728f6a21e",
+    "simulate --protocol four --attack four-swap --rounds 300 --seed 18446744073709551615 --format json":
+        "dd604b97259ad9432af803eb0d8ff1af76cad081409948873c432ef47217d161",
+    "simulate --protocol six --attack mixed --rounds 300 --seed 18446744073709551615 --format json":
+        "7fda905854595e44c07eb8413c2bb85f186563294a7b4505b4288bf2b29546e9",
+    "detection-curve --protocol six --attack mixed --n 1,2,4,8,16 --reps 100 --seed 18446744073709551615 --format json":
+        "0bba480c23ecf162996f6cca50b94cbb06c8762d092be4ab66f43d01517d538c",
+    "simulate --protocol four --attack four-swap --rounds 300 --seed 12345678901234567890 --format json":
+        "df1b33960ad3fa9fa43d98224533c7c49712c0094905f985fbe6f4903f3eebd4",
+    "simulate --protocol six --attack mixed --rounds 300 --seed 12345678901234567890 --format json":
+        "d970cc3db43431a3058a8d36b04071886ef56cffddb1dd8e6e02d15c029a21e5",
+    "detection-curve --protocol six --attack mixed --n 1,2,4,8,16 --reps 100 --seed 12345678901234567890 --format json":
+        "53b703f021b9d1c53e46543badc652bbfc7d330505caac09adee6d04bfce0adb",
+}
+
+
+@pytest.mark.parametrize("command", list(FULL_RANGE_SEED_SHA256))
+def test_full_range_seed_stdout_matches_golden_digest(capsys, command):
+    code, out, _ = run_cli(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FULL_RANGE_SEED_SHA256[command]
+
+
 SWEEP_CONFIGS = (
     ("six", "none"), ("six", "zlg"), ("six", "tailored"), ("six", "mixed"),
     ("four", "none"), ("four", "four-swap"),

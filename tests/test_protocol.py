@@ -354,6 +354,31 @@ def test_leaf_transcripts_match_a_per_branch_rebuild(conv):
     assert checked == 32 + 2 * 80 + 8 + 2 * 20
 
 
+def test_tree_thresholds_pick_as_the_inverse_cdf_loop(conv):
+    # Every node of the 12 driver round models: the bisect pick over the
+    # node's thresholds equals sample_index's old loop, run lanewise over
+    # 10,000 uniforms that include each threshold and its float neighbours.
+    uniforms = np.random.default_rng(2024)
+    nodes = 0
+    for name, procedure, attack in _driver_configs(conv):
+        for _name, dist in protocol_driver(conv, name).round_model(procedure, attack).tree.values():
+            edges = [0.0, 1.0 - 2**-53]
+            for t in dist.thresholds:
+                edges += [t, np.nextafter(t, 0.0), np.nextafter(t, 1.0)]
+            us = np.concatenate([edges, uniforms.random(10_000 - len(edges))])
+            want = np.full(len(us), -1)
+            acc, last_live = 0.0, 0
+            for k, p in enumerate(dist):
+                if p > 0.0:
+                    last_live = k
+                acc += max(float(p), 0.0)
+                want[(want < 0) & (us < acc)] = k
+            want[want < 0] = last_live
+            assert list(map(dist.pick, us.tolist())) == want.tolist()
+            nodes += 1
+    assert nodes == 276
+
+
 def test_callers_never_change_a_shared_leaf_transcript(conv):
     driver, attack = protocol_driver(conv, "six"), ZlgAttack(conv)
     model = driver.round_model(Procedure.P_II, attack)

@@ -13,6 +13,7 @@ from swapqkd.qstate import (
 )
 
 import oracle
+from swapqkd.harness import splitmix64
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -433,16 +434,100 @@ def test_random_source_masks_to_64_bits():
     assert RandomSource(2**64 + 5).seed == 5
 
 
+class FakeRng:
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self):
+        return self.u
+
+
 def test_sample_index_boundaries():
-    class FakeRng:
-        def __init__(self, u):
-            self.u = u
-
-        def uniform(self):
-            return self.u
-
     probs = np.array([0.25, 0.25, 0.25, 0.25])
     assert qstate.sample_index(probs, FakeRng(0.0)) == 0
     assert qstate.sample_index(probs, FakeRng(0.999999)) == 3
     # rounding gap above the last bucket falls back to the last live outcome
     assert qstate.sample_index(np.array([1.0, 0.0, 0.0, 0.0]), FakeRng(0.9999999999)) == 0
+
+
+# --- the stream is numpy's PCG64 ---------------------------------------------
+# RandomSource computes numpy's SeedSequence -> PCG64 -> Generator.random()
+# itself; these pin it to numpy bit for bit, so a numpy change fails loudly.
+
+STREAM_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 1, 2**64 + 5)
+DRAWS = 200
+
+
+def numpy_stream(seed: int) -> list[float]:
+    generator = np.random.Generator(np.random.PCG64(seed & (2**64 - 1)))
+    return generator.random(DRAWS).tolist()
+
+
+def draws(rng: RandomSource, count: int = DRAWS) -> list[float]:
+    return [rng.uniform() for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_random_source_is_numpy_pcg64(seed):
+    (batched,) = qstate.random_sources([seed])
+    assert batched.seed == RandomSource(seed).seed == seed % 2**64
+    assert draws(RandomSource(seed)) == draws(batched) == numpy_stream(seed)
+
+
+def test_batched_sources_are_numpy_pcg64_over_splitmix_seeds():
+    seeds = [splitmix64(2024, i) for i in range(10_000)]
+    for seed, batched in zip(seeds, qstate.random_sources(seeds), strict=True):
+        assert draws(batched) == numpy_stream(seed)
+
+
+@pytest.mark.parametrize(
+    "size", [0, 1, qstate.SEED_CHUNK - 1, qstate.SEED_CHUNK, qstate.SEED_CHUNK + 1]
+)
+def test_a_batch_equals_its_seeds_one_at_a_time(size):
+    seeds = [splitmix64(2024, i) for i in range(size)]
+    batch = list(qstate.random_sources(iter(seeds)))
+    assert [rng.seed for rng in batch] == seeds
+    assert [draws(rng, 3) for rng in batch] == [draws(RandomSource(s), 3) for s in seeds]
+
+
+# --- inverse-CDF picks --------------------------------------------------------
+
+
+def loop_pick(probabilities, u: float) -> int:
+    """The inverse-CDF loop ``sample_index`` ran before thresholds were kept."""
+    acc, last_live = 0.0, 0
+    for k, p in enumerate(probabilities):
+        if p > 0.0:
+            last_live = k
+        acc += max(float(p), 0.0)
+        if u < acc:
+            return k
+    return last_live
+
+
+@pytest.mark.parametrize(
+    "probs,u,want",
+    [
+        # rounding gap above the last bucket: the last live outcome, not a trailing zero
+        ((0.5, 0.49999999, 0.0, 0.0), 0.999999995, 1),
+        ((0.25, 0.25, 0.25, 0.0), 0.9, 2),
+        ((0.3, 0.3, 0.39999999, -1e-17), 1.0 - 2**-53, 2),
+        # zero-probability outcomes at either end are never picked
+        ((0.0, 0.5, 0.5, 0.0), 0.0, 1),
+        ((0.0, 0.5, 0.5, 0.0), 1.0 - 2**-53, 2),
+        ((0.0, 0.0, 0.0, 1.0), 0.0, 3),
+        # a -1e-17 probability counts as 0
+        ((0.5, -1e-17, 0.5, 0.0), 0.5, 2),
+        ((-1e-17, 0.5, 0.5, 0.0), 0.0, 1),
+        # u equal to a threshold belongs to the next bucket
+        ((0.25, 0.25, 0.25, 0.25), 0.25, 1),
+        ((0.25, 0.25, 0.25, 0.25), 0.75, 3),
+        ((0.5, 0.0, 0.5, 0.0), 0.5, 2),
+        ((0.0, 0.0, 0.0, 0.0), 0.5, 0),
+    ],
+)
+def test_threshold_pick_matches_the_loop_at_the_edges(probs, u, want):
+    dist = qstate.Distribution(probs)
+    assert dist == probs
+    assert dist.pick(u) == loop_pick(probs, u) == want
+    assert qstate.sample_index(np.array(probs), FakeRng(u)) == want
