@@ -6,6 +6,9 @@ interception point, before any announcement exists.  What she hears later
 (the procedure choice, and in the six-qubit protocol the public result)
 only feeds her classical key inference.
 
+Every attack is one :class:`Interception` value written in gate names, and
+:data:`ATTACKS` maps each attack kind to its protocols and weighted attacks.
+
 Six-qubit interception: Eve holds an ancilla pair (7,8) in the labeled-00
 state.  She captures qubit 2 on its way to Bob and sends her qubit 7
 instead, captures qubit 6 on its way to Alice, rotates qubits 6 and 8 and
@@ -20,9 +23,9 @@ the found values are frozen in :data:`FROZEN_TAILORED_PARAMS` with a
 regeneration test.
 
 Four-qubit "four-swap": Eve intercepts both transmitted qubits and
-Bell-measures them — in the plain labeled basis when guessing procedure I,
-in the S-rotated basis when guessing procedure II — and forwards the pair
-in the collapsed state.
+Bell-measures them in the basis of the procedure she guesses, rotating
+qubit 2 by that procedure's gate before and after the plain measurement,
+and forwards the pair in the collapsed state.
 
 Eve's key inference is computed exactly: for each attack and procedure the
 protocol driver enumerates the full branch distribution once, and her
@@ -35,7 +38,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -47,8 +51,8 @@ from .protocol import (
     GateStep,
     MeasureStep,
     Plan,
-    Posterior,
     Procedure,
+    Step,
     TableMismatchError,
     TransitPlan,
     _row_diff,
@@ -63,16 +67,6 @@ from .qstate import GATES
 CORRECTIONS_PAULI: tuple[str, ...] = ("I", "X", "Y", "Z")
 CORRECTIONS_EXTENDED: tuple[str, ...] = ("I", "X", "Y", "Z", "S", "XS", "YS", "ZS")
 PRE_UNITARIES: tuple[str, ...] = ("I", "X", "Y", "Z", "S")
-
-
-# Attack kind -> the protocols it applies to, in the order the CLI lists kinds.
-ATTACK_PROTOCOLS: dict[str, tuple[str, ...]] = {
-    "none": ("six", "four"),
-    "zlg": ("six",),
-    "tailored": ("six",),
-    "four-swap": ("four",),
-    "mixed": ("six",),
-}
 
 
 class AttackSearchError(RuntimeError):
@@ -159,131 +153,116 @@ def pauli_for_label(conv: BellConvention) -> dict[str, str]:
     return mapping
 
 
-class _PosteriorMixin:
-    """Exact Bayesian key inference shared by all attacks."""
+@dataclass(frozen=True)
+class Interception:
+    """One in-flight attack, written in gate names.
 
-    conv: BellConvention
-    protocol: str
+    Eve applies the ``before`` gates, Bell-measures ``pair`` as ``eve``,
+    applies the ``after`` gates, then applies to qubit ``corrected`` the gate
+    that ``corrections`` maps her outcome to.  ``wiring`` holds the ancilla
+    pairs and the ``forward`` map.  Equal values share one round model per
+    driver, looked up every round, so the value's repr, built once, is its
+    hash and equality key.
+    """
+
     kind: str
+    protocol: str
+    pair: tuple[int, int]
+    before: tuple[tuple[int, str], ...] = ()
+    after: tuple[tuple[int, str], ...] = ()
+    corrected: int | None = None
+    corrections: tuple[tuple[str, str], ...] = ()  # Eve's outcome -> gate name
+    wiring: TransitPlan = TransitPlan()
 
-    def _posterior(self, procedure: Procedure) -> Posterior:
-        """Eve's inferred-key sets, shared by every attack with this ``cache_key``."""
-        return protocol_driver(self.conv, self.protocol).round_model(procedure, self).posterior
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_key", repr(self))  # canonical: no field holds a matrix
 
-    def transformation_for(self, eve_outcome: str) -> str | None:
-        return None
+    def __hash__(self) -> int:
+        return hash(self._key)  # type: ignore[attr-defined]
+
+    def __eq__(self, other: object) -> bool:
+        return self is other or (type(other) is Interception and self._key == other._key)
+
+    def transit_plan(self) -> TransitPlan:
+        """The interception's steps; an identity gate emits no step."""
+        def gates(steps: tuple[tuple[int, str], ...]) -> tuple[GateStep, ...]:
+            return tuple(GateStep(q, qstate.gate(name)) for q, name in steps if name != "I")
+
+        steps: tuple[Step, ...] = gates(self.before) + (MeasureStep("eve", self.pair),)
+        steps += gates(self.after)
+        if self.corrections:
+            table = tuple((m, qstate.gate(name)) for m, name in self.corrections)
+            steps += (ConditionalGateStep(qubit=self.corrected, on="eve", gates=table),)
+        return replace(self.wiring, steps=steps)
 
     def eve_record(self, eve_outcome: str, inferred_keys: tuple[str, ...]) -> EveRecord:
         """One round's record, given Eve's posterior for what she observed."""
-        return EveRecord(
-            attack=self.kind,
-            secret=eve_outcome,
-            transformation=self.transformation_for(eve_outcome),
-            inferred_keys=inferred_keys,
-        )
+        transformation = dict(self.corrections).get(eve_outcome)
+        return EveRecord(self.kind, eve_outcome, transformation, inferred_keys)
 
 
-class TailoredAttack(_PosteriorMixin):
-    """Six-qubit interception: rotate 6 and 8, Bell-measure them, correct 2."""
-
-    protocol = "six"
-    kind = "tailored"
-
-    def __init__(self, conv: BellConvention, params: "TailoredParams | None" = None):
-        self.conv = conv
-        self.params = params if params is not None else FROZEN_TAILORED_PARAMS
-        self.cache_key = (self.kind, self.params)
-
-    def transit_plan(self) -> TransitPlan:
-        rotations = tuple(
-            GateStep(q, qstate.gate(u))
-            for q, u in zip((6, 8), self.params.pre_unitaries)
-            if u != "I"
-        )
-        gates = tuple((m, qstate.gate(self.params.correction(m))) for m in LABELS)
-        return TransitPlan(
-            steps=rotations + (
-                MeasureStep("eve", (6, 8)),
-                ConditionalGateStep(qubit=2, on="eve", gates=gates),
-            ),
-            ancilla_pairs=((7, 8),),
-            forward=((6, 2), (2, 7)),
-        )
-
-    def transformation_for(self, eve_outcome: str) -> str:
-        return self.params.correction(eve_outcome)
+# Eve delivers her ancilla 7 in place of 2, and the captured 2 in place of 6.
+_SIX_WIRING = TransitPlan(ancilla_pairs=((7, 8),), forward=((6, 2), (2, 7)))
 
 
-class ZlgAttack(TailoredAttack):
+def _six_interception(kind: str, params: TailoredParams) -> Interception:
+    """Rotate 6 and 8, Bell-measure them, correct 2 by Eve's outcome."""
+    corrections = tuple((m, params.correction(m)) for m in LABELS)
+    return Interception(kind, "six", (6, 8), tuple(zip((6, 8), params.pre_unitaries)),
+                        corrected=2, corrections=corrections, wiring=_SIX_WIRING)
+
+
+def ZlgAttack(conv: BellConvention) -> Interception:
     """The published interception: no rotation, Pauli corrections."""
-
-    kind = "zlg"
-
-    def __init__(self, conv: BellConvention):
-        super().__init__(conv, TailoredParams(("I", "I"), tuple(pauli_for_label(conv).items())))
+    paulis = tuple(pauli_for_label(conv).items())
+    return _six_interception("zlg", TailoredParams(("I", "I"), paulis))
 
 
-class FourSwapAttack(_PosteriorMixin):
-    """Four-qubit intercept-swap-resend with a committed procedure guess."""
-
-    protocol = "four"
-    kind = "four-swap"
-
-    def __init__(self, conv: BellConvention, guess: Procedure):
-        self.conv = conv
-        self.guess = guess
-        self.cache_key = ("four-swap", guess)
-
-    def transit_plan(self) -> TransitPlan:
-        if self.guess is Procedure.P_I:
-            steps: tuple = (MeasureStep("eve", (2, 4)),)
-        else:
-            # Measuring in the S-rotated Bell basis: rotate qubit 2, measure
-            # in the plain basis, rotate back so the forwarded pair is the
-            # collapsed rotated-basis state.
-            steps = (
-                GateStep(2, GATES["S"]),
-                MeasureStep("eve", (2, 4)),
-                GateStep(2, GATES["S"]),
-            )
-        return TransitPlan(steps=steps)
+def TailoredAttack(conv: BellConvention, params: TailoredParams | None = None) -> Interception:
+    """The procedure-(ii)-matched interception; the frozen search result by default."""
+    return _six_interception("tailored", params if params is not None else FROZEN_TAILORED_PARAMS)
 
 
-Attack = TailoredAttack | FourSwapAttack
+def FourSwapAttack(conv: BellConvention, guess: Procedure) -> Interception:
+    """Bell-measure (2, 4) in the guessed basis: its gate on 2 before and after it."""
+    rotation = ((2, guess.rotation),)  # I or S, each its own inverse
+    return Interception("four-swap", "four", (2, 4), before=rotation, after=rotation)
+
+
+# Attack kind -> (the protocols it applies to, the constructors, each called with
+# the convention, a round draws from with their weights), in CLI order.
+ATTACKS: dict[str, tuple[tuple[str, ...], tuple[tuple[float, Callable], ...]]] = {
+    "none": (("six", "four"), ((1.0, lambda conv: None),)),
+    "zlg": (("six",), ((1.0, ZlgAttack),)),
+    "tailored": (("six",), ((1.0, TailoredAttack),)),
+    "four-swap": (("four",), tuple((0.5, partial(FourSwapAttack, guess=g)) for g in Procedure)),
+    "mixed": (("six",), ((0.5, ZlgAttack), (0.5, TailoredAttack))),
+}
 
 
 @dataclass(frozen=True)
 class AttackStrategy:
     """Harness-level description of the eavesdropper's behavior.
 
-    kind "none" (no eavesdropper), "zlg" or "tailored" (six-qubit),
-    "four-swap" (four-qubit, per-round uniform procedure guess), or
-    "mixed" (six-qubit: zlg with probability ``weight_zlg``, else the
-    tailored attack).
+    ``kind`` names an :data:`ATTACKS` entry: "none" (no eavesdropper), "zlg"
+    or "tailored" (six-qubit), "four-swap" (four-qubit, per-round uniform
+    procedure guess), or "mixed" (six-qubit: zlg with probability
+    ``weight_zlg``, else the tailored attack).
     """
 
     kind: str
-    weight_zlg: ClassVar[float] = 0.5
+    weight_zlg: ClassVar[float] = ATTACKS["mixed"][1][0][0]
 
     def __post_init__(self) -> None:
-        if self.kind not in ATTACK_PROTOCOLS:
+        if self.kind not in ATTACKS:
             raise ValueError(f"unknown attack kind {self.kind!r}")
 
     def compatible_protocols(self) -> tuple[str, ...]:
-        return ATTACK_PROTOCOLS[self.kind]
+        return ATTACKS[self.kind][0]
 
-    def mixture(self, conv: BellConvention) -> tuple[tuple[float, Attack | None], ...]:
+    def mixture(self, conv: BellConvention) -> tuple[tuple[float, Interception | None], ...]:
         """The attacks this kind draws each round, with their weights."""
-        if self.kind == "none":
-            return ((1.0, None),)
-        if self.kind == "zlg":
-            return ((1.0, ZlgAttack(conv)),)
-        if self.kind == "tailored":
-            return ((1.0, TailoredAttack(conv)),)
-        if self.kind == "mixed":
-            weight = self.weight_zlg
-            return ((weight, ZlgAttack(conv)), (1.0 - weight, TailoredAttack(conv)))
-        return tuple((0.5, FourSwapAttack(conv, guess)) for guess in Procedure)
+        return tuple((weight, build(conv)) for weight, build in ATTACKS[self.kind][1])
 
 
 # --- exact attack statistics ------------------------------------------------
@@ -330,9 +309,8 @@ def eve_information_probability(
 
 def _alice_block_plan(correction: str, procedure: Procedure) -> Plan:
     # block qubits 1,2,3,5 -> 1,2,3,4
-    rotation = GATES["S"] if procedure is Procedure.P_II else GATES["I"]
     steps = (
-        GateStep(3, rotation),
+        GateStep(3, qstate.gate(procedure.rotation)),
         MeasureStep("key", (1, 3)),
         GateStep(2, qstate.gate(correction)),
         MeasureStep("public", (4, 2)),
@@ -342,12 +320,11 @@ def _alice_block_plan(correction: str, procedure: Procedure) -> Plan:
 
 def _travel_block_plan(u6: str, u8: str, procedure: Procedure) -> Plan:
     # block qubits 4,6,7,8 -> 1,2,3,4
-    rotation = GATES["S"] if procedure is Procedure.P_II else GATES["I"]
     steps = (
         GateStep(2, qstate.gate(u6)),
         GateStep(4, qstate.gate(u8)),
         MeasureStep("eve", (2, 4)),
-        GateStep(1, rotation),
+        GateStep(1, qstate.gate(procedure.rotation)),
         MeasureStep("secret", (3, 1)),
     )
     return Plan(4, ((1, 2), (3, 4)), steps)
@@ -459,7 +436,7 @@ def _verify_tailored(conv: BellConvention, params: TailoredParams) -> None:
     attack = TailoredAttack(conv, params)
     driver = protocol_driver(conv, "six")
     table = driver.inference[Procedure.P_II]
-    posterior = attack._posterior(Procedure.P_II)
+    posterior = driver.round_model(Procedure.P_II, attack).posterior
     for prob, out in driver.enumerate_branches(Procedure.P_II, attack):
         if table.infer(out) != out["key"]:
             raise AttackSearchError("block-table search and full engine disagree on (ii)")
@@ -524,22 +501,22 @@ def zlg_outcome_rows(conv: BellConvention) -> list[tuple[str, ...]]:
     rows = set()
     for procedure in Procedure:
         table = driver.inference[procedure]
-        posterior = attack._posterior(procedure)
-        for _prob, out in driver.enumerate_branches(procedure, attack):
+        model = driver.round_model(procedure, attack)
+        for _prob, out in model.branches:
             if out["key"] != "00":
                 continue
-            inferred = table.infer(out)
-            eve_inferred = " or ".join(posterior[driver.spec.eve_observation(out)])
+            observation = driver.spec.eve_observation(out)
+            record = attack.eve_record(out["eve"], model.posterior[observation])
             rows.add(
                 (
                     procedure.printed,
                     out["key"],
                     out["public"],
                     out["secret"],
-                    inferred,
+                    table.infer(out),
                     out["eve"],
-                    attack.transformation_for(out["eve"]),
-                    eve_inferred,
+                    record.transformation,
+                    " or ".join(record.inferred_keys),
                 )
             )
     return sorted(rows, key=lambda r: (r[0], r[3], r[5], r[2]))

@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import __version__, adversary, bell, harness, protocol
-from .adversary import ATTACK_PROTOCOLS, AttackStrategy
+from .adversary import ATTACKS, AttackStrategy
 from .protocol import PROTOCOLS, TableMismatchError
 
 FORMATS = ("human", "json", "csv")
@@ -228,10 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo protocol run")
     p.add_argument("--protocol", choices=tuple(PROTOCOLS), default="six")
-    p.add_argument(
-        "--attack", choices=tuple(ATTACK_PROTOCOLS),
-        default="none",
-    )
+    p.add_argument("--attack", choices=tuple(ATTACKS), default="none")
     p.add_argument("--rounds", type=int, default=1000)
     p.add_argument("--test-fraction", type=float, default=0.5,
                    help="fraction of rounds whose keys are publicly compared")
@@ -244,10 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="empirical vs theoretical detection probability per compared pairs",
     )
     p.add_argument("--protocol", choices=tuple(PROTOCOLS), default="six")
-    p.add_argument(
-        "--attack", choices=tuple(ATTACK_PROTOCOLS),
-        default="mixed",
-    )
+    p.add_argument("--attack", choices=tuple(ATTACKS), default="mixed")
     p.add_argument("--n", default="1,2,4,8,16", help="comma-separated compared-pair counts")
     p.add_argument("--reps", type=int, default=10000, help="experiments per point (>= 100)")
     p.add_argument("--procedure-prob", type=float, default=0.5)

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from . import bell
 from .adversary import AttackStrategy
-from .protocol import PROTOCOLS, Procedure, RoundTranscript, mark_compared, protocol_driver
+from .protocol import PROTOCOLS, Procedure, RoundTranscript, protocol_driver
 from .qstate import RandomSource, random_sources
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -154,9 +154,8 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
     for rng in random_sources(splitmix64(config.master_seed, i) for i in range(config.rounds)):
         transcript = _run_one_round(driver, picker, config.procedure_policy, rng)
         if rng.uniform() < config.test_fraction:
-            transcript = mark_compared(transcript)
             compared += 1
-            detected += transcript.detected
+            detected += transcript.bob_inferred_key != transcript.key
         agreed += transcript.bob_inferred_key == transcript.key
         record = transcript.eve_record
         if record is not None and record.inferred_keys == (transcript.key,):

@@ -65,6 +65,11 @@ class Procedure(Enum):
     def printed(self) -> str:
         return f"({self.value})"
 
+    @property
+    def rotation(self) -> str:
+        """The gate each party applies before measuring: ``I`` under (i), ``S`` under (ii)."""
+        return "S" if self is Procedure.P_II else "I"
+
 
 class AmbiguityError(RuntimeError):
     """An observation Bob infers the key from is consistent with two keys."""
@@ -139,14 +144,14 @@ class ProtocolSpec:
 
     ``pairs`` start in the labeled-00 state; ``in_flight`` qubits travel
     between the parties.  ``steps`` are Alice's measurements, then Bob's, as
-    if nothing were intercepted; their ``GateStep``s are the procedure-(ii)
-    S rotations, which procedure (i) replaces with the identity so that both
-    procedures share one step skeleton.  Bob infers the key from the
-    ``observed`` outcomes; the ``announced`` outcomes are made public, so Eve
-    observes them with her own outcome ``eve``.  ``eve_observation(outcomes)``
-    reads that observation: ``eve`` alone, or a tuple of ``eve`` and the
-    announced outcomes.  Every observed or announced name must be measured by
-    ``steps``.
+    if nothing were intercepted; each ``GateStep`` is a slot that
+    :func:`build_plan` fills with the procedure's ``rotation`` (written here
+    as (ii)'s S), so that both procedures share one step skeleton.  Bob
+    infers the key from the ``observed`` outcomes; the ``announced`` outcomes
+    are made public, so Eve observes them with her own outcome ``eve``.
+    ``eve_observation(outcomes)`` reads that observation: ``eve`` alone, or a
+    tuple of ``eve`` and the announced outcomes.  Every observed or announced
+    name must be measured by ``steps``.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -227,19 +232,19 @@ def _validate_transit(spec: ProtocolSpec, transit: TransitPlan) -> None:
 def build_plan(spec: ProtocolSpec, procedure: Procedure, transit: TransitPlan | None) -> Plan:
     """Eve's steps, then the honest steps on the qubits actually delivered.
 
-    Procedure (i) applies ``I`` where (ii) rotates, so the two procedures'
+    Every spec gate slot takes ``procedure.rotation``, so the two procedures'
     plans differ only in gate matrices and enumerate as one batch.
     """
     transit = transit or TransitPlan()
     _validate_transit(spec, transit)
     route = dict(transit.forward)
     steps: list[Step] = list(transit.steps)
+    rotation = qstate.gate(procedure.rotation)
     for step in spec.steps:
         if isinstance(step, MeasureStep):
             steps.append(replace(step, pair=tuple(route.get(q, q) for q in step.pair)))
         else:
-            matrix = step.matrix if procedure is Procedure.P_II else GATES["I"]
-            steps.append(GateStep(route.get(step.qubit, step.qubit), matrix))
+            steps.append(GateStep(route.get(step.qubit, step.qubit), rotation))
     pairs = spec.pairs + transit.ancilla_pairs
     return Plan(2 * len(pairs), pairs, tuple(steps))
 
@@ -533,10 +538,10 @@ class _ProtocolBase:
     def round_model(self, procedure: Procedure, attack=None) -> RoundModel:
         """The round under ``attack``.
 
-        Both procedures' plans are enumerated as one batch, once per attack ``cache_key``.
+        Both procedures' plans are enumerated as one batch, once per attack value:
+        equal attacks share one model.
         """
-        attack_key = attack.cache_key if attack is not None else None
-        model = self._models.get((procedure, attack_key))
+        model = self._models.get((procedure, attack))
         if model is None:
             if attack is not None and attack.protocol != self.name:
                 raise WrongProtocolError(
@@ -550,8 +555,8 @@ class _ProtocolBase:
                 branches = tuple((prob, MappingProxyType(out)) for prob, out in found)
                 posterior = _eve_posterior(self.spec, branches)
                 transcript = partial(self._transcript, p, attack, posterior)
-                self._models[p, attack_key] = RoundModel(plan, branches, posterior, transcript)
-            model = self._models[procedure, attack_key]
+                self._models[p, attack] = RoundModel(plan, branches, posterior, transcript)
+            model = self._models[procedure, attack]
         return model
 
     def enumerate_branches(self, procedure: Procedure, attack=None) -> tuple[Branch, ...]:

@@ -90,11 +90,14 @@ def test_acceptance_interception_asymmetry(conv):
     info_1 = eve_information_probability(conv, "six", Procedure.P_I, attack)
     assert det_1 == 0.0
     assert abs(info_1 - 1.0) < EXACT
-    assert all(len(keys) == 1 for keys in attack._posterior(Procedure.P_I).values())
+    driver = protocol.protocol_driver(conv, "six")
+    posterior_1 = driver.round_model(Procedure.P_I, attack).posterior
+    assert all(len(keys) == 1 for keys in posterior_1.values())
 
     det_2 = attack_detection_probability(conv, "six", Procedure.P_II, attack)
     assert abs(det_2 - 0.5) < EXACT
-    assert all(len(keys) == 2 for keys in attack._posterior(Procedure.P_II).values())
+    posterior_2 = driver.round_model(Procedure.P_II, attack).posterior
+    assert all(len(keys) == 2 for keys in posterior_2.values())
     _pass(
         "interception-asymmetry",
         f"procedure (i): detection {det_1}, informed {info_1:.1f}; "

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import json
 import time
@@ -6,15 +7,16 @@ from dataclasses import replace
 
 import pytest
 
-from swapqkd import adversary, protocol
+from swapqkd import adversary, cli, protocol
 from swapqkd.adversary import (
-    ATTACK_PROTOCOLS,
+    ATTACKS,
     CORRECTIONS_EXTENDED,
     EXPECTED_TABLE2,
     AttackSearchError,
     AttackStrategy,
     EveRecord,
     FourSwapAttack,
+    Interception,
     TailoredAttack,
     TailoredParams,
     ZlgAttack,
@@ -30,6 +32,7 @@ from swapqkd.protocol import (
     MeasureStep,
     PROTOCOLS,
     Procedure,
+    TransitPlan,
     build_plan,
     enumerate_plan,
     protocol_driver,
@@ -53,7 +56,7 @@ def test_zlg_under_p1_is_invisible_and_fully_informative(conv):
     attack = ZlgAttack(conv)
     assert attack_detection_probability(conv, "six", Procedure.P_I, attack) == 0.0
     assert abs(eve_information_probability(conv, "six", Procedure.P_I, attack) - 1.0) < EXACT
-    posterior = attack._posterior(Procedure.P_I)
+    posterior = protocol_driver(conv, "six").round_model(Procedure.P_I, attack).posterior
     assert all(len(keys) == 1 for keys in posterior.values())
 
 
@@ -78,16 +81,17 @@ def test_zlg_under_p2_detection_is_half(conv):
 
 def test_zlg_under_p2_eve_has_two_candidates_everywhere(conv):
     attack = ZlgAttack(conv)
-    posterior = attack._posterior(Procedure.P_II)
+    posterior = protocol_driver(conv, "six").round_model(Procedure.P_II, attack).posterior
     for (eve, _public), keys in posterior.items():
         assert len(keys) == 2
     assert eve_information_probability(conv, "six", Procedure.P_II, attack) == 0.0
 
 
 def test_posterior_is_shared_across_attack_instances(conv):
+    driver = protocol_driver(conv, "six")
     for procedure in Procedure:
-        posterior = ZlgAttack(conv)._posterior(procedure)
-        assert ZlgAttack(conv)._posterior(procedure) is posterior
+        posterior = driver.round_model(procedure, ZlgAttack(conv)).posterior
+        assert driver.round_model(procedure, ZlgAttack(conv)).posterior is posterior
         with pytest.raises(TypeError):
             posterior[("00", "00")] = ("11",)
 
@@ -112,7 +116,7 @@ def test_zlg_p2_worked_example(conv):
     detected = [o for _p, o in slice_ if o["public"] == "11" and o["secret"] == "00"]
     assert detected
     assert driver.inference[Procedure.P_II].infer({"public": "11", "secret": "00"}) == "11"
-    assert attack._posterior(Procedure.P_II)[("01", "11")] == ("00", "11")
+    assert driver.round_model(Procedure.P_II, attack).posterior[("01", "11")] == ("00", "11")
 
 
 def test_zlg_is_the_interception_without_rotation(conv):
@@ -120,14 +124,62 @@ def test_zlg_is_the_interception_without_rotation(conv):
     # corrections; its branches are those of that parameter choice.
     params = TailoredParams(("I", "I"), tuple(pauli_for_label(conv).items()))
     zlg = ZlgAttack(conv)
-    assert isinstance(zlg, TailoredAttack)
-    assert zlg.params == params
-    assert zlg.cache_key == ("zlg", params)
+    assert (zlg.kind, zlg.protocol, zlg.pair, zlg.corrected) == ("zlg", "six", (6, 8), 2)
+    assert [gate for _qubit, gate in zlg.before if gate != "I"] == [] and zlg.after == ()
+    paulis = (("00", "I"), ("01", "Z"), ("10", "X"), ("11", "Y"))
+    assert zlg.corrections == params.pauli_map == paulis
     driver = protocol_driver(conv, "six")
     for procedure in Procedure:
         assert driver.enumerate_branches(procedure, zlg) == driver.enumerate_branches(
             procedure, TailoredAttack(conv, params)
         )
+
+
+def test_equal_interceptions_share_one_round_model(conv):
+    driver = protocol._ProtocolBase(conv, "six")
+    first, second = ZlgAttack(conv), ZlgAttack(conv)
+    assert first is not second and first == second and hash(first) == hash(second)
+    built = Interception(
+        "zlg", "six", (6, 8), ((6, "I"), (8, "I")), corrected=2,
+        corrections=tuple(pauli_for_label(conv).items()), wiring=first.wiring,
+    )
+    assert built == first
+    four = protocol._ProtocolBase(conv, "four")
+    for procedure in Procedure:
+        model = driver.round_model(procedure, first)
+        assert driver.round_model(procedure, second) is model
+        assert driver.round_model(procedure, built) is model
+        guess = four.round_model(procedure, FourSwapAttack(conv, procedure))
+        assert four.round_model(procedure, FourSwapAttack(conv, procedure)) is guess
+    # Beside the two adversary-free models: one attack's two, and two guesses' four.
+    assert len(driver._models) == 2 + 2 and len(four._models) == 2 + 4
+
+
+def test_zlg_gates_under_another_kind_get_their_own_round_model(conv):
+    # The kind is part of the value: it names the attack in Eve's record.
+    driver = protocol._ProtocolBase(conv, "six")
+    zlg = ZlgAttack(conv)
+    renamed = replace(zlg, kind="tailored")
+    assert renamed != zlg
+    assert renamed == TailoredAttack(conv, TailoredParams(("I", "I"), zlg.corrections))
+    for procedure in Procedure:
+        ours, theirs = driver.round_model(procedure, zlg), driver.round_model(procedure, renamed)
+        assert ours is not theirs and ours.branches == theirs.branches
+        assert {leaf.eve_record.attack for leaf in ours.leaves.values()} == {"zlg"}
+        assert {leaf.eve_record.attack for leaf in theirs.leaves.values()} == {"tailored"}
+
+
+def test_four_swap_guess_plans_are_the_measurement_in_the_guessed_basis(conv):
+    # Guess (I) is the measurement alone; guess (II) is S on 2, measure (2, 4), S on 2.
+    plain = FourSwapAttack(conv, Procedure.P_I).transit_plan()
+    assert plain == TransitPlan(steps=(MeasureStep("eve", (2, 4)),))
+    rotated = FourSwapAttack(conv, Procedure.P_II).transit_plan()
+    assert (rotated.ancilla_pairs, rotated.forward) == ((), ())
+    first, measure, last = rotated.steps
+    assert measure == MeasureStep("eve", (2, 4))
+    for step in (first, last):
+        assert isinstance(step, GateStep) and step.qubit == 2
+        assert step.matrix is GATES["S"]
 
 
 def test_identity_pre_rotations_emit_no_gate(conv):
@@ -236,7 +288,7 @@ def test_tailored_is_caught_under_p1(conv):
     detection = attack_detection_probability(conv, "six", Procedure.P_I, attack)
     assert detection > 0.0
     assert abs(detection - 0.5) < EXACT
-    posterior = attack._posterior(Procedure.P_I)
+    posterior = protocol_driver(conv, "six").round_model(Procedure.P_I, attack).posterior
     assert all(len(keys) == 2 for keys in posterior.values())
 
 
@@ -275,7 +327,7 @@ def test_four_swap_matched_guess_is_invisible(conv, guess):
     attack = FourSwapAttack(conv, guess)
     assert attack_detection_probability(conv, "four", guess, attack) == 0.0
     assert abs(eve_information_probability(conv, "four", guess, attack) - 1.0) < EXACT
-    posterior = attack._posterior(guess)
+    posterior = protocol_driver(conv, "four").round_model(guess, attack).posterior
     assert all(len(keys) == 1 for keys in posterior.values())
 
 
@@ -285,7 +337,7 @@ def test_four_swap_mismatched_guess_detected_half(conv, guess):
     attack = FourSwapAttack(conv, guess)
     detection = attack_detection_probability(conv, "four", other, attack)
     assert abs(detection - 0.5) < EXACT
-    posterior = attack._posterior(other)
+    posterior = protocol_driver(conv, "four").round_model(other, attack).posterior
     assert all(len(keys) == 2 for keys in posterior.values())
     assert eve_information_probability(conv, "four", other, attack) == 0.0
 
@@ -336,7 +388,20 @@ def test_attack_strategy_validation():
     assert AttackStrategy("mixed").compatible_protocols() == ("six",)
 
 
-@pytest.mark.parametrize("kind", list(ATTACK_PROTOCOLS))
+def test_attack_table_lists_the_cli_choices_and_the_mixed_weight():
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("simulate", "detection-curve"):
+        attack = next(a for a in commands.choices[command]._actions if a.dest == "attack")
+        assert tuple(attack.choices) == tuple(ATTACKS) == (
+            "none", "zlg", "tailored", "four-swap", "mixed"
+        )
+    (zlg_weight, zlg), (_, tailored) = ATTACKS["mixed"][1]
+    assert (zlg, tailored) == (ZlgAttack, TailoredAttack)
+    assert AttackStrategy.weight_zlg == zlg_weight == 0.5
+
+
+@pytest.mark.parametrize("kind", list(ATTACKS))
 def test_attack_mixture_is_a_distribution_over_compatible_attacks(conv, kind):
     strategy = AttackStrategy(kind)
     mixture = strategy.mixture(conv)

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import json
 from dataclasses import replace
@@ -129,7 +131,7 @@ def test_breadth_first_enumeration_matches_depth_first_walk():
     # pre-rotations, each with its own correction map.
     frozen = adversary.FROZEN_TAILORED_PARAMS
     names = [name for _m, name in frozen.pauli_map]
-    maps = [frozen.pauli_map, ZlgAttack(conv).params.pauli_map]
+    maps = [frozen.pauli_map, ZlgAttack(conv).corrections]
     maps += [tuple(zip(LABELS, names[k:] + names[:k])) for k in (1, 2)]
     for procedure in Procedure:
         attacks = [TailoredAttack(conv, replace(frozen, pauli_map=m)) for m in maps]
@@ -162,6 +164,62 @@ def test_round_models_match_depth_first_walk_without_identity_steps():
                     _assert_same_branches(model.branches, oracle.walk(conv, plan))
                     checked += 1
     assert checked == 64 * 12
+
+
+# SHA-256 over every driver round model of the 64 conventions; see
+# test_round_models_match_pinned_digest.
+ROUND_MODELS_SHA256 = "cb78874f35c3ee15935f4e25f8359cebfb3437993a58be8eb3de54dc9bac77c8"
+
+
+def _feed(h, value):
+    """Hash ``value`` field by field, never through a class repr."""
+    if dataclasses.is_dataclass(value):
+        h.update(type(value).__name__.encode())
+        for f in dataclasses.fields(value):
+            h.update(f.name.encode())
+            _feed(h, getattr(value, f.name))
+    elif isinstance(value, Procedure):
+        h.update(b"procedure " + value.value.encode())
+    elif isinstance(value, np.ndarray):
+        h.update(f"{value.dtype.str}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, float):
+        h.update(value.hex().encode())
+    elif isinstance(value, (tuple, list)):
+        h.update(f"({len(value)}".encode())
+        for item in value:
+            _feed(h, item)
+        h.update(b")")
+    else:
+        assert value is None or isinstance(value, (str, int))
+        h.update(repr(value).encode())
+
+
+def test_round_models_match_pinned_digest():
+    # Every plan step, float.hex branch mass, outcome, Bob's inferred key,
+    # Eve's posterior and leaf transcript of the 768 driver round models:
+    # six/{none, zlg, tailored} and four/{none, four-swap (I), (II)}, both
+    # procedures, all 64 conventions.
+    h = hashlib.sha256()
+    models = 0
+    for conv in bell.all_conventions():
+        for name, attacks in (
+            ("six", (None, ZlgAttack(conv), TailoredAttack(conv))),
+            ("four", (None,) + tuple(FourSwapAttack(conv, guess) for guess in Procedure)),
+        ):
+            driver = protocol._ProtocolBase(conv, name)
+            for attack in attacks:
+                for procedure in Procedure:
+                    model = driver.round_model(procedure, attack)
+                    _feed(h, (name, procedure, model.plan))
+                    for prob, out in model.branches:
+                        inferred = driver.inference[procedure].infer(out)
+                        _feed(h, (prob, tuple(out.items()), inferred))
+                    _feed(h, tuple(model.posterior.items()))
+                    _feed(h, tuple(model.leaves.items()))
+                    models += 1
+    assert models == 768
+    assert h.hexdigest() == ROUND_MODELS_SHA256
 
 
 def test_enumeration_rejects_non_unitary_gates(conv):
@@ -539,7 +597,6 @@ def test_round_functions_are_deterministic(conv):
 
 class _BadAttack:
     kind = "bad"
-    cache_key = ("bad",)
 
     def __init__(self, transit, protocol="six"):
         self._transit = transit
