@@ -20,7 +20,8 @@ parameter choices: "zlg", the published attack, uses no rotation and
 Pauli corrections; "tailored", its procedure-(ii) mirror, is found by
 :func:`derive_tailored_attack`, an exhaustive deterministic search, and
 the found values are frozen in :data:`FROZEN_TAILORED_PARAMS` with a
-regeneration test.
+regeneration test.  The search scores each candidate as a sum of per-outcome
+detection terms, read from one table built from two small block enumerations.
 
 Four-qubit "four-swap": Eve intercepts both transmitted qubits and
 Bell-measures them in the basis of the procedure she guesses, rotating
@@ -299,12 +300,14 @@ def eve_information_probability(
 # The six-qubit round factors into two blocks that share no qubits: Alice's
 # {1,2,3,5} (key and public measurements, Eve's correction on 2) and the
 # travel block {4,6,7,8} (Eve's measurement, Bob's secret on (7,4)).  They
-# couple only through Eve's classical outcome, so each candidate can be
-# scored from two small per-block branch tables instead of one 8-qubit
-# enumeration.  The winning candidate is re-verified against the full
-# 8-qubit round engine before being returned.  As in ``protocol.build_plan``,
-# procedure (i) applies ``I`` where (ii) rotates, so a block's plans for both
-# procedures enumerate as one batch.
+# couple only through Eve's outcome m, so a candidate's detection probability
+# is a sum over m of one term per (pre-rotation pair, m, correction): one
+# small table replaces an 8-qubit enumeration per candidate, and only the
+# winner is re-verified on the full round engine.  As in
+# ``protocol.build_plan``, procedure (i) applies ``I`` where (ii) rotates,
+# so a block's plans for both procedures enumerate as one batch.
+
+ROTATIONS: tuple[tuple[str, str], ...] = tuple(itertools.product(PRE_UNITARIES, repeat=2))
 
 
 def _alice_block_plan(correction: str, procedure: Procedure) -> Plan:
@@ -330,50 +333,34 @@ def _travel_block_plan(u6: str, u8: str, procedure: Procedure) -> Plan:
     return Plan(4, ((1, 2), (3, 4)), steps)
 
 
-ConditionalTable = dict[str, tuple[float, list[tuple[str, float]]]]
-
-
-def _block_tables(conv: BellConvention, build: Callable[..., Plan], names: Sequence) -> list[dict]:
-    """Per procedure, the tables of the plans ``build(name, procedure)``.
-
-    Every plan of both procedures is enumerated in one batch.  Each plan gives
-    a table: its first measurement's outcome -> (marginal, [(its second
-    measurement's outcome, conditional probability)]).
+def _block_masses(conv: BellConvention, build: Callable[..., Plan], names: Sequence) -> np.ndarray:
+    """Per procedure, a ``(plans, 4, 4)`` array: the plans ``build(name, procedure)``,
+    all enumerated in one batch; ``[i, a, b]`` is the mass at which plan ``names[i]``'s
+    first measurement reads ``LABELS[a]`` and its second ``LABELS[b]``.
     """
     plans = [build(name, procedure) for procedure in Procedure for name in names]
-    found = iter(enumerate_plans(conv, plans))
-    families = []
-    for _procedure in Procedure:
-        tables: dict[object, ConditionalTable] = {}
-        for name, branches in zip(names, found):
-            joint: dict[str, dict[str, float]] = {}
-            for prob, out in branches:
-                first, second = out.values()
-                cell = joint.setdefault(first, {})
-                cell[second] = cell.get(second, 0.0) + prob
-            tables[name] = {}
-            for outcome, cell in joint.items():
-                total = sum(cell.values())
-                tables[name][outcome] = (total, [(o, w / total) for o, w in sorted(cell.items())])
-        families.append(tables)
-    return families
+    joints = [dict.fromkeys(itertools.product(LABELS, repeat=2), 0.0) for _plan in plans]
+    for joint, branches in zip(joints, enumerate_plans(conv, plans)):
+        for prob, out in branches:
+            joint[tuple(out.values())] += prob  # keyed (first, second) outcome
+    return np.reshape([list(j.values()) for j in joints], (len(Procedure), len(names), 4, 4))
 
 
-def _candidate_p1_detection(
-    params: TailoredParams,
-    travel_p1: ConditionalTable,
-    alice_tables_p1: dict[str, ConditionalTable],
-    inferred_p1: dict[tuple[str, ...], str],
-) -> float:
-    detection = 0.0
-    for m, (prob_m, secrets) in travel_p1.items():
-        alice = alice_tables_p1[params.correction(m)]
-        for key, (prob_key, publics) in alice.items():
-            for public, ap in publics:
-                for secret, sp in secrets:
-                    if inferred_p1[public, secret] != key:
-                        detection += prob_m * prob_key * ap * sp
-    return detection
+def _detection_terms(conv: BellConvention) -> list[np.ndarray]:
+    """Per procedure, ``terms[r, m, g]``: the probability that Eve measures ``m`` after
+    pre-rotation pair ``ROTATIONS[r]`` and Bob then infers a wrong key, given correction
+    ``CORRECTIONS_EXTENDED[g]``.  Terms sum non-negative products, so a zero is exact.
+    """
+    driver = protocol_driver(conv, "six")
+    alice = _block_masses(conv, _alice_block_plan, CORRECTIONS_EXTENDED)  # [g, key, public]
+    travel = _block_masses(conv, lambda r, p: _travel_block_plan(*r, p), ROTATIONS)  # [r, m, sec]
+    terms = []
+    for procedure, alice_p, travel_p in zip(Procedure, alice, travel):
+        infer = driver.inference[procedure].as_dict()  # (public, secret) -> Bob's key
+        wrong = np.array([[[infer[p, s] != k for s in LABELS] for p in LABELS] for k in LABELS])
+        W = np.einsum("gkp,kps->gs", alice_p, wrong)  # [g, secret]: Alice's mass decoded wrong
+        terms.append(np.einsum("rms,gs->rmg", travel_p, W))  # travel @ W.T, with no BLAS buffer
+    return terms
 
 
 def derive_tailored_attack(conv: BellConvention) -> TailoredParams:
@@ -384,51 +371,27 @@ def derive_tailored_attack(conv: BellConvention) -> TailoredParams:
     set starts as the bare Paulis; since no Pauli-only candidate can make
     Alice's rotated public pair collapse deterministically, the search then
     widens the corrections to Pauli-times-S products (order I, X, Y, Z, S,
-    XS, YS, ZS) and returns the first candidate such that
-
-    * under procedure (ii) every branch leaves Bob's inferred key equal to
-      the key (undetected) and Eve's inference a correct singleton, and
-    * under procedure (i) the detection probability is strictly positive.
-
-    The winner is re-verified against the full eight-qubit round engine.
+    XS, YS, ZS).  It returns the first candidate in scan order whose
+    :func:`_detection_terms` meet both predicates: every (ii) term of its map
+    is exactly ``0.0`` (Bob always infers the key under (ii)), and some (i)
+    term is ``> 0.0`` (procedure (i) detects it).  The full eight-qubit round
+    engine re-verifies the winner, and that Eve's (ii) inference is a correct singleton.
     """
-    driver = protocol_driver(conv, "six")
-    # Bob's key by (public, secret), per procedure.
-    inferred_p1 = driver.inference[Procedure.P_I].as_dict()
-    inferred_p2 = driver.inference[Procedure.P_II].as_dict()
-
-    # Every block plan is enumerated once, in two batches over both procedures: Alice's
-    # tables (key -> public) by correction, the travel tables (Eve's outcome -> secret) by (u6, u8).
-    alice_p1, alice_p2 = _block_tables(conv, _alice_block_plan, CORRECTIONS_EXTENDED)
-    rotations = list(itertools.product(PRE_UNITARIES, repeat=2))
-    travel_p1, travel_p2 = _block_tables(conv, lambda r, p: _travel_block_plan(*r, p), rotations)
-
-    for corrections in (CORRECTIONS_PAULI, CORRECTIONS_EXTENDED):
-        for u6, u8 in rotations:
-            # Undetected under (ii) needs Bob's secret pinned by Eve's outcome.
-            travel = travel_p2[u6, u8]
-            if any(len(secrets) != 1 for _pm, secrets in travel.values()):
-                continue
-            taus = {m: secrets[0][0] for m, (_pm, secrets) in travel.items()}
-            # Per outcome, the corrections that pin a public result Bob decodes right.
-            valid = [
-                [g for g in corrections if all(
-                    len(publics) == 1 and inferred_p2[publics[0][0], taus[m]] == key
-                    for key, (_pk, publics) in alice_p2[g].items()
-                )]
-                for m in LABELS
-            ]
-            if not all(valid):
-                continue
+    terms_i, terms_ii = _detection_terms(conv)
+    detected, undetected = (terms_i > 0.0).tolist(), (terms_ii == 0.0).tolist()
+    assert CORRECTIONS_EXTENDED[: len(CORRECTIONS_PAULI)] == CORRECTIONS_PAULI
+    for width in (len(CORRECTIONS_PAULI), len(CORRECTIONS_EXTENDED)):
+        for r, rotation in enumerate(ROTATIONS):
+            # Per outcome, the corrections that leave procedure (ii) undetected.
+            valid = [[g for g in range(width) if row[g]] for row in undetected[r]]
             for combo in itertools.product(*valid):
-                params = TailoredParams((u6, u8), tuple(zip(LABELS, combo)))
-                if _candidate_p1_detection(params, travel_p1[u6, u8], alice_p1, inferred_p1) > 0.0:
+                if any(detected[r][m][g] for m, g in enumerate(combo)):
+                    corrections = (CORRECTIONS_EXTENDED[g] for g in combo)
+                    params = TailoredParams(rotation, tuple(zip(LABELS, corrections)))
                     _verify_tailored(conv, params)
                     return params
-    raise AttackSearchError(
-        "no (pre-unitaries, correction map) candidate defeats procedure (ii); "
-        "the parameterization would need further widening"
-    )
+    raise AttackSearchError("no (pre-unitaries, correction map) candidate defeats procedure "
+                            "(ii); the parameterization would need further widening")
 
 
 def _verify_tailored(conv: BellConvention, params: TailoredParams) -> None:

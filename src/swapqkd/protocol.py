@@ -45,7 +45,7 @@ import numpy as np
 
 from . import qstate
 from .bell import LABELS, BellConvention
-from .qstate import GATES, RandomSource, StateVector
+from .qstate import RandomSource, StateVector
 
 if TYPE_CHECKING:  # pragma: no cover
     from .adversary import EveRecord
@@ -118,6 +118,11 @@ class ConditionalGateStep:
         return dict(self.gates)[label]
 
 
+@dataclass(frozen=True)
+class Rotate:
+    qubit: int  # a spec's gate slot: build_plan applies the procedure's rotation here
+
+
 Step = GateStep | MeasureStep | ConditionalGateStep
 
 
@@ -144,9 +149,9 @@ class ProtocolSpec:
 
     ``pairs`` start in the labeled-00 state; ``in_flight`` qubits travel
     between the parties.  ``steps`` are Alice's measurements, then Bob's, as
-    if nothing were intercepted; each ``GateStep`` is a slot that
-    :func:`build_plan` fills with the procedure's ``rotation`` (written here
-    as (ii)'s S), so that both procedures share one step skeleton.  Bob
+    if nothing were intercepted; each :class:`Rotate` is a slot that
+    :func:`build_plan` fills with the procedure's ``rotation``, so that both
+    procedures share one step skeleton, and a spec holds no gate matrix.  Bob
     infers the key from the ``observed`` outcomes; the ``announced`` outcomes
     are made public, so Eve observes them with her own outcome ``eve``.
     ``eve_observation(outcomes)`` reads that observation: ``eve`` alone, or a
@@ -156,11 +161,13 @@ class ProtocolSpec:
 
     pairs: tuple[tuple[int, int], ...]
     in_flight: frozenset[int]
-    steps: tuple[GateStep | MeasureStep, ...]
+    steps: tuple[Rotate | MeasureStep, ...]
     observed: tuple[str, ...]
     announced: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not all(isinstance(step, (Rotate, MeasureStep)) for step in self.steps):
+            raise ValueError("spec steps must be Rotate slots and MeasureSteps: no gate matrices")
         measured = {step.name for step in self.steps if isinstance(step, MeasureStep)}
         unmeasured = sorted(set(self.observed + self.announced) - measured)
         if unmeasured:
@@ -176,8 +183,8 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         pairs=((1, 2), (3, 5), (4, 6)),
         in_flight=frozenset({2, 6}),
         steps=(
-            GateStep(3, GATES["S"]), MeasureStep("key", (1, 3)), MeasureStep("public", (5, 6)),
-            GateStep(4, GATES["S"]), MeasureStep("secret", (2, 4)),
+            Rotate(3), MeasureStep("key", (1, 3)), MeasureStep("public", (5, 6)),
+            Rotate(4), MeasureStep("secret", (2, 4)),
         ),
         observed=("public", "secret"),
         announced=("public",),
@@ -186,8 +193,8 @@ PROTOCOLS: dict[str, ProtocolSpec] = {
         pairs=((1, 2), (3, 4)),
         in_flight=frozenset({2, 4}),
         steps=(
-            GateStep(1, GATES["S"]), MeasureStep("key", (1, 3)),
-            GateStep(2, GATES["S"]), MeasureStep("secret", (2, 4)),
+            Rotate(1), MeasureStep("key", (1, 3)),
+            Rotate(2), MeasureStep("secret", (2, 4)),
         ),
         observed=("secret",),
         announced=(),
@@ -232,8 +239,8 @@ def _validate_transit(spec: ProtocolSpec, transit: TransitPlan) -> None:
 def build_plan(spec: ProtocolSpec, procedure: Procedure, transit: TransitPlan | None) -> Plan:
     """Eve's steps, then the honest steps on the qubits actually delivered.
 
-    Every spec gate slot takes ``procedure.rotation``, so the two procedures'
-    plans differ only in gate matrices and enumerate as one batch.
+    Every spec :class:`Rotate` slot takes ``procedure.rotation``, so the two
+    procedures' plans differ only in gate matrices and enumerate as one batch.
     """
     transit = transit or TransitPlan()
     _validate_transit(spec, transit)

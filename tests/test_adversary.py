@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import itertools
 import json
 import time
@@ -7,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from swapqkd import adversary, cli, protocol
+from swapqkd import adversary, bell, cli, protocol
 from swapqkd.adversary import (
     ATTACKS,
     CORRECTIONS_EXTENDED,
@@ -27,6 +28,7 @@ from swapqkd.adversary import (
     reproduce_table2,
     zlg_outcome_rows,
 )
+from swapqkd.bell import LABELS
 from swapqkd.protocol import (
     GateStep,
     MeasureStep,
@@ -246,6 +248,20 @@ def test_search_regenerates_frozen_params(conv):
     assert derive_tailored_attack(conv) == params  # deterministic
 
 
+# SHA-256 of derive_tailored_attack's JSON dict for every convention, one
+# sort_keys line each in all_conventions() order: four distinct parameter
+# sets, 16 conventions each.
+ALL_CONVENTIONS_SEARCH_SHA256 = "9c5e37d47ab6b50e7b4834561c4b98fca055eb5a650c5b9c8635fa0e5f08a1a7"
+
+
+def test_search_matches_pinned_digest_on_every_convention():
+    found = "\n".join(
+        json.dumps(derive_tailored_attack(c).to_json_dict(), sort_keys=True)
+        for c in bell.all_conventions()
+    )
+    assert hashlib.sha256(found.encode()).hexdigest() == ALL_CONVENTIONS_SEARCH_SHA256
+
+
 def _plan_key(plan):
     """A block plan as hashable data: its steps with gate matrices as bytes."""
     steps = tuple(
@@ -272,6 +288,51 @@ def test_search_enumerates_each_block_plan_once(conv, monkeypatch):
     assert len(set(map(_plan_key, want))) == 66
     got = Counter(_plan_key(plan) for plans in batches for plan in plans)
     assert got == Counter(map(_plan_key, want))
+
+
+def test_detection_terms_match_the_full_engine(conv):
+    # A map's term sum is its detection probability under each procedure: for
+    # zlg, the frozen tailored parameters, and every pre-rotation pair with the
+    # all-I correction map.
+    terms = dict(zip(Procedure, adversary._detection_terms(conv)))
+    candidates = [
+        (ZlgAttack(conv), TailoredParams(("I", "I"), tuple(pauli_for_label(conv).items()))),
+        (TailoredAttack(conv), adversary.FROZEN_TAILORED_PARAMS),
+    ]
+    for rotation in adversary.ROTATIONS:
+        params = TailoredParams(rotation, tuple((m, "I") for m in LABELS))
+        candidates.append((TailoredAttack(conv, params), params))
+    assert len(candidates) == 27
+    for attack, params in candidates:
+        r = adversary.ROTATIONS.index(params.pre_unitaries)
+        for procedure in Procedure:
+            total = sum(
+                terms[procedure][r, LABELS.index(m), CORRECTIONS_EXTENDED.index(g)]
+                for m, g in params.pauli_map
+            )
+            exact = attack_detection_probability(conv, "six", procedure, attack)
+            assert abs(total - exact) < 1e-12
+
+
+def test_only_extended_corrections_pass_the_ii_predicate(conv):
+    # A pre-rotation pair can pass the (ii) predicate only if every outcome has
+    # a correction with a zero (ii) term.  No pair has one among the Paulis;
+    # with the S products, exactly the pairs holding one S do.
+    _terms_i, terms_ii = adversary._detection_terms(conv)
+    paulis = len(adversary.CORRECTIONS_PAULI)
+
+    def passing(width):
+        return [
+            rotation
+            for r, rotation in enumerate(adversary.ROTATIONS)
+            if all((row[:width] == 0.0).any() for row in terms_ii[r])
+        ]
+
+    assert passing(paulis) == []
+    assert passing(len(CORRECTIONS_EXTENDED)) == [
+        ("I", "S"), ("X", "S"), ("Y", "S"), ("Z", "S"),
+        ("S", "I"), ("S", "X"), ("S", "Y"), ("S", "Z"),
+    ]
 
 
 def test_tailored_defeats_p2(conv):

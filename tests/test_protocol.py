@@ -20,6 +20,7 @@ from swapqkd.protocol import (
     MeasureStep,
     Plan,
     Procedure,
+    Rotate,
     RoundTranscript,
     TableMismatchError,
     TransitPlan,
@@ -700,6 +701,18 @@ def test_eve_observes_her_outcome_and_the_announced_ones():
         replace(four, observed=("public",))
     with pytest.raises(KeyError):
         six.eve_observation({"eve": "01", "key": "10", "secret": "00"})
+
+
+def test_spec_gate_slots_hold_no_matrix():
+    # build_plan fills every Rotate slot with the procedure's rotation, so a
+    # gate matrix written into a spec would be silently ignored: refuse it.
+    four = PROTOCOLS["four"]
+    assert [step for step in four.steps if not isinstance(step, MeasureStep)] == [
+        Rotate(1), Rotate(2)
+    ]
+    for step in (GateStep(1, GATES["S"]), GateStep(1, GATES["X"])):
+        with pytest.raises(ValueError, match="Rotate slots"):
+            replace(four, steps=(step,) + four.steps[1:])
 
 
 def test_wrong_protocol_attack_is_rejected(conv):
