@@ -120,14 +120,6 @@ class TailoredParams:
             "pauli_map": dict(self.pauli_map),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TailoredParams":
-        pre = data["pre_unitaries"]
-        return cls(
-            pre_unitaries=(pre["qubit6"], pre["qubit8"]),
-            pauli_map=tuple(sorted(data["pauli_map"].items())),
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
 
@@ -162,8 +154,7 @@ class Interception:
     applies the ``after`` gates, then applies to qubit ``corrected`` the gate
     that ``corrections`` maps her outcome to.  ``wiring`` holds the ancilla
     pairs and the ``forward`` map.  Equal values share one round model per
-    driver, looked up every round, so the value's repr, built once, is its
-    hash and equality key.
+    driver.
     """
 
     kind: str
@@ -174,15 +165,6 @@ class Interception:
     corrected: int | None = None
     corrections: tuple[tuple[str, str], ...] = ()  # Eve's outcome -> gate name
     wiring: TransitPlan = TransitPlan()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_key", repr(self))  # canonical: no field holds a matrix
-
-    def __hash__(self) -> int:
-        return hash(self._key)  # type: ignore[attr-defined]
-
-    def __eq__(self, other: object) -> bool:
-        return self is other or (type(other) is Interception and self._key == other._key)
 
     def transit_plan(self) -> TransitPlan:
         """The interception's steps; an identity gate emits no step."""

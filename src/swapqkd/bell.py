@@ -198,9 +198,6 @@ class SwapTable:
 
     entries: tuple[tuple[tuple[str, str, str], str], ...]
 
-    def lookup(self, a: str, b: str, m: str) -> str:
-        return dict(self.entries)[(a, b, m)]
-
     def as_dict(self) -> dict[tuple[str, str, str], str]:
         return dict(self.entries)
 

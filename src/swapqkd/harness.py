@@ -129,30 +129,34 @@ def _binomial_ci(successes: int, trials: int) -> tuple[float, float]:
     return (max(0.0, p - half), min(1.0, p + half))
 
 
-def _attack_picker(strategy: AttackStrategy) -> Callable[[RandomSource], object]:
-    """Per-round attack draw from the strategy's mixture; one coin only for two attacks."""
-    mixture = strategy.mixture(bell.convention())
+def _round_sampler(config: CurveConfig) -> Callable[[RandomSource], RoundTranscript]:
+    """One round of ``config``: the attack coin (two-attack mixtures only), the procedure
+    coin, then the chosen round model's walk.  Every round model is resolved here, once."""
+    driver = protocol_driver(bell.convention(), config.protocol)
+    policy = config.procedure_policy
+    mixture = [
+        (weight, [driver.round_model(p, attack) for p in Procedure])
+        for weight, attack in config.attack.mixture(bell.convention())
+    ]
     if len(mixture) == 1:
-        attack = mixture[0][1]
-        return lambda rng: attack
+        model_i, model_ii = mixture[0][1]
+        return lambda rng: (model_i if rng.uniform() < policy else model_ii).sample(rng)
     (weight, first), (_, second) = mixture
-    return lambda rng: first if rng.uniform() < weight else second
 
+    def sample(rng: RandomSource) -> RoundTranscript:
+        model_i, model_ii = first if rng.uniform() < weight else second
+        return (model_i if rng.uniform() < policy else model_ii).sample(rng)
 
-def _run_one_round(driver, picker, policy: float, rng: RandomSource) -> RoundTranscript:
-    attack = picker(rng)
-    procedure = Procedure.P_I if rng.uniform() < policy else Procedure.P_II
-    return driver.run_round(procedure, attack, rng)
+    return sample
 
 
 def run_simulation(config: SimulationConfig) -> SimulationReport:
     """Run ``config.rounds`` independently seeded rounds and aggregate."""
-    driver = protocol_driver(bell.convention(), config.protocol)
-    picker = _attack_picker(config.attack)
+    sample = _round_sampler(config)
 
     compared = detected = agreed = eve_informed = 0
     for rng in random_sources(splitmix64(config.master_seed, i) for i in range(config.rounds)):
-        transcript = _run_one_round(driver, picker, config.procedure_policy, rng)
+        transcript = sample(rng)
         if rng.uniform() < config.test_fraction:
             compared += 1
             detected += transcript.bob_inferred_key != transcript.key
@@ -203,8 +207,7 @@ def detection_curve(
         raise ValueError("repetitions must be >= 100")
     if any(n < 0 for n in n_values):
         raise ValueError("n values must be >= 0")
-    driver = protocol_driver(bell.convention(), config.protocol)
-    picker = _attack_picker(config.attack)
+    sample = _round_sampler(config)
 
     point_seeds = [splitmix64(config.master_seed, n) for n in n_values]
     sources = random_sources(
@@ -215,7 +218,7 @@ def detection_curve(
         hits = 0
         for rng in islice(sources, repetitions):
             for _ in range(n):
-                transcript = _run_one_round(driver, picker, config.procedure_policy, rng)
+                transcript = sample(rng)
                 if transcript.bob_inferred_key != transcript.key:
                     hits += 1
                     break
@@ -224,17 +227,3 @@ def detection_curve(
         points.append(CurvePoint(n, empirical, 1.0 - 0.75**n, ci[0], ci[1]))
     return points
 
-
-def bits_tested_curve(
-    config: CurveConfig, bit_counts: Sequence[int], repetitions: int
-) -> list[CurvePoint]:
-    """Detection probability as a function of the number of tested bits.
-
-    Each compared key pair reveals two bits, so ``N`` tested bits means
-    ``N/2`` compared pairs; the reference curve is ``1 - (3/4)**(N/2)``.
-    ``N`` must be even.
-    """
-    for n_bits in bit_counts:
-        if n_bits < 0 or n_bits % 2:
-            raise ValueError(f"bit counts must be even and >= 0, got {n_bits}")
-    return detection_curve(config, [n_bits // 2 for n_bits in bit_counts], repetitions)

@@ -33,7 +33,6 @@ Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -113,9 +112,6 @@ class ConditionalGateStep:
     qubit: int
     on: str
     gates: tuple[tuple[str, np.ndarray], ...]  # outcome label -> matrix
-
-    def gate_for(self, label: str) -> np.ndarray:
-        return dict(self.gates)[label]
 
 
 @dataclass(frozen=True)
@@ -269,11 +265,6 @@ def _initial_state(conv: BellConvention, plan: Plan) -> StateVector:
 Branch = tuple[float, Mapping[str, str]]
 
 
-def enumerate_plan(conv: BellConvention, plan: Plan) -> list[Branch]:
-    """All measurement branches of a plan with their exact probabilities."""
-    return enumerate_plans(conv, (plan,))[0]
-
-
 def _skeleton(step: Step) -> tuple | MeasureStep:
     """The step with its gate matrices left out."""
     if isinstance(step, GateStep):
@@ -284,7 +275,8 @@ def _skeleton(step: Step) -> tuple | MeasureStep:
 
 
 def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Branch]]:
-    """:func:`enumerate_plan` for plans that differ only in gate matrices.
+    """All measurement branches, with their exact probabilities, of plans that
+    differ only in gate matrices.
 
     Every live branch of every plan is a row of one amplitude batch, so each
     step is one batched gate or projection.  Survivors of a measurement keep
@@ -356,7 +348,7 @@ def _outcome_tree(branches: Iterable[Branch]) -> OutcomeTree:
 
 
 def _sample_path(tree: OutcomeTree, rng: RandomSource) -> tuple[int, ...]:
-    """One round's outcome-index path to a leaf, one ``sample_index`` pick per measurement.
+    """One round's outcome-index path to a leaf, one ``Distribution.pick`` per measurement.
 
     This consumes the stream exactly as measuring the statevector step by
     step would; the test suite's lockstep statevector sampler
@@ -406,6 +398,10 @@ class RoundModel:
             for _prob, out in self.branches
         }
 
+    def sample(self, rng: RandomSource) -> "RoundTranscript":
+        """The transcript of the leaf this round's draws reach, shared by every such round."""
+        return self.leaves[_sample_path(self.tree, rng)]
+
 
 # --- key inference --------------------------------------------------------
 
@@ -418,11 +414,11 @@ class InferenceTable:
     """
 
     observed: tuple[str, ...]
-    procedure: Procedure
     entries: tuple[tuple[tuple[str, ...], str], ...]
 
     def __post_init__(self) -> None:
-        key = operator.itemgetter(*self.observed)  # built once: infer() runs every round
+        # Built once: infer() runs once per leaf and on every branch of an exact read.
+        key = operator.itemgetter(*self.observed)
         table = {key(dict(zip(self.observed, obs))): k for obs, k in self.entries}
         object.__setattr__(self, "_key", key)
         object.__setattr__(self, "_map", table)
@@ -449,7 +445,7 @@ def derive_inference_table(
                 f"with keys {mapping[obs]} and {key}; the protocol could not work"
             )
         mapping[obs] = key
-    return InferenceTable(observed, procedure, tuple(sorted(mapping.items())))
+    return InferenceTable(observed, tuple(sorted(mapping.items())))
 
 
 # --- transcripts ----------------------------------------------------------
@@ -466,62 +462,6 @@ class RoundTranscript:
     bob_secret: str
     bob_inferred_key: str
     eve_record: "EveRecord | None" = None
-    compared: bool = False
-    detected: bool = False
-
-    def __post_init__(self) -> None:
-        if self.detected and not self.compared:
-            raise ValueError("a round cannot be detected without being compared")
-
-    def to_json_dict(self) -> dict:
-        eve = None
-        if self.eve_record is not None:
-            eve = {
-                "attack": self.eve_record.attack,
-                "secret": self.eve_record.secret,
-                "transformation": self.eve_record.transformation,
-                "inferred_keys": list(self.eve_record.inferred_keys),
-            }
-        return {
-            "protocol": self.protocol,
-            "procedure": self.procedure.value,
-            "key": self.key,
-            "public_result": self.public_result,
-            "bob_secret": self.bob_secret,
-            "bob_inferred_key": self.bob_inferred_key,
-            "eve": eve,
-            "compared": self.compared,
-            "detected": self.detected,
-        }
-
-
-def mark_compared(transcript: RoundTranscript) -> RoundTranscript:
-    """Alice and Bob publicly compare this round's key bits."""
-    return replace(
-        transcript,
-        compared=True,
-        detected=transcript.bob_inferred_key != transcript.key,
-    )
-
-
-TABLE1_COLUMNS = ("procedure", "key", "public", "secret", "inferred")
-
-
-def transcripts_to_csv(transcripts: Iterable[RoundTranscript]) -> str:
-    """CSV export in the outcome-table column order."""
-    lines = [",".join(TABLE1_COLUMNS)]
-    for t in transcripts:
-        lines.append(
-            ",".join(
-                [t.procedure.printed, t.key, t.public_result or "", t.bob_secret, t.bob_inferred_key]
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
-def transcripts_to_jsonl(transcripts: Iterable[RoundTranscript]) -> str:
-    """One JSON object per round, newline separated."""
-    return "".join(json.dumps(t.to_json_dict(), sort_keys=True) + "\n" for t in transcripts)
 
 
 # --- protocol drivers -----------------------------------------------------
@@ -570,11 +510,6 @@ class _ProtocolBase:
         """Exact distribution over (eve?, key, public?, secret) outcomes."""
         return self.round_model(procedure, attack).branches
 
-    def run_round(self, procedure: Procedure, attack, rng: RandomSource) -> RoundTranscript:
-        """The transcript of the leaf this round's draws reach, shared by every such round."""
-        model = self.round_model(procedure, attack)
-        return model.leaves[_sample_path(model.tree, rng)]
-
     def _transcript(
         self, procedure: Procedure, attack, posterior: Posterior, outcomes: Mapping[str, str]
     ) -> RoundTranscript:
@@ -592,13 +527,6 @@ class _ProtocolBase:
             bob_inferred_key=self.inference[procedure].infer(outcomes),
             eve_record=eve_record,
         )
-
-    def key_distribution(self, procedure: Procedure, attack=None) -> np.ndarray:
-        """Exact marginal probability of each key label."""
-        probs = dict.fromkeys(LABELS, 0.0)
-        for prob, outcome in self.enumerate_branches(procedure, attack):
-            probs[outcome["key"]] += prob
-        return np.array([probs[lab] for lab in LABELS])
 
 
 @lru_cache(maxsize=16)
@@ -621,6 +549,7 @@ EXPECTED_TABLE1: tuple[tuple[str, str, str, str, str], ...] = (
     ("(ii)", "00", "01", "10", "00"),
     ("(ii)", "00", "11", "11", "00"),
 )
+TABLE1_COLUMNS = ("procedure", "key", "public", "secret", "inferred")
 
 
 def six_qubit_outcome_rows(conv: BellConvention) -> list[tuple[str, str, str, str, str]]:

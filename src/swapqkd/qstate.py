@@ -376,8 +376,3 @@ class Distribution(tuple):
         lands in the rounding gap above the last threshold."""
         k = bisect_right(self.thresholds, u)
         return k if k < len(self) else self.last_live
-
-
-def sample_index(probabilities: np.ndarray, rng: RandomSource) -> int:
-    """Sample an index by inverse CDF; ties broken toward lower index."""
-    return Distribution(probabilities).pick(rng.uniform())

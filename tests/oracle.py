@@ -90,7 +90,7 @@ def walk(conv, plan):
                     out = {**outcomes, step.name: LABELS[k]}
                     visit(after, idx + 1, prob * float(probs[0, k]), out)
             return
-        matrix = step.matrix if isinstance(step, GateStep) else step.gate_for(outcomes[step.on])
+        matrix = step.matrix if isinstance(step, GateStep) else dict(step.gates)[outcomes[step.on]]
         visit(gate(state, matrix, step.qubit - 1), idx + 1, prob, outcomes)
 
     visit(initial_state(conv, plan), 0, 1.0, {})
@@ -98,7 +98,7 @@ def walk(conv, plan):
 
 
 def pick(probs, uniforms):
-    """Per row, ``qstate.sample_index``'s rule for uniform u.
+    """Per row, ``qstate.Distribution.pick``'s rule for uniform u.
 
     The first k with ``u < cumsum(max(p, 0))[k]``, else the last k with p > 0.
     """
@@ -128,6 +128,6 @@ def sample(conv, plan, uniforms):
         elif isinstance(step, GateStep):
             state = gate(state, step.matrix, step.qubit - 1)
         else:
-            gates = np.array([step.gate_for(label) for label in LABELS])
+            gates = np.array([dict(step.gates)[label] for label in LABELS])
             state = gate(state, gates[picked[step.on]], step.qubit - 1)
     return {name: [LABELS[k] for k in ks] for name, ks in picked.items()}

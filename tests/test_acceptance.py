@@ -155,7 +155,8 @@ def test_acceptance_bits_tested_form(conv):
         protocol="six", rounds=1, attack=AttackStrategy("mixed"),
         procedure_policy=0.5, test_fraction=1.0, master_seed=1,
     )
-    points = harness.bits_tested_curve(config, [2, 4, 8, 16, 32], MC_REPETITIONS)
+    # N tested bits are N/2 compared key pairs: N = 2, 4, 8, 16, 32.
+    points = harness.detection_curve(config, [1, 2, 4, 8, 16], MC_REPETITIONS)
     assert [pt.n for pt in points] == [1, 2, 4, 8, 16]
     assert points[0].theoretical == 0.25
     _check_curve(points, MC_REPETITIONS)
@@ -190,7 +191,7 @@ def test_acceptance_physics_properties(conv):
     def measure(amps, n, pair, sampler):
         """Sample an outcome of one state with the batch kernels; (outcome, collapsed)."""
         proj, probs = qstate.project_rows(amps, n, basis, pair)
-        outcome = qstate.sample_index(probs[0], sampler)
+        outcome = qstate.Distribution(probs[0]).pick(sampler.uniform())
         return outcome, qstate.collapse_rows(n, basis, pair, proj, probs, np.array([outcome]))
 
     rng = np.random.default_rng(2024)

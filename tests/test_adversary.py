@@ -36,7 +36,7 @@ from swapqkd.protocol import (
     Procedure,
     TransitPlan,
     build_plan,
-    enumerate_plan,
+    enumerate_plans,
     protocol_driver,
 )
 from swapqkd.qstate import GATES, RandomSource
@@ -191,18 +191,18 @@ def test_identity_pre_rotations_emit_no_gate(conv):
     assert isinstance(transit.steps[0], MeasureStep)
     identities = (GateStep(6, GATES["I"]), GateStep(8, GATES["I"]))
     with_identities = replace(transit, steps=identities + transit.steps)
+    six = PROTOCOLS["six"]
     for procedure in Procedure:
-        want = enumerate_plan(conv, build_plan(PROTOCOLS["six"], procedure, with_identities))
-        got = enumerate_plan(conv, build_plan(PROTOCOLS["six"], procedure, transit))
+        want = enumerate_plans(conv, (build_plan(six, procedure, with_identities),))[0]
+        got = enumerate_plans(conv, (build_plan(six, procedure, transit),))[0]
         assert [(p.hex(), out) for p, out in got] == [(p.hex(), out) for p, out in want]
     tailored = TailoredAttack(conv).transit_plan()  # rotates only qubit 8
     assert [s.qubit for s in tailored.steps if isinstance(s, GateStep)] == [8]
 
 
 def test_zlg_eve_record_contents(conv):
-    transcript = protocol_driver(conv, "six").run_round(
-        Procedure.P_I, ZlgAttack(conv), RandomSource(8)
-    )
+    model = protocol_driver(conv, "six").round_model(Procedure.P_I, ZlgAttack(conv))
+    transcript = model.sample(RandomSource(8))
     record = transcript.eve_record
     assert record.attack == "zlg"
     assert record.transformation == pauli_for_label(conv)[record.secret]
@@ -214,7 +214,7 @@ def test_zlg_substitution_keeps_valid_eight_qubit_state(conv):
     plan = driver.round_model(Procedure.P_II, ZlgAttack(conv)).plan
     assert plan.num_qubits == 8
     # Every collapsed branch along the way is norm-checked within 1e-12.
-    branches = enumerate_plan(conv, plan)
+    branches = enumerate_plans(conv, (plan,))[0]
     assert abs(sum(prob for prob, _ in branches) - 1.0) < 1e-12
 
 
@@ -354,9 +354,8 @@ def test_tailored_is_caught_under_p1(conv):
 
 
 def test_tailored_record_uses_extended_gate_names(conv):
-    transcript = protocol_driver(conv, "six").run_round(
-        Procedure.P_II, TailoredAttack(conv), RandomSource(4)
-    )
+    model = protocol_driver(conv, "six").round_model(Procedure.P_II, TailoredAttack(conv))
+    transcript = model.sample(RandomSource(4))
     record = transcript.eve_record
     assert record.attack == "tailored"
     assert record.transformation in CORRECTIONS_EXTENDED
@@ -368,7 +367,7 @@ def test_tailored_params_json_round_trip():
     doc = json.loads(params.to_json())
     assert doc["pre_unitaries"]["qubit6"] == params.pre_unitaries[0]
     assert doc["pre_unitaries"]["qubit8"] == params.pre_unitaries[1]
-    assert TailoredParams.from_json_dict(doc) == params
+    assert doc == params.to_json_dict()
 
 
 def test_tailored_params_validation():
@@ -414,9 +413,7 @@ def test_four_swap_matched_outcome_equals_key(conv):
 
 def test_four_swap_rejected_on_six_qubit_round(conv):
     with pytest.raises(protocol.WrongProtocolError):
-        protocol_driver(conv, "six").run_round(
-            Procedure.P_I, FourSwapAttack(conv, Procedure.P_I), RandomSource(0)
-        )
+        protocol_driver(conv, "six").round_model(Procedure.P_I, FourSwapAttack(conv, Procedure.P_I))
 
 
 # --- mixtures ------------------------------------------------------------------------

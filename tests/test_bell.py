@@ -120,7 +120,7 @@ def test_bell_measure_on_fresh_state_is_deterministic(conv):
     state = prepare_pairs(2, [(0, 1, conv.states["01"])])
     basis = conv.basis_matrix
     proj, probs = qstate.project_rows(state.amplitudes[None], 2, basis, (0, 1))
-    k = qstate.sample_index(probs[0], RandomSource(0))
+    k = qstate.Distribution(probs[0]).pick(RandomSource(0).uniform())
     assert LABELS[k] == "01"
     collapsed = qstate.collapse_rows(2, basis, (0, 1), proj, probs, np.array([k]))[0]
     assert abs(abs(np.vdot(collapsed, state.amplitudes)) - 1.0) <= 1e-10

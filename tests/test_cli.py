@@ -196,7 +196,7 @@ def test_derive_attack_emits_params(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out)
     assert doc == json.loads(target.read_text())
-    assert adversary.TailoredParams.from_json_dict(doc) == adversary.FROZEN_TAILORED_PARAMS
+    assert doc == adversary.FROZEN_TAILORED_PARAMS.to_json_dict()
 
 
 @pytest.mark.parametrize(

@@ -2,13 +2,12 @@ import math
 
 import pytest
 
-from swapqkd import cli
+from swapqkd import bell, cli, protocol
 from swapqkd.adversary import AttackStrategy
 from swapqkd.harness import (
     CurveConfig,
     CurvePoint,
     SimulationConfig,
-    bits_tested_curve,
     detection_curve,
     run_simulation,
     splitmix64,
@@ -155,15 +154,30 @@ def test_curve_reads_only_its_own_config():
         CurveConfig(protocol="four", attack=AttackStrategy("mixed"))
 
 
-def test_bits_tested_curve_maps_bits_to_pairs():
-    config = SimulationConfig(protocol="six", rounds=1, attack=AttackStrategy("mixed"),
-                              master_seed=22)
-    points = bits_tested_curve(config, [0, 2, 4], 150)
-    assert [pt.n for pt in points] == [0, 1, 2]
-    assert points[1].theoretical == 0.25
-    assert abs(points[2].theoretical - (1 - 0.75**2)) < 1e-12
-    with pytest.raises(ValueError):
-        bits_tested_curve(config, [3], 150)
+@pytest.mark.parametrize(
+    "run",
+    [lambda config: run_simulation(config), lambda config: detection_curve(config, [1, 4], 100)],
+    ids=["simulation", "curve"],
+)
+@pytest.mark.parametrize(
+    "protocol_name, kind, models",
+    [("six", "none", 2), ("six", "mixed", 4), ("four", "four-swap", 4)],
+)
+def test_a_run_resolves_each_round_model_once(monkeypatch, run, protocol_name, kind, models):
+    # One lookup per (attack, procedure) before the first round; no round asks again.
+    # The driver is built first: its constructor reads the adversary-free models.
+    protocol.protocol_driver(bell.convention(), protocol_name)
+    lookups = []
+    resolve = protocol._ProtocolBase.round_model
+
+    def counted(self, procedure, attack=None):
+        lookups.append((procedure, attack))
+        return resolve(self, procedure, attack)
+
+    monkeypatch.setattr(protocol._ProtocolBase, "round_model", counted)
+    run(SimulationConfig(protocol=protocol_name, rounds=300, attack=AttackStrategy(kind),
+                         master_seed=11))
+    assert len(lookups) == len(set(lookups)) == models
 
 
 def test_curve_is_reproducible_and_csv_stable(capsys):

@@ -73,7 +73,7 @@ def measure(amps: np.ndarray, basis: np.ndarray, pair, rng: RandomSource):
     """One sampled measurement of a single state through the batch kernels."""
     n = int(np.log2(len(amps)))
     proj, probs = project_rows(amps[None], n, basis, pair)
-    k = qstate.sample_index(probs[0], rng)
+    k = qstate.Distribution(probs[0]).pick(rng.uniform())
     return k, collapse_rows(n, basis, pair, proj, probs, np.array([k]))[0]
 
 
@@ -434,20 +434,12 @@ def test_random_source_masks_to_64_bits():
     assert RandomSource(2**64 + 5).seed == 5
 
 
-class FakeRng:
-    def __init__(self, u):
-        self.u = u
-
-    def uniform(self):
-        return self.u
-
-
-def test_sample_index_boundaries():
+def test_distribution_pick_boundaries():
     probs = np.array([0.25, 0.25, 0.25, 0.25])
-    assert qstate.sample_index(probs, FakeRng(0.0)) == 0
-    assert qstate.sample_index(probs, FakeRng(0.999999)) == 3
+    assert qstate.Distribution(probs).pick(0.0) == 0
+    assert qstate.Distribution(probs).pick(0.999999) == 3
     # rounding gap above the last bucket falls back to the last live outcome
-    assert qstate.sample_index(np.array([1.0, 0.0, 0.0, 0.0]), FakeRng(0.9999999999)) == 0
+    assert qstate.Distribution(np.array([1.0, 0.0, 0.0, 0.0])).pick(0.9999999999) == 0
 
 
 # --- the stream is numpy's PCG64 ---------------------------------------------
@@ -494,7 +486,7 @@ def test_a_batch_equals_its_seeds_one_at_a_time(size):
 
 
 def loop_pick(probabilities, u: float) -> int:
-    """The inverse-CDF loop ``sample_index`` ran before thresholds were kept."""
+    """The inverse-CDF loop that picked outcomes before thresholds were kept."""
     acc, last_live = 0.0, 0
     for k, p in enumerate(probabilities):
         if p > 0.0:
@@ -530,4 +522,4 @@ def test_threshold_pick_matches_the_loop_at_the_edges(probs, u, want):
     dist = qstate.Distribution(probs)
     assert dist == probs
     assert dist.pick(u) == loop_pick(probs, u) == want
-    assert qstate.sample_index(np.array(probs), FakeRng(u)) == want
+    assert qstate.Distribution(np.array(probs)).pick(u) == want

@@ -36,21 +36,25 @@ ROUNDS_PER_CONFIG = 10_000
 @pytest.mark.parametrize("protocol_name,kind", HARNESS_CONFIGS)
 def test_tree_sampler_matches_statevector_draw_for_draw(conv, protocol_name, kind):
     driver = protocol_driver(conv, protocol_name)
-    picker = harness._attack_picker(AttackStrategy(kind))
     policy = 0.5
+    config = harness.CurveConfig(protocol_name, AttackStrategy(kind), policy)
+    sample = harness._round_sampler(config)
+    mixture = AttackStrategy(kind).mixture(conv)
     got = []
     rounds = {}  # plan id -> (plan, procedure, round indices, uniforms)
     for i in range(ROUNDS_PER_CONFIG):
         seed = splitmix64(2024, i)
         rng, ref_rng = RandomSource(seed), RandomSource(seed)
-        transcript = harness._run_one_round(driver, picker, policy, rng)
+        transcript = sample(rng)
         eve = transcript.eve_record.secret if transcript.eve_record else None
         got.append((transcript.procedure, transcript.key, transcript.public_result,
                     transcript.bob_secret, eve, rng.uniform()))
-        # The reference draws the attack and procedure coins in the same
-        # order, then one uniform per measurement of the round's plan, then
-        # the next uniform.
-        attack = picker(ref_rng)
+        # The reference draws the attack coin (only between two attacks) and
+        # the procedure coin in the same order, then one uniform per
+        # measurement of the round's plan, then the next uniform.
+        attack = mixture[0][1]
+        if len(mixture) == 2 and not ref_rng.uniform() < mixture[0][0]:
+            attack = mixture[1][1]
         procedure = Procedure.P_I if ref_rng.uniform() < policy else Procedure.P_II
         plan = driver.round_model(procedure, attack).plan
         draws = [ref_rng.uniform() for step in plan.steps if isinstance(step, MeasureStep)]
