@@ -30,9 +30,10 @@ and forwards the pair in the collapsed state.
 
 Eve's key inference is computed exactly: for each attack and procedure the
 protocol driver enumerates the full branch distribution once, and her
-inferred-key set for an observation is the set of keys with positive
-probability given that observation.  A matched attack makes it a
-singleton; a mismatched one leaves a two-candidate set.
+inferred-key set for an observation is its :func:`protocol.key_support`, the
+keys with positive probability given that observation, as Bob's inference is.
+A matched attack makes it a singleton; a mismatched one leaves a
+two-candidate set.
 """
 
 from __future__ import annotations
@@ -256,11 +257,10 @@ def attack_detection_probability(
 ) -> float:
     """Per-compared-round detection probability, by exhaustive enumeration."""
     driver = protocol_driver(conv, protocol)
-    table = driver.inference[procedure]
     return sum(
         prob
         for prob, out in driver.enumerate_branches(procedure, attack)
-        if table.infer(out) != out["key"]
+        if driver.infer(procedure, out) != out["key"]
     )
 
 
@@ -338,8 +338,8 @@ def _detection_terms(conv: BellConvention) -> list[np.ndarray]:
     travel = _block_masses(conv, lambda r, p: _travel_block_plan(*r, p), ROTATIONS)  # [r, m, sec]
     terms = []
     for procedure, alice_p, travel_p in zip(Procedure, alice, travel):
-        infer = driver.inference[procedure].as_dict()  # (public, secret) -> Bob's key
-        wrong = np.array([[[infer[p, s] != k for s in LABELS] for p in LABELS] for k in LABELS])
+        infer = driver.inference[procedure]  # (public, secret) -> (Bob's key,)
+        wrong = np.array([[[infer[p, s] != (k,) for s in LABELS] for p in LABELS] for k in LABELS])
         W = np.einsum("gkp,kps->gs", alice_p, wrong)  # [g, secret]: Alice's mass decoded wrong
         terms.append(np.einsum("rms,gs->rmg", travel_p, W))  # travel @ W.T, with no BLAS buffer
     return terms
@@ -380,10 +380,9 @@ def _verify_tailored(conv: BellConvention, params: TailoredParams) -> None:
     """Check the found parameters against the full 8-qubit round engine."""
     attack = TailoredAttack(conv, params)
     driver = protocol_driver(conv, "six")
-    table = driver.inference[Procedure.P_II]
     posterior = driver.round_model(Procedure.P_II, attack).posterior
     for prob, out in driver.enumerate_branches(Procedure.P_II, attack):
-        if table.infer(out) != out["key"]:
+        if driver.infer(Procedure.P_II, out) != out["key"]:
             raise AttackSearchError("block-table search and full engine disagree on (ii)")
         if posterior[driver.spec.eve_observation(out)] != (out["key"],):
             raise AttackSearchError("found attack does not pin the key under (ii)")
@@ -445,7 +444,6 @@ def zlg_outcome_rows(conv: BellConvention) -> list[tuple[str, ...]]:
     attack = ZlgAttack(conv)
     rows = set()
     for procedure in Procedure:
-        table = driver.inference[procedure]
         model = driver.round_model(procedure, attack)
         for _prob, out in model.branches:
             if out["key"] != "00":
@@ -458,7 +456,7 @@ def zlg_outcome_rows(conv: BellConvention) -> list[tuple[str, ...]]:
                     out["key"],
                     out["public"],
                     out["secret"],
-                    table.infer(out),
+                    driver.infer(procedure, out),
                     out["eve"],
                     record.transformation,
                     " or ".join(record.inferred_keys),

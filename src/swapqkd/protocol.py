@@ -22,8 +22,9 @@ protocol's name, and reroute the honest steps through an attack's
 one batch, over every measurement branch; the exact tables and
 probabilities read those branches, and Monte Carlo samples the same branch
 tree, drawing one uniform per measurement and picking the outcome by
-inverse CDF over its conditional probabilities.  Bob's key-inference tables and Eve's
-posteriors are read off those same branches (the adversary-free ones for
+inverse CDF over its conditional probabilities.  Bob's key inference and
+Eve's posterior are one :func:`key_support` map, each observation to the keys
+it occurs with, read off those same branches (the adversary-free ones for
 Bob), never assumed in closed form.  A round model holds each leaf's
 transcript, built on the first Monte Carlo read: a round is a walk and a lookup.
 
@@ -38,13 +39,13 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property, lru_cache, partial
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import qstate
 from .bell import LABELS, BellConvention
-from .qstate import RandomSource, StateVector
+from .qstate import RandomSource
 
 if TYPE_CHECKING:  # pragma: no cover
     from .adversary import EveRecord
@@ -150,9 +151,9 @@ class ProtocolSpec:
     procedures share one step skeleton, and a spec holds no gate matrix.  Bob
     infers the key from the ``observed`` outcomes; the ``announced`` outcomes
     are made public, so Eve observes them with her own outcome ``eve``.
-    ``eve_observation(outcomes)`` reads that observation: ``eve`` alone, or a
-    tuple of ``eve`` and the announced outcomes.  Every observed or announced
-    name must be measured by ``steps``.
+    ``bob_observation(outcomes)`` and ``eve_observation(outcomes)`` read the
+    two observations: one outcome alone, or a tuple of them in order.  Every
+    observed or announced name must be measured by ``steps``.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -168,7 +169,9 @@ class ProtocolSpec:
         unmeasured = sorted(set(self.observed + self.announced) - measured)
         if unmeasured:
             raise ValueError(f"observed or announced outcomes {unmeasured} are never measured")
-        # Built once: Eve's observation keys her posterior in every attacked round.
+        # Built once: they key Bob's inference on every branch of an exact read, and
+        # Eve's posterior in every attacked round.
+        object.__setattr__(self, "bob_observation", operator.itemgetter(*self.observed))
         object.__setattr__(self, "eve_observation", operator.itemgetter("eve", *self.announced))
 
 
@@ -255,7 +258,7 @@ def build_plan(spec: ProtocolSpec, procedure: Procedure, transit: TransitPlan | 
 # --- plan execution -------------------------------------------------------
 
 
-def _initial_state(conv: BellConvention, plan: Plan) -> StateVector:
+def _initial_state(conv: BellConvention, plan: Plan) -> np.ndarray:
     vec = conv.states["00"]
     return qstate.prepare_pairs(
         plan.num_qubits, [(i - 1, j - 1, vec) for i, j in plan.pairs]
@@ -286,7 +289,7 @@ def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Br
         raise ValueError("enumerate_plans needs plans that differ only in gate matrices")
     n = plans[0].num_qubits
     basis = conv.basis_matrix
-    amps = np.repeat(_initial_state(conv, plans[0]).amplitudes[None], len(plans), axis=0)
+    amps = np.repeat(_initial_state(conv, plans[0])[None], len(plans), axis=0)
     owner = np.arange(len(plans))  # the plan each row belongs to
     masses = np.ones(len(plans))
     # Column j holds each row's outcome index of the j-th measurement.
@@ -360,17 +363,23 @@ def _sample_path(tree: OutcomeTree, rng: RandomSource) -> tuple[int, ...]:
     return path
 
 
-# Eve's observation (``ProtocolSpec.eve_observation`` of a branch) -> keys
-# with positive probability.
-Posterior = Mapping[str | tuple[str, ...], tuple[str, ...]]
+# An observation (``ProtocolSpec.bob_observation`` or ``eve_observation`` of a
+# branch) -> the keys with positive probability given it.
+KeySupport = Mapping[Hashable, tuple[str, ...]]
 
 
-def _eve_posterior(spec: ProtocolSpec, branches: Iterable[Branch]) -> Posterior:
-    """Eve's exact inferred-key sets; empty for an adversary-free round."""
-    support: dict[str | tuple[str, ...], set[str]] = {}
+def key_support(
+    branches: Iterable[Branch], observe: Callable[[Mapping[str, str]], Hashable]
+) -> KeySupport:
+    """Each observation ``observe(outcomes)`` the branches make -> their sorted keys, read-only.
+
+    Every enumerated branch has positive mass.  Over the adversary-free branches
+    with Bob's observation this is his inference; over an attacked round's
+    branches with Eve's it is her posterior.
+    """
+    support: dict[Hashable, set[str]] = {}
     for _prob, out in branches:
-        if "eve" in out:
-            support.setdefault(spec.eve_observation(out), set()).add(out["key"])
+        support.setdefault(observe(out), set()).add(out["key"])
     return MappingProxyType({obs: tuple(sorted(keys)) for obs, keys in support.items()})
 
 
@@ -378,13 +387,14 @@ def _eve_posterior(spec: ProtocolSpec, branches: Iterable[Branch]) -> Posterior:
 class RoundModel:
     """A wired plan, its exact branches, and what is read off them.
 
-    ``posterior`` is Eve's inference; Monte Carlo samples ``tree`` and reads ``leaves``
-    (outcome-index path -> ``transcript`` of the branch's outcomes), both built on first read.
+    ``posterior`` is Eve's :func:`key_support`, empty without an attack; Monte Carlo
+    samples ``tree`` and reads ``leaves`` (outcome-index path -> ``transcript`` of the
+    branch's outcomes), both built on first read.
     """
 
     plan: Plan
     branches: tuple[Branch, ...]
-    posterior: Posterior
+    posterior: KeySupport
     transcript: Callable[[Mapping[str, str]], "RoundTranscript"] = field(compare=False, repr=False)
 
     @cached_property
@@ -401,51 +411,6 @@ class RoundModel:
     def sample(self, rng: RandomSource) -> "RoundTranscript":
         """The transcript of the leaf this round's draws reach, shared by every such round."""
         return self.leaves[_sample_path(self.tree, rng)]
-
-
-# --- key inference --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InferenceTable:
-    """Bob's key inference, derived from every adversary-free branch.
-
-    Entries are keyed by the values of the ``observed`` outcomes, in order.
-    """
-
-    observed: tuple[str, ...]
-    entries: tuple[tuple[tuple[str, ...], str], ...]
-
-    def __post_init__(self) -> None:
-        # Built once: infer() runs once per leaf and on every branch of an exact read.
-        key = operator.itemgetter(*self.observed)
-        table = {key(dict(zip(self.observed, obs))): k for obs, k in self.entries}
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_map", table)
-
-    def infer(self, outcomes: Mapping[str, str | None]) -> str:
-        """Bob's key for a round's outcomes; ``KeyError`` if no branch observed them."""
-        return self._map[self._key(outcomes)]  # type: ignore[attr-defined]
-
-    def as_dict(self) -> dict[tuple[str, ...], str]:
-        return dict(self.entries)
-
-
-def derive_inference_table(
-    observed: tuple[str, ...], procedure: Procedure, branches: Iterable[Branch]
-) -> InferenceTable:
-    """Build the inference table from the adversary-free ``branches``."""
-    mapping: dict[tuple[str, ...], str] = {}
-    for _prob, outcome in branches:
-        obs = tuple(outcome[name] for name in observed)
-        key = outcome["key"]
-        if mapping.get(obs, key) != key:
-            raise AmbiguityError(
-                f"{procedure.printed}: observation {observed} = {obs} is consistent "
-                f"with keys {mapping[obs]} and {key}; the protocol could not work"
-            )
-        mapping[obs] = key
-    return InferenceTable(observed, tuple(sorted(mapping.items())))
 
 
 # --- transcripts ----------------------------------------------------------
@@ -477,10 +442,22 @@ class _ProtocolBase:
         self.name = name
         self.spec = PROTOCOLS[name]
         self._models: dict[tuple, RoundModel] = {}
+        # Bob's inference: his observation of an adversary-free branch -> its one key.
         self.inference = {
-            p: derive_inference_table(self.spec.observed, p, self.enumerate_branches(p))
+            p: key_support(self.enumerate_branches(p), self.spec.bob_observation)
             for p in Procedure
         }
+        for p, support in self.inference.items():
+            for obs, keys in support.items():
+                if len(keys) > 1:
+                    raise AmbiguityError(
+                        f"{p.printed}: observation {self.spec.observed} = {obs} is consistent "
+                        f"with keys {', '.join(keys)}; the protocol could not work"
+                    )
+
+    def infer(self, procedure: Procedure, outcomes: Mapping[str, str | None]) -> str:
+        """Bob's key for a round's outcomes; ``KeyError`` if no branch made his observation."""
+        return self.inference[procedure][self.spec.bob_observation(outcomes)][0]
 
     def round_model(self, procedure: Procedure, attack=None) -> RoundModel:
         """The round under ``attack``.
@@ -500,7 +477,8 @@ class _ProtocolBase:
             for p, plan, found in zip(Procedure, plans, enumerate_plans(self.conv, plans)):
                 # Read-only views: every caller shares these branches.
                 branches = tuple((prob, MappingProxyType(out)) for prob, out in found)
-                posterior = _eve_posterior(self.spec, branches)
+                posterior = (key_support(branches, self.spec.eve_observation)
+                             if attack is not None else MappingProxyType({}))
                 transcript = partial(self._transcript, p, attack, posterior)
                 self._models[p, attack] = RoundModel(plan, branches, posterior, transcript)
             model = self._models[procedure, attack]
@@ -511,7 +489,7 @@ class _ProtocolBase:
         return self.round_model(procedure, attack).branches
 
     def _transcript(
-        self, procedure: Procedure, attack, posterior: Posterior, outcomes: Mapping[str, str]
+        self, procedure: Procedure, attack, posterior: KeySupport, outcomes: Mapping[str, str]
     ) -> RoundTranscript:
         """The round that measured ``outcomes``; ``public_result`` is the announced outcome."""
         eve_record = None
@@ -524,7 +502,7 @@ class _ProtocolBase:
             key=outcomes["key"],
             public_result="".join(outcomes[name] for name in self.spec.announced) or None,
             bob_secret=outcomes["secret"],
-            bob_inferred_key=self.inference[procedure].infer(outcomes),
+            bob_inferred_key=self.infer(procedure, outcomes),
             eve_record=eve_record,
         )
 
@@ -557,11 +535,10 @@ def six_qubit_outcome_rows(conv: BellConvention) -> list[tuple[str, str, str, st
     driver = protocol_driver(conv, "six")
     rows = set()
     for procedure in Procedure:
-        table = driver.inference[procedure]
         for prob, out in driver.enumerate_branches(procedure):
             if out["key"] != "00":
                 continue
-            inferred = table.infer(out)
+            inferred = driver.infer(procedure, out)
             rows.add((procedure.printed, out["key"], out["public"], out["secret"], inferred))
     return sorted(rows, key=lambda r: (r[0], r[3], r[2]))
 

@@ -11,15 +11,14 @@ Conventions, fixed once for the whole package:
 States are dense complex128 vectors; at 8 qubits (256 amplitudes) there is
 no reason for anything cleverer.  Gates, projections and collapses are
 computed by three batch kernels over ``(rows, 2**n)`` arrays, one state per
-row.  All operations are pure: they return new arrays or instances and never
-mutate their inputs.
+row.  All operations are pure: they return new arrays and never mutate their
+inputs.
 """
 
 from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
@@ -80,43 +79,16 @@ _KNOWN_GOOD_GATES: dict[int, np.ndarray] = {}
 _KNOWN_GOOD_BASES: dict[int, np.ndarray] = {}
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized pure state of ``num_qubits`` qubits.
-
-    ``amplitudes`` has length ``2**num_qubits`` and unit L2 norm within
-    1e-12; both are validated on construction.
-    """
-
-    num_qubits: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.num_qubits <= MAX_QUBITS:
-            raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {self.num_qubits}")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (2**self.num_qubits,):
-            raise ValueError(
-                f"expected {2**self.num_qubits} amplitudes, got shape {amps.shape}"
-            )
-        # A non-finite amplitude makes the norm non-finite, so this one
-        # check enforces both normalization and finiteness.
-        norm = float(np.vdot(amps, amps).real) ** 0.5
-        if not abs(norm - 1.0) <= ATOL_ALGEBRA:
-            raise ValueError(
-                f"state norm {norm!r} is not 1 within {ATOL_ALGEBRA} "
-                "(non-finite amplitudes also land here)"
-            )
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-
-def prepare_pairs(num_qubits: int, pairs: list[tuple[int, int, np.ndarray]]) -> StateVector:
-    """Tensor product of two-qubit states placed on disjoint pairs.
+def prepare_pairs(num_qubits: int, pairs: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
+    """Tensor product of two-qubit states placed on disjoint pairs, as a read-only
+    ``(2**num_qubits,)`` amplitude array.
 
     Each entry is ``(i, j, vec4)`` where ``vec4`` is indexed ``2*bit_i + bit_j``.
-    Every qubit of the register must be covered by exactly one pair.
+    ``num_qubits`` is in 1..MAX_QUBITS, every qubit of the register must be
+    covered by exactly one pair, and the product must have unit norm within 1e-12.
     """
+    if not 1 <= num_qubits <= MAX_QUBITS:
+        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
     seen: set[int] = set()
     for i, j, _ in pairs:
         for q in (i, j):
@@ -131,11 +103,23 @@ def prepare_pairs(num_qubits: int, pairs: list[tuple[int, int, np.ndarray]]) -> 
     letters = "abcdefgh"
     subs, operands = [], []
     for i, j, vec in pairs:
+        vec = np.asarray(vec, dtype=complex)
+        if vec.shape != (4,):
+            raise ValueError(f"a pair state has 4 amplitudes, got shape {vec.shape}")
         subs.append(letters[i] + letters[j])
-        operands.append(np.asarray(vec, dtype=complex).reshape(2, 2))
+        operands.append(vec.reshape(2, 2))
     out = "".join(letters[q] for q in range(num_qubits - 1, -1, -1))
     amps = np.einsum(",".join(subs) + "->" + out, *operands).reshape(-1)
-    return StateVector(num_qubits, amps)
+    # A non-finite amplitude makes the norm non-finite, so this one check
+    # enforces both normalization and finiteness.
+    norm = float(np.vdot(amps, amps).real) ** 0.5
+    if not abs(norm - 1.0) <= ATOL_ALGEBRA:
+        raise ValueError(
+            f"state norm {norm!r} is not 1 within {ATOL_ALGEBRA} "
+            "(non-finite amplitudes also land here)"
+        )
+    amps.setflags(write=False)
+    return amps
 
 
 # Memoized axis permutations of a ``(rows,) + (2,) * n`` amplitude batch

@@ -78,7 +78,7 @@ def test_acceptance_no_eavesdropper_correctness(conv):
         driver = protocol.protocol_driver(conv, name)
         for procedure in Procedure:
             for _prob, out in driver.enumerate_branches(procedure):
-                inferred = driver.inference[procedure].infer(out)
+                inferred = driver.infer(procedure, out)
                 assert inferred == out["key"]
                 checked += 1
     _pass("no-eavesdropper", f"inferred == key on all {checked} branches (100%)")
@@ -200,9 +200,10 @@ def test_acceptance_physics_properties(conv):
     for trial in range(1000):
         n = int(rng.integers(2, 7))
         amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-        state = qstate.StateVector(n, amps / np.linalg.norm(amps))
+        state = amps / np.linalg.norm(amps)
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
-        out = qstate.gate_rows(state.amplitudes[None], n,
+        out = qstate.gate_rows(state[None], n,
                                (GATES[gate_names[trial % len(gate_names)]],),
                                int(rng.integers(n)))
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12

@@ -117,7 +117,7 @@ def test_zlg_p2_worked_example(conv):
     assert abs(publics["11"] / total - 0.5) < EXACT
     detected = [o for _p, o in slice_ if o["public"] == "11" and o["secret"] == "00"]
     assert detected
-    assert driver.inference[Procedure.P_II].infer({"public": "11", "secret": "00"}) == "11"
+    assert driver.infer(Procedure.P_II, {"public": "11", "secret": "00"}) == "11"
     assert driver.round_model(Procedure.P_II, attack).posterior[("01", "11")] == ("00", "11")
 
 

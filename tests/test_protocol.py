@@ -46,7 +46,7 @@ def test_inferred_key_equals_key_on_every_branch(driver):
         branches = driver.enumerate_branches(procedure)
         assert abs(sum(p for p, _ in branches) - 1.0) < 1e-10
         for _prob, out in branches:
-            inferred = driver.inference[procedure].infer(out)
+            inferred = driver.infer(procedure, out)
             assert inferred == out["key"]
 
 
@@ -218,7 +218,7 @@ def test_round_models_match_pinned_digest():
                     model = driver.round_model(procedure, attack)
                     _feed(h, (name, procedure, model.plan))
                     for prob, out in model.branches:
-                        inferred = driver.inference[procedure].infer(out)
+                        inferred = driver.infer(procedure, out)
                         _feed(h, (prob, tuple(out.items()), inferred))
                     _feed(h, tuple(model.posterior.items()))
                     _feed(h, tuple(model.leaves.items()))
@@ -286,19 +286,37 @@ def test_enumerate_plans_rejects_mismatched_skeletons(conv):
 # --- inference tables ---------------------------------------------------------
 
 
+def test_key_support_backs_bob_and_eve(conv):
+    branches = ((0.25, {"key": "11", "m": "00"}), (0.25, {"key": "00", "m": "00"}),
+                (0.5, {"key": "01", "m": "10"}))
+    support = protocol.key_support(branches, lambda out: out["m"])
+    assert support == {"00": ("00", "11"), "10": ("01",)}
+    with pytest.raises(TypeError):
+        support["01"] = ("10",)  # read-only
+    driver = protocol_driver(conv, "six")
+    for procedure in Procedure:
+        honest = driver.round_model(procedure)
+        assert honest.posterior == {}
+        assert driver.inference[procedure] == protocol.key_support(
+            honest.branches, driver.spec.bob_observation)
+        attacked = driver.round_model(procedure, ZlgAttack(conv))
+        assert attacked.posterior == protocol.key_support(
+            attacked.branches, driver.spec.eve_observation)
+
+
 def test_six_inference_tables_are_total_and_balanced(conv):
     for procedure in Procedure:
-        table = protocol_driver(conv, "six").inference[procedure].as_dict()
+        table = dict(protocol_driver(conv, "six").inference[procedure])
         assert len(table) == 16  # every (public, secret) combination reachable
         for key in LABELS:
-            assert sum(1 for v in table.values() if v == key) == 4
+            assert sum(1 for v in table.values() if v == (key,)) == 4
 
 
 def test_four_inference_tables_are_total(conv):
     for procedure in Procedure:
-        table = protocol_driver(conv, "four").inference[procedure].as_dict()
+        table = dict(protocol_driver(conv, "four").inference[procedure])
         assert len(table) == 4
-        assert sorted(table.values()) == sorted(LABELS)
+        assert sorted(table.values()) == [(key,) for key in sorted(LABELS)]
 
 
 def test_inference_rejects_unknown_protocol(conv):
@@ -315,9 +333,9 @@ def test_one_cached_driver_per_named_protocol(conv):
 
 
 def test_inference_lookup_unknown_observation(conv):
-    table = protocol_driver(conv, "six").inference[Procedure.P_I]
+    driver = protocol_driver(conv, "six")
     with pytest.raises(KeyError):
-        table.infer({"public": None, "secret": "00"})
+        driver.infer(Procedure.P_I, {"public": None, "secret": "00"})
 
 
 def test_six_p1_inference_is_swap_table_composition(conv):
@@ -325,12 +343,12 @@ def test_six_p1_inference_is_swap_table_composition(conv):
     # measurement swaps (2,5) out of the first two pairs, the public
     # measurement swaps (2,4) out of (2,5) and (4,6).
     swap = derive_swap_table(conv)
-    table = protocol_driver(conv, "six").inference[Procedure.P_I]
+    driver = protocol_driver(conv, "six")
     for key in LABELS:
         middle = swap.as_dict()["00", "00", key]
         for public in LABELS:
             secret = swap.as_dict()[middle, "00", public]
-            assert table.infer({"public": public, "secret": secret}) == key
+            assert driver.infer(Procedure.P_I, {"public": public, "secret": secret}) == key
 
 
 # --- published outcome table ---------------------------------------------------
@@ -408,7 +426,7 @@ def test_leaf_transcripts_match_a_per_branch_rebuild(conv):
                 key=out["key"],
                 public_result=out.get("public"),
                 bob_secret=out["secret"],
-                bob_inferred_key=driver.inference[procedure].infer(out),
+                bob_inferred_key=driver.infer(procedure, out),
                 eve_record=eve_record,
             )
             assert model.leaves[tuple(LABELS.index(label) for label in out.values())] == want
@@ -508,7 +526,7 @@ def test_p1_key00_public01_row(conv):
             if o["key"] == "00" and o["public"] == "01"]
     assert len(outs) == 1
     assert outs[0]["secret"] == "01"
-    assert drv.inference[Procedure.P_I].infer({"public": "01", "secret": "01"}) == "00"
+    assert drv.infer(Procedure.P_I, {"public": "01", "secret": "01"}) == "00"
 
 
 def test_p2_key00_public10_row(conv):
@@ -517,7 +535,7 @@ def test_p2_key00_public10_row(conv):
             if o["key"] == "00" and o["public"] == "10"]
     assert len(outs) == 1
     assert outs[0]["secret"] == "01"
-    assert drv.inference[Procedure.P_II].infer({"public": "10", "secret": "01"}) == "00"
+    assert drv.infer(Procedure.P_II, {"public": "10", "secret": "01"}) == "00"
 
 
 # --- transcripts -----------------------------------------------------------------
@@ -711,6 +729,12 @@ def test_plan_builders_reject_malformed_transit(conv):
 # --- ambiguity guard ----------------------------------------------------------
 
 
-def test_ambiguity_error_type():
-    with pytest.raises(AmbiguityError):
-        raise AmbiguityError("probe")
+def test_ambiguous_observation_is_refused(conv, monkeypatch):
+    # Bob reading the public result alone cannot tell the keys apart.
+    monkeypatch.setitem(PROTOCOLS, "six", replace(PROTOCOLS["six"], observed=("public",)))
+    with pytest.raises(AmbiguityError) as excinfo:
+        protocol._ProtocolBase(conv, "six")
+    assert str(excinfo.value) == (
+        "(i): observation ('public',) = 00 is consistent with keys 00, 01, 10, 11; "
+        "the protocol could not work"
+    )

@@ -5,7 +5,6 @@ from swapqkd import qstate
 from swapqkd.qstate import (
     GATES,
     RandomSource,
-    StateVector,
     collapse_rows,
     gate_rows,
     prepare_pairs,
@@ -23,8 +22,8 @@ SQRT2_INV = 1.0 / np.sqrt(2.0)
 # code with the reshape/transpose implementation under test.
 
 
-def oracle_pair_probs(state: StateVector, basis: np.ndarray, pair) -> list[float]:
-    n = state.num_qubits
+def oracle_pair_probs(state: np.ndarray, basis: np.ndarray, pair) -> list[float]:
+    n = len(state).bit_length() - 1
     i, j = pair
     rest = [q for q in range(n) if q not in (i, j)]
     probs = []
@@ -37,16 +36,15 @@ def oracle_pair_probs(state: StateVector, basis: np.ndarray, pair) -> list[float
                     idx = (bi << i) | (bj << j)
                     for pos, q in enumerate(rest):
                         idx |= ((rest_bits >> pos) & 1) << q
-                    amp += np.conj(basis[k][2 * bi + bj]) * state.amplitudes[idx]
+                    amp += np.conj(basis[k][2 * bi + bj]) * state[idx]
             total += abs(amp) ** 2
         probs.append(total)
     return probs
 
 
-def oracle_collapse(state: StateVector, basis: np.ndarray, pair, k: int) -> np.ndarray:
-    """Amplitudes of (|b_k><b_k| on the pair) |state>, renormalized, index by index."""
+def oracle_collapse(amps: np.ndarray, basis: np.ndarray, pair, k: int) -> np.ndarray:
+    """Amplitudes of (|b_k><b_k| on the pair) |amps>, renormalized, index by index."""
     i, j = pair
-    amps = state.amplitudes
     out = np.zeros_like(amps)
     for idx in range(len(amps)):
         base = idx & ~((1 << i) | (1 << j))
@@ -59,9 +57,9 @@ def oracle_collapse(state: StateVector, basis: np.ndarray, pair, k: int) -> np.n
     return out / np.linalg.norm(out)
 
 
-def random_state(rng: np.random.Generator, n: int) -> StateVector:
+def random_state(rng: np.random.Generator, n: int) -> np.ndarray:
     amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-    return StateVector(n, amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 def same_ray(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:
@@ -88,37 +86,37 @@ def basis_pair(bits: str) -> np.ndarray:
 def test_init_basis_state_single_qubit():
     # A one-qubit basis state is a valid register, and X on qubit 0 flips
     # its only bit.
-    state = StateVector(1, np.array([1.0, 0.0]))
-    assert np.array_equal(gate_rows(state.amplitudes[None], 1, (GATES["X"],), 0), [[0, 1]])
+    state = np.array([1.0, 0.0], dtype=complex)
+    assert np.array_equal(gate_rows(state[None], 1, (GATES["X"],), 0), [[0, 1]])
 
 
 def test_init_basis_state_index_matches_bit_pattern():
     # Qubit q is bit q of the amplitude index: qubit 1 set, qubit 0 clear is 0b10.
     state = prepare_pairs(2, [(1, 0, basis_pair("10"))])
-    assert state.amplitudes[0b10] == 1.0
-    assert np.count_nonzero(state.amplitudes) == 1
+    assert state[0b10] == 1.0
+    assert np.count_nonzero(state) == 1
     assert np.array_equal(oracle.product_state(2, [(1, 0, basis_pair("10"))]).reshape(-1),
-                          state.amplitudes)
+                          state)
 
 
 def test_init_basis_state_six_qubits_all_zero():
     state = prepare_pairs(6, [(q, q + 1, basis_pair("00")) for q in (0, 2, 4)])
-    assert state.amplitudes[0] == 1.0
-    assert len(state.amplitudes) == 64
+    assert state[0] == 1.0
+    assert state.shape == (64,) and not state.flags.writeable
 
 
-def test_state_vector_rejects_unnormalized_and_nonfinite():
-    with pytest.raises(ValueError):
-        StateVector(1, np.array([1.0, 1.0]))
-    with pytest.raises(ValueError):
-        StateVector(1, np.array([np.nan, 0.0]))
-    with pytest.raises(ValueError):
-        StateVector(2, np.array([1.0, 0.0]))
+def test_prepare_pairs_rejects_unnormalized_nonfinite_and_misshapen():
+    with pytest.raises(ValueError, match="not 1 within"):
+        prepare_pairs(2, [(0, 1, np.array([1.0, 1.0, 0.0, 0.0]))])
+    with pytest.raises(ValueError, match="not 1 within"):
+        prepare_pairs(2, [(0, 1, np.array([np.nan, 0.0, 0.0, 0.0]))])
+    with pytest.raises(ValueError, match="4 amplitudes"):
+        prepare_pairs(2, [(0, 1, np.array([1.0, 0.0]))])
 
 
-def test_state_vector_register_cap():
-    with pytest.raises(ValueError):
-        StateVector(9, np.zeros(512))
+def test_prepare_pairs_register_cap():
+    with pytest.raises(ValueError, match="1..8"):
+        prepare_pairs(9, [(q, q + 1, basis_pair("00")) for q in range(0, 8, 2)])
 
 
 def test_prepare_pairs_matches_kron_oracle():
@@ -135,7 +133,7 @@ def test_prepare_pairs_matches_kron_oracle():
                 for b0 in (0, 1):
                     idx = (b3 << 3) | (b2 << 2) | (b1 << 1) | b0
                     expected[idx] = v1[2 * b3 + b1] * v2[2 * b2 + b0]
-    assert np.allclose(state.amplitudes, expected, atol=1e-12)
+    assert np.allclose(state, expected, atol=1e-12)
 
 
 def test_prepare_pairs_requires_partition():
@@ -188,8 +186,8 @@ def test_s_on_zero_gives_equal_superposition():
 def test_identity_gate_is_noop():
     rng = np.random.default_rng(1)
     state = random_state(rng, 3)
-    out = gate_rows(state.amplitudes[None], 3, (GATES["I"],), 1)
-    assert np.allclose(out[0], state.amplitudes)
+    out = gate_rows(state[None], 3, (GATES["I"],), 1)
+    assert np.allclose(out[0], state)
 
 
 def test_s_on_acting_factor_of_label00_gives_01_plus_10(conv):
@@ -242,16 +240,16 @@ def test_apply_gate_preserves_norm_on_random_states():
         n = int(rng.integers(2, 7))
         state = random_state(rng, n)
         name = ["I", "X", "Y", "Z", "S"][int(rng.integers(5))]
-        out = gate_rows(state.amplitudes[None], n, (GATES[name],), int(rng.integers(n)))
+        out = gate_rows(state[None], n, (GATES[name],), int(rng.integers(n)))
         assert abs(np.linalg.norm(out[0]) - 1.0) < 1e-12
 
 
 # --- measurement ------------------------------------------------------------
 
 
-def born(state: StateVector, basis: np.ndarray, pair) -> np.ndarray:
+def born(state: np.ndarray, basis: np.ndarray, pair) -> np.ndarray:
     """The four outcome probabilities of one state, from :func:`project_rows`."""
-    return project_rows(state.amplitudes[None], state.num_qubits, basis, pair)[1][0]
+    return project_rows(state[None], len(state).bit_length() - 1, basis, pair)[1][0]
 
 
 def test_basis_probabilities_on_eigenstate(conv):
@@ -307,9 +305,9 @@ def test_measure_eigenstate_is_deterministic_and_stable(conv):
     state = prepare_pairs(2, [(0, 1, conv.states["01"])])
     for seed in range(5):
         rng = RandomSource(seed)
-        outcome, collapsed = measure(state.amplitudes, conv.basis_matrix, (0, 1), rng)
+        outcome, collapsed = measure(state, conv.basis_matrix, (0, 1), rng)
         assert outcome == 1
-        assert same_ray(collapsed, state.amplitudes)
+        assert same_ray(collapsed, state)
 
 
 def test_remeasurement_is_idempotent(conv):
@@ -317,7 +315,7 @@ def test_remeasurement_is_idempotent(conv):
     for trial in range(20):
         state = random_state(rng_states, 4)
         rng = RandomSource(trial)
-        outcome, collapsed = measure(state.amplitudes, conv.basis_matrix, (1, 3), rng)
+        outcome, collapsed = measure(state, conv.basis_matrix, (1, 3), rng)
         outcome2, collapsed2 = measure(collapsed, conv.basis_matrix, (1, 3), rng)
         assert outcome2 == outcome
         assert abs(abs(np.vdot(collapsed, collapsed2)) - 1.0) < 1e-10
@@ -325,15 +323,15 @@ def test_remeasurement_is_idempotent(conv):
 
 def test_measurement_is_bit_exact_deterministic(conv):
     state = random_state(np.random.default_rng(3), 5)
-    a = measure(state.amplitudes, conv.basis_matrix, (0, 4), RandomSource(99))
-    b = measure(state.amplitudes, conv.basis_matrix, (0, 4), RandomSource(99))
+    a = measure(state, conv.basis_matrix, (0, 4), RandomSource(99))
+    b = measure(state, conv.basis_matrix, (0, 4), RandomSource(99))
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1])
 
 
 def test_collapse_onto_probability_and_norm(conv):
     state = random_state(np.random.default_rng(31), 4)
-    proj, probs = project_rows(state.amplitudes[None], 4, conv.basis_matrix, (0, 2))
+    proj, probs = project_rows(state[None], 4, conv.basis_matrix, (0, 2))
     live = np.flatnonzero(probs[0] >= 1e-12)
     collapsed = collapse_rows(4, conv.basis_matrix, (0, 2), proj, probs, live)
     for k, after in zip(live, collapsed):
@@ -344,7 +342,7 @@ def test_collapse_onto_probability_and_norm(conv):
 def test_collapse_onto_zero_weight_is_degenerate(conv):
     # Collapsing onto an outcome with no weight cannot give a unit state.
     state = prepare_pairs(2, [(0, 1, conv.states["00"])])
-    proj, probs = project_rows(state.amplitudes[None], 2, conv.basis_matrix, (0, 1))
+    proj, probs = project_rows(state[None], 2, conv.basis_matrix, (0, 1))
     assert probs[0, 3] == 0.0
     with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError, match="not 1"):
         collapse_rows(2, conv.basis_matrix, (0, 1), proj, probs, np.array([3]))
@@ -355,9 +353,9 @@ def test_live_outcomes_match_probabilities_and_collapse(conv):
     basis = conv.basis_matrix
     for n in (6, 8):
         state = random_state(rng, n)
-        tensor = state.amplitudes.reshape((1,) + (2,) * n)
+        tensor = state.reshape((1,) + (2,) * n)
         for pair in ((0, 1), (1, 0), (2, n - 1), (n - 1, 3)):
-            proj, probs = project_rows(state.amplitudes[None], n, basis, pair)
+            proj, probs = project_rows(state[None], n, basis, pair)
             live = np.flatnonzero(probs[0] > 1e-9)
             by_index = oracle_pair_probs(state, basis, pair)
             assert live.tolist() == [k for k in range(4) if by_index[k] > 1e-9]
@@ -372,11 +370,11 @@ def test_live_outcomes_match_probabilities_and_collapse(conv):
 
 def test_live_outcomes_skip_zero_weight(conv):
     state = prepare_pairs(4, [(0, 1, conv.states["10"]), (2, 3, conv.states["00"])])
-    proj, probs = project_rows(state.amplitudes[None], 4, conv.basis_matrix, (0, 1))
+    proj, probs = project_rows(state[None], 4, conv.basis_matrix, (0, 1))
     live = np.flatnonzero(probs[0] > 1e-9)
     assert [(int(k), round(float(probs[0, k]), 12)) for k in live] == [(2, 1.0)]
     after = collapse_rows(4, conv.basis_matrix, (0, 1), proj, probs, live)[0]
-    assert same_ray(after, state.amplitudes)
+    assert same_ray(after, state)
 
 
 def test_batch_kernels_match_single_states(conv):
@@ -387,7 +385,7 @@ def test_batch_kernels_match_single_states(conv):
     # complex-by-real division does too, so it is bit for bit as well.
     rng = np.random.default_rng(43)
     basis = conv.basis_matrix
-    amps = np.stack([random_state(rng, 8).amplitudes for _ in range(5)])
+    amps = np.stack([random_state(rng, 8) for _ in range(5)])
     tensor = amps.reshape((5,) + (2,) * 8)
     gates = (GATES["S"], GATES["Y"])
     choice = np.array([1, 0, 0, 1, 1])
@@ -407,7 +405,7 @@ def test_batch_kernels_match_single_states(conv):
 def test_collapse_rows_checks_every_norm(conv):
     rng = np.random.default_rng(44)
     basis = conv.basis_matrix
-    amps = np.stack([random_state(rng, 4).amplitudes for _ in range(3)])
+    amps = np.stack([random_state(rng, 4) for _ in range(3)])
     proj, probs = qstate.project_rows(amps, 4, basis, (0, 1))
     picks = np.array([0, 5, 10])  # row b after outcome b
     qstate.collapse_rows(4, basis, (0, 1), proj, probs, picks)
