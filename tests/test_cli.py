@@ -282,6 +282,75 @@ def test_full_range_seed_stdout_matches_golden_digest(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == FULL_RANGE_SEED_SHA256[command]
 
 
+# SHA-256 of stdout at the coin edges: Alice's procedure coin at 0, 0.3 and 1,
+# and for simulate the test coin at 0 and 1, on six/none, six/mixed and
+# four/four-swap.  Captured while each coin was its own uniform compared
+# against its probability, before the coins became tree nodes.
+COIN_STDOUT_SHA256 = {
+    "simulate --protocol six --attack none --rounds 300 --procedure-prob 0 --test-fraction 0 --seed 11 --format json":
+        "adb95f6855c11772e981f8a37f86252a2adc715e7bdb834b7acb34d3e4e90283",
+    "simulate --protocol six --attack none --rounds 300 --procedure-prob 0 --test-fraction 1 --seed 11 --format json":
+        "70a5f42aeaa9e5bb7052a83b1c68837197331cf2c65601c3b461f671165af13d",
+    "detection-curve --protocol six --attack none --n 0,1,2,4 --reps 100 --procedure-prob 0 --seed 11 --format json":
+        "07905af3fad786939ac157803e83cdfe3cdf47a0ffcbf0bc02ebaafcea2a0d6c",
+    "simulate --protocol six --attack none --rounds 300 --procedure-prob 0.3 --test-fraction 0 --seed 11 --format json":
+        "045fa5f5b69d08b752c9db4a6933d20a613762dbdbdf6ba3a80da252b3d2cff4",
+    "simulate --protocol six --attack none --rounds 300 --procedure-prob 0.3 --test-fraction 1 --seed 11 --format json":
+        "9220ebb68dac3a171fc615f0e28dde9fe33f042d242d237bed81bb3002cf205f",
+    "detection-curve --protocol six --attack none --n 0,1,2,4 --reps 100 --procedure-prob 0.3 --seed 11 --format json":
+        "07905af3fad786939ac157803e83cdfe3cdf47a0ffcbf0bc02ebaafcea2a0d6c",
+    "simulate --protocol six --attack none --rounds 300 --procedure-prob 1 --test-fraction 0 --seed 11 --format json":
+        "2619393076624368c014d5e87325841960c5c48aab8da996073ec82a45689e67",
+    "simulate --protocol six --attack none --rounds 300 --procedure-prob 1 --test-fraction 1 --seed 11 --format json":
+        "6a2fce6f94de168c72d7df6e95df11cc60b7d4324f171081a1841c6f30bbca9c",
+    "detection-curve --protocol six --attack none --n 0,1,2,4 --reps 100 --procedure-prob 1 --seed 11 --format json":
+        "07905af3fad786939ac157803e83cdfe3cdf47a0ffcbf0bc02ebaafcea2a0d6c",
+    "simulate --protocol six --attack mixed --rounds 300 --procedure-prob 0 --test-fraction 0 --seed 11 --format json":
+        "605d66010a0a078d534668197fdb101663eab0872ba215792f41a26b05245fc0",
+    "simulate --protocol six --attack mixed --rounds 300 --procedure-prob 0 --test-fraction 1 --seed 11 --format json":
+        "95865bb9d6e0188445c3a0220778a7d7a5c141dfa012e097baff44c3da76cb0c",
+    "detection-curve --protocol six --attack mixed --n 0,1,2,4 --reps 100 --procedure-prob 0 --seed 11 --format json":
+        "b1ca9fda337a396e2d161921f8160df431d3cf432a4d94d7967b55776a2224c8",
+    "simulate --protocol six --attack mixed --rounds 300 --procedure-prob 0.3 --test-fraction 0 --seed 11 --format json":
+        "3d8c50409eb2462d7bb7834a6e7eb5667e61bfc46a120bc0a1b99eed8e06e849",
+    "simulate --protocol six --attack mixed --rounds 300 --procedure-prob 0.3 --test-fraction 1 --seed 11 --format json":
+        "9570f8c746ba7fadf6182c38e437b59212c88798d76bb7f0ea3172a0b8570a24",
+    "detection-curve --protocol six --attack mixed --n 0,1,2,4 --reps 100 --procedure-prob 0.3 --seed 11 --format json":
+        "e613276a9829993d7db0875ffb6409d77eef07c27489ddd0dd88d920427446aa",
+    "simulate --protocol six --attack mixed --rounds 300 --procedure-prob 1 --test-fraction 0 --seed 11 --format json":
+        "9914fcbd13052b3a94673da64dcb79ece60ae53e3365a6fee15953538c37036e",
+    "simulate --protocol six --attack mixed --rounds 300 --procedure-prob 1 --test-fraction 1 --seed 11 --format json":
+        "10050a3e299c4d4ee1a0a6790be65bd69c4ba56f08ee2c2d75bb03a3be850c66",
+    "detection-curve --protocol six --attack mixed --n 0,1,2,4 --reps 100 --procedure-prob 1 --seed 11 --format json":
+        "fdef1f5a3193c8b8019696c6450d317cec1db18febdeb15bdff04ef924a7ae6f",
+    "simulate --protocol four --attack four-swap --rounds 300 --procedure-prob 0 --test-fraction 0 --seed 11 --format json":
+        "e587bd43f06e8828bbdb39696588c7b4dd5b32c1f9175d1050a72c85d8a65013",
+    "simulate --protocol four --attack four-swap --rounds 300 --procedure-prob 0 --test-fraction 1 --seed 11 --format json":
+        "fa550810cadfc58585f1ff25dd361fd79ac8e2a4706427b85fabe073bafd3f5c",
+    "detection-curve --protocol four --attack four-swap --n 0,1,2,4 --reps 100 --procedure-prob 0 --seed 11 --format json":
+        "e69393aa1a6a9d3d9a4bce7db98c8271df1481fb347cc9dc13e87f3a608b49a6",
+    "simulate --protocol four --attack four-swap --rounds 300 --procedure-prob 0.3 --test-fraction 0 --seed 11 --format json":
+        "fc5497dba90c3a2b19bbb22423d680c81e38c00ab2274ab838faf5a9173e5f12",
+    "simulate --protocol four --attack four-swap --rounds 300 --procedure-prob 0.3 --test-fraction 1 --seed 11 --format json":
+        "677dba557577cea62611fb2f68510340a4e8d843dad5d1015274ea5e478a9136",
+    "detection-curve --protocol four --attack four-swap --n 0,1,2,4 --reps 100 --procedure-prob 0.3 --seed 11 --format json":
+        "a859f43af48e46f6c0a8332abdbee605cebd213e46b481cf95317d6ebf67b889",
+    "simulate --protocol four --attack four-swap --rounds 300 --procedure-prob 1 --test-fraction 0 --seed 11 --format json":
+        "3fabf1deb6b00a6f4dc026b9d3245d7df38eb792a1e4356eed2929a89122f25d",
+    "simulate --protocol four --attack four-swap --rounds 300 --procedure-prob 1 --test-fraction 1 --seed 11 --format json":
+        "d5cf56b9b3977c29d1b0c77d8e1aec0d4f36cf4ef13ea4149d2466246c5096a9",
+    "detection-curve --protocol four --attack four-swap --n 0,1,2,4 --reps 100 --procedure-prob 1 --seed 11 --format json":
+        "bd089e5e38d79c0fecc7072f977df5d23c897bc3af7991751e0f9b4ae5c78a18",
+}
+
+
+@pytest.mark.parametrize("command", list(COIN_STDOUT_SHA256))
+def test_coin_edge_stdout_matches_golden_digest(capsys, command):
+    code, out, _ = run_cli(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COIN_STDOUT_SHA256[command]
+
+
 SWEEP_CONFIGS = (
     ("six", "none"), ("six", "zlg"), ("six", "tailored"), ("six", "mixed"),
     ("four", "none"), ("four", "four-swap"),
