@@ -10,10 +10,11 @@ execution therefore see identical per-round streams.  Under seed contract v1
 each stream is numpy's ``Generator(PCG64(seed)).random()``, computed in-package
 (``qstate.random_sources``, seeded in chunks) and pinned to numpy by a test.
 
-Within one round the uniform stream is consumed in a fixed order: the
-attack-selection coin (only for strategies that need one), Alice's
-procedure coin, the round's measurement samples in protocol order, and
-finally the key-comparison coin.
+A round is one descent of one tree of ``qstate.Distribution`` nodes, one
+uniform per level, so the stream is consumed in the tree's level order: the
+attack-selection coin (only for strategies that need one), Alice's procedure
+coin, the round's measurement nodes in protocol order.  A simulated round
+then draws the key-comparison coin.
 
 A compared round counts as a detection when Bob's inferred key differs
 from Alice's key; no error-rate thresholding is layered on top.  The
@@ -26,12 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import bell
 from .adversary import AttackStrategy
-from .protocol import PROTOCOLS, Procedure, RoundTranscript, protocol_driver
-from .qstate import RandomSource, random_sources
+from .protocol import PROTOCOLS, Procedure, protocol_driver
+# RandomSource is imported by name so that benchmarks/tracer.py finds it here.
+from .qstate import Distribution, RandomSource, random_sources  # noqa: F401
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -129,35 +131,36 @@ def _binomial_ci(successes: int, trials: int) -> tuple[float, float]:
     return (max(0.0, p - half), min(1.0, p + half))
 
 
-def _round_sampler(config: CurveConfig) -> Callable[[RandomSource], RoundTranscript]:
-    """One round of ``config``: the attack coin (two-attack mixtures only), the procedure
-    coin, then the chosen round model's walk.  Every round model is resolved here, once."""
+def _round_tree(config: CurveConfig) -> Distribution:
+    """The root of one round of ``config``, for :meth:`RandomSource.descend`.
+
+    Its levels are the attack coin (two-attack mixtures only), the procedure coin over
+    ``(policy, 1 - policy)``, then the chosen round model's measurement nodes.  A coin
+    over ``(q, 1 - q)`` picks its first outcome exactly when the uniform is below q.
+    Every round model is resolved here, once.
+    """
     driver = protocol_driver(bell.convention(), config.protocol)
     policy = config.procedure_policy
-    mixture = [
-        (weight, [driver.round_model(p, attack) for p in Procedure])
+    coins = [
+        (weight, Distribution((policy, 1.0 - policy),
+                              [driver.round_model(p, attack).root for p in Procedure]))
         for weight, attack in config.attack.mixture(bell.convention())
     ]
-    if len(mixture) == 1:
-        model_i, model_ii = mixture[0][1]
-        return lambda rng: (model_i if rng.uniform() < policy else model_ii).sample(rng)
-    (weight, first), (_, second) = mixture
-
-    def sample(rng: RandomSource) -> RoundTranscript:
-        model_i, model_ii = first if rng.uniform() < weight else second
-        return (model_i if rng.uniform() < policy else model_ii).sample(rng)
-
-    return sample
+    if len(coins) == 1:
+        return coins[0][1]
+    (weight, first), (_, second) = coins
+    return Distribution((weight, 1.0 - weight), (first, second))
 
 
 def run_simulation(config: SimulationConfig) -> SimulationReport:
     """Run ``config.rounds`` independently seeded rounds and aggregate."""
-    sample = _round_sampler(config)
+    root = _round_tree(config)
+    test_coin = Distribution((config.test_fraction, 1.0 - config.test_fraction))
 
     compared = detected = agreed = eve_informed = 0
     for rng in random_sources(splitmix64(config.master_seed, i) for i in range(config.rounds)):
-        transcript = sample(rng)
-        if rng.uniform() < config.test_fraction:
+        transcript = rng.descend(root)
+        if test_coin.pick(rng.uniform()) == 0:
             compared += 1
             detected += transcript.bob_inferred_key != transcript.key
         agreed += transcript.bob_inferred_key == transcript.key
@@ -207,7 +210,7 @@ def detection_curve(
         raise ValueError("repetitions must be >= 100")
     if any(n < 0 for n in n_values):
         raise ValueError("n values must be >= 0")
-    sample = _round_sampler(config)
+    root = _round_tree(config)
 
     point_seeds = [splitmix64(config.master_seed, n) for n in n_values]
     sources = random_sources(
@@ -218,7 +221,7 @@ def detection_curve(
         hits = 0
         for rng in islice(sources, repetitions):
             for _ in range(n):
-                transcript = sample(rng)
+                transcript = rng.descend(root)
                 if transcript.bob_inferred_key != transcript.key:
                     hits += 1
                     break

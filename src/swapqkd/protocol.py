@@ -25,8 +25,10 @@ tree, drawing one uniform per measurement and picking the outcome by
 inverse CDF over its conditional probabilities.  Bob's key inference and
 Eve's posterior are one :func:`key_support` map, each observation to the keys
 it occurs with, read off those same branches (the adversary-free ones for
-Bob), never assumed in closed form.  A round model holds each leaf's
-transcript, built on the first Monte Carlo read: a round is a walk and a lookup.
+Bob), never assumed in closed form.  A round model links that tree as
+:class:`qstate.Distribution` nodes whose leaf slots hold each leaf's
+transcript, built on the first Monte Carlo read: a round is one
+:meth:`qstate.RandomSource.descend`.
 
 Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 0-based register happens only at the physics boundary.
@@ -45,7 +47,6 @@ import numpy as np
 
 from . import qstate
 from .bell import LABELS, BellConvention
-from .qstate import RandomSource
 
 if TYPE_CHECKING:  # pragma: no cover
     from .adversary import EveRecord
@@ -323,44 +324,33 @@ def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Br
     return branches
 
 
-# Outcome-index prefix -> (name of the next measurement, conditional
-# probability of each of its four outcomes given the prefix).
-OutcomeTree = dict[tuple[int, ...], tuple[str, qstate.Distribution]]
-
-
-def _outcome_tree(branches: Iterable[Branch]) -> OutcomeTree:
+def _outcome_tree(
+    branches: Iterable[Branch], leaves: Mapping[tuple[int, ...], object]
+) -> qstate.Distribution:
     """Conditional-probability tree over the branches' outcomes, in step order.
 
-    The probability of outcome ``k`` after a prefix is ``mass(prefix + (k,)) /
-    mass(prefix)``, both summed from leaf masses, in a :class:`qstate.Distribution`.
+    Each node is a :class:`qstate.Distribution` over one measurement's four outcomes:
+    the probability of outcome ``k`` after a prefix is ``mass(prefix + (k,)) /
+    mass(prefix)``, both summed from leaf masses.  Its child ``k`` is the next
+    measurement's node, ``leaves[prefix + (k,)]`` after the last measurement, or
+    None for an outcome no branch takes.
     """
     mass: dict[tuple[int, ...], float] = {}
-    names: dict[tuple[int, ...], str] = {}
     for prob, outcomes in branches:
         prefix: tuple[int, ...] = ()
         mass[prefix] = mass.get(prefix, 0.0) + prob
-        for name, label in outcomes.items():
-            names[prefix] = name
+        for label in outcomes.values():
             prefix += (LABELS.index(label),)
             mass[prefix] = mass.get(prefix, 0.0) + prob
-    return {
-        prefix: (name, qstate.Distribution(mass.get(prefix + (k,), 0.0) / mass[prefix]
-                                           for k in range(4)))
-        for prefix, name in names.items()
-    }
 
+    def node(prefix: tuple[int, ...]):
+        if prefix in leaves:
+            return leaves[prefix]
+        after = [prefix + (k,) for k in range(4)]
+        return qstate.Distribution((mass.get(p, 0.0) / mass[prefix] for p in after),
+                                   [node(p) if p in mass else None for p in after])
 
-def _sample_path(tree: OutcomeTree, rng: RandomSource) -> tuple[int, ...]:
-    """One round's outcome-index path to a leaf, one ``Distribution.pick`` per measurement.
-
-    This consumes the stream exactly as measuring the statevector step by
-    step would; the test suite's lockstep statevector sampler
-    (``tests/oracle.py``) checks it draw for draw.
-    """
-    path: tuple[int, ...] = ()
-    while (node := tree.get(path)) is not None:
-        path += (node[1].pick(rng.uniform()),)
-    return path
+    return node(())
 
 
 # An observation (``ProtocolSpec.bob_observation`` or ``eve_observation`` of a
@@ -387,9 +377,10 @@ def key_support(
 class RoundModel:
     """A wired plan, its exact branches, and what is read off them.
 
-    ``posterior`` is Eve's :func:`key_support`, empty without an attack; Monte Carlo
-    samples ``tree`` and reads ``leaves`` (outcome-index path -> ``transcript`` of the
-    branch's outcomes), both built on first read.
+    ``posterior`` is Eve's :func:`key_support`, empty without an attack.  Monte Carlo
+    descends ``root``, the :func:`_outcome_tree` whose leaf slots hold ``leaves``
+    (outcome-index path -> ``transcript`` of the branch's outcomes); both are built
+    on first read.
     """
 
     plan: Plan
@@ -398,19 +389,15 @@ class RoundModel:
     transcript: Callable[[Mapping[str, str]], "RoundTranscript"] = field(compare=False, repr=False)
 
     @cached_property
-    def tree(self) -> OutcomeTree:
-        return _outcome_tree(self.branches)
-
-    @cached_property
     def leaves(self) -> dict[tuple[int, ...], "RoundTranscript"]:
         return {
             tuple(map(LABELS.index, out.values())): self.transcript(out)
             for _prob, out in self.branches
         }
 
-    def sample(self, rng: RandomSource) -> "RoundTranscript":
-        """The transcript of the leaf this round's draws reach, shared by every such round."""
-        return self.leaves[_sample_path(self.tree, rng)]
+    @cached_property
+    def root(self) -> qstate.Distribution:
+        return _outcome_tree(self.branches, self.leaves)
 
 
 # --- transcripts ----------------------------------------------------------

@@ -332,6 +332,23 @@ class RandomSource:
         x = (state >> 64 ^ state) & _MASK64  # xor the halves; rotate right by the top 6 bits
         return ((x << 64 | x) >> (11 + (state >> 122)) & _MASK53) * 2.0**-53
 
+    def descend(self, node: Distribution):
+        """The leaf a walk down from ``node`` reaches: each :class:`Distribution` on the way
+        draws the next uniform ``u`` and steps to ``node.children[node.pick(u)]``.
+
+        :meth:`uniform` and the pick are inlined, and the gap slot of ``children`` stands
+        in for ``last_live``, so this consumes the stream exactly as one :meth:`uniform`
+        per node does and steps where ``pick`` would.
+        """
+        state, inc = self._state, self._inc
+        while node.__class__ is Distribution:
+            state = (state * _PCG64_MULT + inc) & _MASK128
+            x = (state >> 64 ^ state) & _MASK64
+            u = ((x << 64 | x) >> (11 + (state >> 122)) & _MASK53) * 2.0**-53
+            node = node.children[bisect_right(node.thresholds, u)]
+        self._state = state
+        return node
+
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed})"
 
@@ -347,12 +364,18 @@ def random_sources(seeds: Iterable[int]) -> Iterator[RandomSource]:
 
 class Distribution(tuple):
     """Outcome probabilities; ``thresholds[k]`` is ``p_0 + ... + p_k`` summed left
-    to right, a negative p counting as 0, and ``last_live`` the last k with p > 0."""
+    to right, a negative p counting as 0, and ``last_live`` the last k with p > 0.
 
-    def __new__(cls, probabilities: Iterable[float]):
+    As a node of a tree that :meth:`RandomSource.descend` walks, ``children[k]`` is
+    what outcome k leads to: another Distribution, or a leaf, which is anything else.
+    One more slot, for a uniform in the rounding gap, repeats ``children[last_live]``.
+    """
+
+    def __new__(cls, probabilities: Iterable[float], children: Sequence = ()):
         self = super().__new__(cls, probabilities)
         self.thresholds = list(accumulate(max(float(p), 0.0) for p in self))
         self.last_live = max((k for k, p in enumerate(self) if p > 0.0), default=0)
+        self.children = (*children, children[self.last_live]) if children else ()
         return self
 
     def pick(self, u: float) -> int:

@@ -202,7 +202,7 @@ def test_identity_pre_rotations_emit_no_gate(conv):
 
 def test_zlg_eve_record_contents(conv):
     model = protocol_driver(conv, "six").round_model(Procedure.P_I, ZlgAttack(conv))
-    transcript = model.sample(RandomSource(8))
+    transcript = RandomSource(8).descend(model.root)
     record = transcript.eve_record
     assert record.attack == "zlg"
     assert record.transformation == pauli_for_label(conv)[record.secret]
@@ -355,7 +355,7 @@ def test_tailored_is_caught_under_p1(conv):
 
 def test_tailored_record_uses_extended_gate_names(conv):
     model = protocol_driver(conv, "six").round_model(Procedure.P_II, TailoredAttack(conv))
-    transcript = model.sample(RandomSource(4))
+    transcript = RandomSource(4).descend(model.root)
     record = transcript.eve_record
     assert record.attack == "tailored"
     assert record.transformation in CORRECTIONS_EXTENDED

@@ -28,7 +28,7 @@ from swapqkd.protocol import (
     protocol_driver,
     reproduce_table1,
 )
-from swapqkd.qstate import GATES, RandomSource
+from swapqkd.qstate import GATES, Distribution, RandomSource
 
 import oracle
 
@@ -387,14 +387,31 @@ def test_exact_reads_leave_the_outcome_tree_unbuilt(conv, monkeypatch):
             adversary.eve_information_probability(conv, "six", procedure, attack)
     models = list(fresh._models.values())
     assert len(models) == 6
-    assert all("tree" not in vars(model) for model in models)
+    assert all("root" not in vars(model) for model in models)
     assert all("leaves" not in vars(model) for model in models)
-    transcript = fresh.round_model(Procedure.P_II, TailoredAttack(conv)).sample(RandomSource(0))
     model = fresh.round_model(Procedure.P_II, TailoredAttack(conv))
-    assert vars(model)["tree"] is model.tree == protocol._outcome_tree(model.branches)
-    assert sum("tree" in vars(m) for m in models) == 1
+    transcript = RandomSource(0).descend(model.root)
+    assert vars(model)["root"] is model.root
+    rebuilt = protocol._outcome_tree(model.branches, model.leaves)
+    assert _tree_form(model.root) == _tree_form(rebuilt)
+    assert sum("root" in vars(m) for m in models) == 1
     assert transcript in vars(model)["leaves"].values()
     assert sum("leaves" in vars(m) for m in models) == 1
+
+
+def _tree_nodes(node):
+    """Every :class:`Distribution` of the tree under ``node``, parents first."""
+    if isinstance(node, Distribution):
+        yield node
+        for child in node.children[:-1]:  # the last slot repeats a live child
+            yield from _tree_nodes(child)
+
+
+def _tree_form(node):
+    """A tree as nested (probabilities, children) tuples, which compare by value."""
+    if not isinstance(node, Distribution):
+        return node
+    return tuple(node), tuple(map(_tree_form, node.children))
 
 
 def _driver_configs(conv):
@@ -442,7 +459,9 @@ def test_tree_thresholds_pick_as_the_inverse_cdf_loop(conv):
     uniforms = np.random.default_rng(2024)
     nodes = 0
     for name, procedure, attack in _driver_configs(conv):
-        for _name, dist in protocol_driver(conv, name).round_model(procedure, attack).tree.values():
+        for dist in _tree_nodes(protocol_driver(conv, name).round_model(procedure, attack).root):
+            # A descent steps to the gap slot where pick falls back to last_live.
+            assert dist.children[len(dist)] is dist.children[dist.last_live]
             edges = [0.0, 1.0 - 2**-53]
             for t in dist.thresholds:
                 edges += [t, np.nextafter(t, 0.0), np.nextafter(t, 1.0)]
@@ -464,19 +483,20 @@ def test_callers_never_change_a_shared_leaf_transcript(conv):
     driver, attack = protocol_driver(conv, "six"), ZlgAttack(conv)
     model = driver.round_model(Procedure.P_II, attack)
     # Two seeds whose rounds reach the same leaf, one where Bob infers the wrong key.
+    path_of = {id(leaf): path for path, leaf in model.leaves.items()}
     seeds_by_path = {}
     for seed in itertools.count():
-        path = protocol._sample_path(model.tree, RandomSource(seed))
+        path = path_of[id(RandomSource(seed).descend(model.root))]
         seeds_by_path.setdefault(path, []).append(seed)
         leaf = model.leaves[path]
         if len(seeds_by_path[path]) == 2 and leaf.bob_inferred_key != leaf.key:
             break
     first_seed, second_seed = seeds_by_path[path]
-    first = model.sample(RandomSource(first_seed))
+    first = RandomSource(first_seed).descend(model.root)
     assert first is leaf
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.bob_inferred_key = first.key
-    second = driver.round_model(Procedure.P_II, attack).sample(RandomSource(second_seed))
+    second = RandomSource(second_seed).descend(driver.round_model(Procedure.P_II, attack).root)
     assert second is first and second.bob_inferred_key != second.key
 
 
@@ -493,7 +513,7 @@ def test_public_result_reads_the_announced_outcome(conv, monkeypatch):
     drivers = {name: protocol._ProtocolBase(conv, name) for name in ("six", "renamed", "silent")}
     for seed in range(50):
         procedure = Procedure.P_I if seed % 2 else Procedure.P_II
-        rounds = {name: d.round_model(procedure).sample(RandomSource(seed))
+        rounds = {name: RandomSource(seed).descend(d.round_model(procedure).root)
                   for name, d in drivers.items()}
         assert rounds["six"].public_result in LABELS
         assert rounds["renamed"] == replace(rounds["six"], protocol="renamed")
@@ -587,8 +607,8 @@ def test_retired_fields_are_fed_only_because_transcripts_lack_them():
 
 
 def test_round_functions_are_deterministic(conv):
-    a = protocol_driver(conv, "six").round_model(Procedure.P_II).sample(RandomSource(42))
-    b = protocol_driver(conv, "six").round_model(Procedure.P_II).sample(RandomSource(42))
+    a = RandomSource(42).descend(protocol_driver(conv, "six").round_model(Procedure.P_II).root)
+    b = RandomSource(42).descend(protocol_driver(conv, "six").round_model(Procedure.P_II).root)
     assert a == b
 
 
@@ -612,13 +632,13 @@ class _BadAttack:
 def test_attack_may_not_touch_protected_qubits(conv):
     bad = _BadAttack(TransitPlan(steps=(GateStep(1, GATES["X"]),)))
     with pytest.raises(MalformedAdversaryError):
-        protocol_driver(conv, "six").round_model(Procedure.P_I, bad).sample(RandomSource(0))
+        protocol_driver(conv, "six").round_model(Procedure.P_I, bad).root
 
 
 def test_attack_ancillas_must_extend_register(conv):
     bad = _BadAttack(TransitPlan(ancilla_pairs=((9, 10),)))
     with pytest.raises(MalformedAdversaryError):
-        protocol_driver(conv, "six").round_model(Procedure.P_I, bad).sample(RandomSource(0))
+        protocol_driver(conv, "six").round_model(Procedure.P_I, bad).root
 
 
 @pytest.mark.parametrize("name", list(PROTOCOLS))
@@ -630,14 +650,14 @@ def test_attack_may_not_reuse_reserved_names(conv, name):
     for reserved in sorted(protocol.RESERVED_NAMES):
         bad = _BadAttack(TransitPlan(steps=(MeasureStep(reserved, pair),)), name)
         with pytest.raises(MalformedAdversaryError, match="reserved measurement name"):
-            protocol_driver(conv, name).round_model(Procedure.P_I, bad).sample(RandomSource(0))
+            protocol_driver(conv, name).round_model(Procedure.P_I, bad).root
     build_plan(PROTOCOLS[name], Procedure.P_I, TransitPlan(steps=(MeasureStep("eve", pair),)))
 
 
 def test_attack_may_not_forward_same_qubit_twice(conv):
     bad = _BadAttack(TransitPlan(forward=((6, 2), (2, 2))))
     with pytest.raises(MalformedAdversaryError):
-        protocol_driver(conv, "six").round_model(Procedure.P_I, bad).sample(RandomSource(0))
+        protocol_driver(conv, "six").round_model(Procedure.P_I, bad).root
 
 
 @pytest.mark.parametrize(

@@ -480,6 +480,44 @@ def test_a_batch_equals_its_seeds_one_at_a_time(size):
     assert [draws(rng, 3) for rng in batch] == [draws(RandomSource(s), 3) for s in seeds]
 
 
+# Levels of the chains a descent walks: coins at q = 0.3, 1 and 0, and four-outcome
+# nodes with dead outcomes; the fourth node's thresholds stop at 0.5, so every
+# uniform above that lands in the slot where ``pick`` falls back to ``last_live``.
+DESCENT_LEVELS = (
+    (0.3, 0.7),
+    (0.25, 0.25, 0.25, 0.25),
+    (0.0, 0.5, 0.5, 0.0),
+    (0.25, 0.25, 0.0, 0.0),
+    (1.0, 0.0),
+    (0.0, 1.0),
+)
+
+
+def pick_tree(levels, prefix=()):
+    """A full tree over ``levels`` whose leaf is the path of picks that reaches it."""
+    if len(prefix) == len(levels):
+        return prefix
+    probs = levels[len(prefix)]
+    return qstate.Distribution(probs, [pick_tree(levels, prefix + (k,)) for k in range(len(probs))])
+
+
+@pytest.mark.parametrize("depth", range(1, len(DESCENT_LEVELS) + 1))
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_descent_consumes_the_stream_as_uniform_does(seed, depth):
+    levels = DESCENT_LEVELS[:depth]
+    root, stream = pick_tree(levels), numpy_stream(seed)
+    rng, twin = RandomSource(seed), RandomSource(seed)
+    used = 0
+    while used + depth < DRAWS:
+        # One uniform per level, picked as Distribution.pick picks it.
+        assert rng.descend(root) == tuple(
+            qstate.Distribution(probs).pick(twin.uniform()) for probs in levels
+        )
+        used += depth
+        assert rng.uniform() == twin.uniform() == stream[used]
+        used += 1
+
+
 # --- inverse-CDF picks --------------------------------------------------------
 
 

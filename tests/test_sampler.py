@@ -1,10 +1,11 @@
 """The branch-tree sampler against an independent statevector.
 
-Monte Carlo rounds sample the conditional-probability tree built from a
-driver's exact branches.  These tests pin that tree to the branch masses
-and check, round by round, that it draws the same outcomes from the same
-uniforms as the lockstep statevector sampler of ``tests/oracle.py``, which
-shares no code with the engine's kernels.
+A Monte Carlo round descends one tree: the attack and procedure coins, then
+the conditional-probability nodes built from a driver's exact branches.
+These tests pin those nodes to the branch masses and check, round by round,
+that a descent draws the same outcomes from the same uniforms as the
+lockstep statevector sampler of ``tests/oracle.py``, which shares no code
+with the engine's kernels.
 """
 
 import ast
@@ -18,7 +19,7 @@ from swapqkd.adversary import AttackStrategy, FourSwapAttack, TailoredAttack, Zl
 from swapqkd.bell import LABELS
 from swapqkd.harness import splitmix64
 from swapqkd.protocol import MeasureStep, Procedure, protocol_driver
-from swapqkd.qstate import RandomSource
+from swapqkd.qstate import Distribution, RandomSource
 
 import oracle
 
@@ -30,22 +31,27 @@ HARNESS_CONFIGS = [
     ("four", "none"),
     ("four", "four-swap"),
 ]
-ROUNDS_PER_CONFIG = 10_000
+# Procedure policy -> rounds per config: the default coin, then both of its edges,
+# where one procedure's measurement nodes take every round.
+ROUNDS_PER_POLICY = {0.5: 10_000, 0.0: 4_000, 1.0: 4_000}
 
 
-@pytest.mark.parametrize("protocol_name,kind", HARNESS_CONFIGS)
-def test_tree_sampler_matches_statevector_draw_for_draw(conv, protocol_name, kind):
+@pytest.mark.parametrize("protocol_name,kind,policy", [
+    pytest.param(name, kind, policy, id=f"{name}-{kind}" + ("" if policy == 0.5 else f"-q{policy}"))
+    for policy in ROUNDS_PER_POLICY for name, kind in HARNESS_CONFIGS
+])
+def test_tree_sampler_matches_statevector_draw_for_draw(conv, protocol_name, kind, policy):
     driver = protocol_driver(conv, protocol_name)
-    policy = 0.5
     config = harness.CurveConfig(protocol_name, AttackStrategy(kind), policy)
-    sample = harness._round_sampler(config)
+    root = harness._round_tree(config)
     mixture = AttackStrategy(kind).mixture(conv)
+    rounds_per_config = ROUNDS_PER_POLICY[policy]
     got = []
     rounds = {}  # plan id -> (plan, procedure, round indices, uniforms)
-    for i in range(ROUNDS_PER_CONFIG):
+    for i in range(rounds_per_config):
         seed = splitmix64(2024, i)
         rng, ref_rng = RandomSource(seed), RandomSource(seed)
-        transcript = sample(rng)
+        transcript = rng.descend(root)
         eve = transcript.eve_record.secret if transcript.eve_record else None
         got.append((transcript.procedure, transcript.key, transcript.public_result,
                     transcript.bob_secret, eve, rng.uniform()))
@@ -61,7 +67,7 @@ def test_tree_sampler_matches_statevector_draw_for_draw(conv, protocol_name, kin
         group = rounds.setdefault(id(plan), (plan, procedure, [], []))
         group[2].append(i)
         group[3].append(draws + [ref_rng.uniform()])
-    want = [None] * ROUNDS_PER_CONFIG
+    want = [None] * rounds_per_config
     for plan, procedure, indices, uniforms in rounds.values():
         uniforms = np.array(uniforms)
         out = oracle.sample(conv, plan, uniforms[:, :-1])
@@ -106,17 +112,19 @@ def test_tree_path_products_equal_branch_masses(conv):
     checked = 0
     for driver, procedure, attack in _round_configs(conv):
         model = driver.round_model(procedure, attack)
-        for _name, probs in model.tree.values():
-            assert abs(sum(probs) - 1.0) <= 1e-12
+        measured = [step.name for step in model.plan.steps if isinstance(step, MeasureStep)]
         for mass, outcomes in driver.enumerate_branches(procedure, attack):
-            prefix, product = (), 1.0
+            node, prefix, product = model.root, (), 1.0
             for name, label in outcomes.items():
-                node_name, probs = model.tree[prefix]
-                assert node_name == name
+                # The node at depth j draws the plan's j-th measurement; every node
+                # is on some branch's path.
+                assert isinstance(node, Distribution) and measured[len(prefix)] == name
+                assert abs(sum(node) - 1.0) <= 1e-12
                 k = LABELS.index(label)
-                product *= probs[k]
+                product *= node[k]
+                node = node.children[k]
                 prefix += (k,)
-            assert prefix not in model.tree
+            assert node is model.leaves[prefix]
             assert abs(product - mass) <= 1e-12
             checked += 1
     assert checked > 0
