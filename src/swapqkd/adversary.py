@@ -76,20 +76,6 @@ class AttackSearchError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EveRecord:
-    """What the eavesdropper learned in one round."""
-
-    attack: str
-    secret: str
-    transformation: str | None
-    inferred_keys: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.inferred_keys:
-            raise ValueError("inferred_keys must not be empty")
-
-
-@dataclass(frozen=True)
 class TailoredParams:
     """Parameters of the six-qubit interception.
 
@@ -110,10 +96,6 @@ class TailoredParams:
         for name in mapping.values():
             if name not in CORRECTIONS_EXTENDED:
                 raise ValueError(f"correction {name!r} not in {CORRECTIONS_EXTENDED}")
-        object.__setattr__(self, "_corrections", mapping)
-
-    def correction(self, outcome: str) -> str:
-        return self._corrections[outcome]  # type: ignore[attr-defined]
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,11 +161,6 @@ class Interception:
             steps += (ConditionalGateStep(qubit=self.corrected, on="eve", gates=table),)
         return replace(self.wiring, steps=steps)
 
-    def eve_record(self, eve_outcome: str, inferred_keys: tuple[str, ...]) -> EveRecord:
-        """One round's record, given Eve's posterior for what she observed."""
-        transformation = dict(self.corrections).get(eve_outcome)
-        return EveRecord(self.kind, eve_outcome, transformation, inferred_keys)
-
 
 # Eve delivers her ancilla 7 in place of 2, and the captured 2 in place of 6.
 _SIX_WIRING = TransitPlan(ancilla_pairs=((7, 8),), forward=((6, 2), (2, 7)))
@@ -191,7 +168,8 @@ _SIX_WIRING = TransitPlan(ancilla_pairs=((7, 8),), forward=((6, 2), (2, 7)))
 
 def _six_interception(kind: str, params: TailoredParams) -> Interception:
     """Rotate 6 and 8, Bell-measure them, correct 2 by Eve's outcome."""
-    corrections = tuple((m, params.correction(m)) for m in LABELS)
+    mapping = dict(params.pauli_map)
+    corrections = tuple((m, mapping[m]) for m in LABELS)
     return Interception(kind, "six", (6, 8), tuple(zip((6, 8), params.pre_unitaries)),
                         corrected=2, corrections=corrections, wiring=_SIX_WIRING)
 
@@ -256,25 +234,16 @@ def attack_detection_probability(
     conv: BellConvention, protocol: str, procedure: Procedure, attack
 ) -> float:
     """Per-compared-round detection probability, by exhaustive enumeration."""
-    driver = protocol_driver(conv, protocol)
-    return sum(
-        prob
-        for prob, out in driver.enumerate_branches(procedure, attack)
-        if driver.infer(procedure, out) != out["key"]
-    )
+    model = protocol_driver(conv, protocol).round_model(procedure, attack)
+    return sum(prob for (prob, _out), leaf in zip(model.branches, model.leaves) if leaf.detected)
 
 
 def eve_information_probability(
     conv: BellConvention, protocol: str, procedure: Procedure, attack
 ) -> float:
     """Probability that Eve's inferred-key set is exactly the true key."""
-    driver = protocol_driver(conv, protocol)
-    model = driver.round_model(procedure, attack)
-    return sum(
-        prob
-        for prob, out in model.branches
-        if model.posterior[driver.spec.eve_observation(out)] == (out["key"],)
-    )
+    model = protocol_driver(conv, protocol).round_model(procedure, attack)
+    return sum(prob for (prob, _out), leaf in zip(model.branches, model.leaves) if leaf.informed)
 
 
 # --- tailored attack search -------------------------------------------------
@@ -379,12 +348,10 @@ def derive_tailored_attack(conv: BellConvention) -> TailoredParams:
 def _verify_tailored(conv: BellConvention, params: TailoredParams) -> None:
     """Check the found parameters against the full 8-qubit round engine."""
     attack = TailoredAttack(conv, params)
-    driver = protocol_driver(conv, "six")
-    posterior = driver.round_model(Procedure.P_II, attack).posterior
-    for prob, out in driver.enumerate_branches(Procedure.P_II, attack):
-        if driver.infer(Procedure.P_II, out) != out["key"]:
+    for leaf in protocol_driver(conv, "six").round_model(Procedure.P_II, attack).leaves:
+        if leaf.detected:
             raise AttackSearchError("block-table search and full engine disagree on (ii)")
-        if posterior[driver.spec.eve_observation(out)] != (out["key"],):
+        if not leaf.informed:
             raise AttackSearchError("found attack does not pin the key under (ii)")
     if attack_detection_probability(conv, "six", Procedure.P_I, attack) <= 0.0:
         raise AttackSearchError("found attack is undetectable under (i)")
@@ -442,14 +409,13 @@ def zlg_outcome_rows(conv: BellConvention) -> list[tuple[str, ...]]:
     """All distinct zlg-attack rows with key 00, in the published order."""
     driver = protocol_driver(conv, "six")
     attack = ZlgAttack(conv)
+    transformation = dict(attack.corrections)  # Eve's outcome -> her correction
     rows = set()
     for procedure in Procedure:
         model = driver.round_model(procedure, attack)
         for _prob, out in model.branches:
             if out["key"] != "00":
                 continue
-            observation = driver.spec.eve_observation(out)
-            record = attack.eve_record(out["eve"], model.posterior[observation])
             rows.add(
                 (
                     procedure.printed,
@@ -458,8 +424,8 @@ def zlg_outcome_rows(conv: BellConvention) -> list[tuple[str, ...]]:
                     out["secret"],
                     driver.infer(procedure, out),
                     out["eve"],
-                    record.transformation,
-                    " or ".join(record.inferred_keys),
+                    transformation[out["eve"]],
+                    " or ".join(model.posterior[driver.spec.eve_observation(out)]),
                 )
             )
     return sorted(rows, key=lambda r: (r[0], r[3], r[5], r[2]))

@@ -159,14 +159,12 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
 
     compared = detected = agreed = eve_informed = 0
     for rng in random_sources(splitmix64(config.master_seed, i) for i in range(config.rounds)):
-        transcript = rng.descend(root)
+        leaf = rng.descend(root)
         if test_coin.pick(rng.uniform()) == 0:
             compared += 1
-            detected += transcript.bob_inferred_key != transcript.key
-        agreed += transcript.bob_inferred_key == transcript.key
-        record = transcript.eve_record
-        if record is not None and record.inferred_keys == (transcript.key,):
-            eve_informed += 1
+            detected += leaf.detected
+        agreed += not leaf.detected
+        eve_informed += leaf.informed
 
     return SimulationReport(
         rounds_run=config.rounds,
@@ -221,8 +219,7 @@ def detection_curve(
         hits = 0
         for rng in islice(sources, repetitions):
             for _ in range(n):
-                transcript = rng.descend(root)
-                if transcript.bob_inferred_key != transcript.key:
+                if rng.descend(root).detected:
                     hits += 1
                     break
         empirical = hits / repetitions

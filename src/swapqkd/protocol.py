@@ -25,10 +25,12 @@ tree, drawing one uniform per measurement and picking the outcome by
 inverse CDF over its conditional probabilities.  Bob's key inference and
 Eve's posterior are one :func:`key_support` map, each observation to the keys
 it occurs with, read off those same branches (the adversary-free ones for
-Bob), never assumed in closed form.  A round model links that tree as
-:class:`qstate.Distribution` nodes whose leaf slots hold each leaf's
-transcript, built on the first Monte Carlo read: a round is one
-:meth:`qstate.RandomSource.descend`.
+Bob), never assumed in closed form.  A round model holds one :class:`Leaf`
+per branch: did Bob infer a wrong key, and did Eve's posterior pin it.  Every
+exact probability and every Monte Carlo count is a mass-weighted read of
+those two facts.  A round model links its tree as :class:`qstate.Distribution`
+nodes whose leaf slots hold the leaves, built on the first Monte Carlo read: a
+round is one :meth:`qstate.RandomSource.descend`.
 
 Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 0-based register happens only at the physics boundary.
@@ -37,19 +39,16 @@ Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import qstate
 from .bell import LABELS, BellConvention
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .adversary import EveRecord
 
 # Branch probabilities in these protocols are multiples of 1/4 per
 # measurement; anything below this is numerical dust, not a branch.
@@ -324,28 +323,29 @@ def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Br
     return branches
 
 
-def _outcome_tree(
-    branches: Iterable[Branch], leaves: Mapping[tuple[int, ...], object]
-) -> qstate.Distribution:
+def _outcome_tree(branches: Iterable[Branch], leaves: Iterable[object]) -> qstate.Distribution:
     """Conditional-probability tree over the branches' outcomes, in step order.
 
     Each node is a :class:`qstate.Distribution` over one measurement's four outcomes:
     the probability of outcome ``k`` after a prefix is ``mass(prefix + (k,)) /
     mass(prefix)``, both summed from leaf masses.  Its child ``k`` is the next
-    measurement's node, ``leaves[prefix + (k,)]`` after the last measurement, or
-    None for an outcome no branch takes.
+    measurement's node, after the last measurement the leaf of the branch that
+    took that path (``leaves`` run in branch order), or None for an outcome no
+    branch takes.
     """
     mass: dict[tuple[int, ...], float] = {}
-    for prob, outcomes in branches:
+    at: dict[tuple[int, ...], object] = {}  # a branch's outcome-index path -> its leaf
+    for (prob, outcomes), leaf in zip(branches, leaves, strict=True):
         prefix: tuple[int, ...] = ()
         mass[prefix] = mass.get(prefix, 0.0) + prob
         for label in outcomes.values():
             prefix += (LABELS.index(label),)
             mass[prefix] = mass.get(prefix, 0.0) + prob
+        at[prefix] = leaf
 
     def node(prefix: tuple[int, ...]):
-        if prefix in leaves:
-            return leaves[prefix]
+        if prefix in at:
+            return at[prefix]
         after = [prefix + (k,) for k in range(4)]
         return qstate.Distribution((mass.get(p, 0.0) / mass[prefix] for p in after),
                                    [node(p) if p in mass else None for p in after])
@@ -374,46 +374,37 @@ def key_support(
 
 
 @dataclass(frozen=True)
+class Leaf:
+    """One branch's facts, which every exact and Monte Carlo read weighs by the branch's mass.
+
+    ``outcomes`` is the branch's own read-only mapping.  ``detected``: Bob infers a
+    key other than Alice's.  ``informed``: Eve's posterior for her observation is
+    exactly the key; never without an attack.
+    """
+
+    outcomes: Mapping[str, str]
+    detected: bool
+    informed: bool
+
+
+@dataclass(frozen=True)
 class RoundModel:
     """A wired plan, its exact branches, and what is read off them.
 
-    ``posterior`` is Eve's :func:`key_support`, empty without an attack.  Monte Carlo
-    descends ``root``, the :func:`_outcome_tree` whose leaf slots hold ``leaves``
-    (outcome-index path -> ``transcript`` of the branch's outcomes); both are built
-    on first read.
+    ``posterior`` is Eve's :func:`key_support`, empty without an attack.  ``leaves``
+    holds one :class:`Leaf` per branch, in branch order.  Monte Carlo descends
+    ``root``, the :func:`_outcome_tree` whose leaf slots hold those leaves, built on
+    the first Monte Carlo read.
     """
 
     plan: Plan
     branches: tuple[Branch, ...]
     posterior: KeySupport
-    transcript: Callable[[Mapping[str, str]], "RoundTranscript"] = field(compare=False, repr=False)
-
-    @cached_property
-    def leaves(self) -> dict[tuple[int, ...], "RoundTranscript"]:
-        return {
-            tuple(map(LABELS.index, out.values())): self.transcript(out)
-            for _prob, out in self.branches
-        }
+    leaves: tuple[Leaf, ...]
 
     @cached_property
     def root(self) -> qstate.Distribution:
         return _outcome_tree(self.branches, self.leaves)
-
-
-# --- transcripts ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RoundTranscript:
-    """Everything observable about one protocol round."""
-
-    protocol: str
-    procedure: Procedure
-    key: str
-    public_result: str | None
-    bob_secret: str
-    bob_inferred_key: str
-    eve_record: "EveRecord | None" = None
 
 
 # --- protocol drivers -----------------------------------------------------
@@ -430,17 +421,9 @@ class _ProtocolBase:
         self.spec = PROTOCOLS[name]
         self._models: dict[tuple, RoundModel] = {}
         # Bob's inference: his observation of an adversary-free branch -> its one key.
-        self.inference = {
-            p: key_support(self.enumerate_branches(p), self.spec.bob_observation)
-            for p in Procedure
-        }
-        for p, support in self.inference.items():
-            for obs, keys in support.items():
-                if len(keys) > 1:
-                    raise AmbiguityError(
-                        f"{p.printed}: observation {self.spec.observed} = {obs} is consistent "
-                        f"with keys {', '.join(keys)}; the protocol could not work"
-                    )
+        # Building the adversary-free models fills it, before any leaf reads it.
+        self.inference: dict[Procedure, KeySupport] = {}
+        self.round_model(Procedure.P_I)
 
     def infer(self, procedure: Procedure, outcomes: Mapping[str, str | None]) -> str:
         """Bob's key for a round's outcomes; ``KeyError`` if no branch made his observation."""
@@ -450,7 +433,8 @@ class _ProtocolBase:
         """The round under ``attack``.
 
         Both procedures' plans are enumerated as one batch, once per attack value:
-        equal attacks share one model.
+        equal attacks share one model.  The adversary-free batch also sets Bob's
+        inference, and refuses an observation consistent with two keys.
         """
         model = self._models.get((procedure, attack))
         if model is None:
@@ -464,34 +448,27 @@ class _ProtocolBase:
             for p, plan, found in zip(Procedure, plans, enumerate_plans(self.conv, plans)):
                 # Read-only views: every caller shares these branches.
                 branches = tuple((prob, MappingProxyType(out)) for prob, out in found)
-                posterior = (key_support(branches, self.spec.eve_observation)
-                             if attack is not None else MappingProxyType({}))
-                transcript = partial(self._transcript, p, attack, posterior)
-                self._models[p, attack] = RoundModel(plan, branches, posterior, transcript)
+                if attack is None:
+                    self.inference[p] = key_support(branches, self.spec.bob_observation)
+                    for obs, keys in self.inference[p].items():
+                        if len(keys) > 1:
+                            raise AmbiguityError(
+                                f"{p.printed}: observation {self.spec.observed} = {obs} "
+                                f"is consistent with keys {', '.join(keys)}; the protocol "
+                                "could not work"
+                            )
+                    posterior = MappingProxyType({})
+                else:
+                    posterior = key_support(branches, self.spec.eve_observation)
+                eve_observation = self.spec.eve_observation
+                leaves = tuple(
+                    Leaf(out, self.infer(p, out) != out["key"],
+                         attack is not None and posterior[eve_observation(out)] == (out["key"],))
+                    for _prob, out in branches
+                )
+                self._models[p, attack] = RoundModel(plan, branches, posterior, leaves)
             model = self._models[procedure, attack]
         return model
-
-    def enumerate_branches(self, procedure: Procedure, attack=None) -> tuple[Branch, ...]:
-        """Exact distribution over (eve?, key, public?, secret) outcomes."""
-        return self.round_model(procedure, attack).branches
-
-    def _transcript(
-        self, procedure: Procedure, attack, posterior: KeySupport, outcomes: Mapping[str, str]
-    ) -> RoundTranscript:
-        """The round that measured ``outcomes``; ``public_result`` is the announced outcome."""
-        eve_record = None
-        if attack is not None:
-            observation = self.spec.eve_observation(outcomes)
-            eve_record = attack.eve_record(outcomes["eve"], posterior[observation])
-        return RoundTranscript(
-            protocol=self.name,
-            procedure=procedure,
-            key=outcomes["key"],
-            public_result="".join(outcomes[name] for name in self.spec.announced) or None,
-            bob_secret=outcomes["secret"],
-            bob_inferred_key=self.infer(procedure, outcomes),
-            eve_record=eve_record,
-        )
 
 
 @lru_cache(maxsize=16)
@@ -522,7 +499,7 @@ def six_qubit_outcome_rows(conv: BellConvention) -> list[tuple[str, str, str, st
     driver = protocol_driver(conv, "six")
     rows = set()
     for procedure in Procedure:
-        for prob, out in driver.enumerate_branches(procedure):
+        for _prob, out in driver.round_model(procedure).branches:
             if out["key"] != "00":
                 continue
             inferred = driver.infer(procedure, out)

@@ -77,7 +77,7 @@ def test_acceptance_no_eavesdropper_correctness(conv):
     for name in ("six", "four"):
         driver = protocol.protocol_driver(conv, name)
         for procedure in Procedure:
-            for _prob, out in driver.enumerate_branches(procedure):
+            for _prob, out in driver.round_model(procedure).branches:
                 inferred = driver.infer(procedure, out)
                 assert inferred == out["key"]
                 checked += 1

@@ -15,7 +15,6 @@ from swapqkd.adversary import (
     EXPECTED_TABLE2,
     AttackSearchError,
     AttackStrategy,
-    EveRecord,
     FourSwapAttack,
     Interception,
     TailoredAttack,
@@ -67,7 +66,7 @@ def test_zlg_under_p1_branch_structure(conv):
     # Bob's secret both equal her outcome shifted by the key.
     driver = protocol_driver(conv, "six")
     attack = ZlgAttack(conv)
-    for prob, out in driver.enumerate_branches(Procedure.P_I, attack):
+    for prob, out in driver.round_model(Procedure.P_I, attack).branches:
         if out["key"] != "00":
             continue
         assert out["public"] == out["eve"]
@@ -105,7 +104,7 @@ def test_zlg_p2_worked_example(conv):
     driver = protocol_driver(conv, "six")
     attack = ZlgAttack(conv)
     slice_ = [
-        (p, o) for p, o in driver.enumerate_branches(Procedure.P_II, attack)
+        (p, o) for p, o in driver.round_model(Procedure.P_II, attack).branches
         if o["key"] == "00" and o["eve"] == "01"
     ]
     publics = {}
@@ -132,9 +131,8 @@ def test_zlg_is_the_interception_without_rotation(conv):
     assert zlg.corrections == params.pauli_map == paulis
     driver = protocol_driver(conv, "six")
     for procedure in Procedure:
-        assert driver.enumerate_branches(procedure, zlg) == driver.enumerate_branches(
-            procedure, TailoredAttack(conv, params)
-        )
+        want = driver.round_model(procedure, TailoredAttack(conv, params)).branches
+        assert driver.round_model(procedure, zlg).branches == want
 
 
 def test_equal_interceptions_share_one_round_model(conv):
@@ -158,7 +156,8 @@ def test_equal_interceptions_share_one_round_model(conv):
 
 
 def test_zlg_gates_under_another_kind_get_their_own_round_model(conv):
-    # The kind is part of the value: it names the attack in Eve's record.
+    # The kind is part of the value, so the same gates under two kinds are two
+    # models, each with its own leaves, holding the same facts.
     driver = protocol._ProtocolBase(conv, "six")
     zlg = ZlgAttack(conv)
     renamed = replace(zlg, kind="tailored")
@@ -167,8 +166,8 @@ def test_zlg_gates_under_another_kind_get_their_own_round_model(conv):
     for procedure in Procedure:
         ours, theirs = driver.round_model(procedure, zlg), driver.round_model(procedure, renamed)
         assert ours is not theirs and ours.branches == theirs.branches
-        assert {leaf.eve_record.attack for leaf in ours.leaves.values()} == {"zlg"}
-        assert {leaf.eve_record.attack for leaf in theirs.leaves.values()} == {"tailored"}
+        assert ours.leaves == theirs.leaves
+        assert not any(a is b for a, b in zip(ours.leaves, theirs.leaves))
 
 
 def test_four_swap_guess_plans_are_the_measurement_in_the_guessed_basis(conv):
@@ -200,13 +199,14 @@ def test_identity_pre_rotations_emit_no_gate(conv):
     assert [s.qubit for s in tailored.steps if isinstance(s, GateStep)] == [8]
 
 
-def test_zlg_eve_record_contents(conv):
-    model = protocol_driver(conv, "six").round_model(Procedure.P_I, ZlgAttack(conv))
-    transcript = RandomSource(8).descend(model.root)
-    record = transcript.eve_record
-    assert record.attack == "zlg"
-    assert record.transformation == pauli_for_label(conv)[record.secret]
-    assert record.inferred_keys == (transcript.key,)
+def test_zlg_leaf_contents(conv):
+    attack = ZlgAttack(conv)
+    model = protocol_driver(conv, "six").round_model(Procedure.P_I, attack)
+    leaf = RandomSource(8).descend(model.root)
+    eve, key = leaf.outcomes["eve"], leaf.outcomes["key"]
+    assert dict(attack.corrections)[eve] == pauli_for_label(conv)[eve]
+    assert model.posterior[eve, leaf.outcomes["public"]] == (key,)
+    assert leaf.informed and not leaf.detected
 
 
 def test_zlg_substitution_keeps_valid_eight_qubit_state(conv):
@@ -353,13 +353,33 @@ def test_tailored_is_caught_under_p1(conv):
     assert all(len(keys) == 2 for keys in posterior.values())
 
 
-def test_tailored_record_uses_extended_gate_names(conv):
-    model = protocol_driver(conv, "six").round_model(Procedure.P_II, TailoredAttack(conv))
-    transcript = RandomSource(4).descend(model.root)
-    record = transcript.eve_record
-    assert record.attack == "tailored"
-    assert record.transformation in CORRECTIONS_EXTENDED
-    assert record.inferred_keys == (transcript.key,)
+def test_tailored_leaf_uses_extended_gate_names(conv):
+    attack = TailoredAttack(conv)
+    model = protocol_driver(conv, "six").round_model(Procedure.P_II, attack)
+    leaf = RandomSource(4).descend(model.root)
+    eve, key = leaf.outcomes["eve"], leaf.outcomes["key"]
+    assert dict(attack.corrections)[eve] in CORRECTIONS_EXTENDED
+    assert model.posterior[eve, leaf.outcomes["public"]] == (key,)
+    assert leaf.informed and not leaf.detected
+
+
+def test_interception_corrections_run_in_label_order(conv):
+    # However a pauli_map is listed, the interception's corrections follow LABELS.
+    frozen = adversary.FROZEN_TAILORED_PARAMS
+    shuffled = replace(frozen, pauli_map=frozen.pauli_map[::-1])
+    attack = TailoredAttack(conv, shuffled)
+    assert attack == TailoredAttack(conv)
+    assert [m for m, _name in attack.corrections] == list(LABELS)
+    assert dict(attack.corrections) == dict(shuffled.pauli_map)
+
+
+def test_verification_refuses_a_map_detected_under_p2(conv):
+    # zlg's parameters are detected under (ii): the full engine disagrees with a
+    # search that would have passed them.
+    zlg = TailoredParams(("I", "I"), tuple(pauli_for_label(conv).items()))
+    with pytest.raises(AttackSearchError, match="disagree on"):
+        adversary._verify_tailored(conv, zlg)
+    adversary._verify_tailored(conv, adversary.FROZEN_TAILORED_PARAMS)
 
 
 def test_tailored_params_json_round_trip():
@@ -406,7 +426,7 @@ def test_four_swap_matched_outcome_equals_key(conv):
     driver = protocol_driver(conv, "four")
     for guess in Procedure:
         attack = FourSwapAttack(conv, guess)
-        for _prob, out in driver.enumerate_branches(guess, attack):
+        for _prob, out in driver.round_model(guess, attack).branches:
             assert out["eve"] == out["key"]
             assert out["secret"] == out["key"]
 
@@ -469,11 +489,6 @@ def test_attack_mixture_is_a_distribution_over_compatible_attacks(conv, kind):
         if attack is not None:
             assert attack.protocol in strategy.compatible_protocols()
     assert (mixture == ((1.0, None),)) == (kind == "none")
-
-
-def test_eve_record_requires_inference():
-    with pytest.raises(ValueError):
-        EveRecord(attack="zlg", secret="00", transformation="I", inferred_keys=())
 
 
 def test_attack_search_error_type():

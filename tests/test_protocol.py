@@ -15,12 +15,12 @@ from swapqkd.protocol import (
     AmbiguityError,
     ConditionalGateStep,
     GateStep,
+    Leaf,
     MalformedAdversaryError,
     MeasureStep,
     Plan,
     Procedure,
     Rotate,
-    RoundTranscript,
     TableMismatchError,
     TransitPlan,
     WrongProtocolError,
@@ -43,7 +43,7 @@ def driver(request, conv):
 
 def test_inferred_key_equals_key_on_every_branch(driver):
     for procedure in Procedure:
-        branches = driver.enumerate_branches(procedure)
+        branches = driver.round_model(procedure).branches
         assert abs(sum(p for p, _ in branches) - 1.0) < 1e-10
         for _prob, out in branches:
             inferred = driver.infer(procedure, out)
@@ -53,7 +53,7 @@ def test_inferred_key_equals_key_on_every_branch(driver):
 def test_key_is_uniform(driver):
     for procedure in Procedure:
         dist = dict.fromkeys(LABELS, 0.0)
-        for prob, out in driver.enumerate_branches(procedure):
+        for prob, out in driver.round_model(procedure).branches:
             dist[out["key"]] += prob
         assert np.allclose(list(dist.values()), 0.25, atol=1e-10)
 
@@ -61,7 +61,7 @@ def test_key_is_uniform(driver):
 def test_six_qubit_branch_counts(conv):
     drv = protocol_driver(conv, "six")
     for procedure in Procedure:
-        branches = drv.enumerate_branches(procedure)
+        branches = drv.round_model(procedure).branches
         # 4 keys x 4 publics, secret fully determined
         assert len(branches) == 16
         for prob, _ in branches:
@@ -71,7 +71,7 @@ def test_six_qubit_branch_counts(conv):
 def test_four_qubit_branch_counts(conv):
     drv = protocol_driver(conv, "four")
     for procedure in Procedure:
-        branches = drv.enumerate_branches(procedure)
+        branches = drv.round_model(procedure).branches
         assert len(branches) == 4
         for prob, out in branches:
             assert abs(prob - 1 / 4) < 1e-10
@@ -170,19 +170,32 @@ def test_round_models_match_depth_first_walk_without_identity_steps():
 # test_round_models_match_pinned_digest.
 ROUND_MODELS_SHA256 = "cb78874f35c3ee15935f4e25f8359cebfb3437993a58be8eb3de54dc9bac77c8"
 
-# Fields a transcript had when the digest was captured, with the value every
+# Fields a leaf transcript had when the digest was captured, with the value every
 # leaf held; they were removed unread, so they are fed as they were.
-RETIRED_FIELDS = {"RoundTranscript": (("compared", False), ("detected", False))}
+RETIRED_FIELDS = (("compared", False), ("detected", False))
+
+
+class _Record:
+    """A record of a class the digest was captured over, fed as that dataclass was."""
+
+    def __init__(self, name, **fields):
+        self.name, self.fields = name, fields
+
+
+def _feed_fields(h, name, fields):
+    h.update(name.encode())
+    for field_name, item in fields:
+        h.update(field_name.encode())
+        _feed(h, item)
 
 
 def _feed(h, value):
     """Hash ``value`` field by field, never through a class repr."""
     if dataclasses.is_dataclass(value):
-        h.update(type(value).__name__.encode())
         fields = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
-        for name, item in fields + list(RETIRED_FIELDS.get(type(value).__name__, ())):
-            h.update(name.encode())
-            _feed(h, item)
+        _feed_fields(h, type(value).__name__, fields)
+    elif isinstance(value, _Record):
+        _feed_fields(h, value.name, value.fields.items())
     elif isinstance(value, Procedure):
         h.update(b"procedure " + value.value.encode())
     elif isinstance(value, np.ndarray):
@@ -200,11 +213,36 @@ def _feed(h, value):
         h.update(repr(value).encode())
 
 
+def _digest_record(driver, procedure, attack, posterior, out):
+    """The leaf transcript the digest was captured over, rebuilt from one branch."""
+    eve_record = None
+    if attack is not None:
+        eve_record = _Record(
+            "EveRecord",
+            attack=attack.kind,
+            secret=out["eve"],
+            transformation=dict(attack.corrections).get(out["eve"]),
+            inferred_keys=posterior[driver.spec.eve_observation(out)],
+        )
+    return _Record(
+        "RoundTranscript",
+        protocol=driver.name,
+        procedure=procedure,
+        key=out["key"],
+        public_result="".join(out[name] for name in driver.spec.announced) or None,
+        bob_secret=out["secret"],
+        bob_inferred_key=driver.infer(procedure, out),
+        eve_record=eve_record,
+        **dict(RETIRED_FIELDS),  # a name given twice raises: no field is hashed twice
+    )
+
+
 def test_round_models_match_pinned_digest():
     # Every plan step, float.hex branch mass, outcome, Bob's inferred key,
     # Eve's posterior and leaf transcript of the 768 driver round models:
     # six/{none, zlg, tailored} and four/{none, four-swap (I), (II)}, both
-    # procedures, all 64 conventions.
+    # procedures, all 64 conventions.  The transcripts are rebuilt from each
+    # branch, and each leaf's two facts must agree with them.
     h = hashlib.sha256()
     models = 0
     for conv in bell.all_conventions():
@@ -221,7 +259,18 @@ def test_round_models_match_pinned_digest():
                         inferred = driver.infer(procedure, out)
                         _feed(h, (prob, tuple(out.items()), inferred))
                     _feed(h, tuple(model.posterior.items()))
-                    _feed(h, tuple(model.leaves.items()))
+                    assert all(model.posterior.values())  # Eve never infers no key
+                    transcripts = []
+                    for (_prob, out), leaf in zip(model.branches, model.leaves, strict=True):
+                        record = _digest_record(driver, procedure, attack, model.posterior, out)
+                        key, eve = out["key"], record.fields["eve_record"]
+                        assert leaf.outcomes is out
+                        assert leaf.detected == (record.fields["bob_inferred_key"] != key)
+                        assert leaf.informed == (
+                            eve is not None and eve.fields["inferred_keys"] == (key,)
+                        )
+                        transcripts.append((tuple(map(LABELS.index, out.values())), record))
+                    _feed(h, tuple(transcripts))
                     models += 1
     assert models == 768
     assert h.hexdigest() == ROUND_MODELS_SHA256
@@ -373,8 +422,8 @@ def test_table_mismatch_diff_is_row_level():
 
 def test_exact_reads_leave_the_outcome_tree_unbuilt(conv, monkeypatch):
     # Tables, probabilities, posteriors and the attack search read only the
-    # branches; the tree Monte Carlo samples and its leaf transcripts are
-    # built on the first Monte Carlo read.
+    # branches and their leaves, which are built with each model; the tree
+    # Monte Carlo samples is built on the first Monte Carlo read.
     fresh = protocol._ProtocolBase(conv, "six")
     monkeypatch.setattr(protocol, "protocol_driver", lambda _conv, _name: fresh)
     monkeypatch.setattr(adversary, "protocol_driver", lambda _conv, _name: fresh)
@@ -388,15 +437,13 @@ def test_exact_reads_leave_the_outcome_tree_unbuilt(conv, monkeypatch):
     models = list(fresh._models.values())
     assert len(models) == 6
     assert all("root" not in vars(model) for model in models)
-    assert all("leaves" not in vars(model) for model in models)
     model = fresh.round_model(Procedure.P_II, TailoredAttack(conv))
-    transcript = RandomSource(0).descend(model.root)
+    leaf = RandomSource(0).descend(model.root)
     assert vars(model)["root"] is model.root
     rebuilt = protocol._outcome_tree(model.branches, model.leaves)
     assert _tree_form(model.root) == _tree_form(rebuilt)
     assert sum("root" in vars(m) for m in models) == 1
-    assert transcript in vars(model)["leaves"].values()
-    assert sum("leaves" in vars(m) for m in models) == 1
+    assert any(leaf is built for built in model.leaves)
 
 
 def _tree_nodes(node):
@@ -425,31 +472,44 @@ def _driver_configs(conv):
                 yield name, procedure, attack
 
 
-def test_leaf_transcripts_match_a_per_branch_rebuild(conv):
+def test_leaves_match_a_per_branch_rebuild(conv):
     checked = 0
     for name, procedure, attack in _driver_configs(conv):
         driver = protocol._ProtocolBase(conv, name)
         model = driver.round_model(procedure, attack)
-        branches = driver.enumerate_branches(procedure, attack)
-        assert len(model.leaves) == len(branches)
-        for _prob, out in branches:
-            eve_record = None
+        assert len(model.leaves) == len(model.branches)
+        for (_prob, out), leaf in zip(model.branches, model.leaves):
+            informed = False
             if attack is not None:
                 observation = (out["eve"], out["public"]) if name == "six" else out["eve"]
-                eve_record = attack.eve_record(out["eve"], model.posterior[observation])
-            want = RoundTranscript(
-                protocol=name,
-                procedure=procedure,
-                key=out["key"],
-                public_result=out.get("public"),
-                bob_secret=out["secret"],
-                bob_inferred_key=driver.infer(procedure, out),
-                eve_record=eve_record,
-            )
-            assert model.leaves[tuple(LABELS.index(label) for label in out.values())] == want
+                informed = model.posterior[observation] == (out["key"],)
+            want = Leaf(out, driver.infer(procedure, out) != out["key"], informed)
+            assert leaf == want and leaf.outcomes is out
             checked += 1
     # Six: 16 + 16 free, 16 + 64 per attack; four: 4 + 4 free, 4 + 16 per guess.
     assert checked == 32 + 2 * 80 + 8 + 2 * 20
+
+
+def test_exact_reads_equal_the_per_branch_sums():
+    # The two exact functions sum each model's leaf facts.  On every driver
+    # model of the 64 conventions they must equal, under ==, the sums of Bob's
+    # inference and Eve's posterior read off each branch, in branch order.
+    checked = 0
+    for conv in bell.all_conventions():
+        for name, procedure, attack in _driver_configs(conv):
+            driver = protocol_driver(conv, name)
+            model = driver.round_model(procedure, attack)
+            observe = driver.spec.eve_observation
+            detection = sum(prob for prob, out in model.branches
+                            if driver.infer(procedure, out) != out["key"])
+            information = sum(prob for prob, out in model.branches if attack is not None
+                              and model.posterior[observe(out)] == (out["key"],))
+            got = (adversary.attack_detection_probability(conv, name, procedure, attack),
+                   adversary.eve_information_probability(conv, name, procedure, attack))
+            assert got == (detection, information)
+            assert tuple(map(type, got)) == (type(detection), type(information))
+            checked += 1
+    assert checked == 64 * 12
 
 
 def test_tree_thresholds_pick_as_the_inverse_cdf_loop(conv):
@@ -479,28 +539,29 @@ def test_tree_thresholds_pick_as_the_inverse_cdf_loop(conv):
     assert nodes == 276
 
 
-def test_callers_never_change_a_shared_leaf_transcript(conv):
+def test_callers_never_change_a_shared_leaf(conv):
     driver, attack = protocol_driver(conv, "six"), ZlgAttack(conv)
     model = driver.round_model(Procedure.P_II, attack)
     # Two seeds whose rounds reach the same leaf, one where Bob infers the wrong key.
-    path_of = {id(leaf): path for path, leaf in model.leaves.items()}
-    seeds_by_path = {}
+    seeds_by_leaf = {}
     for seed in itertools.count():
-        path = path_of[id(RandomSource(seed).descend(model.root))]
-        seeds_by_path.setdefault(path, []).append(seed)
-        leaf = model.leaves[path]
-        if len(seeds_by_path[path]) == 2 and leaf.bob_inferred_key != leaf.key:
+        leaf = RandomSource(seed).descend(model.root)
+        seeds = seeds_by_leaf.setdefault(id(leaf), [])
+        seeds.append(seed)
+        if len(seeds) == 2 and leaf.detected:
             break
-    first_seed, second_seed = seeds_by_path[path]
+    first_seed, second_seed = seeds
     first = RandomSource(first_seed).descend(model.root)
-    assert first is leaf
+    assert first is leaf and any(first is built for built in model.leaves)
     with pytest.raises(dataclasses.FrozenInstanceError):
-        first.bob_inferred_key = first.key
+        first.detected = False
+    with pytest.raises(TypeError):
+        first.outcomes["key"] = first.outcomes["secret"]
     second = RandomSource(second_seed).descend(driver.round_model(Procedure.P_II, attack).root)
-    assert second is first and second.bob_inferred_key != second.key
+    assert second is first and second.detected
 
 
-def test_public_result_reads_the_announced_outcome(conv, monkeypatch):
+def test_leaves_follow_the_announced_outcome(conv, monkeypatch):
     six = PROTOCOLS["six"]
     renamed_steps = tuple(
         replace(s, name="broadcast") if isinstance(s, MeasureStep) and s.name == "public" else s
@@ -515,9 +576,20 @@ def test_public_result_reads_the_announced_outcome(conv, monkeypatch):
         procedure = Procedure.P_I if seed % 2 else Procedure.P_II
         rounds = {name: RandomSource(seed).descend(d.round_model(procedure).root)
                   for name, d in drivers.items()}
-        assert rounds["six"].public_result in LABELS
-        assert rounds["renamed"] == replace(rounds["six"], protocol="renamed")
-        assert rounds["silent"] == replace(rounds["six"], protocol="silent", public_result=None)
+        six = rounds["six"]
+        assert six.outcomes["public"] in LABELS
+        renamed = {("broadcast" if name == "public" else name): label
+                   for name, label in six.outcomes.items()}
+        assert rounds["renamed"] == Leaf(renamed, six.detected, six.informed)
+        assert rounds["silent"] == six
+    # Eve hears the announced outcome: under (i) it pins the key for zlg, and
+    # without it her posterior never does; Bob's facts do not change.
+    zlg = ZlgAttack(conv)
+    told = drivers["six"].round_model(Procedure.P_I, zlg).leaves
+    untold = drivers["silent"].round_model(Procedure.P_I, replace(zlg, protocol="silent")).leaves
+    assert [leaf.outcomes for leaf in told] == [leaf.outcomes for leaf in untold]
+    assert all(leaf.informed and not leaf.detected for leaf in told)
+    assert not any(leaf.informed or leaf.detected for leaf in untold)
 
 
 def test_reserved_names_are_read_off_the_spec_table():
@@ -542,7 +614,7 @@ def test_driver_enumerates_each_adversary_free_plan_once(conv, monkeypatch):
 
 def test_p1_key00_public01_row(conv):
     drv = protocol_driver(conv, "six")
-    outs = [o for _p, o in drv.enumerate_branches(Procedure.P_I)
+    outs = [o for _p, o in drv.round_model(Procedure.P_I).branches
             if o["key"] == "00" and o["public"] == "01"]
     assert len(outs) == 1
     assert outs[0]["secret"] == "01"
@@ -551,14 +623,14 @@ def test_p1_key00_public01_row(conv):
 
 def test_p2_key00_public10_row(conv):
     drv = protocol_driver(conv, "six")
-    outs = [o for _p, o in drv.enumerate_branches(Procedure.P_II)
+    outs = [o for _p, o in drv.round_model(Procedure.P_II).branches
             if o["key"] == "00" and o["public"] == "10"]
     assert len(outs) == 1
     assert outs[0]["secret"] == "01"
     assert drv.infer(Procedure.P_II, {"public": "10", "secret": "01"}) == "00"
 
 
-# --- transcripts -----------------------------------------------------------------
+# --- round plans and leaves ------------------------------------------------------
 
 
 def _step_names(plan):
@@ -573,7 +645,7 @@ def _step_names(plan):
     return names
 
 
-def test_round_transcript_events_order(conv):
+def test_round_plan_events_order(conv):
     # Alice rotates and measures the key, then the public pair (announced
     # with the procedure); only then does Bob rotate and measure.
     plan = protocol_driver(conv, "six").round_model(Procedure.P_II).plan
@@ -587,23 +659,14 @@ def test_four_qubit_rotation_precedes_key_measurement(conv):
     assert _step_names(plan) == [("S", 1), ("key", (1, 3)), ("S", 2), ("secret", (2, 4))]
 
 
-def test_honest_leaves_infer_the_key_and_hold_no_eve_record(driver):
-    # Without an adversary, every round Bob can reach reads Alice's key.
+def test_honest_leaves_are_undetected_and_uninformed(driver):
+    # Without an adversary, every round Bob can reach reads Alice's key, and no Eve learns it.
     for procedure in Procedure:
-        leaves = driver.round_model(procedure).leaves.values()
-        assert leaves
-        for leaf in leaves:
-            assert leaf.bob_inferred_key == leaf.key
-            assert leaf.eve_record is None and leaf.procedure is procedure
-
-
-def test_retired_fields_are_fed_only_because_transcripts_lack_them():
-    # The digest feeds RETIRED_FIELDS after the real fields; a field of the
-    # same name put back on a transcript would be hashed twice.
-    for name, retired in RETIRED_FIELDS.items():
-        cls = getattr(protocol, name)
-        current = {f.name for f in dataclasses.fields(cls)}
-        assert current.isdisjoint(dict(retired))
+        model = driver.round_model(procedure)
+        assert model.leaves
+        for (_prob, out), leaf in zip(model.branches, model.leaves, strict=True):
+            assert leaf.outcomes is out
+            assert not leaf.detected and not leaf.informed
 
 
 def test_round_functions_are_deterministic(conv):
@@ -624,9 +687,6 @@ class _BadAttack:
 
     def transit_plan(self):
         return self._transit
-
-    def eve_record(self, outcome, inferred_keys):  # pragma: no cover
-        return None
 
 
 def test_attack_may_not_touch_protected_qubits(conv):

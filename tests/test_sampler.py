@@ -45,16 +45,22 @@ def test_tree_sampler_matches_statevector_draw_for_draw(conv, protocol_name, kin
     config = harness.CurveConfig(protocol_name, AttackStrategy(kind), policy)
     root = harness._round_tree(config)
     mixture = AttackStrategy(kind).mixture(conv)
+    # Each leaf -> the procedure of the round model that owns it.
+    procedure_of = {
+        id(leaf): procedure
+        for _weight, attack in mixture for procedure in Procedure
+        for leaf in driver.round_model(procedure, attack).leaves
+    }
     rounds_per_config = ROUNDS_PER_POLICY[policy]
     got = []
     rounds = {}  # plan id -> (plan, procedure, round indices, uniforms)
     for i in range(rounds_per_config):
         seed = splitmix64(2024, i)
         rng, ref_rng = RandomSource(seed), RandomSource(seed)
-        transcript = rng.descend(root)
-        eve = transcript.eve_record.secret if transcript.eve_record else None
-        got.append((transcript.procedure, transcript.key, transcript.public_result,
-                    transcript.bob_secret, eve, rng.uniform()))
+        leaf = rng.descend(root)
+        out = leaf.outcomes
+        got.append((procedure_of[id(leaf)], out["key"], out.get("public"), out["secret"],
+                    out.get("eve"), rng.uniform()))
         # The reference draws the attack coin (only between two attacks) and
         # the procedure coin in the same order, then one uniform per
         # measurement of the round's plan, then the next uniform.
@@ -113,7 +119,7 @@ def test_tree_path_products_equal_branch_masses(conv):
     for driver, procedure, attack in _round_configs(conv):
         model = driver.round_model(procedure, attack)
         measured = [step.name for step in model.plan.steps if isinstance(step, MeasureStep)]
-        for mass, outcomes in driver.enumerate_branches(procedure, attack):
+        for (mass, outcomes), leaf in zip(model.branches, model.leaves, strict=True):
             node, prefix, product = model.root, (), 1.0
             for name, label in outcomes.items():
                 # The node at depth j draws the plan's j-th measurement; every node
@@ -124,7 +130,7 @@ def test_tree_path_products_equal_branch_masses(conv):
                 product *= node[k]
                 node = node.children[k]
                 prefix += (k,)
-            assert node is model.leaves[prefix]
+            assert node is leaf
             assert abs(product - mass) <= 1e-12
             checked += 1
     assert checked > 0
@@ -132,7 +138,7 @@ def test_tree_path_products_equal_branch_masses(conv):
 
 def test_enumeration_is_shared_across_attack_instances(conv):
     driver = protocol_driver(conv, "six")
-    first = driver.enumerate_branches(Procedure.P_II, ZlgAttack(conv))
-    assert driver.enumerate_branches(Procedure.P_II, ZlgAttack(conv)) is first
+    first = driver.round_model(Procedure.P_II, ZlgAttack(conv)).branches
+    assert driver.round_model(Procedure.P_II, ZlgAttack(conv)).branches is first
     with pytest.raises(TypeError):
         first[0][1]["key"] = "11"
