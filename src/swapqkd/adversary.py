@@ -235,7 +235,9 @@ def attack_detection_probability(
 ) -> float:
     """Per-compared-round detection probability, by exhaustive enumeration."""
     model = protocol_driver(conv, protocol).round_model(procedure, attack)
-    return sum(prob for (prob, _out), leaf in zip(model.branches, model.leaves) if leaf.detected)
+    return sum(
+        (prob for (prob, _out), leaf in zip(model.branches, model.leaves) if leaf.detected), 0.0
+    )
 
 
 def eve_information_probability(
@@ -243,7 +245,9 @@ def eve_information_probability(
 ) -> float:
     """Probability that Eve's inferred-key set is exactly the true key."""
     model = protocol_driver(conv, protocol).round_model(procedure, attack)
-    return sum(prob for (prob, _out), leaf in zip(model.branches, model.leaves) if leaf.informed)
+    return sum(
+        (prob for (prob, _out), leaf in zip(model.branches, model.leaves) if leaf.informed), 0.0
+    )
 
 
 # --- tailored attack search -------------------------------------------------

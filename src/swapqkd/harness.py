@@ -14,7 +14,11 @@ A round is one descent of one tree of ``qstate.Distribution`` nodes, one
 uniform per level, so the stream is consumed in the tree's level order: the
 attack-selection coin (only for strategies that need one), Alice's procedure
 coin, the round's measurement nodes in protocol order.  A simulated round
-then draws the key-comparison coin.
+then draws the key-comparison coin.  Monte Carlo reads only a leaf's two
+facts, ``detected`` and ``informed``, so the tree is folded once per process
+per (protocol, attack, procedure policy): a subtree whose reachable leaves
+share both facts and one depth is one ``qstate.Jump``, one LCG jump over
+its levels, and the stream is consumed exactly as before.
 
 A compared round counts as a detection when Bob's inferred key differs
 from Alice's key; no error-rate thresholding is layered on top.  The
@@ -26,21 +30,28 @@ compared bits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from . import bell
 from .adversary import AttackStrategy
 from .protocol import PROTOCOLS, Procedure, protocol_driver
 # RandomSource is imported by name so that benchmarks/tracer.py finds it here.
-from .qstate import Distribution, RandomSource, random_sources  # noqa: F401
+from .qstate import SEED_CHUNK, Distribution, Jump, RandomSource, random_sources  # noqa: F401
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
-def splitmix64(master_seed: int, index: int) -> int:
-    """Deterministic 64-bit mix of a master seed and a stream index."""
+def splitmix64(master_seed: int | np.ndarray, index: int | np.ndarray) -> int | np.ndarray:
+    """Deterministic 64-bit mix of a master seed and a stream index.
+
+    Python ints, or elementwise over uint64 arrays, whose arithmetic wraps mod 2**64
+    where the masks reduce the ints.
+    """
     z = (master_seed + (index + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -152,13 +163,68 @@ def _round_tree(config: CurveConfig) -> Distribution:
     return Distribution((weight, 1.0 - weight), (first, second))
 
 
+def _fold(root):
+    """``root`` with every subtree whose reachable leaves share ``(detected, informed)`` and
+    whose reachable paths share one depth made a :class:`qstate.Jump` to one of its leaves.
+
+    An outcome is reachable when its probability is positive, or it is ``last_live`` and none
+    is: every outcome a descent can step to, and maybe more, so the fold can only fold less.  One
+    post-order pass, memoized by node id because the round models' roots are shared.
+    """
+    # id(node) -> (what takes its slot, (detected, informed, depth) if uniform, a leaf)
+    memo: dict[int, tuple] = {}
+
+    def visit(node):
+        if id(node) in memo:
+            return memo[id(node)]
+        if node.__class__ is not Distribution:
+            result = (node, (node.detected, node.informed, 0), node)
+        else:
+            live = [k for k, p in enumerate(node) if p > 0.0] or [node.last_live]
+            below = {k: visit(node.children[k]) for k in live}
+            shapes = {shape for _, shape, _ in below.values()}
+            if len(shapes) == 1 and None not in shapes:
+                ((detected, informed, depth),) = shapes
+                leaf = below[live[0]][2]
+                result = (Jump(leaf, depth + 1), (detected, informed, depth + 1), leaf)
+            else:
+                children = [below[k][0] if k in below else child
+                            for k, child in enumerate(node.children[:len(node)])]
+                result = (Distribution(node, children), None, None)
+        memo[id(node)] = result
+        return result
+
+    return visit(root)[0]
+
+
+@lru_cache(maxsize=16)
+def _folded_round_tree(protocol: str, attack: AttackStrategy, procedure_policy: float):
+    """:func:`_round_tree` of these curve settings, folded, built once per process."""
+    return _fold(_round_tree(CurveConfig(protocol, attack, procedure_policy)))
+
+
+def _descent_root(config: CurveConfig):
+    """The folded tree each round of ``config`` descends."""
+    return _folded_round_tree(config.protocol, config.attack, config.procedure_policy)
+
+
+def _round_sources(master_seeds: Sequence[int], count: int) -> Iterator[RandomSource]:
+    """``count`` sources per master seed, in order, the i-th seeded ``splitmix64(master, i)``;
+    the seeds are mixed ``SEED_CHUNK`` at a time in uint64 array passes."""
+    masters = np.array([seed & _MASK64 for seed in master_seeds], dtype=np.uint64)
+    total = len(masters) * count
+    for start in range(0, total, SEED_CHUNK):
+        at = np.arange(start, min(start + SEED_CHUNK, total), dtype=np.uint64)
+        yield from random_sources(splitmix64(masters[at // count], at % count))
+
+
 def run_simulation(config: SimulationConfig) -> SimulationReport:
     """Run ``config.rounds`` independently seeded rounds and aggregate."""
-    root = _round_tree(config)
+    root = _descent_root(config)
     test_coin = Distribution((config.test_fraction, 1.0 - config.test_fraction))
 
     compared = detected = agreed = eve_informed = 0
-    for rng in random_sources(splitmix64(config.master_seed, i) for i in range(config.rounds)):
+    for rng in _round_sources([config.master_seed], config.rounds):
         leaf = rng.descend(root)
         if test_coin.pick(rng.uniform()) == 0:
             compared += 1
@@ -208,12 +274,8 @@ def detection_curve(
         raise ValueError("repetitions must be >= 100")
     if any(n < 0 for n in n_values):
         raise ValueError("n values must be >= 0")
-    root = _round_tree(config)
-
-    point_seeds = [splitmix64(config.master_seed, n) for n in n_values]
-    sources = random_sources(
-        splitmix64(seed, rep) for seed in point_seeds for rep in range(repetitions)
-    )
+    root = _descent_root(config)
+    sources = _round_sources([splitmix64(config.master_seed, n) for n in n_values], repetitions)
     points = []
     for n in n_values:
         hits = 0

@@ -30,7 +30,10 @@ per branch: did Bob infer a wrong key, and did Eve's posterior pin it.  Every
 exact probability and every Monte Carlo count is a mass-weighted read of
 those two facts.  A round model links its tree as :class:`qstate.Distribution`
 nodes whose leaf slots hold the leaves, built on the first Monte Carlo read: a
-round is one :meth:`qstate.RandomSource.descend`.
+round is one :meth:`qstate.RandomSource.descend`.  Monte Carlo descends a
+folded copy, where a subtree whose leaves share both facts and one depth is
+one :class:`qstate.Jump` (one LCG jump over its levels), so the stream is
+consumed exactly as before.
 
 Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 0-based register happens only at the physics boundary.

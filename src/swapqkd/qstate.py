@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_right
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -332,9 +332,10 @@ class RandomSource:
         x = (state >> 64 ^ state) & _MASK64  # xor the halves; rotate right by the top 6 bits
         return ((x << 64 | x) >> (11 + (state >> 122)) & _MASK53) * 2.0**-53
 
-    def descend(self, node: Distribution):
+    def descend(self, node: Distribution | Jump):
         """The leaf a walk down from ``node`` reaches: each :class:`Distribution` on the way
-        draws the next uniform ``u`` and steps to ``node.children[node.pick(u)]``.
+        draws the next uniform ``u`` and steps to ``node.children[node.pick(u)]``, and a
+        :class:`Jump` steps the stream over its levels at once and ends at its leaf.
 
         :meth:`uniform` and the pick are inlined, and the gap slot of ``children`` stands
         in for ``last_live``, so this consumes the stream exactly as one :meth:`uniform`
@@ -346,6 +347,9 @@ class RandomSource:
             x = (state >> 64 ^ state) & _MASK64
             u = ((x << 64 | x) >> (11 + (state >> 122)) & _MASK53) * 2.0**-53
             node = node.children[bisect_right(node.thresholds, u)]
+        if node.__class__ is Jump:
+            state = (state * node.mult + inc * node.add) & _MASK128
+            node = node.leaf
         self._state = state
         return node
 
@@ -353,12 +357,12 @@ class RandomSource:
         return f"RandomSource(seed={self.seed})"
 
 
-def random_sources(seeds: Iterable[int]) -> Iterator[RandomSource]:
-    """``RandomSource(seed)`` for each seed in order, seeded ``SEED_CHUNK`` at a time."""
-    seeds = iter(seeds)
-    while chunk := [int(seed) & _MASK64 for seed in islice(seeds, SEED_CHUNK)]:
-        words = _seed_words(np.array(chunk, dtype=np.uint64))
-        for seed, *seed_words in zip(chunk, *(w.tolist() for w in words)):
+def random_sources(seeds: np.ndarray) -> Iterator[RandomSource]:
+    """``RandomSource(seed)`` for each seed of a uint64 array, in order, seeded
+    ``SEED_CHUNK`` at a time."""
+    for start in range(0, len(seeds), SEED_CHUNK):
+        chunk = seeds[start:start + SEED_CHUNK]
+        for seed, *seed_words in zip(chunk.tolist(), *(w.tolist() for w in _seed_words(chunk))):
             yield RandomSource(seed, seed_words)
 
 
@@ -367,7 +371,8 @@ class Distribution(tuple):
     to right, a negative p counting as 0, and ``last_live`` the last k with p > 0.
 
     As a node of a tree that :meth:`RandomSource.descend` walks, ``children[k]`` is
-    what outcome k leads to: another Distribution, or a leaf, which is anything else.
+    what outcome k leads to: another Distribution, a :class:`Jump`, or a leaf, which
+    is anything else.
     One more slot, for a uniform in the rounding gap, repeats ``children[last_live]``.
     """
 
@@ -383,3 +388,21 @@ class Distribution(tuple):
         lands in the rounding gap above the last threshold."""
         k = bisect_right(self.thresholds, u)
         return k if k < len(self) else self.last_live
+
+
+class Jump:
+    """A subtree folded into one step: :meth:`RandomSource.descend` reaching it steps the
+    stream over ``levels`` draws at once and returns ``leaf``.
+
+    ``levels`` LCG steps ``state -> state * MULT + inc`` compose to ``state * mult + inc *
+    add`` with ``mult = MULT**levels`` and ``add = MULT**0 + ... + MULT**(levels - 1)``,
+    mod 2**128, so the stream ends where ``levels`` :meth:`RandomSource.uniform` calls
+    leave it.
+    """
+
+    __slots__ = ("leaf", "levels", "mult", "add")
+
+    def __init__(self, leaf, levels: int):
+        self.leaf, self.levels = leaf, levels
+        self.mult = pow(_PCG64_MULT, levels, 1 << 128)
+        self.add = sum(pow(_PCG64_MULT, j, 1 << 128) for j in range(levels)) & _MASK128

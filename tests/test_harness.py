@@ -1,8 +1,9 @@
 import math
 
+import numpy as np
 import pytest
 
-from swapqkd import bell, cli, protocol
+from swapqkd import bell, cli, harness, protocol
 from swapqkd.adversary import AttackStrategy
 from swapqkd.harness import (
     CurveConfig,
@@ -12,6 +13,7 @@ from swapqkd.harness import (
     run_simulation,
     splitmix64,
 )
+from swapqkd.qstate import SEED_CHUNK
 
 
 def test_splitmix64_is_deterministic_and_spreads():
@@ -20,6 +22,22 @@ def test_splitmix64_is_deterministic_and_spreads():
     assert len(set(seeds)) == 1000
     assert all(0 <= s < 2**64 for s in seeds)
     assert splitmix64(1, 0) != splitmix64(2, 0)
+
+
+SPLITMIX_MASTERS = (0, 1, 2**63, 2**64 - 1)
+SPLITMIX_INDICES = 2_100  # past two SEED_CHUNK boundaries
+
+
+def test_splitmix64_on_uint64_arrays_equals_the_scalar_form():
+    scalar = [[splitmix64(m, i) for i in range(SPLITMIX_INDICES)] for m in SPLITMIX_MASTERS]
+    indices = np.arange(SPLITMIX_INDICES, dtype=np.uint64)
+    for master, want in zip(SPLITMIX_MASTERS, scalar):
+        got = splitmix64(np.full(SPLITMIX_INDICES, master, dtype=np.uint64), indices)
+        assert got.dtype == np.uint64 and got.tolist() == want
+    # A run's sources, mixed a chunk at a time, carry the same seeds in order.
+    assert SPLITMIX_INDICES > 2 * SEED_CHUNK
+    sources = harness._round_sources(SPLITMIX_MASTERS, SPLITMIX_INDICES)
+    assert [rng.seed for rng in sources] == [seed for seeds in scalar for seed in seeds]
 
 
 def test_config_validation():
@@ -164,9 +182,11 @@ def test_curve_reads_only_its_own_config():
     [("six", "none", 2), ("six", "mixed", 4), ("four", "four-swap", 4)],
 )
 def test_a_run_resolves_each_round_model_once(monkeypatch, run, protocol_name, kind, models):
-    # One lookup per (attack, procedure) before the first round; no round asks again.
+    # A cold run looks each (attack, procedure) up once, before the first round; no
+    # round asks again, and the same run again reuses the tree the first one folded.
     # The driver is built first: its constructor reads the adversary-free models.
     protocol.protocol_driver(bell.convention(), protocol_name)
+    harness._folded_round_tree.cache_clear()
     lookups = []
     resolve = protocol._ProtocolBase.round_model
 
@@ -175,9 +195,13 @@ def test_a_run_resolves_each_round_model_once(monkeypatch, run, protocol_name, k
         return resolve(self, procedure, attack)
 
     monkeypatch.setattr(protocol._ProtocolBase, "round_model", counted)
-    run(SimulationConfig(protocol=protocol_name, rounds=300, attack=AttackStrategy(kind),
-                         master_seed=11))
+    config = SimulationConfig(protocol=protocol_name, rounds=300, attack=AttackStrategy(kind),
+                              master_seed=11)
+    first = run(config)
     assert len(lookups) == len(set(lookups)) == models
+    lookups.clear()
+    assert run(config) == first
+    assert lookups == []
 
 
 def test_curve_is_reproducible_and_csv_stable(capsys):

@@ -459,14 +459,15 @@ def draws(rng: RandomSource, count: int = DRAWS) -> list[float]:
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_random_source_is_numpy_pcg64(seed):
-    (batched,) = qstate.random_sources([seed])
+    (batched,) = qstate.random_sources(np.array([seed % 2**64], dtype=np.uint64))
     assert batched.seed == RandomSource(seed).seed == seed % 2**64
     assert draws(RandomSource(seed)) == draws(batched) == numpy_stream(seed)
 
 
 def test_batched_sources_are_numpy_pcg64_over_splitmix_seeds():
     seeds = [splitmix64(2024, i) for i in range(10_000)]
-    for seed, batched in zip(seeds, qstate.random_sources(seeds), strict=True):
+    batch = qstate.random_sources(np.array(seeds, dtype=np.uint64))
+    for seed, batched in zip(seeds, batch, strict=True):
         assert draws(batched) == numpy_stream(seed)
 
 
@@ -475,7 +476,7 @@ def test_batched_sources_are_numpy_pcg64_over_splitmix_seeds():
 )
 def test_a_batch_equals_its_seeds_one_at_a_time(size):
     seeds = [splitmix64(2024, i) for i in range(size)]
-    batch = list(qstate.random_sources(iter(seeds)))
+    batch = list(qstate.random_sources(np.array(seeds, dtype=np.uint64)))
     assert [rng.seed for rng in batch] == seeds
     assert [draws(rng, 3) for rng in batch] == [draws(RandomSource(s), 3) for s in seeds]
 
@@ -516,6 +517,35 @@ def test_descent_consumes_the_stream_as_uniform_does(seed, depth):
         used += depth
         assert rng.uniform() == twin.uniform() == stream[used]
         used += 1
+
+
+# A Jump's seeds: both ends of the range, the top bit alone, and three drawn at random.
+JUMP_SEEDS = (0, 2**63, 2**64 - 1, 0xE848F808F54D35BF, 0x3E1C26D323EF323E, 0x9CF342CA060BB525)
+
+
+@pytest.mark.parametrize("levels", range(9))
+@pytest.mark.parametrize("seed", JUMP_SEEDS)
+def test_a_jump_steps_the_stream_as_its_levels_of_uniforms_do(seed, levels):
+    leaf = object()
+    rng, twin = RandomSource(seed), RandomSource(seed)
+    # A Jump as the root of a descent: no node draws, the jump alone moves the stream.
+    assert rng.descend(qstate.Jump(leaf, levels)) is leaf
+    draws(twin, levels)
+    assert rng._state == twin._state
+    assert draws(rng, 3) == draws(twin, 3) == numpy_stream(seed)[levels:levels + 3]
+
+
+@pytest.mark.parametrize("levels", range(9))
+@pytest.mark.parametrize("seed", JUMP_SEEDS)
+def test_a_jump_below_a_node_ends_the_descent_where_the_walk_would(seed, levels):
+    # The folded shape: a coin draws, then the Jump in its slot stands for the rest.
+    leaves = ("first", "second")
+    coin = qstate.Distribution((0.3, 0.7), [qstate.Jump(leaf, levels) for leaf in leaves])
+    rng, twin = RandomSource(seed), RandomSource(seed)
+    for _ in range(20):
+        assert rng.descend(coin) == leaves[coin.pick(twin.uniform())]
+        draws(twin, levels)
+        assert rng.uniform() == twin.uniform()
 
 
 # --- inverse-CDF picks --------------------------------------------------------

@@ -5,7 +5,8 @@ the conditional-probability nodes built from a driver's exact branches.
 These tests pin those nodes to the branch masses and check, round by round,
 that a descent draws the same outcomes from the same uniforms as the
 lockstep statevector sampler of ``tests/oracle.py``, which shares no code
-with the engine's kernels.
+with the engine's kernels.  The folded tree Monte Carlo descends must read the
+same facts as the full tree, from the same stretch of the stream.
 """
 
 import ast
@@ -18,8 +19,8 @@ from swapqkd import harness
 from swapqkd.adversary import AttackStrategy, FourSwapAttack, TailoredAttack, ZlgAttack
 from swapqkd.bell import LABELS
 from swapqkd.harness import splitmix64
-from swapqkd.protocol import MeasureStep, Procedure, protocol_driver
-from swapqkd.qstate import Distribution, RandomSource
+from swapqkd.protocol import Leaf, MeasureStep, Procedure, protocol_driver
+from swapqkd.qstate import Distribution, Jump, RandomSource
 
 import oracle
 
@@ -83,6 +84,54 @@ def test_tree_sampler_matches_statevector_draw_for_draw(conv, protocol_name, kin
                        float(uniforms[r, -1]))
     mismatches = [(i, g, w) for i, (g, w) in enumerate(zip(got, want)) if g != w]
     assert mismatches == []
+
+
+@pytest.mark.parametrize("policy", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("protocol_name,kind", HARNESS_CONFIGS,
+                         ids=[f"{name}-{kind}" for name, kind in HARNESS_CONFIGS])
+def test_the_folded_tree_reads_the_full_trees_facts_from_the_same_draws(
+        protocol_name, kind, policy):
+    config = harness.CurveConfig(protocol_name, AttackStrategy(kind), policy)
+    full, folded = harness._round_tree(config), harness._fold(harness._round_tree(config))
+    for i in range(4_000):
+        rng, twin = RandomSource(splitmix64(2024, i)), RandomSource(splitmix64(2024, i))
+        leaf, twin_leaf = rng.descend(folded), twin.descend(full)
+        assert (leaf.detected, leaf.informed) == (twin_leaf.detected, twin_leaf.informed)
+        assert rng.uniform() == twin.uniform()
+
+
+def test_a_round_without_an_attack_folds_to_one_jump():
+    # Every six-qubit round without Eve reads (False, False) after the coin and the
+    # three measurements, so no round walks a level.
+    root = harness._descent_root(harness.CurveConfig("six", AttackStrategy("none")))
+    assert root.__class__ is Jump and root.levels == 4
+    assert (root.leaf.detected, root.leaf.informed) == (False, False)
+
+
+def _leaf(detected: bool, informed: bool = False) -> Leaf:
+    return Leaf({}, detected, informed)
+
+
+def test_equal_facts_at_unequal_depths_do_not_fold():
+    # Both paths end undetected, one a level deeper: a jump would misplace the stream.
+    shallow, deep = _leaf(False), _leaf(False)
+    root = Distribution((0.5, 0.5), [shallow, Distribution((1.0,), [deep])])
+    folded = harness._fold(root)
+    assert folded.__class__ is Distribution and folded.children[0] is shallow
+    inner = folded.children[1]
+    assert inner.__class__ is Jump and (inner.leaf, inner.levels) == (deep, 1)
+
+
+def test_an_unreachable_child_does_not_block_a_fold():
+    # Outcome 1 has probability 0, so its other facts cannot be reached.
+    kept, dead = _leaf(True, True), _leaf(False)
+    root = Distribution((0.5, 0.0, 0.5), [kept, dead, _leaf(True, True)])
+    folded = harness._fold(Distribution((0.25, 0.75), [root, root]))
+    assert folded.__class__ is Jump and (folded.leaf, folded.levels) == (kept, 2)
+    # A live child with other facts does block it, whichever of the two facts differs.
+    for other in (_leaf(False, True), _leaf(True, False)):
+        mixed = Distribution((0.5, 0.1, 0.4), [kept, other, _leaf(True, True)])
+        assert harness._fold(mixed).__class__ is Distribution
 
 
 def test_oracle_shares_no_code_with_the_kernels():
