@@ -55,9 +55,8 @@ from .protocol import (
     Plan,
     Procedure,
     Step,
-    TableMismatchError,
     TransitPlan,
-    _row_diff,
+    _checked_rows,
     enumerate_plans,
     protocol_driver,
 )
@@ -437,9 +436,4 @@ def zlg_outcome_rows(conv: BellConvention) -> list[tuple[str, ...]]:
 
 def reproduce_table2(conv: BellConvention) -> list[tuple[str, ...]]:
     """Reproduce the attack outcome table; raise on any drift."""
-    rows = zlg_outcome_rows(conv)
-    if tuple(rows) != EXPECTED_TABLE2:
-        raise TableMismatchError(
-            "zlg attack outcome table mismatch", _row_diff(EXPECTED_TABLE2, rows)
-        )
-    return rows
+    return _checked_rows("zlg attack outcome table", EXPECTED_TABLE2, zlg_outcome_rows(conv))

@@ -1,9 +1,12 @@
 """Command-line front end: reproduction, simulation, and derivation workflows.
 
 Every subcommand accepts ``--seed`` (integer in [0, 2**64), default 0) and
-``--format {human,json,csv}``.  Output is deterministic: the same argv and
-seed produce byte-identical stdout.  Exit codes: 0 success, 1 reproduction
-mismatch (row diff on stderr), 2 invalid input (an argument argparse
+``--format {human,json,csv}``; ``derive-attack`` prints its parameters JSON
+whatever ``--format`` says.  ``simulate`` prints the fields of a
+``harness.SimulationReport`` and ``detection-curve`` those of each
+``harness.CurvePoint``, in every format.  Output is deterministic: the same
+argv and seed produce byte-identical stdout.  Exit codes: 0 success, 1
+reproduction mismatch (row diff on stderr), 2 invalid input (an argument argparse
 rejects, or a ``swapqkd: error: ...`` line on stderr, for instance for a
 seed out of range or an ``--emit-params`` path that cannot be written).
 
@@ -16,6 +19,7 @@ regression tests.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -57,53 +61,44 @@ def _emit_table(header: tuple[str, ...], rows: list[tuple[str, ...]], fmt: str) 
         sys.stdout.write(_aligned(header, rows))
 
 
+def _cell(value, float_format: str = ".6f") -> str:
+    """One printed cell: a float in ``float_format``, a string as it is, else its JSON."""
+    if isinstance(value, float):
+        return format(value, float_format)
+    if isinstance(value, str):
+        return value
+    return json.dumps(value, sort_keys=True)
+
+
 def _cmd_validate_convention(args) -> int:
     conv = bell.convention()
     r_s, r_z = bell.convention_residuals(conv)
-    n_satisfying = len(bell.all_conventions())
-    xor_perm = bell.derive_swap_table(conv).xor_permutation()
-    rows = [("label " + lab, desc.split(" = ")[1]) for lab, desc in
-            zip(bell.LABELS, conv.describe())]
-    rows += [
-        ("acting_factor", conv.acting_factor),
-        ("s_rotation_residual", f"{r_s:.3e}"),
-        ("z_rotation_residual", f"{r_z:.3e}"),
-        ("satisfying_conventions", str(n_satisfying)),
-        ("swap_xor_permutation", json.dumps(xor_perm, sort_keys=True)),
-    ]
+    payload = {
+        "labels": {lab: desc.split(" = ")[1] for lab, desc in
+                   zip(bell.LABELS, conv.describe())},
+        "acting_factor": conv.acting_factor,
+        "s_rotation_residual": r_s,
+        "z_rotation_residual": r_z,
+        "satisfying_conventions": len(bell.all_conventions()),
+        "swap_xor_permutation": bell.derive_swap_table(conv).xor_permutation(),
+    }
     if args.format == "json":
-        payload = {
-            "labels": {lab: desc.split(" = ")[1] for lab, desc in
-                       zip(bell.LABELS, conv.describe())},
-            "acting_factor": conv.acting_factor,
-            "s_rotation_residual": r_s,
-            "z_rotation_residual": r_z,
-            "satisfying_conventions": n_satisfying,
-            "swap_xor_permutation": xor_perm,
-        }
         sys.stdout.write(_json_doc(payload))
     else:
+        rows = [("label " + lab, value) for lab, value in payload["labels"].items()]
+        rows += [(key, _cell(value, ".3e")) for key, value in payload.items() if key != "labels"]
         _emit_table(("quantity", "value"), rows, args.format)
     return 0
 
 
-def _cmd_reproduce_table1(args) -> int:
+def _cmd_reproduce_table(args) -> int:
+    module, name = args.reproduce  # looked up now, so a replaced function is the one run
     try:
-        rows = protocol.reproduce_table1(bell.convention())
+        rows = getattr(module, name)(bell.convention())
     except TableMismatchError as exc:
         sys.stderr.write("\n".join(exc.diff) + "\n")
         return 1
-    _emit_table(protocol.TABLE1_COLUMNS, rows, args.format)
-    return 0
-
-
-def _cmd_reproduce_table2(args) -> int:
-    try:
-        rows = adversary.reproduce_table2(bell.convention())
-    except TableMismatchError as exc:
-        sys.stderr.write("\n".join(exc.diff) + "\n")
-        return 1
-    _emit_table(adversary.TABLE2_COLUMNS, rows, args.format)
+    _emit_table(args.columns, rows, args.format)
     return 0
 
 
@@ -116,37 +111,17 @@ def _cmd_simulate(args) -> int:
         test_fraction=args.test_fraction,
         master_seed=args.seed,
     )
-    report = harness.run_simulation(config)
-    payload = report.to_json_dict()
+    report = dataclasses.asdict(harness.run_simulation(config))
     if args.format == "json":
-        sys.stdout.write(_json_doc({"config": _config_dict(config), "report": payload}))
+        config_doc = {**dataclasses.asdict(config), "attack": config.attack.kind}
+        sys.stdout.write(_json_doc({"config": config_doc, "report": report}))
     elif args.format == "csv":
-        keys = sorted(payload)
-        rows = [tuple(_fmt_value(payload[k]) for k in keys)]
-        _emit_table(tuple(keys), rows, "csv")
+        keys = tuple(sorted(report))
+        _emit_table(keys, [tuple(_cell(report[k]) for k in keys)], "csv")
     else:
-        rows = [(k, _fmt_value(payload[k])) for k in sorted(payload)]
+        rows = [(k, _cell(report[k])) for k in sorted(report)]
         _emit_table(("statistic", "value"), rows, "human")
     return 0
-
-
-def _fmt_value(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
-def _config_dict(config: harness.SimulationConfig) -> dict:
-    return {
-        "protocol": config.protocol,
-        "rounds": config.rounds,
-        "attack": config.attack.kind,
-        "procedure_policy": config.procedure_policy,
-        "test_fraction": config.test_fraction,
-        "master_seed": config.master_seed,
-    }
 
 
 def _cmd_detection_curve(args) -> int:
@@ -159,24 +134,11 @@ def _cmd_detection_curve(args) -> int:
     n_values = [int(x) for x in args.n.split(",") if x != ""]
     points = harness.detection_curve(config, n_values, args.reps)
     if args.format == "json":
-        payload = [
-            {
-                "n": pt.n,
-                "empirical": pt.empirical,
-                "theoretical": pt.theoretical,
-                "ci_low": pt.ci_low,
-                "ci_high": pt.ci_high,
-            }
-            for pt in points
-        ]
-        sys.stdout.write(_json_doc(payload))
+        sys.stdout.write(_json_doc([dataclasses.asdict(pt) for pt in points]))
     else:
-        rows = [
-            (str(pt.n), f"{pt.empirical:.6f}", f"{pt.theoretical:.6f}",
-             f"{pt.ci_low:.6f}", f"{pt.ci_high:.6f}")
-            for pt in points
-        ]
-        _emit_table(harness.CURVE_COLUMNS, rows, args.format)
+        columns = tuple(f.name for f in dataclasses.fields(harness.CurvePoint))
+        rows = [tuple(map(_cell, dataclasses.astuple(pt))) for pt in points]
+        _emit_table(columns, rows, args.format)
     return 0
 
 
@@ -218,33 +180,36 @@ def build_parser() -> argparse.ArgumentParser:
         "reproduce-table1", parents=[common],
         help="emit the adversary-free outcome table, self-checked",
     )
-    p.set_defaults(func=_cmd_reproduce_table1)
+    p.set_defaults(func=_cmd_reproduce_table, reproduce=(protocol, "reproduce_table1"),
+                   columns=protocol.TABLE1_COLUMNS)
 
     p = sub.add_parser(
         "reproduce-table2", parents=[common],
         help="emit the interception-attack outcome table, self-checked",
     )
-    p.set_defaults(func=_cmd_reproduce_table2)
+    p.set_defaults(func=_cmd_reproduce_table, reproduce=(adversary, "reproduce_table2"),
+                   columns=adversary.TABLE2_COLUMNS)
 
-    p = sub.add_parser("simulate", parents=[common], help="Monte Carlo protocol run")
-    p.add_argument("--protocol", choices=tuple(PROTOCOLS), default="six")
+    # The Monte Carlo commands share the protocol and Alice's procedure coin.
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--protocol", choices=tuple(PROTOCOLS), default="six")
+    run.add_argument("--procedure-prob", type=float, default=0.5,
+                     help="probability Alice picks procedure (i)")
+
+    p = sub.add_parser("simulate", parents=[common, run], help="Monte Carlo protocol run")
     p.add_argument("--attack", choices=tuple(ATTACKS), default="none")
     p.add_argument("--rounds", type=int, default=1000)
     p.add_argument("--test-fraction", type=float, default=0.5,
                    help="fraction of rounds whose keys are publicly compared")
-    p.add_argument("--procedure-prob", type=float, default=0.5,
-                   help="probability Alice picks procedure (i)")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser(
-        "detection-curve", parents=[common],
+        "detection-curve", parents=[common, run],
         help="empirical vs theoretical detection probability per compared pairs",
     )
-    p.add_argument("--protocol", choices=tuple(PROTOCOLS), default="six")
     p.add_argument("--attack", choices=tuple(ATTACKS), default="mixed")
     p.add_argument("--n", default="1,2,4,8,16", help="comma-separated compared-pair counts")
     p.add_argument("--reps", type=int, default=10000, help="experiments per point (>= 100)")
-    p.add_argument("--procedure-prob", type=float, default=0.5)
     p.set_defaults(func=_cmd_detection_curve)
 
     p = sub.add_parser(

@@ -96,13 +96,14 @@ class SimulationConfig(CurveConfig):
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Aggregate statistics of one run.
+    """Aggregate statistics of one run; its fields are the printed report.
 
     ``empirical_detection_prob`` is the mismatch fraction among compared
-    rounds, with a 95% normal-approximation confidence interval;
-    ``theoretical_detection_prob`` is the reference ``1 - (3/4)**compared``
-    for at least one detection over that many compared pairs under the
-    attack mixtures.
+    rounds, with a 95% normal-approximation confidence interval
+    ``[detection_ci_low, detection_ci_high]``.  ``theoretical_detection_prob``
+    is ``1 - (3/4)**compared``, the fair-coin attack-mixture reference for at
+    least one detection over that many compared pairs, for every configuration
+    until ROADMAP item 1 derives it for the protocol, attack and coins run.
     """
 
     rounds_run: int
@@ -110,7 +111,8 @@ class SimulationReport:
     agreement_rate: float
     detected_any: bool
     empirical_detection_prob: float
-    detection_ci: tuple[float, float]
+    detection_ci_low: float
+    detection_ci_high: float
     theoretical_detection_prob: float
     eve_key_information: float
     key_bits_per_transmitted_qubit: float
@@ -118,20 +120,6 @@ class SimulationReport:
     def __post_init__(self) -> None:
         if self.compared > self.rounds_run:
             raise ValueError("compared rounds cannot exceed rounds run")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rounds_run": self.rounds_run,
-            "compared": self.compared,
-            "agreement_rate": self.agreement_rate,
-            "detected_any": self.detected_any,
-            "empirical_detection_prob": self.empirical_detection_prob,
-            "detection_ci_low": self.detection_ci[0],
-            "detection_ci_high": self.detection_ci[1],
-            "theoretical_detection_prob": self.theoretical_detection_prob,
-            "eve_key_information": self.eve_key_information,
-            "key_bits_per_transmitted_qubit": self.key_bits_per_transmitted_qubit,
-        }
 
 
 def _binomial_ci(successes: int, trials: int) -> tuple[float, float]:
@@ -232,13 +220,15 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
         agreed += not leaf.detected
         eve_informed += leaf.informed
 
+    ci_low, ci_high = _binomial_ci(detected, compared)
     return SimulationReport(
         rounds_run=config.rounds,
         compared=compared,
         agreement_rate=agreed / config.rounds,
         detected_any=detected > 0,
         empirical_detection_prob=(detected / compared) if compared else 0.0,
-        detection_ci=_binomial_ci(detected, compared),
+        detection_ci_low=ci_low,
+        detection_ci_high=ci_high,
         theoretical_detection_prob=1.0 - 0.75**compared,
         eve_key_information=eve_informed / config.rounds,
         # Each round transmits two qubits and delivers a two-bit key.
@@ -248,16 +238,18 @@ def run_simulation(config: SimulationConfig) -> SimulationReport:
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """Detection probability after comparing exactly n key pairs."""
+    """Detection probability after comparing exactly n key pairs; its fields, in
+    order, are the printed curve's columns.
+
+    ``theoretical`` is ``1 - (3/4)**n``, the fair-coin attack-mixture reference,
+    for every configuration until ROADMAP item 1 derives it for the settings run.
+    """
 
     n: int
     empirical: float
     theoretical: float
     ci_low: float
     ci_high: float
-
-
-CURVE_COLUMNS = ("n", "empirical", "theoretical", "ci_low", "ci_high")
 
 
 def detection_curve(

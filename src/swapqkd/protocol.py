@@ -512,10 +512,13 @@ def six_qubit_outcome_rows(conv: BellConvention) -> list[tuple[str, str, str, st
 
 def reproduce_table1(conv: BellConvention) -> list[tuple[str, str, str, str, str]]:
     """Reproduce the adversary-free outcome table; raise on any drift."""
-    rows = six_qubit_outcome_rows(conv)
-    if tuple(rows) != EXPECTED_TABLE1:
-        diff = _row_diff(EXPECTED_TABLE1, rows)
-        raise TableMismatchError("six-qubit outcome table mismatch", diff)
+    return _checked_rows("six-qubit outcome table", EXPECTED_TABLE1, six_qubit_outcome_rows(conv))
+
+
+def _checked_rows(table: str, expected: tuple[tuple, ...], rows: list[tuple]) -> list[tuple]:
+    """``rows`` when they are ``expected``; else raise the table's mismatch with the row diff."""
+    if tuple(rows) != expected:
+        raise TableMismatchError(f"{table} mismatch", _row_diff(expected, rows))
     return rows
 
 

@@ -275,7 +275,7 @@ def collapse_rows(
 
 _MASK32, _MASK53, _MASK64, _MASK128 = ((1 << n) - 1 for n in (32, 53, 64, 128))
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-SEED_CHUNK = 1024  # seeds per vectorized pass of :func:`random_sources`
+SEED_CHUNK = 1024  # seeds its callers pass to one :func:`random_sources` call
 
 
 def _hash_steps(const: int, mult: int, steps: int) -> list[tuple[int, int]]:
@@ -353,17 +353,12 @@ class RandomSource:
         self._state = state
         return node
 
-    def __repr__(self) -> str:
-        return f"RandomSource(seed={self.seed})"
-
 
 def random_sources(seeds: np.ndarray) -> Iterator[RandomSource]:
-    """``RandomSource(seed)`` for each seed of a uint64 array, in order, seeded
-    ``SEED_CHUNK`` at a time."""
-    for start in range(0, len(seeds), SEED_CHUNK):
-        chunk = seeds[start:start + SEED_CHUNK]
-        for seed, *seed_words in zip(chunk.tolist(), *(w.tolist() for w in _seed_words(chunk))):
-            yield RandomSource(seed, seed_words)
+    """``RandomSource(seed)`` for each seed of a uint64 array, in order, all seeded in
+    one vectorized pass; callers chunk long seed lists (``SEED_CHUNK`` per call)."""
+    for seed, *seed_words in zip(seeds.tolist(), *(w.tolist() for w in _seed_words(seeds))):
+        yield RandomSource(seed, seed_words)
 
 
 class Distribution(tuple):

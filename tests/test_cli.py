@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 import swapqkd
 from swapqkd import adversary
 from swapqkd.cli import FORMATS, main
+from swapqkd.harness import CurvePoint, SimulationReport
 
 
 def run_cli(capsys, argv):
@@ -188,6 +190,40 @@ def test_detection_curve_json_is_single_document(capsys):
     doc = json.loads(out)
     assert [pt["n"] for pt in doc] == [0, 1]
     assert doc[0]["empirical"] == 0.0
+
+
+def _outputs(capsys, argv):
+    return {fmt: run_cli(capsys, argv + ["--format", fmt])[1] for fmt in FORMATS}
+
+
+def _human_names(out):
+    """The first cell of each row of an aligned table (cells are joined by two spaces)."""
+    return [line.split("  ")[0] for line in out.splitlines()[2:]]
+
+
+def test_simulate_formats_print_the_report_fields(capsys):
+    out = _outputs(capsys, ["simulate", "--protocol", "four", "--attack", "four-swap",
+                            "--rounds", "50"])
+    fields = sorted(f.name for f in dataclasses.fields(SimulationReport))
+    assert sorted(json.loads(out["json"])["report"]) == fields
+    assert out["csv"].splitlines()[0].split(",") == fields
+    assert _human_names(out["human"]) == fields
+
+
+def test_detection_curve_formats_print_the_point_fields(capsys):
+    out = _outputs(capsys, ["detection-curve", "--n", "0,2", "--reps", "100"])
+    fields = [f.name for f in dataclasses.fields(CurvePoint)]
+    assert [sorted(pt) for pt in json.loads(out["json"])] == [sorted(fields)] * 2
+    assert out["csv"].splitlines()[0].split(",") == fields
+    assert out["human"].splitlines()[0].split() == fields
+
+
+def test_validate_convention_formats_print_the_same_quantities(capsys):
+    out = _outputs(capsys, ["validate-convention"])
+    doc = json.loads(out["json"])
+    names = [f"label {lab}" for lab in doc.pop("labels")] + list(doc)
+    assert sorted(_human_names(out["human"])) == sorted(names)
+    assert sorted(line.split(",")[0] for line in out["csv"].splitlines()[1:]) == sorted(names)
 
 
 def test_derive_attack_emits_params(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -130,9 +131,9 @@ def test_report_invariants_and_json():
     assert 0.0 <= report.empirical_detection_prob <= 1.0
     assert 0.0 <= report.eve_key_information <= 1.0
     assert report.key_bits_per_transmitted_qubit == 1.0
-    lo, hi = report.detection_ci
+    lo, hi = report.detection_ci_low, report.detection_ci_high
     assert 0.0 <= lo <= report.empirical_detection_prob <= hi <= 1.0
-    doc = report.to_json_dict()
+    doc = dataclasses.asdict(report)
     assert doc["rounds_run"] == 250
     assert doc["theoretical_detection_prob"] == 1.0 - 0.75**report.compared
 

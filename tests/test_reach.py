@@ -29,7 +29,6 @@ UNREACHED = {
     ("bell.py", "derive_convention"),  # regenerates FROZEN_CONVENTION
     ("protocol.py", "_row_diff"),  # a table mismatch's row diff
     ("protocol.py", "TableMismatchError.__init__"),
-    ("qstate.py", "RandomSource.__repr__"),
     # Run only while the package is imported, before the pass starts.
     ("qstate.py", "_hash_steps"),
     ("protocol.py", "ProtocolSpec.__post_init__"),
