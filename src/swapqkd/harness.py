@@ -20,6 +20,19 @@ per (protocol, attack, procedure policy): a subtree whose reachable leaves
 share both facts and one depth is one ``qstate.Jump``, one LCG jump over
 its levels, and the stream is consumed exactly as before.
 
+A detection curve runs those rounds as numpy lanes, one per experiment, seeded
+``SEED_CHUNK`` at a time (``qstate.RandomLanes``).  Every path of a folded tree
+draws the same number D of uniforms at every procedure policy, a ``Jump``'s levels
+included (6 for six/mixed; 5 for six/zlg, six/tailored and four/four-swap; 4 for
+six/none; 3 for four/none), so round t of an experiment reads draws ``t*D`` to
+``t*D + D - 1`` of its stream.  One jump-ahead grid per block of
+``ROUNDS_PER_BLOCK`` rounds holds those draws for every running lane, the tree
+compiled into arrays (``qstate.compile_tree``) walks them, and a lane leaves at
+the end of the block that holds its first detection; a root that is one ``Jump``
+draws nothing at all.  The streams, the seed
+contract and every printed byte are those of one ``RandomSource.descend`` per
+round, which a simulated run still takes.
+
 A compared round counts as a detection when Bob's inferred key differs
 from Alice's key; no error-rate thresholding is layered on top.  The
 reference curve for the eavesdropper mixtures is ``1 - (3/4)**n`` for
@@ -31,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -40,10 +52,14 @@ from . import bell
 from .adversary import AttackStrategy
 from .protocol import PROTOCOLS, Procedure, protocol_driver
 # RandomSource is imported by name so that benchmarks/tracer.py finds it here.
-from .qstate import SEED_CHUNK, Distribution, Jump, RandomSource, random_sources  # noqa: F401
+from .qstate import (  # noqa: F401
+    SEED_CHUNK, CompiledTree, Distribution, Jump, RandomLanes, RandomSource, compile_tree,
+    random_sources,
+)
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
+ROUNDS_PER_BLOCK = 4  # rounds of a curve's lanes drawn and walked as one grid
 
 
 def splitmix64(master_seed: int | np.ndarray, index: int | np.ndarray) -> int | np.ndarray:
@@ -90,6 +106,8 @@ class SimulationConfig(CurveConfig):
         super().__post_init__()
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
+        if self.rounds >= 2**63:
+            raise ValueError("rounds must be < 2**63")
         if not 0.0 <= self.test_fraction <= 1.0:
             raise ValueError("test_fraction must be a probability")
 
@@ -191,19 +209,34 @@ def _folded_round_tree(protocol: str, attack: AttackStrategy, procedure_policy: 
     return _fold(_round_tree(CurveConfig(protocol, attack, procedure_policy)))
 
 
+@lru_cache(maxsize=16)
+def _compiled_round_tree(protocol: str, attack: AttackStrategy, procedure_policy: float):
+    """:func:`_folded_round_tree` compiled for lanes, with each node's ``detected`` fact
+    (False where a walk cannot end), built once per process."""
+    tree = compile_tree(_folded_round_tree(protocol, attack, procedure_policy))
+    detected = np.array([leaf is not None and leaf.detected for leaf in tree.leaves])
+    return tree, detected
+
+
 def _descent_root(config: CurveConfig):
     """The folded tree each round of ``config`` descends."""
     return _folded_round_tree(config.protocol, config.attack, config.procedure_policy)
 
 
-def _round_sources(master_seeds: Sequence[int], count: int) -> Iterator[RandomSource]:
-    """``count`` sources per master seed, in order, the i-th seeded ``splitmix64(master, i)``;
-    the seeds are mixed ``SEED_CHUNK`` at a time in uint64 array passes."""
+def _seed_chunks(master_seeds: Sequence[int], count: int) -> Iterator[np.ndarray]:
+    """``count`` seeds per master seed, in order, the i-th ``splitmix64(master, i)``, as uint64
+    arrays of ``SEED_CHUNK`` seeds, each mixed in one array pass."""
     masters = np.array([seed & _MASK64 for seed in master_seeds], dtype=np.uint64)
     total = len(masters) * count
     for start in range(0, total, SEED_CHUNK):
         at = np.arange(start, min(start + SEED_CHUNK, total), dtype=np.uint64)
-        yield from random_sources(splitmix64(masters[at // count], at % count))
+        yield splitmix64(masters[at // count], at % count)
+
+
+def _round_sources(master_seeds: Sequence[int], count: int) -> Iterator[RandomSource]:
+    """A :class:`qstate.RandomSource` per seed of :func:`_seed_chunks`, seeded a chunk at a time."""
+    for seeds in _seed_chunks(master_seeds, count):
+        yield from random_sources(seeds)
 
 
 def run_simulation(config: SimulationConfig) -> SimulationReport:
@@ -261,23 +294,47 @@ def detection_curve(
     ``n`` compared rounds under ``config``'s attack and procedure policy;
     an experiment scores as a detection when at least one compared round
     mismatches.  The reference curve is ``1 - (3/4)**n``.
+
+    A point's experiments run as lanes, ``SEED_CHUNK`` at a time, each seeded and
+    drawing as the module docstring says (:func:`_point_hits`); no array grows with ``n``.
     """
     if repetitions < 100:
         raise ValueError("repetitions must be >= 100")
+    if repetitions >= 2**63:
+        raise ValueError("repetitions must be < 2**63")
     if any(n < 0 for n in n_values):
         raise ValueError("n values must be >= 0")
-    root = _descent_root(config)
-    sources = _round_sources([splitmix64(config.master_seed, n) for n in n_values], repetitions)
+    tree, detected = _compiled_round_tree(config.protocol, config.attack, config.procedure_policy)
     points = []
     for n in n_values:
-        hits = 0
-        for rng in islice(sources, repetitions):
-            for _ in range(n):
-                if rng.descend(root).detected:
-                    hits += 1
-                    break
+        hits = _point_hits(tree, detected, splitmix64(config.master_seed, n), n, repetitions)
         empirical = hits / repetitions
         ci = _binomial_ci(hits, repetitions)
         points.append(CurvePoint(n, empirical, 1.0 - 0.75**n, ci[0], ci[1]))
     return points
 
+
+def _point_hits(tree: CompiledTree, detected: np.ndarray, point_seed: int, n: int,
+                repetitions: int) -> int:
+    """How many of ``repetitions`` experiments of ``n`` rounds detect, experiment r seeded
+    ``splitmix64(point_seed, r)``.
+
+    Every round draws ``tree.draws`` uniforms, so round t reads a fixed stretch of the
+    experiment's stream, and ``ROUNDS_PER_BLOCK`` rounds of every lane still running are
+    one grid and one walk.  A lane leaves at the end of the block holding its first
+    detection.  A root that draws nothing gives every experiment its one leaf.
+    """
+    if tree.leaves[0] is not None:
+        return repetitions if n and detected[0] else 0
+    hits = 0
+    for seeds in _seed_chunks([point_seed], repetitions):
+        lanes = RandomLanes(seeds)
+        for done in range(0, n, ROUNDS_PER_BLOCK):
+            rounds = min(ROUNDS_PER_BLOCK, n - done)
+            grid = lanes.uniforms(rounds * tree.draws).reshape(len(lanes), rounds, tree.draws)
+            caught = detected[tree.descend(grid)].any(axis=1)
+            hits += int(caught.sum())
+            lanes.keep(~caught)
+            if not len(lanes):
+                break
+    return hits

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -401,3 +401,154 @@ class Jump:
         self.leaf, self.levels = leaf, levels
         self.mult = pow(_PCG64_MULT, levels, 1 << 128)
         self.add = sum(pow(_PCG64_MULT, j, 1 << 128) for j in range(levels)) & _MASK128
+
+
+# --- lanes --------------------------------------------------------------------
+#
+# Many sources' streams at once, one lane per source: a lane's 128-bit state and
+# increment are uint64 (high, low) word arrays.  Every operand is uint64, since numpy
+# 1.x promotes uint64 mixed with int64 to float64, and a 64 x 64-bit product's high
+# word is built from 32-bit limbs.
+
+_SHIFT32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
+_MULT_WORDS = (np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64))
+
+
+def _mul_high(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The high words of the 128-bit products ``a * b`` of uint64 arrays."""
+    a_low, a_high = a & _LOW32, a >> _SHIFT32
+    b_low, b_high = b & _LOW32, b >> _SHIFT32
+    low, cross, cross2 = a_low * b_low, a_low * b_high, a_high * b_low
+    carry = ((low >> _SHIFT32) + (cross & _LOW32) + (cross2 & _LOW32)) >> _SHIFT32
+    return a_high * b_high + (cross >> _SHIFT32) + (cross2 >> _SHIFT32) + carry
+
+
+def _mul128(a_high, a_low, b_high, b_low):
+    """``a * b`` mod 2**128, as (high, low) words; uint64 arithmetic wraps mod 2**64."""
+    return _mul_high(a_low, b_low) + a_low * b_high + a_high * b_low, a_low * b_low
+
+
+def _add128(a_high, a_low, b_high, b_low):
+    """``a + b`` mod 2**128, as (high, low) words."""
+    low = a_low + b_low
+    return a_high + b_high + (low < a_low), low
+
+
+@functools.lru_cache(maxsize=32)
+def _jump_words(steps: int) -> tuple[np.ndarray, ...]:
+    """The :class:`Jump` constants of 1, 2, ..., ``steps`` LCG steps, as uint64 rows
+    ``(mult high, mult low, add high, add low)``."""
+    jumps = [Jump(None, levels) for levels in range(1, steps + 1)]
+    words = [(j.mult >> 64, j.mult & _MASK64, j.add >> 64, j.add & _MASK64) for j in jumps]
+    return tuple(np.array(row, dtype=np.uint64) for row in zip(*words))
+
+
+class RandomLanes:
+    """``RandomSource(seed)`` for each seed of a uint64 array, as lanes seeded in one
+    vectorized :func:`_seed_words` pass.  :meth:`uniforms` is :meth:`RandomSource.uniform`
+    over a grid: the next ``count`` draws of every lane at once, bit for bit."""
+
+    __slots__ = ("_state", "_inc")
+
+    def __init__(self, seeds: np.ndarray):
+        s_high, s_low, i_high, i_low = _seed_words(seeds)
+        # PCG64's set-seq init, as in RandomSource.__init__.
+        self._inc = ((i_high << np.uint64(1)) | (i_low >> np.uint64(63)),
+                     (i_low << np.uint64(1)) | np.uint64(1))
+        start = _add128(*self._inc, s_high, s_low)
+        self._state = _add128(*_mul128(*start, *_MULT_WORDS), *self._inc)
+
+    def __len__(self) -> int:
+        return len(self._inc[1])
+
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next ``count`` uniforms of every lane, as a ``(lanes, count)`` float64 grid.
+
+        Draw j of a lane comes from ``state * MULT**(j+1) + inc * (MULT**0 + ... + MULT**j)``
+        (mod 2**128), its state after j + 1 steps, by XSL-RR and the top 53 bits; each lane
+        is left at its last draw's state.
+        """
+        mult_high, mult_low, add_high, add_low = _jump_words(count)
+        s_high, s_low = (w[:, None] for w in self._state)
+        i_high, i_low = (w[:, None] for w in self._inc)
+        high, low = _add128(*_mul128(s_high, s_low, mult_high, mult_low),
+                            *_mul128(i_high, i_low, add_high, add_low))
+        self._state = (high[:, -1].copy(), low[:, -1].copy())
+        # xor the halves; rotate right by the top 6 bits of the state.
+        x, rot = high ^ low, high >> np.uint64(58)
+        out = (x >> rot) | (x << ((np.uint64(64) - rot) & np.uint64(63)))
+        return (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop every lane whose ``mask`` entry is False."""
+        self._state = tuple(w[mask] for w in self._state)
+        self._inc = tuple(w[mask] for w in self._inc)
+
+
+class CompiledTree(NamedTuple):
+    """A tree of :class:`Distribution` nodes as arrays, for walks of many lanes at once.
+
+    Node 0 is the root.  ``thresholds[i]`` are node i's, padded with +inf, and
+    ``children[i]`` the node indices of its ``children``, gap slot included, so a uniform
+    ``u`` steps to ``children[i, (thresholds[i] <= u).sum()]`` as :meth:`RandomSource.descend`
+    steps.  No uniform picks an outcome of probability 0, so its slot holds the gap slot's
+    node.  A :class:`Jump` or a leaf is absorbing: its thresholds are all +inf and every
+    child slot is itself.  ``leaves[i]`` is the leaf a walk ending at node i returns (a Jump's
+    leaf, a leaf itself; None for a Distribution), and ``draws`` the uniforms every path
+    consumes, a Jump's levels included.
+    """
+
+    thresholds: np.ndarray
+    children: np.ndarray
+    leaves: tuple
+    draws: int
+
+    def descend(self, uniforms: np.ndarray) -> np.ndarray:
+        """The node each walk ends at: a walk over ``uniforms[..., :draws]`` per leading index,
+        level d reading ``uniforms[..., d]``, from the root."""
+        node = np.zeros(uniforms.shape[:-1], dtype=np.intp)
+        for level in range(self.draws):
+            picks = (self.thresholds[node] <= uniforms[..., level, None]).sum(axis=-1)
+            node = self.children[node, picks]
+        return node
+
+
+def compile_tree(root) -> CompiledTree:
+    """``root``'s tree as a :class:`CompiledTree`, each shared node once.
+
+    Raises ValueError unless every path a walk can take from the root consumes the same
+    number of uniforms, so that a lane's round t reads draws ``t * draws`` to
+    ``t * draws + draws - 1`` of its stream.
+    """
+    index: dict[int, int] = {}
+    nodes, depths, rows = [], [], []
+
+    def visit(node) -> int:
+        if id(node) not in index:
+            index[id(node)] = i = len(nodes)
+            nodes.append(node)
+            rows.append([i])
+            depths.append(node.levels if node.__class__ is Jump else 0)
+            if node.__class__ is Distribution:
+                gap = visit(node.children[-1])
+                rows[i] = [visit(child) if p > 0.0 else gap
+                           for child, p in zip(node.children, node)] + [gap]
+                below = {depths[k] for k in rows[i]}
+                if len(below) != 1:
+                    raise ValueError(f"paths below a node consume {sorted(below)} uniforms")
+                depths[i] = 1 + below.pop()
+        return index[id(node)]
+
+    visit(root)
+    width = max(len(row) for row in rows) - 1
+    thresholds = np.full((len(nodes), width), np.inf)
+    children = np.empty((len(nodes), width + 1), dtype=np.intp)
+    for i, (node, row) in enumerate(zip(nodes, rows)):
+        if node.__class__ is Distribution:
+            thresholds[i, :len(node)] = node.thresholds
+        children[i] = row + row[-1:] * (width + 1 - len(row))
+    leaves = tuple(None if node.__class__ is Distribution
+                   else node.leaf if node.__class__ is Jump else node for node in nodes)
+    thresholds.setflags(write=False)
+    children.setflags(write=False)
+    return CompiledTree(thresholds, children, leaves, depths[0])

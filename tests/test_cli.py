@@ -123,8 +123,12 @@ def test_unwritable_emit_params_exits_2(capsys, tmp_path):
         ["--procedure-prob", "1.5"],
         ["--reps", "99"],
         ["--n", "-1"],
+        # A lane index is a uint64: 2**63 repetitions and more are refused.
+        ["--n", "1", "--reps", str(2**63)],
+        ["--n", "1", "--reps", str(2**64)],
     ],
-    ids=["incompatible-attack", "procedure-prob", "reps", "negative-n"],
+    ids=["incompatible-attack", "procedure-prob", "reps", "negative-n", "reps-2**63",
+         "reps-2**64"],
 )
 def test_detection_curve_invalid_input_exits_2(capsys, extra):
     with pytest.raises(SystemExit) as exc:
@@ -134,6 +138,25 @@ def test_detection_curve_invalid_input_exits_2(capsys, extra):
     assert captured.out == ""
     assert captured.err.startswith("swapqkd: error: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--rounds", "0"], "rounds must be >= 1"),
+        (["--rounds", str(2**63)], "rounds must be < 2**63"),
+        (["--rounds", str(10**30)], "rounds must be < 2**63"),
+        (["--test-fraction", "1.5"], "test_fraction must be a probability"),
+    ],
+    ids=["rounds-0", "rounds-2**63", "rounds-10**30", "test-fraction"],
+)
+def test_simulate_invalid_input_exits_2(capsys, extra, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", *extra])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"swapqkd: error: {message}\n"
 
 
 def test_cached_parser_carries_nothing_between_calls(capsys):

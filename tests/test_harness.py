@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
 
-from swapqkd import bell, cli, harness, protocol
+from swapqkd import bell, cli, harness, protocol, qstate
 from swapqkd.adversary import AttackStrategy
 from swapqkd.harness import (
     CurveConfig,
@@ -44,6 +45,8 @@ def test_splitmix64_on_uint64_arrays_equals_the_scalar_form():
 def test_config_validation():
     with pytest.raises(ValueError):
         SimulationConfig(rounds=0)
+    with pytest.raises(ValueError, match=r"rounds must be < 2\*\*63"):
+        SimulationConfig(rounds=2**63)
     with pytest.raises(ValueError):
         SimulationConfig(test_fraction=1.5)
     with pytest.raises(ValueError):
@@ -155,6 +158,8 @@ def test_detection_curve_validation():
         detection_curve(config, [1], 99)
     with pytest.raises(ValueError):
         detection_curve(config, [-1], 100)
+    with pytest.raises(ValueError, match=r"repetitions must be < 2\*\*63"):
+        detection_curve(config, [1], 2**63)
 
 
 def test_curve_reads_only_its_own_config():
@@ -188,6 +193,7 @@ def test_a_run_resolves_each_round_model_once(monkeypatch, run, protocol_name, k
     # The driver is built first: its constructor reads the adversary-free models.
     protocol.protocol_driver(bell.convention(), protocol_name)
     harness._folded_round_tree.cache_clear()
+    harness._compiled_round_tree.cache_clear()
     lookups = []
     resolve = protocol._ProtocolBase.round_model
 
@@ -226,3 +232,75 @@ def test_curve_point_fields():
     pt = CurvePoint(n=4, empirical=0.7, theoretical=1 - 0.75**4, ci_low=0.65, ci_high=0.75)
     assert pt.n == 4
     assert abs(pt.theoretical - 175 / 256) < 1e-12
+
+
+# --- lanes against the scalar walk --------------------------------------------
+# A curve point's experiments run as lanes; the reference is one RandomSource.descend
+# per round, each experiment stopping at its first detection.
+
+LANE_CONFIGS = [("six", "none"), ("six", "zlg"), ("six", "tailored"), ("six", "mixed"),
+                ("four", "none"), ("four", "four-swap")]
+# Uniforms every walkable path of a config's folded tree draws per round, at every policy.
+LANE_DRAWS = {("six", "mixed"): 6, ("six", "zlg"): 5, ("six", "tailored"): 5,
+              ("four", "four-swap"): 5, ("six", "none"): 4, ("four", "none"): 3}
+LANE_POLICIES = (0.0, 0.3, 0.5, 1.0)
+LANE_SEEDS = (0, 2**63, 2**64 - 1, 0xE848F808F54D35BF)
+# Both sides of the first and fourth block edges (4 rounds a block), and ten blocks.
+LANE_N = (0, 1, 3, 4, 5, 16, 17, 40)
+LANE_REPS = (100, SEED_CHUNK + 76)  # one chunk of lanes, and two
+
+
+def scalar_detections(config, n, repetitions):
+    """Whether each experiment of point ``n`` detects, walked one descent per round."""
+    root = harness._descent_root(config)
+    sources = harness._round_sources([splitmix64(config.master_seed, n)], repetitions)
+    return [any(rng.descend(root).detected for _ in range(n)) for rng in sources]
+
+
+@pytest.mark.parametrize("seed", LANE_SEEDS, ids=["0", "top-bit", "all-ones", "random"])
+@pytest.mark.parametrize("policy", LANE_POLICIES)
+@pytest.mark.parametrize("protocol_name,kind", LANE_CONFIGS,
+                         ids=[f"{name}-{kind}" for name, kind in LANE_CONFIGS])
+def test_curve_lanes_count_the_scalar_walks_detections(protocol_name, kind, policy, seed):
+    assert LANE_REPS[1] > SEED_CHUNK and max(LANE_N) > 4 * harness.ROUNDS_PER_BLOCK
+    config = CurveConfig(protocol_name, AttackStrategy(kind), policy, seed)
+    # The first experiments of a point are the same at every repetition count.
+    detections = {n: scalar_detections(config, n, max(LANE_REPS)) for n in LANE_N}
+    for reps in LANE_REPS:
+        points = detection_curve(config, LANE_N, reps)
+        assert [pt.empirical for pt in points] == [
+            sum(detections[n][:reps]) / reps for n in LANE_N]
+
+
+@pytest.mark.parametrize("policy", LANE_POLICIES)
+def test_every_path_of_a_folded_tree_draws_the_same_uniforms(policy):
+    for (protocol_name, kind), draws in LANE_DRAWS.items():
+        tree, detected = harness._compiled_round_tree(protocol_name, AttackStrategy(kind), policy)
+        assert tree.draws == draws
+        assert detected.tolist() == [leaf is not None and leaf.detected for leaf in tree.leaves]
+
+
+@pytest.mark.parametrize("protocol_name", ["six", "four"])
+def test_a_curve_whose_root_draws_nothing_finishes_at_once(capsys, protocol_name):
+    start = time.monotonic()
+    assert cli.main(["detection-curve", "--protocol", protocol_name, "--attack", "none",
+                     "--n", "1000000000", "--reps", "100"]) == 0
+    assert time.monotonic() - start < 1.0
+    assert "1000000000  0.000000" in capsys.readouterr().out
+    # A root that always detects: every experiment of a point with a round detects.
+    tree = qstate.compile_tree(qstate.Jump(protocol.Leaf({}, True, False), 3))
+    for n, hits in ((0, 0), (1, 150), (10**12, 150)):
+        assert harness._point_hits(tree, np.array([True]), 7, n, 150) == hits
+
+
+def test_a_long_curve_prints_the_scalar_walks_bytes(capsys, monkeypatch):
+    # Every lane leaves at its first detection, long before n rounds.
+    argv = ["detection-curve", "--attack", "mixed", "--n", "100000", "--reps", "100",
+            "--seed", "3", "--format", "json"]
+    assert cli.main(argv) == 0
+    lanes = capsys.readouterr().out
+    config = CurveConfig("six", AttackStrategy("mixed"), 0.5, 3)
+    monkeypatch.setattr(harness, "_point_hits", lambda _tree, _detected, _seed, n, reps:
+                        sum(scalar_detections(config, n, reps)))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == lanes

@@ -589,3 +589,74 @@ def test_threshold_pick_matches_the_loop_at_the_edges(probs, u, want):
     assert dist == probs
     assert dist.pick(u) == loop_pick(probs, u) == want
     assert qstate.Distribution(np.array(probs)).pick(u) == want
+
+
+# --- lanes --------------------------------------------------------------------
+# RandomLanes is RandomSource over uint64 arrays, and CompiledTree.descend is
+# RandomSource.descend over a grid of uniforms; both are pinned to the scalar forms.
+
+LANE_SEEDS = JUMP_SEEDS[:4]  # 0, the top bit alone, 2**64 - 1, and one drawn at random
+
+
+def test_lane_grids_are_numpy_pcg64_across_blocks():
+    lanes = qstate.RandomLanes(np.array(LANE_SEEDS, dtype=np.uint64))
+    assert len(lanes) == len(LANE_SEEDS)
+    # Three blocks of unequal widths, then one lane dropped: the rest carry on.
+    grid = np.concatenate([lanes.uniforms(count) for count in (24, 1, 7)], axis=1)
+    assert grid.dtype == np.float64
+    assert grid.tolist() == [numpy_stream(seed)[:32] for seed in LANE_SEEDS]
+    lanes.keep(np.array([True, False, True, True]))
+    kept = LANE_SEEDS[:1] + LANE_SEEDS[2:]
+    assert lanes.uniforms(13).tolist() == [numpy_stream(seed)[32:45] for seed in kept]
+
+
+def test_lanes_of_a_chunk_equal_random_sources():
+    seeds = np.array([splitmix64(2024, i) for i in range(qstate.SEED_CHUNK + 1)],
+                     dtype=np.uint64)
+    grid = qstate.RandomLanes(seeds).uniforms(3)
+    assert grid.tolist() == [draws(rng, 3) for rng in qstate.random_sources(seeds)]
+
+
+def assert_lanes_walk_as_descend(root, rounds=40):
+    """Lanes seeded with STREAM_SEEDS walk ``rounds`` rounds of ``root``'s compiled tree
+    from one grid and end at the leaves ``RandomSource.descend`` reaches, round by round."""
+    tree = qstate.compile_tree(root)
+    seeds = [seed % 2**64 for seed in STREAM_SEEDS]
+    grid = qstate.RandomLanes(np.array(seeds, dtype=np.uint64)).uniforms(rounds * tree.draws)
+    ends = tree.descend(grid.reshape(len(seeds), rounds, tree.draws))
+    for seed, row in zip(seeds, ends):
+        rng = RandomSource(seed)
+        assert [tree.leaves[node] for node in row] == [rng.descend(root) for _ in range(rounds)]
+    return tree
+
+
+@pytest.mark.parametrize("depth", range(1, len(DESCENT_LEVELS) + 1))
+def test_lane_walks_reach_the_leaves_descend_reaches(depth):
+    # DESCENT_LEVELS has zero-probability outcomes and a node whose uniforms above 0.5
+    # land in the gap slot, so every kind of step is taken.
+    assert assert_lanes_walk_as_descend(pick_tree(DESCENT_LEVELS[:depth])).draws == depth
+
+
+@pytest.mark.parametrize("levels", [1, 4])
+def test_a_compiled_jump_absorbs_its_levels(levels):
+    # The folded shape: a coin, then a Jump in one slot and as many levels of walk in the other.
+    root = qstate.Distribution((0.3, 0.7),
+                               [qstate.Jump("jumped", levels), pick_tree(DESCENT_LEVELS[:levels])])
+    assert assert_lanes_walk_as_descend(root).draws == levels + 1
+    # A Jump as the root draws nothing itself; its leaf is the tree's one end.
+    tree = qstate.compile_tree(qstate.Jump("all", levels))
+    assert (tree.draws, tree.leaves) == (levels, ("all",))
+
+
+def test_compiling_refuses_paths_of_unequal_draws():
+    # A leaf after one draw beside one after two; a Jump a level short of its sibling.
+    for root in (
+        qstate.Distribution((0.5, 0.5), ["shallow", qstate.Distribution((1.0,), ["deep"])]),
+        qstate.Distribution((0.5, 0.5), [qstate.Jump("short", 1), pick_tree(DESCENT_LEVELS[:2])]),
+    ):
+        with pytest.raises(ValueError, match="uniforms"):
+            qstate.compile_tree(root)
+    # No uniform picks an outcome of probability 0, so its subtree's depth does not count.
+    dead = qstate.Distribution((1.0,), ["dead"])
+    tree = qstate.compile_tree(qstate.Distribution((0.5, 0.0, 0.5), ["left", dead, "right"]))
+    assert tree.draws == 1 and "dead" not in tree.leaves
