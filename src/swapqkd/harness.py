@@ -4,9 +4,9 @@ Seeding is splittable and documented: the seed of round ``i`` of a run is
 ``splitmix64(master_seed, i)``, where splitmix64 is the standard SplitMix64
 finalizer applied to ``master_seed + (i + 1) * 0x9E3779B97F4A7C15`` (mod
 2^64).  Curve experiments nest the same scheme: experiment ``r`` of curve
-point ``n`` draws its per-round seeds from
-``splitmix64(splitmix64(master_seed, n), r)``.  Serial and concurrent
-execution therefore see identical per-round streams.  Under seed contract v1
+point ``n`` is one stream seeded ``splitmix64(splitmix64(master_seed, n), r)``,
+and its round t reads draws ``t*D`` to ``t*D + D - 1`` of it (D below).  Serial and
+concurrent execution therefore see identical per-round streams.  Under seed contract v1
 each stream is numpy's ``Generator(PCG64(seed)).random()``, computed in-package
 (``qstate.random_sources``, seeded in chunks) and pinned to numpy by a test.
 
@@ -20,18 +20,18 @@ per (protocol, attack, procedure policy): a subtree whose reachable leaves
 share both facts and one depth is one ``qstate.Jump``, one LCG jump over
 its levels, and the stream is consumed exactly as before.
 
-A detection curve runs those rounds as numpy lanes, one per experiment, seeded
-``SEED_CHUNK`` at a time (``qstate.RandomLanes``).  Every path of a folded tree
-draws the same number D of uniforms at every procedure policy, a ``Jump``'s levels
+A detection curve runs those rounds as numpy lanes, one per experiment of every
+point, seeded ``SEED_CHUNK`` at a time in seed order (``qstate.RandomLanes``), each
+lane carrying its point and its round limit n.  Every path of a folded tree draws
+the same number D of uniforms at every procedure policy, a ``Jump``'s levels
 included (6 for six/mixed; 5 for six/zlg, six/tailored and four/four-swap; 4 for
-six/none; 3 for four/none), so round t of an experiment reads draws ``t*D`` to
-``t*D + D - 1`` of its stream.  One jump-ahead grid per block of
-``ROUNDS_PER_BLOCK`` rounds holds those draws for every running lane, the tree
-compiled into arrays (``qstate.compile_tree``) walks them, and a lane leaves at
-the end of the block that holds its first detection; a root that is one ``Jump``
-draws nothing at all.  The streams, the seed
-contract and every printed byte are those of one ``RandomSource.descend`` per
-round, which a simulated run still takes.
+six/none; 3 for four/none).  One jump-ahead grid per block of ``ROUNDS_PER_BLOCK``
+rounds holds those draws for every running lane, the tree compiled into arrays
+(``qstate.compile_tree``) walks them, a detection counts within a lane's first n
+rounds, and a lane leaves at the end of the block that holds its first detection
+or its n-th round; a root that is one ``Jump`` draws nothing at all.  The streams,
+the seed contract and every printed byte are those of one ``RandomSource.descend``
+per round, which a simulated run still takes.
 
 A compared round counts as a detection when Bob's inferred key differs
 from Alice's key; no error-rate thresholding is layered on top.  The
@@ -295,8 +295,9 @@ def detection_curve(
     an experiment scores as a detection when at least one compared round
     mismatches.  The reference curve is ``1 - (3/4)**n``.
 
-    A point's experiments run as lanes, ``SEED_CHUNK`` at a time, each seeded and
-    drawing as the module docstring says (:func:`_point_hits`); no array grows with ``n``.
+    Every point's experiments run as one lane population, ``SEED_CHUNK`` lanes at a time,
+    each seeded and drawing as the module docstring says (:func:`_curve_hits`); no array grows
+    with ``n``.
     """
     if repetitions < 100:
         raise ValueError("repetitions must be >= 100")
@@ -306,35 +307,43 @@ def detection_curve(
         raise ValueError("n values must be >= 0")
     tree, detected = _compiled_round_tree(config.protocol, config.attack, config.procedure_policy)
     points = []
-    for n in n_values:
-        hits = _point_hits(tree, detected, splitmix64(config.master_seed, n), n, repetitions)
-        empirical = hits / repetitions
+    for n, hits in zip(n_values, _curve_hits(tree, detected, config.master_seed, n_values,
+                                             repetitions)):
         ci = _binomial_ci(hits, repetitions)
-        points.append(CurvePoint(n, empirical, 1.0 - 0.75**n, ci[0], ci[1]))
+        points.append(CurvePoint(n, hits / repetitions, 1.0 - 0.75**n, ci[0], ci[1]))
     return points
 
 
-def _point_hits(tree: CompiledTree, detected: np.ndarray, point_seed: int, n: int,
-                repetitions: int) -> int:
-    """How many of ``repetitions`` experiments of ``n`` rounds detect, experiment r seeded
-    ``splitmix64(point_seed, r)``.
+def _curve_hits(tree: CompiledTree, detected: np.ndarray, master_seed: int,
+                n_values: Sequence[int], repetitions: int) -> list[int]:
+    """How many of ``repetitions`` experiments detect at each point n of ``n_values``,
+    experiment r of point n seeded ``splitmix64(splitmix64(master_seed, n), r)``.
 
-    Every round draws ``tree.draws`` uniforms, so round t reads a fixed stretch of the
-    experiment's stream, and ``ROUNDS_PER_BLOCK`` rounds of every lane still running are
-    one grid and one walk.  A lane leaves at the end of the block holding its first
-    detection.  A root that draws nothing gives every experiment its one leaf.
+    Each lane carries its point and its round limit n, which is clamped to 2**62: every lane
+    of a root that draws detects long before.  Every block walks ``ROUNDS_PER_BLOCK`` rounds,
+    fewer past the largest live limit, of every running lane as one grid.  A detection counts
+    within a lane's first n rounds, and a lane leaves at the end of the block holding its first
+    detection or its n-th round.  A point with n = 0 gets no lane, and a root that draws
+    nothing gives every experiment its one leaf.
     """
     if tree.leaves[0] is not None:
-        return repetitions if n and detected[0] else 0
-    hits = 0
-    for seeds in _seed_chunks([point_seed], repetitions):
-        lanes = RandomLanes(seeds)
-        for done in range(0, n, ROUNDS_PER_BLOCK):
-            rounds = min(ROUNDS_PER_BLOCK, n - done)
+        return [repetitions if n and detected[0] else 0 for n in n_values]
+    live = [i for i, n in enumerate(n_values) if n]
+    points = np.array(live, dtype=np.intp)
+    limits = np.array([min(n_values[i], 2**62) for i in live], dtype=np.int64)
+    hits, first = np.zeros(len(n_values), dtype=np.int64), 0
+    for seeds in _seed_chunks([splitmix64(master_seed, n_values[i]) for i in live], repetitions):
+        lane = np.arange(first, first + len(seeds)) // repetitions
+        point, limit, first = points[lane], limits[lane], first + len(seeds)
+        lanes, done = RandomLanes(seeds), 0
+        while len(lanes):
+            rounds = min(ROUNDS_PER_BLOCK, int(limit.max()) - done)
             grid = lanes.uniforms(rounds * tree.draws).reshape(len(lanes), rounds, tree.draws)
-            caught = detected[tree.descend(grid)].any(axis=1)
-            hits += int(caught.sum())
-            lanes.keep(~caught)
-            if not len(lanes):
-                break
-    return hits
+            within = np.arange(done, done + rounds) < limit[:, None]
+            caught = (detected[tree.descend(grid)] & within).any(axis=1)
+            hits += np.bincount(point[caught], minlength=len(n_values))
+            done += rounds
+            running = ~caught & (limit > done)
+            lanes.keep(running)
+            point, limit = point[running], limit[running]
+    return hits.tolist()

@@ -410,6 +410,25 @@ def test_coin_edge_stdout_matches_golden_digest(capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == COIN_STDOUT_SHA256[command]
 
 
+# A limit past int64: six/mixed's lanes all detect long before, and six/zlg at
+# procedure-prob 1 folds to one root Jump that draws nothing.
+HUGE_N_HEADER = ("n                      empirical  theoretical  ci_low    ci_high\n"
+                 "---------------------  ---------  -----------  --------  --------\n")
+HUGE_N_STDOUT = {
+    "detection-curve --n 100000000000000000000,2 --attack mixed": HUGE_N_HEADER + (
+        "100000000000000000000  1.000000   1.000000     1.000000  1.000000\n"
+        "2                      0.434100   0.437500     0.424385  0.443815\n"),
+    "detection-curve --n 100000000000000000000,2 --attack zlg --procedure-prob 1": HUGE_N_HEADER + (
+        "100000000000000000000  0.000000   1.000000     0.000000  0.000000\n"
+        "2                      0.000000   0.437500     0.000000  0.000000\n"),
+}
+
+
+@pytest.mark.parametrize("command", list(HUGE_N_STDOUT))
+def test_a_limit_past_int64_prints_its_rows(capsys, command):
+    assert run_cli(capsys, command.split()) == (0, HUGE_N_STDOUT[command], "")
+
+
 SWEEP_CONFIGS = (
     ("six", "none"), ("six", "zlg"), ("six", "tailored"), ("six", "mixed"),
     ("four", "none"), ("four", "four-swap"),

@@ -272,6 +272,21 @@ def test_curve_lanes_count_the_scalar_walks_detections(protocol_name, kind, poli
             sum(detections[n][:reps]) / reps for n in LANE_N]
 
 
+# A 0, a repeated n and descending order; at 700 repetitions a seed chunk ends inside a point.
+CURVE_N_LISTS = ((17, 0, 1, 17), (40, 16, 5, 4, 3, 1, 0), (0, 4, 4))
+CURVE_REPS = 700
+
+
+@pytest.mark.parametrize("protocol_name,kind", LANE_CONFIGS,
+                         ids=[f"{name}-{kind}" for name, kind in LANE_CONFIGS])
+def test_each_row_of_a_curve_is_that_point_run_alone(protocol_name, kind):
+    assert SEED_CHUNK % CURVE_REPS
+    config = CurveConfig(protocol_name, AttackStrategy(kind), 0.3, 5)
+    for n_values in CURVE_N_LISTS:
+        assert detection_curve(config, n_values, CURVE_REPS) == [
+            detection_curve(config, [n], CURVE_REPS)[0] for n in n_values]
+
+
 @pytest.mark.parametrize("policy", LANE_POLICIES)
 def test_every_path_of_a_folded_tree_draws_the_same_uniforms(policy):
     for (protocol_name, kind), draws in LANE_DRAWS.items():
@@ -290,7 +305,7 @@ def test_a_curve_whose_root_draws_nothing_finishes_at_once(capsys, protocol_name
     # A root that always detects: every experiment of a point with a round detects.
     tree = qstate.compile_tree(qstate.Jump(protocol.Leaf({}, True, False), 3))
     for n, hits in ((0, 0), (1, 150), (10**12, 150)):
-        assert harness._point_hits(tree, np.array([True]), 7, n, 150) == hits
+        assert harness._curve_hits(tree, np.array([True]), 7, [n], 150) == [hits]
 
 
 def test_a_long_curve_prints_the_scalar_walks_bytes(capsys, monkeypatch):
@@ -300,7 +315,7 @@ def test_a_long_curve_prints_the_scalar_walks_bytes(capsys, monkeypatch):
     assert cli.main(argv) == 0
     lanes = capsys.readouterr().out
     config = CurveConfig("six", AttackStrategy("mixed"), 0.5, 3)
-    monkeypatch.setattr(harness, "_point_hits", lambda _tree, _detected, _seed, n, reps:
-                        sum(scalar_detections(config, n, reps)))
+    monkeypatch.setattr(harness, "_curve_hits", lambda _tree, _detected, _seed, n_values, reps:
+                        [sum(scalar_detections(config, n, reps)) for n in n_values])
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == lanes
