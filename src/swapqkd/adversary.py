@@ -293,11 +293,12 @@ def _block_masses(conv: BellConvention, build: Callable[..., Plan], names: Seque
     first measurement reads ``LABELS[a]`` and its second ``LABELS[b]``.
     """
     plans = [build(name, procedure) for procedure in Procedure for name in names]
-    joints = [dict.fromkeys(itertools.product(LABELS, repeat=2), 0.0) for _plan in plans]
-    for joint, branches in zip(joints, enumerate_plans(conv, plans)):
+    masses = np.zeros((len(plans), 4, 4))
+    for joint, branches in zip(masses, enumerate_plans(conv, plans)):
         for prob, out in branches:
-            joint[tuple(out.values())] += prob  # keyed (first, second) outcome
-    return np.reshape([list(j.values()) for j in joints], (len(Procedure), len(names), 4, 4))
+            first, second = (LABELS.index(label) for label in out.values())
+            joint[first, second] = prob  # each cell takes at most one branch
+    return masses.reshape(len(Procedure), len(names), 4, 4)
 
 
 def _detection_terms(conv: BellConvention) -> list[np.ndarray]:

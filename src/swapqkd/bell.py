@@ -232,8 +232,10 @@ def derive_swap_table(conv: BellConvention) -> SwapTable:
     # One projection of (1,3) measures all 16 states.  proj[s, m] is what
     # outcome m leaves on qubits (4,2), unnormalized: as a two-qubit register
     # whose qubit 0 is qubit 2, its pair (0,1) is the remainder pair (2,4).
-    proj, probs = qstate.project_rows(states, 4, basis, (0, 2))
-    _, rest = qstate.project_rows(proj.reshape(-1, 4), 2, basis, (0, 1))
+    front, _ = qstate.to_front(states, (3, 2, 1, 0), (0, 2))
+    proj, probs = qstate.project_rows(front, basis)
+    front, _ = qstate.to_front(proj.reshape(-1, 4), (1, 0), (0, 1))
+    _, rest = qstate.project_rows(front, basis)
     rest = rest.reshape(len(cells), 4, 4)
     uniform = (np.abs(probs - 0.25) <= CONSTRAINT_ATOL).all(axis=1)
     # hits[s, m, r]: outcome m leaves the remainder pair in Bell state r.

@@ -287,12 +287,16 @@ def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Br
     Every live branch of every plan is a row of one amplitude batch, so each
     step is one batched gate or projection.  Survivors of a measurement keep
     (row, outcome) order: each plan's branches come out in depth-first order.
+    A measurement's post-measurement states are built by the step after it,
+    so a family's last measurement builds none.
     """
     if len({(p.num_qubits, p.pairs, tuple(map(_skeleton, p.steps))) for p in plans}) != 1:
         raise ValueError("enumerate_plans needs plans that differ only in gate matrices")
     n = plans[0].num_qubits
     basis = conv.basis_matrix
     amps = np.repeat(_initial_state(conv, plans[0])[None], len(plans), axis=0)
+    order = tuple(range(n - 1, -1, -1))  # the qubits indexing amps, most significant first
+    measured: tuple = ()  # the last measurement's (proj, probs, picks), not yet collapsed
     owner = np.arange(len(plans))  # the plan each row belongs to
     masses = np.ones(len(plans))
     # Column j holds each row's outcome index of the j-th measurement.
@@ -300,26 +304,29 @@ def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Br
     column: dict[str, int] = {}  # measurement name, in first-measured order -> its latest column
     for steps in zip(*(p.steps for p in plans)):
         step = steps[0]
-        if isinstance(step, GateStep):
-            matrices = tuple(s.matrix for s in steps)
-            shared = all(m is matrices[0] for m in matrices)
-            amps = qstate.gate_rows(amps, n, matrices, step.qubit - 1, None if shared else owner)
-        elif isinstance(step, ConditionalGateStep):
-            labels = [label for label, _ in step.gates]
-            matrices = tuple(g for s in steps for _, g in s.gates)  # plan-major
-            on = [labels.index(LABELS[k]) for k in picked[:, column[step.on]].tolist()]
-            amps = qstate.gate_rows(amps, n, matrices, step.qubit - 1, owner * len(labels) + on)
-        else:
-            pair = (step.pair[0] - 1, step.pair[1] - 1)
-            proj, probs = qstate.project_rows(amps, n, basis, pair)
+        if measured:
+            amps, measured = qstate.collapse_rows(basis, *measured), ()
+        if isinstance(step, MeasureStep):
+            amps, order = qstate.to_front(amps, order, (step.pair[0] - 1, step.pair[1] - 1))
+            proj, probs = qstate.project_rows(amps, basis)
             picks = np.flatnonzero(probs > PROB_CUTOFF)
-            amps = qstate.collapse_rows(n, basis, pair, proj, probs, picks)
-            del proj
+            measured = (proj, probs, picks)
             rows, outcome = np.divmod(picks, 4)
             owner = owner[rows]
             masses = masses[rows] * probs.flat[picks]
             column[step.name] = picked.shape[1]
             picked = np.column_stack((picked[rows], outcome))
+            continue
+        amps, order = qstate.to_front(amps, order, (step.qubit - 1,))
+        if isinstance(step, GateStep):
+            matrices = tuple(s.matrix for s in steps)
+            shared = all(m is matrices[0] for m in matrices)
+            amps = qstate.gate_rows(amps, matrices, None if shared else owner)
+        else:
+            labels = [label for label, _ in step.gates]
+            matrices = tuple(g for s in steps for _, g in s.gates)  # plan-major
+            on = [labels.index(LABELS[k]) for k in picked[:, column[step.on]].tolist()]
+            amps = qstate.gate_rows(amps, matrices, owner * len(labels) + on)
     branches: list[list[Branch]] = [[] for _ in plans]
     for i, mass, row in zip(owner.tolist(), masses.tolist(), picked.tolist()):
         branches[i].append((mass, {name: LABELS[row[j]] for name, j in column.items()}))

@@ -9,10 +9,14 @@ Conventions, fixed once for the whole package:
   is the high bit of the pair index.
 
 States are dense complex128 vectors; at 8 qubits (256 amplitudes) there is
-no reason for anything cleverer.  Gates, projections and collapses are
-computed by three batch kernels over ``(rows, 2**n)`` arrays, one state per
-row.  All operations are pure: they return new arrays and never mutate their
-inputs.
+no reason for anything cleverer.  A batch holds one state per row, its
+amplitudes indexed by its qubits in some order, most significant first;
+:func:`prepare_pairs` gives the canonical order, highest qubit first.
+:func:`to_front` lays a batch out for one step, the step's qubits first, and
+three batch kernels compute the step's gates, projections and collapses in
+that layout and leave their results in it.  The caller carries each batch's
+order.  All operations are pure: they return new arrays and never mutate
+their inputs.
 """
 
 from __future__ import annotations
@@ -122,51 +126,29 @@ def prepare_pairs(num_qubits: int, pairs: list[tuple[int, int, np.ndarray]]) -> 
     return amps
 
 
-# Memoized axis permutations of a ``(rows,) + (2,) * n`` amplitude batch
-# that move the given qubits' axes to just after the row axis, and back;
-# keyed by (n, qubits...).
-_PERM_MEMO: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[int, ...]]] = {}
+def to_front(
+    amps: np.ndarray, order: tuple[int, ...], qubits: Sequence[int]
+) -> tuple[np.ndarray, tuple[int, ...]]:
+    """A batch laid out for one step on ``qubits``, as ``(front, order)``.
 
-
-def _front_perm(n: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    key = (n,) + qubits
-    if key not in _PERM_MEMO:
-        # qubit q is bit q of the index, i.e. axis n - q (axis 0 holds the rows)
-        front = tuple(n - q for q in qubits)
-        fwd = (0,) + front + tuple(k for k in range(1, n + 1) if k not in front)
-        inv = [0] * (n + 1)
-        for pos, ax in enumerate(fwd):
-            inv[ax] = pos
-        _PERM_MEMO[key] = (fwd, tuple(inv))
-    return _PERM_MEMO[key]
-
-
-def _to_front(amps: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """View a ``(rows, 2**n)`` batch as ``(rows, 2**len(qubits), rest)``.
-
-    The middle index is 2*bit_first + bit_second for a pair.
+    ``amps`` holds one state per row, its amplitudes indexed by the qubits of
+    ``order``, the first most significant; a :func:`prepare_pairs` state is in
+    the canonical order ``(n - 1, ..., 0)``.  ``front`` is ``(rows,
+    2**len(qubits), rest)``: the middle index is ``2 * bit_first + bit_second``
+    for a pair, and ``rest`` runs over the other qubits in descending order,
+    whatever order ``amps`` held.  The returned order is ``qubits`` and then
+    that rest.  Raises ValueError on a repeated or out-of-range qubit.
     """
-    fwd, _ = _front_perm(n, qubits)
-    arr = amps.reshape((len(amps),) + (2,) * n).transpose(fwd)
-    return arr.reshape(len(amps), 2 ** len(qubits), -1)
-
-
-def _from_front(mat: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
-    _, inv = _front_perm(n, qubits)
-    return mat.reshape((len(mat),) + (2,) * n).transpose(inv).reshape(len(mat), -1)
-
-
-def _check_qubit(num_qubits: int, qubit: int) -> None:
-    if not 0 <= qubit < num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {num_qubits}-qubit state")
-
-
-def _check_pair(num_qubits: int, pair: tuple[int, int]) -> None:
-    i, j = pair
-    if i == j:
-        raise ValueError("pair indices must be distinct")
-    for q in (i, j):
-        _check_qubit(num_qubits, q)
+    qubits, n = tuple(qubits), len(order)
+    for k, q in enumerate(qubits):
+        if not 0 <= q < n:
+            raise ValueError(f"qubit {q} out of range for {n}-qubit state")
+        if q in qubits[:k]:
+            raise ValueError(f"qubit {q} is repeated in {qubits}")
+    front = qubits + tuple(q for q in range(n - 1, -1, -1) if q not in qubits)
+    axes = (0,) + tuple(1 + order.index(q) for q in front)
+    arr = amps.reshape((len(amps),) + (2,) * n).transpose(axes)
+    return arr.reshape(len(amps), 2 ** len(qubits), -1), front
 
 
 def _check_gate(gate_matrix: np.ndarray) -> np.ndarray:
@@ -199,47 +181,48 @@ def _check_basis(basis: np.ndarray) -> np.ndarray:
 
 # --- batch kernels ----------------------------------------------------------
 #
-# A batch is a ``(rows, 2**n)`` complex array, one pure state per row.  These
-# three kernels are the only place gates, projections and collapses are
-# computed.
+# A batch is one pure state per row, laid out by :func:`to_front` for the step
+# at hand.  These three kernels are the only place gates, projections and
+# collapses are computed; each leaves its result in the layout it was given.
 
 
 def gate_rows(
-    amps: np.ndarray, num_qubits: int, gates: tuple[np.ndarray, ...], qubit: int,
-    choice: np.ndarray | None = None,
+    front: np.ndarray, gates: tuple[np.ndarray, ...], choice: np.ndarray | None = None
 ) -> np.ndarray:
-    """Apply a single-qubit unitary to one qubit of every row of a batch.
+    """Apply a single-qubit unitary to the front qubit of every row of a ``(rows, 2,
+    rest)`` batch, and return the batch in that layout.
 
     Row b gets ``gates[choice[b]]``, or ``gates[0]`` for every row when
     ``choice`` is None.  Every gate is checked for unitarity.
     """
-    _check_qubit(num_qubits, qubit)
     checked = [_check_gate(g) for g in gates]
     matrix = checked[0] if choice is None else np.array(checked)[choice]
-    return _from_front(matrix @ _to_front(amps, num_qubits, (qubit,)), num_qubits, (qubit,))
+    return matrix @ front
 
 
-def project_rows(
-    amps: np.ndarray, num_qubits: int, basis: np.ndarray, pair: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project the pair of every row onto every basis state at once.
+def project_rows(front: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Project the front pair of every row of a ``(rows, 4, rest)`` batch onto every
+    basis state at once.
 
     ``basis`` is a 4x4 array whose rows are orthonormal two-qubit states in
     the pair-index convention.  Returns ``(proj, probs)``: ``proj[b, k]`` is
     the rest of row b's register given outcome k (unnormalized), and
-    ``probs[b, k]`` its Born probability.
+    ``probs[b, k]`` its Born probability.  Raises ValueError if a probability
+    is not finite.
     """
-    _check_pair(num_qubits, pair)
     basis = _check_basis(basis)
-    proj = basis.conj() @ _to_front(amps, num_qubits, pair)
-    return proj, np.einsum("bkr,bkr->bk", proj, proj.conj()).real
+    proj = basis.conj() @ front
+    probs = np.einsum("bkr,bkr->bk", proj, proj.conj()).real
+    if not np.isfinite(probs).all():
+        raise ValueError("outcome probabilities are not finite (a non-finite amplitude)")
+    return proj, probs
 
 
 def collapse_rows(
-    num_qubits: int, basis: np.ndarray, pair: tuple[int, int],
-    proj: np.ndarray, probs: np.ndarray, picks: np.ndarray,
+    basis: np.ndarray, proj: np.ndarray, probs: np.ndarray, picks: np.ndarray
 ) -> np.ndarray:
-    """States after a :func:`project_rows` call, renormalized.
+    """States after a :func:`project_rows` call, renormalized, as a ``(len(picks), 4,
+    rest)`` batch in the layout that call was given.
 
     ``picks`` index the flattened ``(rows, 4)`` outcome grid: pick
     ``4 * b + k`` is batch row b after outcome k, so
@@ -265,7 +248,7 @@ def collapse_rows(
             f"state norm {float(np.sqrt(squared.flat[bad]))!r} is not 1 within {ATOL_ALGEBRA} "
             "(non-finite amplitudes also land here)"
         )
-    return _from_front(mat, num_qubits, pair)
+    return mat
 
 
 # --- randomness ---------------------------------------------------------------

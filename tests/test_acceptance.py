@@ -188,11 +188,12 @@ def test_acceptance_physics_properties(conv):
 
     basis = conv.basis_matrix
 
-    def measure(amps, n, pair, sampler):
-        """Sample an outcome of one state with the batch kernels; (outcome, collapsed)."""
-        proj, probs = qstate.project_rows(amps, n, basis, pair)
+    def measure(amps, order, pair, sampler):
+        """Sample an outcome of one state with the batch kernels; (outcome, collapsed, order)."""
+        front, order = qstate.to_front(amps, order, pair)
+        proj, probs = qstate.project_rows(front, basis)
         outcome = qstate.Distribution(probs[0]).pick(sampler.uniform())
-        return outcome, qstate.collapse_rows(n, basis, pair, proj, probs, np.array([outcome]))
+        return outcome, qstate.collapse_rows(basis, proj, probs, np.array([outcome])), order
 
     rng = np.random.default_rng(2024)
     gate_names = list(GATES)
@@ -203,19 +204,19 @@ def test_acceptance_physics_properties(conv):
         state = amps / np.linalg.norm(amps)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
-        out = qstate.gate_rows(state[None], n,
-                               (GATES[gate_names[trial % len(gate_names)]],),
-                               int(rng.integers(n)))
+        front, order = qstate.to_front(state[None], tuple(range(n - 1, -1, -1)),
+                                       (int(rng.integers(n)),))
+        out = qstate.gate_rows(front, (GATES[gate_names[trial % len(gate_names)]],))
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
         qubits = rng.choice(n, size=2, replace=False)
         pair = (int(qubits[0]), int(qubits[1]))
-        _proj, probs = qstate.project_rows(out, n, basis, pair)
+        _proj, probs = qstate.project_rows(qstate.to_front(out, order, pair)[0], basis)
         assert abs(float(probs.sum()) - 1.0) < 1e-10
 
         sampler = RandomSource(trial)
-        outcome, collapsed = measure(out, n, pair, sampler)
-        outcome2, collapsed2 = measure(collapsed, n, pair, sampler)
+        outcome, collapsed, order = measure(out, order, pair, sampler)
+        outcome2, collapsed2, _ = measure(collapsed, order, pair, sampler)
         assert outcome2 == outcome
         overlap = abs(np.vdot(collapsed[0], collapsed2[0]))
         assert abs(overlap - 1.0) < 1e-10

@@ -119,17 +119,20 @@ def test_rotated_states_are_orthonormal(conv):
 def test_bell_measure_on_fresh_state_is_deterministic(conv):
     state = prepare_pairs(2, [(0, 1, conv.states["01"])])
     basis = conv.basis_matrix
-    proj, probs = qstate.project_rows(state[None], 2, basis, (0, 1))
+    front, order = qstate.to_front(state[None], (1, 0), (0, 1))
+    proj, probs = qstate.project_rows(front, basis)
     k = qstate.Distribution(probs[0]).pick(RandomSource(0).uniform())
     assert LABELS[k] == "01"
-    collapsed = qstate.collapse_rows(2, basis, (0, 1), proj, probs, np.array([k]))[0]
-    assert abs(abs(np.vdot(collapsed, state)) - 1.0) <= 1e-10
+    collapsed = qstate.collapse_rows(basis, proj, probs, np.array([k]))
+    collapsed, _ = qstate.to_front(collapsed, order, (1, 0))
+    assert abs(abs(np.vdot(collapsed.reshape(-1), state)) - 1.0) <= 1e-10
 
 
 def test_bell_measure_uniform_across_independent_pairs(conv):
     vec = conv.states["00"]
     state = prepare_pairs(4, [(0, 1, vec), (2, 3, vec)])
-    _proj, probs = qstate.project_rows(state[None], 4, conv.basis_matrix, (0, 2))
+    front, _ = qstate.to_front(state[None], (3, 2, 1, 0), (0, 2))
+    _proj, probs = qstate.project_rows(front, conv.basis_matrix)
     assert np.allclose(probs, 0.25, atol=1e-10)
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from swapqkd import adversary, bell, protocol
+from swapqkd import adversary, bell, protocol, qstate
 from swapqkd.adversary import FourSwapAttack, TailoredAttack, ZlgAttack
 from swapqkd.bell import LABELS, derive_swap_table
 from swapqkd.protocol import (
@@ -137,6 +137,21 @@ def test_breadth_first_enumeration_matches_depth_first_walk():
         attacks = [TailoredAttack(conv, replace(frozen, pauli_map=m)) for m in maps]
         family = [build_plan(PROTOCOLS["six"], procedure, a.transit_plan()) for a in attacks]
         for plan, got in zip(family, protocol.enumerate_plans(conv, family)):
+            _assert_same_branches(got, oracle.walk(conv, plan))
+
+
+def test_enumeration_collapses_only_measurements_a_step_follows(conv, monkeypatch):
+    # A measurement's states are built at the next step, so the last one builds none.
+    real, calls = qstate.collapse_rows, []
+    monkeypatch.setattr(qstate, "collapse_rows", lambda *args: calls.append(1) or real(*args))
+    for name, attack in (("six", ZlgAttack(conv)), ("four", FourSwapAttack(conv, Procedure.P_I))):
+        family = [build_plan(PROTOCOLS[name], p, attack.transit_plan()) for p in Procedure]
+        steps = family[0].steps
+        assert isinstance(steps[-1], MeasureStep)
+        calls.clear()
+        batch = protocol.enumerate_plans(conv, family)
+        assert len(calls) == sum(isinstance(step, MeasureStep) for step in steps[:-1]) > 0
+        for plan, got in zip(family, batch):
             _assert_same_branches(got, oracle.walk(conv, plan))
 
 

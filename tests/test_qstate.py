@@ -9,6 +9,7 @@ from swapqkd.qstate import (
     gate_rows,
     prepare_pairs,
     project_rows,
+    to_front,
 )
 
 import oracle
@@ -67,12 +68,35 @@ def same_ray(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool:
     return abs(abs(np.vdot(a, b)) - 1.0) <= atol
 
 
+def canonical(n: int) -> tuple[int, ...]:
+    """The qubit order of a :func:`prepare_pairs` state: qubit n - 1 first."""
+    return tuple(range(n - 1, -1, -1))
+
+
+def flat(batch: np.ndarray, order) -> np.ndarray:
+    """A batch held in ``order``, back in the canonical order as ``(rows, 2**n)``."""
+    return to_front(batch, order, canonical(len(order)))[0].reshape(len(batch), -1)
+
+
+def gate_flat(amps: np.ndarray, gates, qubit: int, choice=None) -> np.ndarray:
+    """:func:`gate_rows` on ``qubit`` of a canonical ``(rows, 2**n)`` batch, returned
+    canonical."""
+    front, order = to_front(amps, canonical(amps.shape[1].bit_length() - 1), (qubit,))
+    return flat(gate_rows(front, gates, choice), order)
+
+
+def project(amps: np.ndarray, basis: np.ndarray, pair):
+    """:func:`project_rows` on ``pair`` of a canonical batch: ``(proj, probs, order)``,
+    ``order`` the layout that :func:`collapse_rows` then returns."""
+    front, order = to_front(amps, canonical(amps.shape[1].bit_length() - 1), pair)
+    return (*project_rows(front, basis), order)
+
+
 def measure(amps: np.ndarray, basis: np.ndarray, pair, rng: RandomSource):
     """One sampled measurement of a single state through the batch kernels."""
-    n = int(np.log2(len(amps)))
-    proj, probs = project_rows(amps[None], n, basis, pair)
+    proj, probs, order = project(amps[None], basis, pair)
     k = qstate.Distribution(probs[0]).pick(rng.uniform())
-    return k, collapse_rows(n, basis, pair, proj, probs, np.array([k]))[0]
+    return k, flat(collapse_rows(basis, proj, probs, np.array([k])), order)[0]
 
 
 def basis_pair(bits: str) -> np.ndarray:
@@ -87,7 +111,7 @@ def test_init_basis_state_single_qubit():
     # A one-qubit basis state is a valid register, and X on qubit 0 flips
     # its only bit.
     state = np.array([1.0, 0.0], dtype=complex)
-    assert np.array_equal(gate_rows(state[None], 1, (GATES["X"],), 0), [[0, 1]])
+    assert np.array_equal(gate_flat(state[None], (GATES["X"],), 0), [[0, 1]])
 
 
 def test_init_basis_state_index_matches_bit_pattern():
@@ -155,61 +179,61 @@ def test_gate_lookup_composes_right_to_left():
 
 def test_compound_gates_are_one_read_only_array_each(monkeypatch):
     # One array per name, so the kernels' unitarity memo hits on every use.
-    amps = np.eye(2, dtype=complex)
+    amps, _ = to_front(np.eye(2, dtype=complex), (0,), (0,))
     for name in ("XS", "YS", "ZS"):
         matrix = qstate.gate(name)
         assert qstate.gate(name) is matrix
         assert not matrix.flags.writeable
         assert np.array_equal(matrix, GATES[name[0]] @ GATES[name[1]])
-        qstate.gate_rows(amps, 1, (matrix,), 0)
+        qstate.gate_rows(amps, (matrix,))
     checks = []
     real = qstate.is_unitary
     monkeypatch.setattr(qstate, "is_unitary", lambda m: checks.append(1) or real(m))
     for name in ("XS", "YS", "ZS"):
-        qstate.gate_rows(amps, 1, (qstate.gate(name),), 0)
+        qstate.gate_rows(amps, (qstate.gate(name),))
     assert checks == []
     # A matrix not known to be unitary is still checked, and rejected, on
     # both the broadcast and the per-row path.
     shear = np.array([[1, 1], [0, 1]], dtype=complex)
     with pytest.raises(ValueError, match="not unitary"):
-        qstate.gate_rows(amps, 1, (shear,), 0)
+        qstate.gate_rows(amps, (shear,))
     with pytest.raises(ValueError, match="not unitary"):
-        qstate.gate_rows(amps, 1, (qstate.gate("XS"), shear), 0, np.array([0, 0]))
+        qstate.gate_rows(amps, (qstate.gate("XS"), shear), np.array([0, 0]))
     assert len(checks) == 2
 
 
 def test_s_on_zero_gives_equal_superposition():
-    out = gate_rows(np.array([[1.0, 0.0]], dtype=complex), 1, (GATES["S"],), 0)
+    out = gate_flat(np.array([[1.0, 0.0]], dtype=complex), (GATES["S"],), 0)
     assert np.allclose(out, [[SQRT2_INV, SQRT2_INV]])
 
 
 def test_identity_gate_is_noop():
     rng = np.random.default_rng(1)
     state = random_state(rng, 3)
-    out = gate_rows(state[None], 3, (GATES["I"],), 1)
+    out = gate_flat(state[None], (GATES["I"],), 1)
     assert np.allclose(out[0], state)
 
 
 def test_s_on_acting_factor_of_label00_gives_01_plus_10(conv):
     # Two-qubit check of the defining rotation identity, in Bell labels.
     qubit = 0 if conv.acting_factor == "second" else 1  # pair (q1, q0)
-    rotated = gate_rows(conv.states["00"][None], 2, (GATES["S"],), qubit)[0]
+    rotated = gate_flat(conv.states["00"][None], (GATES["S"],), qubit)[0]
     assert same_ray(rotated, (conv.states["01"] + conv.states["10"]) / np.sqrt(2))
 
 
 def test_z_on_acting_factor_of_plus_plus_gives_00_minus_11(conv):
     plus_plus = (conv.states["01"] + conv.states["10"]) / np.sqrt(2)
     qubit = 0 if conv.acting_factor == "second" else 1
-    flipped = gate_rows(plus_plus[None], 2, (GATES["Z"],), qubit)[0]
+    flipped = gate_flat(plus_plus[None], (GATES["Z"],), qubit)[0]
     assert same_ray(flipped, (conv.states["00"] - conv.states["11"]) / np.sqrt(2))
 
 
 def test_apply_gate_rejects_bad_input():
     amps = np.eye(4, dtype=complex)[:1]
+    with pytest.raises(ValueError, match="out of range"):
+        gate_flat(amps, (GATES["X"],), 2)
     with pytest.raises(ValueError):
-        gate_rows(amps, 2, (GATES["X"],), 2)
-    with pytest.raises(ValueError):
-        gate_rows(amps, 2, (np.array([[1, 1], [0, 1]], dtype=complex),), 0)
+        gate_flat(amps, (np.array([[1, 1], [0, 1]], dtype=complex),), 0)
 
 
 def test_is_unitary_rejects_nan_and_near_misses():
@@ -240,7 +264,7 @@ def test_apply_gate_preserves_norm_on_random_states():
         n = int(rng.integers(2, 7))
         state = random_state(rng, n)
         name = ["I", "X", "Y", "Z", "S"][int(rng.integers(5))]
-        out = gate_rows(state[None], n, (GATES[name],), int(rng.integers(n)))
+        out = gate_flat(state[None], (GATES[name],), int(rng.integers(n)))
         assert abs(np.linalg.norm(out[0]) - 1.0) < 1e-12
 
 
@@ -249,7 +273,7 @@ def test_apply_gate_preserves_norm_on_random_states():
 
 def born(state: np.ndarray, basis: np.ndarray, pair) -> np.ndarray:
     """The four outcome probabilities of one state, from :func:`project_rows`."""
-    return project_rows(state[None], len(state).bit_length() - 1, basis, pair)[1][0]
+    return project(state[None], basis, pair)[1][0]
 
 
 def test_basis_probabilities_on_eigenstate(conv):
@@ -294,11 +318,11 @@ def test_basis_probabilities_rejects_bad_basis_and_pair():
     bad = np.eye(4, dtype=complex)
     bad[0, 0] = 0.9
     with pytest.raises(ValueError):
-        project_rows(amps, 2, bad, (0, 1))
-    with pytest.raises(ValueError):
-        project_rows(amps, 2, np.eye(4, dtype=complex), (1, 1))
-    with pytest.raises(ValueError):
-        project_rows(amps, 2, np.eye(4, dtype=complex), (0, 2))
+        project(amps, bad, (0, 1))
+    with pytest.raises(ValueError, match="repeated"):
+        project(amps, np.eye(4, dtype=complex), (1, 1))
+    with pytest.raises(ValueError, match="out of range"):
+        project(amps, np.eye(4, dtype=complex), (0, 2))
 
 
 def test_measure_eigenstate_is_deterministic_and_stable(conv):
@@ -331,9 +355,9 @@ def test_measurement_is_bit_exact_deterministic(conv):
 
 def test_collapse_onto_probability_and_norm(conv):
     state = random_state(np.random.default_rng(31), 4)
-    proj, probs = project_rows(state[None], 4, conv.basis_matrix, (0, 2))
+    proj, probs, order = project(state[None], conv.basis_matrix, (0, 2))
     live = np.flatnonzero(probs[0] >= 1e-12)
-    collapsed = collapse_rows(4, conv.basis_matrix, (0, 2), proj, probs, live)
+    collapsed = flat(collapse_rows(conv.basis_matrix, proj, probs, live), order)
     for k, after in zip(live, collapsed):
         assert abs(probs[0, k] - oracle_pair_probs(state, conv.basis_matrix, (0, 2))[k]) < 1e-12
         assert abs(np.linalg.norm(after) - 1.0) < 1e-12
@@ -342,10 +366,10 @@ def test_collapse_onto_probability_and_norm(conv):
 def test_collapse_onto_zero_weight_is_degenerate(conv):
     # Collapsing onto an outcome with no weight cannot give a unit state.
     state = prepare_pairs(2, [(0, 1, conv.states["00"])])
-    proj, probs = project_rows(state[None], 2, conv.basis_matrix, (0, 1))
+    proj, probs, _ = project(state[None], conv.basis_matrix, (0, 1))
     assert probs[0, 3] == 0.0
     with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError, match="not 1"):
-        collapse_rows(2, conv.basis_matrix, (0, 1), proj, probs, np.array([3]))
+        collapse_rows(conv.basis_matrix, proj, probs, np.array([3]))
 
 
 def test_live_outcomes_match_probabilities_and_collapse(conv):
@@ -355,11 +379,11 @@ def test_live_outcomes_match_probabilities_and_collapse(conv):
         state = random_state(rng, n)
         tensor = state.reshape((1,) + (2,) * n)
         for pair in ((0, 1), (1, 0), (2, n - 1), (n - 1, 3)):
-            proj, probs = project_rows(state[None], n, basis, pair)
+            proj, probs, order = project(state[None], basis, pair)
             live = np.flatnonzero(probs[0] > 1e-9)
             by_index = oracle_pair_probs(state, basis, pair)
             assert live.tolist() == [k for k in range(4) if by_index[k] > 1e-9]
-            collapsed = collapse_rows(n, basis, pair, proj, probs, live)
+            collapsed = flat(collapse_rows(basis, proj, probs, live), order)
             want_proj, want_probs = oracle.project(tensor, basis, pair)
             for k, after in zip(live, collapsed):
                 assert abs(probs[0, k] - by_index[k]) < 1e-12
@@ -370,10 +394,10 @@ def test_live_outcomes_match_probabilities_and_collapse(conv):
 
 def test_live_outcomes_skip_zero_weight(conv):
     state = prepare_pairs(4, [(0, 1, conv.states["10"]), (2, 3, conv.states["00"])])
-    proj, probs = project_rows(state[None], 4, conv.basis_matrix, (0, 1))
+    proj, probs, order = project(state[None], conv.basis_matrix, (0, 1))
     live = np.flatnonzero(probs[0] > 1e-9)
     assert [(int(k), round(float(probs[0, k]), 12)) for k in live] == [(2, 1.0)]
-    after = collapse_rows(4, conv.basis_matrix, (0, 1), proj, probs, live)[0]
+    after = flat(collapse_rows(conv.basis_matrix, proj, probs, live), order)[0]
     assert same_ray(after, state)
 
 
@@ -389,34 +413,83 @@ def test_batch_kernels_match_single_states(conv):
     tensor = amps.reshape((5,) + (2,) * 8)
     gates = (GATES["S"], GATES["Y"])
     choice = np.array([1, 0, 0, 1, 1])
-    rotated = gate_rows(amps, 8, gates, 5, choice)
+    rotated = gate_flat(amps, gates, 5, choice)
     want = oracle.gate(tensor, np.array(gates)[choice], 5)
     assert np.array_equal(rotated, want.reshape(5, -1))
-    proj, probs = project_rows(amps, 8, basis, (6, 2))
+    proj, probs, order = project(amps, basis, (6, 2))
     want_proj, want_probs = oracle.project(tensor, basis, (6, 2))
     assert np.array_equal(proj, want_proj)
     assert np.array_equal(probs, want_probs)
     rows, outcomes = np.array([0, 2, 4, 4]), np.array([3, 0, 1, 2])
-    collapsed = collapse_rows(8, basis, (6, 2), proj, probs, 4 * rows + outcomes)
+    collapsed = flat(collapse_rows(basis, proj, probs, 4 * rows + outcomes), order)
     want = oracle.collapse(8, basis, (6, 2), want_proj[rows], want_probs[rows], outcomes)
     assert np.array_equal(collapsed, want.reshape(len(rows), -1))
+    # Chained layouts: the gate's result, left in its layout, projects to the same bits.
+    front, order = to_front(amps, canonical(8), (5,))
+    rotated, order = to_front(gate_rows(front, gates, choice), order, (6, 2))
+    proj, probs = project_rows(rotated, basis)
+    want_proj, want_probs = oracle.project(oracle.gate(tensor, np.array(gates)[choice], 5),
+                                           basis, (6, 2))
+    assert np.array_equal(proj, want_proj)
+    assert np.array_equal(probs, want_probs)
 
 
 def test_collapse_rows_checks_every_norm(conv):
     rng = np.random.default_rng(44)
     basis = conv.basis_matrix
     amps = np.stack([random_state(rng, 4) for _ in range(3)])
-    proj, probs = qstate.project_rows(amps, 4, basis, (0, 1))
+    proj, probs, _ = project(amps, basis, (0, 1))
     picks = np.array([0, 5, 10])  # row b after outcome b
-    qstate.collapse_rows(4, basis, (0, 1), proj, probs, picks)
+    qstate.collapse_rows(basis, proj, probs, picks)
     wrong = probs.copy()
     wrong[1, 1] *= 2.0
     with pytest.raises(ValueError, match="not 1 within"):
-        qstate.collapse_rows(4, basis, (0, 1), proj, wrong, picks)
+        qstate.collapse_rows(basis, proj, wrong, picks)
     broken = proj.copy()
     broken[2, 2, 0] = np.nan
     with pytest.raises(ValueError, match="not 1 within"):
-        qstate.collapse_rows(4, basis, (0, 1), broken, probs, picks)
+        qstate.collapse_rows(basis, broken, probs, picks)
+
+
+def test_project_rows_rejects_non_finite_amplitudes(conv):
+    amps = np.stack([random_state(np.random.default_rng(45), 4) for _ in range(2)])
+    amps[1, 5] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        project(amps, conv.basis_matrix, (0, 1))
+    amps[1, 5] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="not finite"):
+        project(amps, conv.basis_matrix, (3, 2))
+
+
+# --- layout -----------------------------------------------------------------
+
+
+def test_to_front_matches_oracle_front_from_chained_orders():
+    # Each call starts from the order the previous one left, yet fronts the
+    # same array that tests/oracle.py moves out of the canonical tensor.
+    rng = np.random.default_rng(46)
+    for n in (3, 6, 8):
+        amps = np.stack([random_state(rng, n) for _ in range(3)])
+        tensor = amps.reshape((3,) + (2,) * n)
+        batch, order = amps, canonical(n)
+        for _ in range(12):
+            size = int(rng.integers(1, 3))
+            qubits = tuple(int(q) for q in rng.choice(n, size=size, replace=False))
+            batch, order = to_front(batch, order, qubits)
+            rest = tuple(q for q in canonical(n) if q not in qubits)
+            assert order == qubits + rest
+            assert np.array_equal(batch, oracle._front(tensor, qubits)[0])
+        assert np.array_equal(flat(batch, order), amps)
+
+
+def test_to_front_rejects_repeated_and_out_of_range_qubits():
+    amps = np.eye(16, dtype=complex)[:2]
+    for qubits in ((1, 1), (3, 0, 3)):
+        with pytest.raises(ValueError, match="repeated"):
+            to_front(amps, canonical(4), qubits)
+    for qubits in ((4,), (0, -1), (2, 7)):
+        with pytest.raises(ValueError, match="out of range"):
+            to_front(amps, canonical(4), qubits)
 
 
 # --- randomness -------------------------------------------------------------
