@@ -41,7 +41,8 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from typing import Callable, ClassVar, Sequence
 
 import numpy as np
@@ -232,11 +233,14 @@ class AttackStrategy:
 def attack_detection_probability(
     conv: BellConvention, protocol: str, procedure: Procedure, attack
 ) -> float:
-    """Per-compared-round detection probability, by exhaustive enumeration."""
+    """Per-compared-round detection probability, by exhaustive enumeration.
+
+    Both exact reads sum their branch masses left to right: ``sum()`` of floats rounds
+    differently from Python 3.12 on.
+    """
     model = protocol_driver(conv, protocol).round_model(procedure, attack)
-    return sum(
-        (prob for (prob, _out), leaf in zip(model.branches, model.leaves) if leaf.detected), 0.0
-    )
+    masses = (prob for (prob, _out), leaf in zip(model.branches, model.leaves) if leaf.detected)
+    return reduce(add, masses, 0.0)
 
 
 def eve_information_probability(
@@ -244,9 +248,8 @@ def eve_information_probability(
 ) -> float:
     """Probability that Eve's inferred-key set is exactly the true key."""
     model = protocol_driver(conv, protocol).round_model(procedure, attack)
-    return sum(
-        (prob for (prob, _out), leaf in zip(model.branches, model.leaves) if leaf.informed), 0.0
-    )
+    masses = (prob for (prob, _out), leaf in zip(model.branches, model.leaves) if leaf.informed)
+    return reduce(add, masses, 0.0)
 
 
 # --- tailored attack search -------------------------------------------------

@@ -10,28 +10,29 @@ concurrent execution therefore see identical per-round streams.  Under seed cont
 each stream is numpy's ``Generator(PCG64(seed)).random()``, computed in-package
 (``qstate.random_sources``, seeded in chunks) and pinned to numpy by a test.
 
-A round is one descent of one tree of ``qstate.Distribution`` nodes, one
+A round is one walk down one ``qstate.CompiledTree``, built once per process per
+(protocol, attack, procedure policy) straight from the round models' branches, one
 uniform per level, so the stream is consumed in the tree's level order: the
-attack-selection coin (only for strategies that need one), Alice's procedure
-coin, the round's measurement nodes in protocol order.  A simulated round
-then draws the key-comparison coin.  Monte Carlo reads only a leaf's two
-facts, ``detected`` and ``informed``, so the tree is folded once per process
-per (protocol, attack, procedure policy): a subtree whose reachable leaves
-share both facts and one depth is one ``qstate.Jump``, one LCG jump over
-its levels, and the stream is consumed exactly as before.
+attack-selection coin (only for strategies that need one), Alice's procedure coin,
+the round's measurement rows in protocol order.  A simulated round then draws the
+key-comparison coin, compared when that uniform is below the test fraction.  Monte
+Carlo reads only a leaf's two facts, ``detected`` and ``informed``, so the tree is
+folded on its arrays: a row whose reachable leaves share both facts and one depth
+ends every walk through it with one LCG jump over its levels, and the stream is
+consumed exactly as before.
 
-A detection curve runs those rounds as numpy lanes, one per experiment of every
-point, seeded ``SEED_CHUNK`` at a time in seed order (``qstate.RandomLanes``), each
-lane carrying its point and its round limit n.  Every path of a folded tree draws
-the same number D of uniforms at every procedure policy, a ``Jump``'s levels
-included (6 for six/mixed; 5 for six/zlg, six/tailored and four/four-swap; 4 for
-six/none; 3 for four/none).  One jump-ahead grid per block of ``ROUNDS_PER_BLOCK``
-rounds holds those draws for every running lane, the tree compiled into arrays
-(``qstate.compile_tree``) walks them, a detection counts within a lane's first n
-rounds, and a lane leaves at the end of the block that holds its first detection
-or its n-th round; a root that is one ``Jump`` draws nothing at all.  The streams,
-the seed contract and every printed byte are those of one ``RandomSource.descend``
-per round, which a simulated run still takes.
+A simulated run walks that tree one ``RandomSource.descend`` per round.  A detection
+curve walks the same rows as numpy lanes, one per experiment of every point, seeded
+``SEED_CHUNK`` at a time in seed order (``qstate.RandomLanes``), each lane carrying
+its point and its round limit n.  Every walk of a folded tree draws the same number
+D of uniforms at every procedure policy, a jump's levels included (6 for six/mixed;
+5 for six/zlg, six/tailored and four/four-swap; 4 for six/none; 3 for four/none).
+One jump-ahead grid per block of ``ROUNDS_PER_BLOCK`` rounds holds those draws for
+every running lane, ``CompiledTree.descend`` walks them, a detection counts within a
+lane's first n rounds, and a lane leaves at the end of the block that holds its
+first detection or its n-th round; a root that ends every walk draws nothing at
+all.  The streams, the seed contract and every printed byte are those of one
+``RandomSource.descend`` per round.
 
 A compared round counts as a detection when Bob's inferred key differs
 from Alice's key; no error-rate thresholding is layered on top.  The
@@ -48,14 +49,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import bell
+from . import bell, qstate
 from .adversary import AttackStrategy
 from .protocol import PROTOCOLS, Procedure, protocol_driver
-# RandomSource is imported by name so that benchmarks/tracer.py finds it here.
-from .qstate import (  # noqa: F401
-    SEED_CHUNK, CompiledTree, Distribution, Jump, RandomLanes, RandomSource, compile_tree,
-    random_sources,
-)
+from .qstate import SEED_CHUNK, CompiledTree, RandomLanes, compile_tree, random_sources
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -148,79 +145,88 @@ def _binomial_ci(successes: int, trials: int) -> tuple[float, float]:
     return (max(0.0, p - half), min(1.0, p + half))
 
 
-def _round_tree(config: CurveConfig) -> Distribution:
-    """The root of one round of ``config``, for :meth:`RandomSource.descend`.
+def _round_tree(config: CurveConfig) -> CompiledTree:
+    """One round of ``config`` as a :class:`qstate.CompiledTree`, each row before its children.
 
     Its levels are the attack coin (two-attack mixtures only), the procedure coin over
-    ``(policy, 1 - policy)``, then the chosen round model's measurement nodes.  A coin
-    over ``(q, 1 - q)`` picks its first outcome exactly when the uniform is below q.
-    Every round model is resolved here, once.
+    ``(policy, 1 - policy)``, then the chosen round model's measurements: each prefix of its
+    branches' outcome paths is one row, listed when a branch first takes it, which puts every row
+    before its children because the branches come depth first.  A prefix's row draws outcome k
+    with probability ``mass(prefix + k) / mass(prefix)``, both masses summed left to right in
+    branch order, and a whole path's row ends at its branch's leaf.  Every round model is
+    resolved here, once.
     """
     driver = protocol_driver(bell.convention(), config.protocol)
-    policy = config.procedure_policy
-    coins = [
-        (weight, Distribution((policy, 1.0 - policy),
-                              [driver.round_model(p, attack).root for p in Procedure]))
-        for weight, attack in config.attack.mixture(bell.convention())
-    ]
-    if len(coins) == 1:
-        return coins[0][1]
-    (weight, first), (_, second) = coins
-    return Distribution((weight, 1.0 - weight), (first, second))
+    probabilities: list = []
+    children: list[list[int]] = []
+    leaves: list = []
+
+    def row(probs=None, leaf=None) -> int:
+        probabilities.append(probs)
+        children.append([])
+        leaves.append(leaf)
+        return len(leaves) - 1
+
+    def branch_rows(model) -> int:
+        mass: dict[tuple[int, ...], float] = {}
+        at: dict[tuple[int, ...], int] = {}  # each prefix of an outcome-index path -> its row
+        for (prob, outcomes), leaf in zip(model.branches, model.leaves, strict=True):
+            path = tuple(bell.LABELS.index(label) for label in outcomes.values())
+            for depth in range(len(path) + 1):
+                prefix = path[:depth]
+                mass[prefix] = mass.get(prefix, 0.0) + prob
+                if prefix not in at:
+                    at[prefix] = row(leaf=leaf if depth == len(path) else None)
+        for prefix, i in at.items():
+            if leaves[i] is None:
+                after = [prefix + (k,) for k in range(4)]
+                probabilities[i] = [mass.get(p, 0.0) / mass[prefix] for p in after]
+                children[i] = [at.get(p, -1) for p in after]  # no branch, probability 0
+        return at[()]
+
+    mixture = config.attack.mixture(bell.convention())
+    if len(mixture) == 2:
+        row((mixture[0][0], 1.0 - mixture[0][0]))
+    policy, coins = config.procedure_policy, []
+    for _weight, attack in mixture:
+        coins.append(row((policy, 1.0 - policy)))
+        children[coins[-1]] = [branch_rows(driver.round_model(p, attack)) for p in Procedure]
+    if len(coins) == 2:
+        children[0] = coins
+    return compile_tree(probabilities, children, leaves, [0] * len(leaves))
 
 
-def _fold(root):
-    """``root`` with every subtree whose reachable leaves share ``(detected, informed)`` and
-    whose reachable paths share one depth made a :class:`qstate.Jump` to one of its leaves.
+def _fold(tree: CompiledTree) -> CompiledTree:
+    """``tree`` with every row whose reachable leaves share ``(detected, informed)`` and whose
+    reachable walks share one depth made to end a walk at the first of those leaves, after that
+    depth's levels.
 
-    An outcome is reachable when its probability is positive, or it is ``last_live`` and none
-    is: every outcome a descent can step to, and maybe more, so the fold can only fold less.  One
-    post-order pass, memoized by node id because the round models' roots are shared.
+    A row reaches the rows of its slots: each outcome of positive probability's own, and the gap
+    slot's, which stands in for every outcome of probability 0.  One pass over the rows in
+    reverse, so every row is seen after its children; a folded row's descendants stay, unreached.
     """
-    # id(node) -> (what takes its slot, (detected, informed, depth) if uniform, a leaf)
-    memo: dict[int, tuple] = {}
-
-    def visit(node):
-        if id(node) in memo:
-            return memo[id(node)]
-        if node.__class__ is not Distribution:
-            result = (node, (node.detected, node.informed, 0), node)
-        else:
-            live = [k for k, p in enumerate(node) if p > 0.0] or [node.last_live]
-            below = {k: visit(node.children[k]) for k in live}
-            shapes = {shape for _, shape, _ in below.values()}
-            if len(shapes) == 1 and None not in shapes:
-                ((detected, informed, depth),) = shapes
-                leaf = below[live[0]][2]
-                result = (Jump(leaf, depth + 1), (detected, informed, depth + 1), leaf)
-            else:
-                children = [below[k][0] if k in below else child
-                            for k, child in enumerate(node.children[:len(node)])]
-                result = (Distribution(node, children), None, None)
-        memo[id(node)] = result
-        return result
-
-    return visit(root)[0]
+    thresholds, children = tree.thresholds.copy(), tree.children.copy()
+    leaves, levels = list(tree.leaves), list(tree.levels)
+    # (detected, informed, depth) of each row whose reachable walks all end with them, else None
+    shapes: list[tuple | None] = [None] * len(leaves)
+    for i in reversed(range(len(leaves))):
+        if leaves[i] is None:
+            below = set(children[i].tolist())
+            shape = {shapes[k] for k in below}
+            if len(shape) != 1 or None in shape:
+                continue
+            leaves[i], levels[i] = leaves[min(below)], shape.pop()[2] + 1
+            thresholds[i], children[i] = np.inf, i
+        shapes[i] = (leaves[i].detected, leaves[i].informed, levels[i])
+    return CompiledTree(thresholds, children, tuple(leaves), tuple(levels), tree.draws)
 
 
 @lru_cache(maxsize=16)
-def _folded_round_tree(protocol: str, attack: AttackStrategy, procedure_policy: float):
-    """:func:`_round_tree` of these curve settings, folded, built once per process."""
-    return _fold(_round_tree(CurveConfig(protocol, attack, procedure_policy)))
-
-
-@lru_cache(maxsize=16)
-def _compiled_round_tree(protocol: str, attack: AttackStrategy, procedure_policy: float):
-    """:func:`_folded_round_tree` compiled for lanes, with each node's ``detected`` fact
+def _folded_tree(protocol: str, attack: AttackStrategy, procedure_policy: float):
+    """:func:`_round_tree` of these curve settings, folded, with each row's ``detected`` fact
     (False where a walk cannot end), built once per process."""
-    tree = compile_tree(_folded_round_tree(protocol, attack, procedure_policy))
-    detected = np.array([leaf is not None and leaf.detected for leaf in tree.leaves])
-    return tree, detected
-
-
-def _descent_root(config: CurveConfig):
-    """The folded tree each round of ``config`` descends."""
-    return _folded_round_tree(config.protocol, config.attack, config.procedure_policy)
+    tree = _fold(_round_tree(CurveConfig(protocol, attack, procedure_policy)))
+    return tree, np.array([leaf is not None and leaf.detected for leaf in tree.leaves])
 
 
 def _seed_chunks(master_seeds: Sequence[int], count: int) -> Iterator[np.ndarray]:
@@ -233,7 +239,7 @@ def _seed_chunks(master_seeds: Sequence[int], count: int) -> Iterator[np.ndarray
         yield splitmix64(masters[at // count], at % count)
 
 
-def _round_sources(master_seeds: Sequence[int], count: int) -> Iterator[RandomSource]:
+def _round_sources(master_seeds: Sequence[int], count: int) -> Iterator[qstate.RandomSource]:
     """A :class:`qstate.RandomSource` per seed of :func:`_seed_chunks`, seeded a chunk at a time."""
     for seeds in _seed_chunks(master_seeds, count):
         yield from random_sources(seeds)
@@ -241,13 +247,13 @@ def _round_sources(master_seeds: Sequence[int], count: int) -> Iterator[RandomSo
 
 def run_simulation(config: SimulationConfig) -> SimulationReport:
     """Run ``config.rounds`` independently seeded rounds and aggregate."""
-    root = _descent_root(config)
-    test_coin = Distribution((config.test_fraction, 1.0 - config.test_fraction))
+    tree, _ = _folded_tree(config.protocol, config.attack, config.procedure_policy)
+    test_fraction = config.test_fraction
 
     compared = detected = agreed = eve_informed = 0
     for rng in _round_sources([config.master_seed], config.rounds):
-        leaf = rng.descend(root)
-        if test_coin.pick(rng.uniform()) == 0:
+        leaf = rng.descend(tree)
+        if rng.uniform() < test_fraction:
             compared += 1
             detected += leaf.detected
         agreed += not leaf.detected
@@ -305,7 +311,7 @@ def detection_curve(
         raise ValueError("repetitions must be < 2**63")
     if any(n < 0 for n in n_values):
         raise ValueError("n values must be >= 0")
-    tree, detected = _compiled_round_tree(config.protocol, config.attack, config.procedure_policy)
+    tree, detected = _folded_tree(config.protocol, config.attack, config.procedure_policy)
     points = []
     for n, hits in zip(n_values, _curve_hits(tree, detected, config.master_seed, n_values,
                                              repetitions)):

@@ -28,12 +28,8 @@ it occurs with, read off those same branches (the adversary-free ones for
 Bob), never assumed in closed form.  A round model holds one :class:`Leaf`
 per branch: did Bob infer a wrong key, and did Eve's posterior pin it.  Every
 exact probability and every Monte Carlo count is a mass-weighted read of
-those two facts.  A round model links its tree as :class:`qstate.Distribution`
-nodes whose leaf slots hold the leaves, built on the first Monte Carlo read: a
-round is one :meth:`qstate.RandomSource.descend`.  Monte Carlo descends a
-folded copy, where a subtree whose leaves share both facts and one depth is
-one :class:`qstate.Jump` (one LCG jump over its levels), so the stream is
-consumed exactly as before.
+those two facts.  A round model builds no tree: ``harness`` builds each run's
+round tree from the models' branches and leaves.
 
 Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 0-based register happens only at the physics boundary.
@@ -44,7 +40,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -333,36 +329,6 @@ def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Br
     return branches
 
 
-def _outcome_tree(branches: Iterable[Branch], leaves: Iterable[object]) -> qstate.Distribution:
-    """Conditional-probability tree over the branches' outcomes, in step order.
-
-    Each node is a :class:`qstate.Distribution` over one measurement's four outcomes:
-    the probability of outcome ``k`` after a prefix is ``mass(prefix + (k,)) /
-    mass(prefix)``, both summed from leaf masses.  Its child ``k`` is the next
-    measurement's node, after the last measurement the leaf of the branch that
-    took that path (``leaves`` run in branch order), or None for an outcome no
-    branch takes.
-    """
-    mass: dict[tuple[int, ...], float] = {}
-    at: dict[tuple[int, ...], object] = {}  # a branch's outcome-index path -> its leaf
-    for (prob, outcomes), leaf in zip(branches, leaves, strict=True):
-        prefix: tuple[int, ...] = ()
-        mass[prefix] = mass.get(prefix, 0.0) + prob
-        for label in outcomes.values():
-            prefix += (LABELS.index(label),)
-            mass[prefix] = mass.get(prefix, 0.0) + prob
-        at[prefix] = leaf
-
-    def node(prefix: tuple[int, ...]):
-        if prefix in at:
-            return at[prefix]
-        after = [prefix + (k,) for k in range(4)]
-        return qstate.Distribution((mass.get(p, 0.0) / mass[prefix] for p in after),
-                                   [node(p) if p in mass else None for p in after])
-
-    return node(())
-
-
 # An observation (``ProtocolSpec.bob_observation`` or ``eve_observation`` of a
 # branch) -> the keys with positive probability given it.
 KeySupport = Mapping[Hashable, tuple[str, ...]]
@@ -402,19 +368,13 @@ class RoundModel:
     """A wired plan, its exact branches, and what is read off them.
 
     ``posterior`` is Eve's :func:`key_support`, empty without an attack.  ``leaves``
-    holds one :class:`Leaf` per branch, in branch order.  Monte Carlo descends
-    ``root``, the :func:`_outcome_tree` whose leaf slots hold those leaves, built on
-    the first Monte Carlo read.
+    holds one :class:`Leaf` per branch, in branch order.
     """
 
     plan: Plan
     branches: tuple[Branch, ...]
     posterior: KeySupport
     leaves: tuple[Leaf, ...]
-
-    @cached_property
-    def root(self) -> qstate.Distribution:
-        return _outcome_tree(self.branches, self.leaves)
 
 
 # --- protocol drivers -----------------------------------------------------

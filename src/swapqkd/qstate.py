@@ -17,6 +17,12 @@ three batch kernels compute the step's gates, projections and collapses in
 that layout and leave their results in it.  The caller carries each batch's
 order.  All operations are pure: they return new arrays and never mutate
 their inputs.
+
+Monte Carlo reads numpy's PCG64 stream, computed here with Python ints
+(:class:`RandomSource`) or as uint64 lanes (:class:`RandomLanes`), and walks a
+round's :class:`CompiledTree`, one row per node: :meth:`RandomSource.descend` walks
+it one round at a time, and :meth:`CompiledTree.descend` walks a grid of lanes'
+uniforms.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -315,26 +321,36 @@ class RandomSource:
         x = (state >> 64 ^ state) & _MASK64  # xor the halves; rotate right by the top 6 bits
         return ((x << 64 | x) >> (11 + (state >> 122)) & _MASK53) * 2.0**-53
 
-    def descend(self, node: Distribution | Jump):
-        """The leaf a walk down from ``node`` reaches: each :class:`Distribution` on the way
-        draws the next uniform ``u`` and steps to ``node.children[node.pick(u)]``, and a
-        :class:`Jump` steps the stream over its levels at once and ends at its leaf.
+    def descend(self, tree: CompiledTree):
+        """The leaf a walk down ``tree`` from its root reaches: each drawing row on the way
+        draws the next uniform ``u`` and steps to the row of the slot ``u`` picks, and the row
+        that ends the walk steps the stream over its levels at once.
 
-        :meth:`uniform` and the pick are inlined, and the gap slot of ``children`` stands
-        in for ``last_live``, so this consumes the stream exactly as one :meth:`uniform`
-        per node does and steps where ``pick`` would.
+        :meth:`uniform` is inlined, so this consumes the stream exactly as one :meth:`uniform`
+        per row and per level does, and steps where :meth:`CompiledTree.descend` steps.
         """
+        thresholds, children, leaves, levels = tree.rows
         state, inc = self._state, self._inc
-        while node.__class__ is Distribution:
+        node = 0
+        while leaves[node] is None:
             state = (state * _PCG64_MULT + inc) & _MASK128
             x = (state >> 64 ^ state) & _MASK64
             u = ((x << 64 | x) >> (11 + (state >> 122)) & _MASK53) * 2.0**-53
-            node = node.children[bisect_right(node.thresholds, u)]
-        if node.__class__ is Jump:
-            state = (state * node.mult + inc * node.add) & _MASK128
-            node = node.leaf
+            node = children[node][bisect_right(thresholds[node], u)]
+        if levels[node]:
+            mult, add = _jump(levels[node])
+            state = (state * mult + inc * add) & _MASK128
         self._state = state
-        return node
+        return leaves[node]
+
+
+@functools.lru_cache(maxsize=64)
+def _jump(levels: int) -> tuple[int, int]:
+    """``(MULT**levels, MULT**0 + ... + MULT**(levels - 1))`` mod 2**128, as ``(mult, add)``:
+    ``levels`` LCG steps ``state -> state * MULT + inc`` compose to ``state * mult + inc * add``,
+    so the stream ends where ``levels`` :meth:`RandomSource.uniform` calls leave it."""
+    add = sum(pow(_PCG64_MULT, j, 1 << 128) for j in range(levels)) & _MASK128
+    return pow(_PCG64_MULT, levels, 1 << 128), add
 
 
 def random_sources(seeds: np.ndarray) -> Iterator[RandomSource]:
@@ -342,48 +358,6 @@ def random_sources(seeds: np.ndarray) -> Iterator[RandomSource]:
     one vectorized pass; callers chunk long seed lists (``SEED_CHUNK`` per call)."""
     for seed, *seed_words in zip(seeds.tolist(), *(w.tolist() for w in _seed_words(seeds))):
         yield RandomSource(seed, seed_words)
-
-
-class Distribution(tuple):
-    """Outcome probabilities; ``thresholds[k]`` is ``p_0 + ... + p_k`` summed left
-    to right, a negative p counting as 0, and ``last_live`` the last k with p > 0.
-
-    As a node of a tree that :meth:`RandomSource.descend` walks, ``children[k]`` is
-    what outcome k leads to: another Distribution, a :class:`Jump`, or a leaf, which
-    is anything else.
-    One more slot, for a uniform in the rounding gap, repeats ``children[last_live]``.
-    """
-
-    def __new__(cls, probabilities: Iterable[float], children: Sequence = ()):
-        self = super().__new__(cls, probabilities)
-        self.thresholds = list(accumulate(max(float(p), 0.0) for p in self))
-        self.last_live = max((k for k, p in enumerate(self) if p > 0.0), default=0)
-        self.children = (*children, children[self.last_live]) if children else ()
-        return self
-
-    def pick(self, u: float) -> int:
-        """The first index whose threshold exceeds ``u``; ``last_live`` when ``u``
-        lands in the rounding gap above the last threshold."""
-        k = bisect_right(self.thresholds, u)
-        return k if k < len(self) else self.last_live
-
-
-class Jump:
-    """A subtree folded into one step: :meth:`RandomSource.descend` reaching it steps the
-    stream over ``levels`` draws at once and returns ``leaf``.
-
-    ``levels`` LCG steps ``state -> state * MULT + inc`` compose to ``state * mult + inc *
-    add`` with ``mult = MULT**levels`` and ``add = MULT**0 + ... + MULT**(levels - 1)``,
-    mod 2**128, so the stream ends where ``levels`` :meth:`RandomSource.uniform` calls
-    leave it.
-    """
-
-    __slots__ = ("leaf", "levels", "mult", "add")
-
-    def __init__(self, leaf, levels: int):
-        self.leaf, self.levels = leaf, levels
-        self.mult = pow(_PCG64_MULT, levels, 1 << 128)
-        self.add = sum(pow(_PCG64_MULT, j, 1 << 128) for j in range(levels)) & _MASK128
 
 
 # --- lanes --------------------------------------------------------------------
@@ -419,10 +393,10 @@ def _add128(a_high, a_low, b_high, b_low):
 
 @functools.lru_cache(maxsize=32)
 def _jump_words(steps: int) -> tuple[np.ndarray, ...]:
-    """The :class:`Jump` constants of 1, 2, ..., ``steps`` LCG steps, as uint64 rows
+    """The :func:`_jump` constants of 1, 2, ..., ``steps`` LCG steps, as uint64 rows
     ``(mult high, mult low, add high, add low)``."""
-    jumps = [Jump(None, levels) for levels in range(1, steps + 1)]
-    words = [(j.mult >> 64, j.mult & _MASK64, j.add >> 64, j.add & _MASK64) for j in jumps]
+    jumps = map(_jump, range(1, steps + 1))
+    words = [(mult >> 64, mult & _MASK64, add >> 64, add & _MASK64) for mult, add in jumps]
     return tuple(np.array(row, dtype=np.uint64) for row in zip(*words))
 
 
@@ -468,26 +442,32 @@ class RandomLanes:
         self._inc = tuple(w[mask] for w in self._inc)
 
 
-class CompiledTree(NamedTuple):
-    """A tree of :class:`Distribution` nodes as arrays, for walks of many lanes at once.
+class CompiledTree:
+    """A round tree as arrays, one row per node, each row before its children; row 0 is the root.
 
-    Node 0 is the root.  ``thresholds[i]`` are node i's, padded with +inf, and
-    ``children[i]`` the node indices of its ``children``, gap slot included, so a uniform
-    ``u`` steps to ``children[i, (thresholds[i] <= u).sum()]`` as :meth:`RandomSource.descend`
-    steps.  No uniform picks an outcome of probability 0, so its slot holds the gap slot's
-    node.  A :class:`Jump` or a leaf is absorbing: its thresholds are all +inf and every
-    child slot is itself.  ``leaves[i]`` is the leaf a walk ending at node i returns (a Jump's
-    leaf, a leaf itself; None for a Distribution), and ``draws`` the uniforms every path
-    consumes, a Jump's levels included.
+    A row whose ``leaves`` entry is None draws one uniform ``u`` and steps to
+    ``children[i, (thresholds[i] <= u).sum()]``: ``thresholds[i]`` are its outcome probabilities
+    summed left to right, padded with +inf, and ``children[i]`` holds each outcome's row, then
+    the gap slot's, for a ``u`` in the rounding gap above the last threshold, repeated to the
+    width.  No uniform picks an outcome of probability 0, so its slot holds the gap slot's row.
+    Any other row ends a walk at its leaf, after ``levels[i]`` more uniforms that the stream
+    skips at once; its thresholds are all +inf and every slot is itself.  ``draws`` is the
+    uniforms every walk consumes, levels included, and ``rows`` the tree as Python lists, for
+    :meth:`RandomSource.descend`.
     """
 
-    thresholds: np.ndarray
-    children: np.ndarray
-    leaves: tuple
-    draws: int
+    __slots__ = ("thresholds", "children", "leaves", "levels", "draws", "rows")
+
+    def __init__(self, thresholds: np.ndarray, children: np.ndarray, leaves: tuple,
+                 levels: tuple[int, ...], draws: int):
+        thresholds.setflags(write=False)
+        children.setflags(write=False)
+        self.thresholds, self.children, self.leaves, self.levels, self.draws = (
+            thresholds, children, leaves, levels, draws)
+        self.rows = (thresholds.tolist(), children.tolist(), leaves, levels)
 
     def descend(self, uniforms: np.ndarray) -> np.ndarray:
-        """The node each walk ends at: a walk over ``uniforms[..., :draws]`` per leading index,
+        """The row each walk ends at: a walk over ``uniforms[..., :draws]`` per leading index,
         level d reading ``uniforms[..., d]``, from the root."""
         node = np.zeros(uniforms.shape[:-1], dtype=np.intp)
         for level in range(self.draws):
@@ -496,42 +476,32 @@ class CompiledTree(NamedTuple):
         return node
 
 
-def compile_tree(root) -> CompiledTree:
-    """``root``'s tree as a :class:`CompiledTree`, each shared node once.
+def compile_tree(probabilities: Sequence, children: Sequence[Sequence[int]], leaves: Sequence,
+                 levels: Sequence[int]) -> CompiledTree:
+    """The :class:`CompiledTree` of rows listed each before its children, row 0 the root.
 
-    Raises ValueError unless every path a walk can take from the root consumes the same
-    number of uniforms, so that a lane's round t reads draws ``t * draws`` to
-    ``t * draws + draws - 1`` of its stream.
+    Row i draws over ``probabilities[i]``, outcome k leading to row ``children[i][k]``, when
+    ``leaves[i]`` is None; otherwise it ends a walk at ``leaves[i]`` after ``levels[i]`` more
+    uniforms.  A drawing row's thresholds are ``accumulate(max(p, 0))``, and its gap slot leads
+    where its last outcome of positive probability does, outcome 0's when none has.  Raises
+    ValueError unless every walk from the root draws the same number of uniforms, so that a
+    lane's round t reads draws ``t * draws`` to ``t * draws + draws - 1`` of its stream.
     """
-    index: dict[int, int] = {}
-    nodes, depths, rows = [], [], []
-
-    def visit(node) -> int:
-        if id(node) not in index:
-            index[id(node)] = i = len(nodes)
-            nodes.append(node)
-            rows.append([i])
-            depths.append(node.levels if node.__class__ is Jump else 0)
-            if node.__class__ is Distribution:
-                gap = visit(node.children[-1])
-                rows[i] = [visit(child) if p > 0.0 else gap
-                           for child, p in zip(node.children, node)] + [gap]
-                below = {depths[k] for k in rows[i]}
-                if len(below) != 1:
-                    raise ValueError(f"paths below a node consume {sorted(below)} uniforms")
-                depths[i] = 1 + below.pop()
-        return index[id(node)]
-
-    visit(root)
-    width = max(len(row) for row in rows) - 1
-    thresholds = np.full((len(nodes), width), np.inf)
-    children = np.empty((len(nodes), width + 1), dtype=np.intp)
-    for i, (node, row) in enumerate(zip(nodes, rows)):
-        if node.__class__ is Distribution:
-            thresholds[i, :len(node)] = node.thresholds
-        children[i] = row + row[-1:] * (width + 1 - len(row))
-    leaves = tuple(None if node.__class__ is Distribution
-                   else node.leaf if node.__class__ is Jump else node for node in nodes)
-    thresholds.setflags(write=False)
-    children.setflags(write=False)
-    return CompiledTree(thresholds, children, leaves, depths[0])
+    levels = tuple(levels)
+    depths, sums, slots = list(levels), [[] for _ in levels], [[i] for i in range(len(levels))]
+    for i in reversed(range(len(levels))):
+        if leaves[i] is None:
+            live = [p > 0.0 for p in probabilities[i]]
+            gap = children[i][max((k for k, alive in enumerate(live) if alive), default=0)]
+            slots[i] = [child if alive else gap for child, alive in zip(children[i], live)] + [gap]
+            if min(slots[i]) <= i:
+                raise ValueError(f"row {i} leads to a row listed before it")
+            below = {depths[k] for k in slots[i]}
+            if len(below) != 1:
+                raise ValueError(f"walks below row {i} draw {sorted(below)} uniforms")
+            depths[i] = 1 + below.pop()
+            sums[i] = list(accumulate(max(float(p), 0.0) for p in probabilities[i]))
+    width = max(map(len, sums))
+    thresholds = np.array([row + [np.inf] * (width - len(row)) for row in sums])
+    rows = np.array([row + row[-1:] * (width + 1 - len(row)) for row in slots], dtype=np.intp)
+    return CompiledTree(thresholds, rows, tuple(leaves), levels, depths[0])

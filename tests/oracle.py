@@ -98,7 +98,7 @@ def walk(conv, plan):
 
 
 def pick(probs, uniforms):
-    """Per row, ``qstate.Distribution.pick``'s rule for uniform u.
+    """Per row, the outcome uniform u picks, as a descent's threshold bisect picks it.
 
     The first k with ``u < cumsum(max(p, 0))[k]``, else the last k with p > 0.
     """

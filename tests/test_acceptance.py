@@ -26,6 +26,8 @@ from swapqkd.adversary import (
 from swapqkd.protocol import Procedure
 from swapqkd.qstate import GATES, RandomSource
 
+import oracle
+
 EXACT = 1e-10
 MC_REPETITIONS = 10_000
 
@@ -192,7 +194,7 @@ def test_acceptance_physics_properties(conv):
         """Sample an outcome of one state with the batch kernels; (outcome, collapsed, order)."""
         front, order = qstate.to_front(amps, order, pair)
         proj, probs = qstate.project_rows(front, basis)
-        outcome = qstate.Distribution(probs[0]).pick(sampler.uniform())
+        outcome = int(oracle.pick(probs[:1], np.array([sampler.uniform()]))[0])
         return outcome, qstate.collapse_rows(basis, proj, probs, np.array([outcome])), order
 
     rng = np.random.default_rng(2024)

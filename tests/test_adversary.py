@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from swapqkd import adversary, bell, cli, protocol
+from swapqkd import adversary, bell, cli, harness, protocol
 from swapqkd.adversary import (
     ATTACKS,
     CORRECTIONS_EXTENDED,
@@ -28,6 +28,7 @@ from swapqkd.adversary import (
     zlg_outcome_rows,
 )
 from swapqkd.bell import LABELS
+from swapqkd.harness import CurveConfig
 from swapqkd.protocol import (
     GateStep,
     MeasureStep,
@@ -199,10 +200,44 @@ def test_identity_pre_rotations_emit_no_gate(conv):
     assert [s.qubit for s in tailored.steps if isinstance(s, GateStep)] == [8]
 
 
+# The 16 exact reads the benchmark makes, (detection, information) as float.hex.  Summed
+# left to right, they keep these bits on every Python version; sum() of floats compensates
+# its rounding from Python 3.12 on, which moves the last bits of 6 of them on 3.12 and 3.13.
+EXACT_READS_HEX = {
+    ("zlg", "i"): ("0x0.0p+0", "0x1.ffffffffffff4p-1"),
+    ("zlg", "ii"): ("0x1.fffffffffffe8p-2", "0x0.0p+0"),
+    ("tailored", "i"): ("0x1.fffffffffffe8p-2", "0x0.0p+0"),
+    ("tailored", "ii"): ("0x0.0p+0", "0x1.fffffffffffefp-1"),
+    ("four-swap(I)", "i"): ("0x0.0p+0", "0x1.ffffffffffff4p-1"),
+    ("four-swap(I)", "ii"): ("0x1.ffffffffffff1p-2", "0x0.0p+0"),
+    ("four-swap(II)", "i"): ("0x1.ffffffffffff2p-2", "0x0.0p+0"),
+    ("four-swap(II)", "ii"): ("0x0.0p+0", "0x1.ffffffffffff2p-1"),
+}
+
+
+def test_exact_reads_keep_their_bits(conv):
+    attacks = {
+        "zlg": ("six", ZlgAttack(conv)),
+        "tailored": ("six", TailoredAttack(conv)),
+        "four-swap(I)": ("four", FourSwapAttack(conv, Procedure.P_I)),
+        "four-swap(II)": ("four", FourSwapAttack(conv, Procedure.P_II)),
+    }
+    got = {
+        (name, procedure.value): (
+            attack_detection_probability(conv, protocol_name, procedure, attack).hex(),
+            eve_information_probability(conv, protocol_name, procedure, attack).hex(),
+        )
+        for name, (protocol_name, attack) in attacks.items() for procedure in Procedure
+    }
+    assert got == EXACT_READS_HEX
+
+
 def test_zlg_leaf_contents(conv):
     attack = ZlgAttack(conv)
     model = protocol_driver(conv, "six").round_model(Procedure.P_I, attack)
-    leaf = RandomSource(8).descend(model.root)
+    # A run that only takes (i) walks to this model's leaves.
+    tree = harness._round_tree(CurveConfig("six", AttackStrategy("zlg"), 1.0))
+    leaf = RandomSource(8).descend(tree)
     eve, key = leaf.outcomes["eve"], leaf.outcomes["key"]
     assert dict(attack.corrections)[eve] == pauli_for_label(conv)[eve]
     assert model.posterior[eve, leaf.outcomes["public"]] == (key,)
@@ -356,7 +391,9 @@ def test_tailored_is_caught_under_p1(conv):
 def test_tailored_leaf_uses_extended_gate_names(conv):
     attack = TailoredAttack(conv)
     model = protocol_driver(conv, "six").round_model(Procedure.P_II, attack)
-    leaf = RandomSource(4).descend(model.root)
+    # A run that only takes (ii) walks to this model's leaves.
+    tree = harness._round_tree(CurveConfig("six", AttackStrategy("tailored"), 0.0))
+    leaf = RandomSource(4).descend(tree)
     eve, key = leaf.outcomes["eve"], leaf.outcomes["key"]
     assert dict(attack.corrections)[eve] in CORRECTIONS_EXTENDED
     assert model.posterior[eve, leaf.outcomes["public"]] == (key,)

@@ -121,7 +121,7 @@ def test_bell_measure_on_fresh_state_is_deterministic(conv):
     basis = conv.basis_matrix
     front, order = qstate.to_front(state[None], (1, 0), (0, 1))
     proj, probs = qstate.project_rows(front, basis)
-    k = qstate.Distribution(probs[0]).pick(RandomSource(0).uniform())
+    k = int(oracle.pick(probs[:1], np.array([RandomSource(0).uniform()]))[0])
     assert LABELS[k] == "01"
     collapsed = qstate.collapse_rows(basis, proj, probs, np.array([k]))
     collapsed, _ = qstate.to_front(collapsed, order, (1, 0))

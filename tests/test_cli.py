@@ -411,7 +411,7 @@ def test_coin_edge_stdout_matches_golden_digest(capsys, command):
 
 
 # A limit past int64: six/mixed's lanes all detect long before, and six/zlg at
-# procedure-prob 1 folds to one root Jump that draws nothing.
+# procedure-prob 1 folds to a root that ends every walk and draws nothing.
 HUGE_N_HEADER = ("n                      empirical  theoretical  ci_low    ci_high\n"
                  "---------------------  ---------  -----------  --------  --------\n")
 HUGE_N_STDOUT = {

@@ -192,8 +192,7 @@ def test_a_run_resolves_each_round_model_once(monkeypatch, run, protocol_name, k
     # round asks again, and the same run again reuses the tree the first one folded.
     # The driver is built first: its constructor reads the adversary-free models.
     protocol.protocol_driver(bell.convention(), protocol_name)
-    harness._folded_round_tree.cache_clear()
-    harness._compiled_round_tree.cache_clear()
+    harness._folded_tree.cache_clear()
     lookups = []
     resolve = protocol._ProtocolBase.round_model
 
@@ -252,9 +251,9 @@ LANE_REPS = (100, SEED_CHUNK + 76)  # one chunk of lanes, and two
 
 def scalar_detections(config, n, repetitions):
     """Whether each experiment of point ``n`` detects, walked one descent per round."""
-    root = harness._descent_root(config)
+    tree, _ = harness._folded_tree(config.protocol, config.attack, config.procedure_policy)
     sources = harness._round_sources([splitmix64(config.master_seed, n)], repetitions)
-    return [any(rng.descend(root).detected for _ in range(n)) for rng in sources]
+    return [any(rng.descend(tree).detected for _ in range(n)) for rng in sources]
 
 
 @pytest.mark.parametrize("seed", LANE_SEEDS, ids=["0", "top-bit", "all-ones", "random"])
@@ -290,7 +289,7 @@ def test_each_row_of_a_curve_is_that_point_run_alone(protocol_name, kind):
 @pytest.mark.parametrize("policy", LANE_POLICIES)
 def test_every_path_of_a_folded_tree_draws_the_same_uniforms(policy):
     for (protocol_name, kind), draws in LANE_DRAWS.items():
-        tree, detected = harness._compiled_round_tree(protocol_name, AttackStrategy(kind), policy)
+        tree, detected = harness._folded_tree(protocol_name, AttackStrategy(kind), policy)
         assert tree.draws == draws
         assert detected.tolist() == [leaf is not None and leaf.detected for leaf in tree.leaves]
 
@@ -303,7 +302,7 @@ def test_a_curve_whose_root_draws_nothing_finishes_at_once(capsys, protocol_name
     assert time.monotonic() - start < 1.0
     assert "1000000000  0.000000" in capsys.readouterr().out
     # A root that always detects: every experiment of a point with a round detects.
-    tree = qstate.compile_tree(qstate.Jump(protocol.Leaf({}, True, False), 3))
+    tree = qstate.compile_tree([None], [[]], [protocol.Leaf({}, True, False)], [3])
     for n, hits in ((0, 0), (1, 150), (10**12, 150)):
         assert harness._curve_hits(tree, np.array([True]), 7, [n], 150) == [hits]
 

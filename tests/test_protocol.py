@@ -1,13 +1,14 @@
 import dataclasses
 import hashlib
 import itertools
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from swapqkd import adversary, bell, protocol, qstate
-from swapqkd.adversary import FourSwapAttack, TailoredAttack, ZlgAttack
+from swapqkd import adversary, bell, harness, protocol, qstate
+from swapqkd.adversary import AttackStrategy, FourSwapAttack, TailoredAttack, ZlgAttack
 from swapqkd.bell import LABELS, derive_swap_table
 from swapqkd.protocol import (
     EXPECTED_TABLE1,
@@ -28,7 +29,7 @@ from swapqkd.protocol import (
     protocol_driver,
     reproduce_table1,
 )
-from swapqkd.qstate import GATES, Distribution, RandomSource
+from swapqkd.qstate import GATES, RandomSource
 
 import oracle
 
@@ -435,13 +436,16 @@ def test_table_mismatch_diff_is_row_level():
 # --- specific published rows ----------------------------------------------------
 
 
-def test_exact_reads_leave_the_outcome_tree_unbuilt(conv, monkeypatch):
+def test_exact_reads_build_no_harness_tree(conv, monkeypatch):
     # Tables, probabilities, posteriors and the attack search read only the
     # branches and their leaves, which are built with each model; the tree
-    # Monte Carlo samples is built on the first Monte Carlo read.
+    # Monte Carlo samples is built by harness, for Monte Carlo runs only.
     fresh = protocol._ProtocolBase(conv, "six")
-    monkeypatch.setattr(protocol, "protocol_driver", lambda _conv, _name: fresh)
-    monkeypatch.setattr(adversary, "protocol_driver", lambda _conv, _name: fresh)
+    for module in (protocol, adversary, harness):
+        monkeypatch.setattr(module, "protocol_driver", lambda _conv, _name: fresh)
+    round_tree, built = harness._round_tree, []
+    for name in ("_round_tree", "_folded_tree"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name: built.append(name))
     assert tuple(reproduce_table1(conv)) == EXPECTED_TABLE1
     assert tuple(adversary.reproduce_table2(conv)) == adversary.EXPECTED_TABLE2
     assert adversary.derive_tailored_attack(conv) == adversary.FROZEN_TAILORED_PARAMS
@@ -451,29 +455,16 @@ def test_exact_reads_leave_the_outcome_tree_unbuilt(conv, monkeypatch):
             adversary.eve_information_probability(conv, "six", procedure, attack)
     models = list(fresh._models.values())
     assert len(models) == 6
-    assert all("root" not in vars(model) for model in models)
+    assert built == []
+    # The tree of a run that only takes (ii) walks to the tailored model's own leaves,
+    # and is the same whenever it is built; building it resolves no other model.
+    config = harness.CurveConfig("six", AttackStrategy("tailored"), 0.0)
+    tree = round_tree(config)
+    leaf = RandomSource(0).descend(tree)
+    assert round_tree(config).rows == tree.rows
+    assert list(fresh._models.values()) == models
     model = fresh.round_model(Procedure.P_II, TailoredAttack(conv))
-    leaf = RandomSource(0).descend(model.root)
-    assert vars(model)["root"] is model.root
-    rebuilt = protocol._outcome_tree(model.branches, model.leaves)
-    assert _tree_form(model.root) == _tree_form(rebuilt)
-    assert sum("root" in vars(m) for m in models) == 1
-    assert any(leaf is built for built in model.leaves)
-
-
-def _tree_nodes(node):
-    """Every :class:`Distribution` of the tree under ``node``, parents first."""
-    if isinstance(node, Distribution):
-        yield node
-        for child in node.children[:-1]:  # the last slot repeats a live child
-            yield from _tree_nodes(child)
-
-
-def _tree_form(node):
-    """A tree as nested (probabilities, children) tuples, which compare by value."""
-    if not isinstance(node, Distribution):
-        return node
-    return tuple(node), tuple(map(_tree_form, node.children))
+    assert any(leaf is own for own in model.leaves)
 
 
 def _driver_configs(conv):
@@ -505,6 +496,14 @@ def test_leaves_match_a_per_branch_rebuild(conv):
     assert checked == 32 + 2 * 80 + 8 + 2 * 20
 
 
+def _left_to_right(masses) -> float:
+    """``0.0 + m_0 + m_1 + ...``, rounded after each addition, as before Python 3.12's ``sum()``."""
+    total = 0.0
+    for mass in masses:
+        total += mass
+    return total
+
+
 def test_exact_reads_equal_the_per_branch_sums():
     # The two exact functions sum each model's leaf facts.  On every driver
     # model of the 64 conventions they must equal, under ==, the sums of Bob's
@@ -515,10 +514,10 @@ def test_exact_reads_equal_the_per_branch_sums():
             driver = protocol_driver(conv, name)
             model = driver.round_model(procedure, attack)
             observe = driver.spec.eve_observation
-            detection = sum((prob for prob, out in model.branches
-                             if driver.infer(procedure, out) != out["key"]), 0.0)
-            information = sum((prob for prob, out in model.branches if attack is not None
-                               and model.posterior[observe(out)] == (out["key"],)), 0.0)
+            detection = _left_to_right(prob for prob, out in model.branches
+                                       if driver.infer(procedure, out) != out["key"])
+            information = _left_to_right(prob for prob, out in model.branches if attack is not None
+                                         and model.posterior[observe(out)] == (out["key"],))
             got = (adversary.attack_detection_probability(conv, name, procedure, attack),
                    adversary.eve_information_probability(conv, name, procedure, attack))
             assert got == (detection, information)
@@ -528,52 +527,65 @@ def test_exact_reads_equal_the_per_branch_sums():
     assert checked == 64 * 12
 
 
-def test_tree_thresholds_pick_as_the_inverse_cdf_loop(conv):
-    # Every node of the 12 driver round models: the bisect pick over the
-    # node's thresholds equals the old inverse-CDF loop, run lanewise over
-    # 10,000 uniforms that include each threshold and its float neighbours.
+def test_tree_thresholds_pick_as_the_inverse_cdf_loop(monkeypatch):
+    # Every row of the unfolded trees that hold the 12 driver round models: the
+    # slot the bisect over the row's thresholds picks leads to the row of the
+    # outcome the old inverse-CDF loop picks, run lanewise over 10,000 uniforms
+    # that include each threshold and its float neighbours.
+    compile_tree, compiled = harness.compile_tree, []
+    monkeypatch.setattr(harness, "compile_tree",
+                        lambda *rows: compiled.append(rows) or compile_tree(*rows))
     uniforms = np.random.default_rng(2024)
-    nodes = 0
-    for name, procedure, attack in _driver_configs(conv):
-        for dist in _tree_nodes(protocol_driver(conv, name).round_model(procedure, attack).root):
-            # A descent steps to the gap slot where pick falls back to last_live.
-            assert dist.children[len(dist)] is dist.children[dist.last_live]
+    nodes = coins = 0
+    for name, kind in (("six", "none"), ("six", "mixed"), ("four", "none"), ("four", "four-swap")):
+        thresholds, slots, _leaves, _levels = harness._round_tree(
+            harness.CurveConfig(name, AttackStrategy(kind))).rows
+        ((probabilities, children, _leaves, _levels),) = compiled
+        compiled.clear()
+        for i, probs in enumerate(probabilities):
+            if probs is None:
+                continue
+            last_live = max(k for k, p in enumerate(probs) if p > 0.0)
+            # A descent steps to the gap slot where the loop falls back to last_live.
+            assert slots[i][len(probs)] == children[i][last_live]
             edges = [0.0, 1.0 - 2**-53]
-            for t in dist.thresholds:
+            for t in thresholds[i][:len(probs)]:
                 edges += [t, np.nextafter(t, 0.0), np.nextafter(t, 1.0)]
             us = np.concatenate([edges, uniforms.random(10_000 - len(edges))])
             want = np.full(len(us), -1)
-            acc, last_live = 0.0, 0
-            for k, p in enumerate(dist):
-                if p > 0.0:
-                    last_live = k
+            acc = 0.0
+            for k, p in enumerate(probs):
                 acc += max(float(p), 0.0)
                 want[(want < 0) & (us < acc)] = k
             want[want < 0] = last_live
-            assert list(map(dist.pick, us.tolist())) == want.tolist()
-            nodes += 1
-    assert nodes == 276
+            got = [slots[i][bisect_right(thresholds[i], u)] for u in us.tolist()]
+            assert got == [children[i][k] for k in want.tolist()]
+            nodes += len(probs) == 4
+            coins += len(probs) == 2
+    assert (nodes, coins) == (276, 8)
 
 
 def test_callers_never_change_a_shared_leaf(conv):
     driver, attack = protocol_driver(conv, "six"), ZlgAttack(conv)
     model = driver.round_model(Procedure.P_II, attack)
+    config = harness.CurveConfig("six", AttackStrategy("zlg"), 0.0)  # every round takes (ii)
+    tree = harness._round_tree(config)
     # Two seeds whose rounds reach the same leaf, one where Bob infers the wrong key.
     seeds_by_leaf = {}
     for seed in itertools.count():
-        leaf = RandomSource(seed).descend(model.root)
+        leaf = RandomSource(seed).descend(tree)
         seeds = seeds_by_leaf.setdefault(id(leaf), [])
         seeds.append(seed)
         if len(seeds) == 2 and leaf.detected:
             break
     first_seed, second_seed = seeds
-    first = RandomSource(first_seed).descend(model.root)
+    first = RandomSource(first_seed).descend(tree)
     assert first is leaf and any(first is built for built in model.leaves)
     with pytest.raises(dataclasses.FrozenInstanceError):
         first.detected = False
     with pytest.raises(TypeError):
         first.outcomes["key"] = first.outcomes["secret"]
-    second = RandomSource(second_seed).descend(driver.round_model(Procedure.P_II, attack).root)
+    second = RandomSource(second_seed).descend(harness._round_tree(config))
     assert second is first and second.detected
 
 
@@ -588,10 +600,15 @@ def test_leaves_follow_the_announced_outcome(conv, monkeypatch):
     monkeypatch.setitem(PROTOCOLS, "renamed", renamed)
     monkeypatch.setitem(PROTOCOLS, "silent", replace(six, announced=()))
     drivers = {name: protocol._ProtocolBase(conv, name) for name in ("six", "renamed", "silent")}
+    trees = {}  # (driver name, procedure) -> the tree of a run on that driver that only takes it
+    for name, d in drivers.items():
+        monkeypatch.setattr(harness, "protocol_driver", lambda _conv, _name, d=d: d)
+        for procedure, policy in zip(Procedure, (1.0, 0.0)):
+            config = harness.CurveConfig("six", AttackStrategy("none"), policy)
+            trees[name, procedure] = harness._round_tree(config)
     for seed in range(50):
         procedure = Procedure.P_I if seed % 2 else Procedure.P_II
-        rounds = {name: RandomSource(seed).descend(d.round_model(procedure).root)
-                  for name, d in drivers.items()}
+        rounds = {name: RandomSource(seed).descend(trees[name, procedure]) for name in drivers}
         six = rounds["six"]
         assert six.outcomes["public"] in LABELS
         renamed = {("broadcast" if name == "public" else name): label
@@ -686,8 +703,9 @@ def test_honest_leaves_are_undetected_and_uninformed(driver):
 
 
 def test_round_functions_are_deterministic(conv):
-    a = RandomSource(42).descend(protocol_driver(conv, "six").round_model(Procedure.P_II).root)
-    b = RandomSource(42).descend(protocol_driver(conv, "six").round_model(Procedure.P_II).root)
+    config = harness.CurveConfig("six", AttackStrategy("none"), 0.0)
+    a = RandomSource(42).descend(harness._round_tree(config))
+    b = RandomSource(42).descend(harness._round_tree(config))
     assert a == b
 
 
@@ -708,13 +726,13 @@ class _BadAttack:
 def test_attack_may_not_touch_protected_qubits(conv):
     bad = _BadAttack(TransitPlan(steps=(GateStep(1, GATES["X"]),)))
     with pytest.raises(MalformedAdversaryError):
-        protocol_driver(conv, "six").round_model(Procedure.P_I, bad).root
+        protocol_driver(conv, "six").round_model(Procedure.P_I, bad)
 
 
 def test_attack_ancillas_must_extend_register(conv):
     bad = _BadAttack(TransitPlan(ancilla_pairs=((9, 10),)))
     with pytest.raises(MalformedAdversaryError):
-        protocol_driver(conv, "six").round_model(Procedure.P_I, bad).root
+        protocol_driver(conv, "six").round_model(Procedure.P_I, bad)
 
 
 @pytest.mark.parametrize("name", list(PROTOCOLS))
@@ -726,14 +744,14 @@ def test_attack_may_not_reuse_reserved_names(conv, name):
     for reserved in sorted(protocol.RESERVED_NAMES):
         bad = _BadAttack(TransitPlan(steps=(MeasureStep(reserved, pair),)), name)
         with pytest.raises(MalformedAdversaryError, match="reserved measurement name"):
-            protocol_driver(conv, name).round_model(Procedure.P_I, bad).root
+            protocol_driver(conv, name).round_model(Procedure.P_I, bad)
     build_plan(PROTOCOLS[name], Procedure.P_I, TransitPlan(steps=(MeasureStep("eve", pair),)))
 
 
 def test_attack_may_not_forward_same_qubit_twice(conv):
     bad = _BadAttack(TransitPlan(forward=((6, 2), (2, 2))))
     with pytest.raises(MalformedAdversaryError):
-        protocol_driver(conv, "six").round_model(Procedure.P_I, bad).root
+        protocol_driver(conv, "six").round_model(Procedure.P_I, bad)
 
 
 @pytest.mark.parametrize(

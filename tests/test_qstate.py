@@ -1,3 +1,7 @@
+from bisect import bisect_right
+from itertools import accumulate
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
@@ -95,7 +99,7 @@ def project(amps: np.ndarray, basis: np.ndarray, pair):
 def measure(amps: np.ndarray, basis: np.ndarray, pair, rng: RandomSource):
     """One sampled measurement of a single state through the batch kernels."""
     proj, probs, order = project(amps[None], basis, pair)
-    k = qstate.Distribution(probs[0]).pick(rng.uniform())
+    k = int(oracle.pick(probs[:1], np.array([rng.uniform()]))[0])
     return k, flat(collapse_rows(basis, proj, probs, np.array([k])), order)[0]
 
 
@@ -505,12 +509,56 @@ def test_random_source_masks_to_64_bits():
     assert RandomSource(2**64 + 5).seed == 5
 
 
-def test_distribution_pick_boundaries():
+class Node(NamedTuple):
+    """A drawing row of a tree written out for :func:`compile_nested`."""
+
+    probabilities: tuple
+    children: list
+
+
+class End(NamedTuple):
+    """A row that ends a walk at ``leaf`` after ``levels`` more uniforms."""
+
+    leaf: object
+    levels: int
+
+
+def compile_nested(root) -> qstate.CompiledTree:
+    """:func:`qstate.compile_tree` of a tree written out as :class:`Node` and :class:`End`
+    descriptions, rows in pre-order; any other node is a leaf."""
+    probabilities, children, leaves, levels = [], [], [], []
+
+    def visit(node) -> int:
+        i, drawing = len(leaves), isinstance(node, Node)
+        end = node if isinstance(node, End) else End(node, 0)
+        probabilities.append(node.probabilities if drawing else None)
+        children.append([])
+        leaves.append(None if drawing else end.leaf)
+        levels.append(0 if drawing else end.levels)
+        if drawing:
+            children[i] = [visit(child) for child in node.children]
+        return i
+
+    visit(root)
+    return qstate.compile_tree(probabilities, children, leaves, levels)
+
+
+def pick(probs, u: float) -> int:
+    """The outcome a one-row tree over ``probs`` steps to for uniform ``u``: the lanes' walk
+    and the bisect over the row's thresholds that ``RandomSource.descend`` takes agree on it."""
+    tree = compile_nested(Node(probs, list(range(len(probs)))))
+    outcome = tree.leaves[int(tree.descend(np.array([[u]]))[0])]
+    thresholds, children, leaves, _levels = tree.rows
+    assert leaves[children[0][bisect_right(thresholds[0], u)]] == outcome
+    return outcome
+
+
+def test_row_pick_boundaries():
     probs = np.array([0.25, 0.25, 0.25, 0.25])
-    assert qstate.Distribution(probs).pick(0.0) == 0
-    assert qstate.Distribution(probs).pick(0.999999) == 3
+    assert pick(probs, 0.0) == 0
+    assert pick(probs, 0.999999) == 3
     # rounding gap above the last bucket falls back to the last live outcome
-    assert qstate.Distribution(np.array([1.0, 0.0, 0.0, 0.0])).pick(0.9999999999) == 0
+    assert pick(np.array([1.0, 0.0, 0.0, 0.0]), 0.9999999999) == 0
 
 
 # --- the stream is numpy's PCG64 ---------------------------------------------
@@ -568,31 +616,29 @@ DESCENT_LEVELS = (
 
 
 def pick_tree(levels, prefix=()):
-    """A full tree over ``levels`` whose leaf is the path of picks that reaches it."""
+    """A full tree over ``levels``, written out, whose leaf is the path of picks that reaches it."""
     if len(prefix) == len(levels):
         return prefix
     probs = levels[len(prefix)]
-    return qstate.Distribution(probs, [pick_tree(levels, prefix + (k,)) for k in range(len(probs))])
+    return Node(probs, [pick_tree(levels, prefix + (k,)) for k in range(len(probs))])
 
 
 @pytest.mark.parametrize("depth", range(1, len(DESCENT_LEVELS) + 1))
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_descent_consumes_the_stream_as_uniform_does(seed, depth):
     levels = DESCENT_LEVELS[:depth]
-    root, stream = pick_tree(levels), numpy_stream(seed)
+    tree, stream = compile_nested(pick_tree(levels)), numpy_stream(seed)
     rng, twin = RandomSource(seed), RandomSource(seed)
     used = 0
     while used + depth < DRAWS:
-        # One uniform per level, picked as Distribution.pick picks it.
-        assert rng.descend(root) == tuple(
-            qstate.Distribution(probs).pick(twin.uniform()) for probs in levels
-        )
+        # One uniform per level, picked as a one-row tree picks it.
+        assert rng.descend(tree) == tuple(pick(probs, twin.uniform()) for probs in levels)
         used += depth
         assert rng.uniform() == twin.uniform() == stream[used]
         used += 1
 
 
-# A Jump's seeds: both ends of the range, the top bit alone, and three drawn at random.
+# A jump's seeds: both ends of the range, the top bit alone, and three drawn at random.
 JUMP_SEEDS = (0, 2**63, 2**64 - 1, 0xE848F808F54D35BF, 0x3E1C26D323EF323E, 0x9CF342CA060BB525)
 
 
@@ -601,8 +647,8 @@ JUMP_SEEDS = (0, 2**63, 2**64 - 1, 0xE848F808F54D35BF, 0x3E1C26D323EF323E, 0x9CF
 def test_a_jump_steps_the_stream_as_its_levels_of_uniforms_do(seed, levels):
     leaf = object()
     rng, twin = RandomSource(seed), RandomSource(seed)
-    # A Jump as the root of a descent: no node draws, the jump alone moves the stream.
-    assert rng.descend(qstate.Jump(leaf, levels)) is leaf
+    # A root that ends every walk: no row draws, the jump alone moves the stream.
+    assert rng.descend(compile_nested(End(leaf, levels))) is leaf
     draws(twin, levels)
     assert rng._state == twin._state
     assert draws(rng, 3) == draws(twin, 3) == numpy_stream(seed)[levels:levels + 3]
@@ -611,12 +657,12 @@ def test_a_jump_steps_the_stream_as_its_levels_of_uniforms_do(seed, levels):
 @pytest.mark.parametrize("levels", range(9))
 @pytest.mark.parametrize("seed", JUMP_SEEDS)
 def test_a_jump_below_a_node_ends_the_descent_where_the_walk_would(seed, levels):
-    # The folded shape: a coin draws, then the Jump in its slot stands for the rest.
+    # The folded shape: a coin draws, then the row in its slot ends the walk for the rest.
     leaves = ("first", "second")
-    coin = qstate.Distribution((0.3, 0.7), [qstate.Jump(leaf, levels) for leaf in leaves])
+    coin = compile_nested(Node((0.3, 0.7), [End(leaf, levels) for leaf in leaves]))
     rng, twin = RandomSource(seed), RandomSource(seed)
     for _ in range(20):
-        assert rng.descend(coin) == leaves[coin.pick(twin.uniform())]
+        assert rng.descend(coin) == leaves[pick((0.3, 0.7), twin.uniform())]
         draws(twin, levels)
         assert rng.uniform() == twin.uniform()
 
@@ -658,10 +704,10 @@ def loop_pick(probabilities, u: float) -> int:
     ],
 )
 def test_threshold_pick_matches_the_loop_at_the_edges(probs, u, want):
-    dist = qstate.Distribution(probs)
-    assert dist == probs
-    assert dist.pick(u) == loop_pick(probs, u) == want
-    assert qstate.Distribution(np.array(probs)).pick(u) == want
+    tree = compile_nested(Node(probs, list(range(len(probs)))))
+    assert tree.thresholds[0].tolist() == list(accumulate(max(p, 0.0) for p in probs))
+    assert pick(probs, u) == loop_pick(probs, u) == want
+    assert pick(np.array(probs), u) == want
 
 
 # --- lanes --------------------------------------------------------------------
@@ -693,13 +739,13 @@ def test_lanes_of_a_chunk_equal_random_sources():
 def assert_lanes_walk_as_descend(root, rounds=40):
     """Lanes seeded with STREAM_SEEDS walk ``rounds`` rounds of ``root``'s compiled tree
     from one grid and end at the leaves ``RandomSource.descend`` reaches, round by round."""
-    tree = qstate.compile_tree(root)
+    tree = compile_nested(root)
     seeds = [seed % 2**64 for seed in STREAM_SEEDS]
     grid = qstate.RandomLanes(np.array(seeds, dtype=np.uint64)).uniforms(rounds * tree.draws)
     ends = tree.descend(grid.reshape(len(seeds), rounds, tree.draws))
     for seed, row in zip(seeds, ends):
         rng = RandomSource(seed)
-        assert [tree.leaves[node] for node in row] == [rng.descend(root) for _ in range(rounds)]
+        assert [tree.leaves[node] for node in row] == [rng.descend(tree) for _ in range(rounds)]
     return tree
 
 
@@ -712,24 +758,27 @@ def test_lane_walks_reach_the_leaves_descend_reaches(depth):
 
 @pytest.mark.parametrize("levels", [1, 4])
 def test_a_compiled_jump_absorbs_its_levels(levels):
-    # The folded shape: a coin, then a Jump in one slot and as many levels of walk in the other.
-    root = qstate.Distribution((0.3, 0.7),
-                               [qstate.Jump("jumped", levels), pick_tree(DESCENT_LEVELS[:levels])])
+    # The folded shape: a coin, then a row that ends the walk after as many levels as the
+    # walk in the other slot takes.
+    root = Node((0.3, 0.7), [End("jumped", levels), pick_tree(DESCENT_LEVELS[:levels])])
     assert assert_lanes_walk_as_descend(root).draws == levels + 1
-    # A Jump as the root draws nothing itself; its leaf is the tree's one end.
-    tree = qstate.compile_tree(qstate.Jump("all", levels))
+    # A root that ends every walk draws nothing itself; its leaf is the tree's one end.
+    tree = compile_nested(End("all", levels))
     assert (tree.draws, tree.leaves) == (levels, ("all",))
 
 
 def test_compiling_refuses_paths_of_unequal_draws():
-    # A leaf after one draw beside one after two; a Jump a level short of its sibling.
+    # A leaf after one draw beside one after two; a jump a level short of its sibling.
     for root in (
-        qstate.Distribution((0.5, 0.5), ["shallow", qstate.Distribution((1.0,), ["deep"])]),
-        qstate.Distribution((0.5, 0.5), [qstate.Jump("short", 1), pick_tree(DESCENT_LEVELS[:2])]),
+        Node((0.5, 0.5), ["shallow", Node((1.0,), ["deep"])]),
+        Node((0.5, 0.5), [End("short", 1), pick_tree(DESCENT_LEVELS[:2])]),
     ):
         with pytest.raises(ValueError, match="uniforms"):
-            qstate.compile_tree(root)
-    # No uniform picks an outcome of probability 0, so its subtree's depth does not count.
-    dead = qstate.Distribution((1.0,), ["dead"])
-    tree = qstate.compile_tree(qstate.Distribution((0.5, 0.0, 0.5), ["left", dead, "right"]))
-    assert tree.draws == 1 and "dead" not in tree.leaves
+            compile_nested(root)
+    # No uniform picks an outcome of probability 0, so its subtree's depth does not count,
+    # and no slot leads to it.
+    tree = compile_nested(Node((0.5, 0.0, 0.5), ["left", Node((1.0,), ["dead"]), "right"]))
+    assert tree.draws == 1 and "dead" not in [tree.leaves[row] for row in tree.children[0]]
+    # Rows are listed each before its children, so a pass in reverse sees children first.
+    with pytest.raises(ValueError, match="listed before"):
+        qstate.compile_tree([(1.0,), None], [[0], []], [None, "leaf"], [0, 0])

@@ -1,26 +1,28 @@
 """The branch-tree sampler against an independent statevector.
 
-A Monte Carlo round descends one tree: the attack and procedure coins, then
-the conditional-probability nodes built from a driver's exact branches.
-These tests pin those nodes to the branch masses and check, round by round,
-that a descent draws the same outcomes from the same uniforms as the
-lockstep statevector sampler of ``tests/oracle.py``, which shares no code
-with the engine's kernels.  The folded tree Monte Carlo descends must read the
-same facts as the full tree, from the same stretch of the stream.
+A Monte Carlo round descends one compiled tree: the attack and procedure
+coins, then the conditional-probability rows built from a driver's exact
+branches.  These tests pin those rows to the branch masses and check, round by
+round, that a descent draws the same outcomes from the same uniforms as the
+lockstep statevector sampler of ``tests/oracle.py``, which shares no code with
+the engine's kernels.  The folded tree Monte Carlo descends must read the same
+facts as the full tree, from the same stretch of the stream.
 """
 
 import ast
+import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from swapqkd import harness
-from swapqkd.adversary import AttackStrategy, FourSwapAttack, TailoredAttack, ZlgAttack
+from swapqkd import harness, qstate
+from swapqkd.adversary import AttackStrategy, ZlgAttack
 from swapqkd.bell import LABELS
 from swapqkd.harness import splitmix64
 from swapqkd.protocol import Leaf, MeasureStep, Procedure, protocol_driver
-from swapqkd.qstate import Distribution, Jump, RandomSource
+from swapqkd.qstate import RandomSource
 
 import oracle
 
@@ -44,7 +46,7 @@ ROUNDS_PER_POLICY = {0.5: 10_000, 0.0: 4_000, 1.0: 4_000}
 def test_tree_sampler_matches_statevector_draw_for_draw(conv, protocol_name, kind, policy):
     driver = protocol_driver(conv, protocol_name)
     config = harness.CurveConfig(protocol_name, AttackStrategy(kind), policy)
-    root = harness._round_tree(config)
+    tree = harness._round_tree(config)
     mixture = AttackStrategy(kind).mixture(conv)
     # Each leaf -> the procedure of the round model that owns it.
     procedure_of = {
@@ -58,7 +60,7 @@ def test_tree_sampler_matches_statevector_draw_for_draw(conv, protocol_name, kin
     for i in range(rounds_per_config):
         seed = splitmix64(2024, i)
         rng, ref_rng = RandomSource(seed), RandomSource(seed)
-        leaf = rng.descend(root)
+        leaf = rng.descend(tree)
         out = leaf.outcomes
         got.append((procedure_of[id(leaf)], out["key"], out.get("public"), out["secret"],
                     out.get("eve"), rng.uniform()))
@@ -100,12 +102,74 @@ def test_the_folded_tree_reads_the_full_trees_facts_from_the_same_draws(
         assert rng.uniform() == twin.uniform()
 
 
+# SHA-256 of each folded round tree's _canonical_form, captured from the linked-node trees
+# that the compiled arrays replaced.  A draw-for-draw test only sees a change that flips a
+# pick; this sees one ulp of a threshold, a slot's row, a level or a fact.
+FOLDED_TREE_SHA256 = {
+    ("six", "none", 0.0): "29a536851d6b63478ab7fbde55b61cae1ef6caea781ecfc13956d5b8e827f764",
+    ("six", "none", 0.3): "29a536851d6b63478ab7fbde55b61cae1ef6caea781ecfc13956d5b8e827f764",
+    ("six", "none", 0.5): "29a536851d6b63478ab7fbde55b61cae1ef6caea781ecfc13956d5b8e827f764",
+    ("six", "none", 1.0): "29a536851d6b63478ab7fbde55b61cae1ef6caea781ecfc13956d5b8e827f764",
+    ("six", "zlg", 0.0): "46f0eb0f7e0941516137231afb07b7023ff5c6386ffa3407d84bae8bdf35ad4a",
+    ("six", "zlg", 0.3): "b81d9c637f2641da81c5b745ef41ae130daaf8b112e783d4bd3e730afad806f6",
+    ("six", "zlg", 0.5): "5a81249b63579dece16946bdd55804304713ffd7b0a76e08dc5bfc0ce64703db",
+    ("six", "zlg", 1.0): "e91e762649f0ed6fe8a41fa1c50f9bf8a87cbed9746ce805fe5b24ca01c3e38e",
+    ("six", "tailored", 0.0): "e91e762649f0ed6fe8a41fa1c50f9bf8a87cbed9746ce805fe5b24ca01c3e38e",
+    ("six", "tailored", 0.3): "06a2f56253d73532282d38fca821b5d69de02c8af04da53b91d4727655f5a058",
+    ("six", "tailored", 0.5): "55f35fb033a663502e859c3f3a1198549632c83d699f694d32669cb3ab72d755",
+    ("six", "tailored", 1.0): "caf1aa2c778d6e80030e856b5e3d7700780cfbf7cac6c45b0a58d260917623d7",
+    ("six", "mixed", 0.0): "f781d6c4914b941ed88e5dd2184c2b040550b385e7f2ccf04ef79670a0a4191e",
+    ("six", "mixed", 0.3): "1b0f0303ce198a8790d665be50719d732e928e0965a1051758e6aed1a4ac774e",
+    ("six", "mixed", 0.5): "31b598301d836061eb99ec3ea7489e78df5a85c8fa7b511b97ca1de79eb14136",
+    ("six", "mixed", 1.0): "c812768d1fab40ef8eb1bfc5708e428aef9a7371acf43b1ae334a8a5fd1b543d",
+    ("four", "none", 0.0): "78ca9093bdcaca663d2a445aa8a7267b2f55b75a08bf02f43596aafe3309126e",
+    ("four", "none", 0.3): "78ca9093bdcaca663d2a445aa8a7267b2f55b75a08bf02f43596aafe3309126e",
+    ("four", "none", 0.5): "78ca9093bdcaca663d2a445aa8a7267b2f55b75a08bf02f43596aafe3309126e",
+    ("four", "none", 1.0): "78ca9093bdcaca663d2a445aa8a7267b2f55b75a08bf02f43596aafe3309126e",
+    ("four", "four-swap", 0.0): "498fa94bc419b6777892a23ffefbad29265172a854ebc63dd93f169e4b84bd10",
+    ("four", "four-swap", 0.3): "e5003cfd2720dab27e8408df8094074bd3927bba98a3841af27a3b4b4117f05d",
+    ("four", "four-swap", 0.5): "04640d95b11f61a5a83d81bde8bda8c65fbba5bdfba7418df5a754c6b4e33f00",
+    ("four", "four-swap", 1.0): "00b182a0c58d616860aca0d0c6be15e95924bb139c77d6fca1022854731b126b",
+}
+
+
+def _canonical_form(tree) -> str:
+    """The rows a walk from the root can reach, in pre-order and numbered in that order: a
+    drawing row as ``draw``, its thresholds as float.hex and each slot's row number, the gap
+    slot included; a row that ends a walk as ``end``, its levels and its leaf's two facts."""
+    thresholds, children, leaves, levels = tree.rows
+    number, lines = {}, []
+
+    def visit(row):
+        if row not in number:
+            number[row] = n = len(lines)
+            lines.append(None)
+            if leaves[row] is None:
+                finite = [t for t in thresholds[row] if t != math.inf]
+                slots = [visit(child) for child in children[row][:len(finite) + 1]]
+                lines[n] = f"draw {','.join(map(float.hex, finite))} {','.join(map(str, slots))}"
+            else:
+                lines[n] = f"end {levels[row]} {leaves[row].detected} {leaves[row].informed}"
+        return number[row]
+
+    visit(0)
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("protocol_name,kind,policy", list(FOLDED_TREE_SHA256), ids=[
+    f"{name}-{kind}-q{policy}" for name, kind, policy in FOLDED_TREE_SHA256])
+def test_folded_trees_are_pinned_bit_for_bit(protocol_name, kind, policy):
+    tree, _ = harness._folded_tree(protocol_name, AttackStrategy(kind), policy)
+    digest = hashlib.sha256(_canonical_form(tree).encode()).hexdigest()
+    assert digest == FOLDED_TREE_SHA256[protocol_name, kind, policy]
+
+
 def test_a_round_without_an_attack_folds_to_one_jump():
     # Every six-qubit round without Eve reads (False, False) after the coin and the
-    # three measurements, so no round walks a level.
-    root = harness._descent_root(harness.CurveConfig("six", AttackStrategy("none")))
-    assert root.__class__ is Jump and root.levels == 4
-    assert (root.leaf.detected, root.leaf.informed) == (False, False)
+    # three measurements, so the root ends every walk and no round walks a level.
+    tree, _ = harness._folded_tree("six", AttackStrategy("none"), 0.5)
+    assert tree.leaves[0] is not None and tree.levels[0] == 4
+    assert (tree.leaves[0].detected, tree.leaves[0].informed) == (False, False)
 
 
 def _leaf(detected: bool, informed: bool = False) -> Leaf:
@@ -114,24 +178,32 @@ def _leaf(detected: bool, informed: bool = False) -> Leaf:
 
 def test_equal_facts_at_unequal_depths_do_not_fold():
     # Both paths end undetected, one a level deeper: a jump would misplace the stream.
+    # compile_tree refuses such a tree, so its rows are written as arrays: row 0 draws
+    # into the shallow leaf (row 1) and row 2, which draws into the deep leaf (row 3).
     shallow, deep = _leaf(False), _leaf(False)
-    root = Distribution((0.5, 0.5), [shallow, Distribution((1.0,), [deep])])
-    folded = harness._fold(root)
-    assert folded.__class__ is Distribution and folded.children[0] is shallow
-    inner = folded.children[1]
-    assert inner.__class__ is Jump and (inner.leaf, inner.levels) == (deep, 1)
+    tree = qstate.CompiledTree(
+        np.array([[0.5, 1.0], [np.inf, np.inf], [1.0, np.inf], [np.inf, np.inf]]),
+        np.array([[1, 2, 2], [1, 1, 1], [3, 3, 3], [3, 3, 3]]),
+        (None, shallow, None, deep), (0, 0, 0, 0), 2)
+    folded = harness._fold(tree)
+    assert folded.leaves[0] is None and folded.leaves[folded.children[0, 0]] is shallow
+    inner = folded.children[0, 1]
+    assert (folded.leaves[inner], folded.levels[inner]) == (deep, 1)
 
 
 def test_an_unreachable_child_does_not_block_a_fold():
-    # Outcome 1 has probability 0, so its other facts cannot be reached.
+    # Outcome 1 of row 1 has probability 0, so its other facts cannot be reached.
     kept, dead = _leaf(True, True), _leaf(False)
-    root = Distribution((0.5, 0.0, 0.5), [kept, dead, _leaf(True, True)])
-    folded = harness._fold(Distribution((0.25, 0.75), [root, root]))
-    assert folded.__class__ is Jump and (folded.leaf, folded.levels) == (kept, 2)
+    tree = qstate.compile_tree([(0.25, 0.75), (0.5, 0.0, 0.5), None, None, None],
+                               [[1, 1], [2, 3, 4], [], [], []],
+                               [None, None, kept, dead, _leaf(True, True)], [0] * 5)
+    folded = harness._fold(tree)
+    assert (folded.leaves[0], folded.levels[0]) == (kept, 2)
     # A live child with other facts does block it, whichever of the two facts differs.
     for other in (_leaf(False, True), _leaf(True, False)):
-        mixed = Distribution((0.5, 0.1, 0.4), [kept, other, _leaf(True, True)])
-        assert harness._fold(mixed).__class__ is Distribution
+        mixed = qstate.compile_tree([(0.5, 0.1, 0.4), None, None, None], [[1, 2, 3], [], [], []],
+                                    [None, kept, other, _leaf(True, True)], [0] * 4)
+        assert harness._fold(mixed).leaves[0] is None
 
 
 def test_oracle_shares_no_code_with_the_kernels():
@@ -153,36 +225,41 @@ def test_oracle_shares_no_code_with_the_kernels():
     assert not named & {"qstate", "gate_rows", "project_rows", "collapse_rows", "prepare_pairs"}
 
 
-def _round_configs(conv):
-    for protocol_name, attacks in (
-        ("six", (None, ZlgAttack(conv), TailoredAttack(conv))),
-        ("four", (None,) + tuple(FourSwapAttack(conv, guess) for guess in Procedure)),
-    ):
-        for attack in attacks:
-            for procedure in Procedure:
-                yield protocol_driver(conv, protocol_name), procedure, attack
+def _model_roots(conv):
+    """(driver, procedure, attack, the root row of that round model) over the unfolded trees
+    of every config, which hold all 12 driver round models."""
+    for protocol_name, kind in (("six", "none"), ("six", "mixed"), ("four", "none"),
+                                ("four", "four-swap")):
+        driver = protocol_driver(conv, protocol_name)
+        tree = harness._round_tree(harness.CurveConfig(protocol_name, AttackStrategy(kind)))
+        mixture = AttackStrategy(kind).mixture(conv)
+        for a, (_weight, attack) in enumerate(mixture):
+            coin = tree.rows[1][0][a] if len(mixture) == 2 else 0
+            for p, procedure in enumerate(Procedure):
+                yield driver, procedure, attack, tree, tree.rows[1][coin][p]
 
 
 def test_tree_path_products_equal_branch_masses(conv):
     checked = 0
-    for driver, procedure, attack in _round_configs(conv):
+    for driver, procedure, attack, tree, root in _model_roots(conv):
+        thresholds, children, leaves, _levels = tree.rows
         model = driver.round_model(procedure, attack)
         measured = [step.name for step in model.plan.steps if isinstance(step, MeasureStep)]
         for (mass, outcomes), leaf in zip(model.branches, model.leaves, strict=True):
-            node, prefix, product = model.root, (), 1.0
+            node, prefix, product = root, (), 1.0
             for name, label in outcomes.items():
-                # The node at depth j draws the plan's j-th measurement; every node
+                # The row at depth j draws the plan's j-th measurement; every row
                 # is on some branch's path.
-                assert isinstance(node, Distribution) and measured[len(prefix)] == name
-                assert abs(sum(node) - 1.0) <= 1e-12
+                assert leaves[node] is None and measured[len(prefix)] == name
+                assert abs(thresholds[node][-1] - 1.0) <= 1e-12
                 k = LABELS.index(label)
-                product *= node[k]
-                node = node.children[k]
+                product *= thresholds[node][k] - (thresholds[node][k - 1] if k else 0.0)
+                node = children[node][k]
                 prefix += (k,)
-            assert node is leaf
+            assert leaves[node] is leaf
             assert abs(product - mass) <= 1e-12
             checked += 1
-    assert checked > 0
+    assert checked == 32 + 2 * 80 + 8 + 2 * 20
 
 
 def test_enumeration_is_shared_across_attack_instances(conv):
