@@ -131,7 +131,12 @@ def _cmd_detection_curve(args) -> int:
         procedure_policy=args.procedure_prob,
         master_seed=args.seed,
     )
-    n_values = [int(x) for x in args.n.split(",") if x != ""]
+    n_values = []
+    for entry in filter(None, args.n.split(",")):
+        try:
+            n_values.append(int(entry))
+        except ValueError:
+            raise ValueError(f"--n takes comma-separated integers, not {entry!r}") from None
     points = harness.detection_curve(config, n_values, args.reps)
     if args.format == "json":
         sys.stdout.write(_json_doc([dataclasses.asdict(pt) for pt in points]))

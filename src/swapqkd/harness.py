@@ -16,10 +16,10 @@ uniform per level, so the stream is consumed in the tree's level order: the
 attack-selection coin (only for strategies that need one), Alice's procedure coin,
 the round's measurement rows in protocol order.  A simulated round then draws the
 key-comparison coin, compared when that uniform is below the test fraction.  Monte
-Carlo reads only a leaf's two facts, ``detected`` and ``informed``, so the tree is
-folded on its arrays: a row whose reachable leaves share both facts and one depth
-ends every walk through it with one LCG jump over its levels, and the stream is
-consumed exactly as before.
+Carlo reads only a leaf's two facts, ``detected`` and ``informed``, so
+``qstate.compile_tree`` folds the tree on them as it builds it: a row whose reachable
+leaves share both facts ends every walk through it with one LCG jump over its levels,
+and the stream is consumed exactly as before.
 
 A simulated run walks that tree one ``RandomSource.descend`` per round.  A detection
 curve walks the same rows as numpy lanes, one per experiment of every point, seeded
@@ -43,6 +43,7 @@ compared bits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -145,7 +146,7 @@ def _binomial_ci(successes: int, trials: int) -> tuple[float, float]:
     return (max(0.0, p - half), min(1.0, p + half))
 
 
-def _round_tree(config: CurveConfig) -> CompiledTree:
+def _round_tree(config: CurveConfig, fold=None) -> CompiledTree:
     """One round of ``config`` as a :class:`qstate.CompiledTree`, each row before its children.
 
     Its levels are the attack coin (two-attack mixtures only), the procedure coin over
@@ -154,7 +155,8 @@ def _round_tree(config: CurveConfig) -> CompiledTree:
     before its children because the branches come depth first.  A prefix's row draws outcome k
     with probability ``mass(prefix + k) / mass(prefix)``, both masses summed left to right in
     branch order, and a whole path's row ends at its branch's leaf.  Every round model is
-    resolved here, once.
+    resolved here, once.  ``fold`` is passed to :func:`qstate.compile_tree` as its fold key;
+    without one the tree keeps every row.
     """
     driver = protocol_driver(bell.convention(), config.protocol)
     probabilities: list = []
@@ -193,39 +195,16 @@ def _round_tree(config: CurveConfig) -> CompiledTree:
         children[coins[-1]] = [branch_rows(driver.round_model(p, attack)) for p in Procedure]
     if len(coins) == 2:
         children[0] = coins
-    return compile_tree(probabilities, children, leaves, [0] * len(leaves))
-
-
-def _fold(tree: CompiledTree) -> CompiledTree:
-    """``tree`` with every row whose reachable leaves share ``(detected, informed)`` and whose
-    reachable walks share one depth made to end a walk at the first of those leaves, after that
-    depth's levels.
-
-    A row reaches the rows of its slots: each outcome of positive probability's own, and the gap
-    slot's, which stands in for every outcome of probability 0.  One pass over the rows in
-    reverse, so every row is seen after its children; a folded row's descendants stay, unreached.
-    """
-    thresholds, children = tree.thresholds.copy(), tree.children.copy()
-    leaves, levels = list(tree.leaves), list(tree.levels)
-    # (detected, informed, depth) of each row whose reachable walks all end with them, else None
-    shapes: list[tuple | None] = [None] * len(leaves)
-    for i in reversed(range(len(leaves))):
-        if leaves[i] is None:
-            below = set(children[i].tolist())
-            shape = {shapes[k] for k in below}
-            if len(shape) != 1 or None in shape:
-                continue
-            leaves[i], levels[i] = leaves[min(below)], shape.pop()[2] + 1
-            thresholds[i], children[i] = np.inf, i
-        shapes[i] = (leaves[i].detected, leaves[i].informed, levels[i])
-    return CompiledTree(thresholds, children, tuple(leaves), tuple(levels), tree.draws)
+    return compile_tree(probabilities, children, leaves, fold)
 
 
 @lru_cache(maxsize=16)
 def _folded_tree(protocol: str, attack: AttackStrategy, procedure_policy: float):
-    """:func:`_round_tree` of these curve settings, folded, with each row's ``detected`` fact
-    (False where a walk cannot end), built once per process."""
-    tree = _fold(_round_tree(CurveConfig(protocol, attack, procedure_policy)))
+    """:func:`_round_tree` of these curve settings, folded on each leaf's ``(detected,
+    informed)``, with each row's ``detected`` fact (False where a walk cannot end), built once
+    per process."""
+    facts = operator.attrgetter("detected", "informed")
+    tree = _round_tree(CurveConfig(protocol, attack, procedure_policy), facts)
     return tree, np.array([leaf is not None and leaf.detected for leaf in tree.leaves])
 
 

@@ -81,10 +81,12 @@ def is_unitary(matrix: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
 
 
 # Validation memo keyed by array identity: gate matrices and measurement
-# bases are long-lived module- or convention-level constants, so caching
-# their (expensive) unitarity/orthonormality checks takes them off the
-# per-measurement hot path.  Values hold strong references to keep ids
-# stable.
+# bases are long-lived, read-only module- or convention-level constants, so
+# caching their (expensive) unitarity/orthonormality checks takes them off the
+# per-measurement hot path.  Only a read-only array that owns its data is
+# remembered, since a read-only view changes with its base; any other array is
+# checked on every call, and no array's flags are changed.  Values hold strong
+# references to keep ids stable.
 _KNOWN_GOOD_GATES: dict[int, np.ndarray] = {}
 _KNOWN_GOOD_BASES: dict[int, np.ndarray] = {}
 
@@ -159,29 +161,31 @@ def to_front(
 
 def _check_gate(gate_matrix: np.ndarray) -> np.ndarray:
     matrix = np.asarray(gate_matrix, dtype=complex)
-    if id(matrix) in _KNOWN_GOOD_GATES:
+    frozen = not matrix.flags.writeable and matrix.flags.owndata
+    if frozen and id(matrix) in _KNOWN_GOOD_GATES:
         return matrix
     if not is_unitary(matrix):
         raise ValueError("gate is not unitary within 1e-12")
-    matrix.setflags(write=False)
-    if len(_KNOWN_GOOD_GATES) > 1024:
-        _KNOWN_GOOD_GATES.clear()
-    _KNOWN_GOOD_GATES[id(matrix)] = matrix
+    if frozen:
+        if len(_KNOWN_GOOD_GATES) > 1024:
+            _KNOWN_GOOD_GATES.clear()
+        _KNOWN_GOOD_GATES[id(matrix)] = matrix
     return matrix
 
 
 def _check_basis(basis: np.ndarray) -> np.ndarray:
     basis = np.asarray(basis, dtype=complex)
-    if id(basis) in _KNOWN_GOOD_BASES:
+    frozen = not basis.flags.writeable and basis.flags.owndata
+    if frozen and id(basis) in _KNOWN_GOOD_BASES:
         return basis
     if basis.shape != (4, 4):
         raise ValueError("basis must be four two-qubit states (a 4x4 array of rows)")
     if not np.abs(basis @ basis.conj().T - np.eye(4)).max() <= ATOL_MEASURE:
         raise ValueError("basis states are not orthonormal within 1e-10")
-    basis.setflags(write=False)
-    if len(_KNOWN_GOOD_BASES) > 1024:
-        _KNOWN_GOOD_BASES.clear()
-    _KNOWN_GOOD_BASES[id(basis)] = basis
+    if frozen:
+        if len(_KNOWN_GOOD_BASES) > 1024:
+            _KNOWN_GOOD_BASES.clear()
+        _KNOWN_GOOD_BASES[id(basis)] = basis
     return basis
 
 
@@ -451,8 +455,9 @@ class CompiledTree:
     the gap slot's, for a ``u`` in the rounding gap above the last threshold, repeated to the
     width.  No uniform picks an outcome of probability 0, so its slot holds the gap slot's row.
     Any other row ends a walk at its leaf, after ``levels[i]`` more uniforms that the stream
-    skips at once; its thresholds are all +inf and every slot is itself.  ``draws`` is the
-    uniforms every walk consumes, levels included, and ``rows`` the tree as Python lists, for
+    skips at once; its thresholds are all +inf and every slot is itself.  :func:`compile_tree`
+    computes ``levels``: the draws below a row it folded, 0 for every other row.  ``draws`` is
+    the uniforms every walk consumes, levels included, and ``rows`` the tree as Python lists, for
     :meth:`RandomSource.descend`.
     """
 
@@ -477,31 +482,41 @@ class CompiledTree:
 
 
 def compile_tree(probabilities: Sequence, children: Sequence[Sequence[int]], leaves: Sequence,
-                 levels: Sequence[int]) -> CompiledTree:
+                 fold=None) -> CompiledTree:
     """The :class:`CompiledTree` of rows listed each before its children, row 0 the root.
 
     Row i draws over ``probabilities[i]``, outcome k leading to row ``children[i][k]``, when
-    ``leaves[i]`` is None; otherwise it ends a walk at ``leaves[i]`` after ``levels[i]`` more
-    uniforms.  A drawing row's thresholds are ``accumulate(max(p, 0))``, and its gap slot leads
-    where its last outcome of positive probability does, outcome 0's when none has.  Raises
-    ValueError unless every walk from the root draws the same number of uniforms, so that a
-    lane's round t reads draws ``t * draws`` to ``t * draws + draws - 1`` of its stream.
+    ``leaves[i]`` is None; otherwise it ends a walk at ``leaves[i]``.  A drawing row's thresholds
+    are ``accumulate(max(p, 0))``, and its gap slot leads where its last outcome of positive
+    probability does, outcome 0's when none has.  Raises ValueError unless every walk from the
+    root draws the same number of uniforms, so that a lane's round t reads draws ``t * draws``
+    to ``t * draws + draws - 1`` of its stream.
+
+    With a ``fold`` key, a drawing row whose every slot ends a walk at a leaf of one
+    ``fold(leaf)`` ends a walk itself, at the leaf of its lowest slot, with the draws below it as
+    its levels; one pass in reverse sees every row after its children, so whole subtrees fold.
     """
-    levels = tuple(levels)
-    depths, sums, slots = list(levels), [[] for _ in levels], [[i] for i in range(len(levels))]
-    for i in reversed(range(len(levels))):
+    leaves = list(leaves)
+    depths, sums, slots = [0] * len(leaves), [[] for _ in leaves], [[i] for i in range(len(leaves))]
+    width = max((len(probabilities[i]) for i, leaf in enumerate(leaves) if leaf is None), default=0)
+    for i in reversed(range(len(leaves))):
         if leaves[i] is None:
             live = [p > 0.0 for p in probabilities[i]]
             gap = children[i][max((k for k, alive in enumerate(live) if alive), default=0)]
-            slots[i] = [child if alive else gap for child, alive in zip(children[i], live)] + [gap]
-            if min(slots[i]) <= i:
+            reached = [child if alive else gap for child, alive in zip(children[i], live)] + [gap]
+            if min(reached) <= i:
                 raise ValueError(f"row {i} leads to a row listed before it")
-            below = {depths[k] for k in slots[i]}
+            below = {depths[k] for k in reached}
             if len(below) != 1:
                 raise ValueError(f"walks below row {i} draw {sorted(below)} uniforms")
             depths[i] = 1 + below.pop()
-            sums[i] = list(accumulate(max(float(p), 0.0) for p in probabilities[i]))
-    width = max(map(len, sums))
+            if (fold is not None and all(leaves[k] is not None for k in reached)
+                    and len({fold(leaves[k]) for k in reached}) == 1):
+                leaves[i] = leaves[min(reached)]
+            else:
+                slots[i] = reached
+                sums[i] = list(accumulate(max(float(p), 0.0) for p in probabilities[i]))
+    levels = tuple(depth if leaf is not None else 0 for depth, leaf in zip(depths, leaves))
     thresholds = np.array([row + [np.inf] * (width - len(row)) for row in sums])
     rows = np.array([row + row[-1:] * (width + 1 - len(row)) for row in slots], dtype=np.intp)
     return CompiledTree(thresholds, rows, tuple(leaves), levels, depths[0])

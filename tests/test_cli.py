@@ -159,6 +159,16 @@ def test_simulate_invalid_input_exits_2(capsys, extra, message):
     assert captured.err == f"swapqkd: error: {message}\n"
 
 
+@pytest.mark.parametrize("n, entry", [("1,x", "x"), ("2,,1.5", "1.5"), ("0x10", "0x10")])
+def test_a_bad_n_entry_is_named_with_its_flag(capsys, n, entry):
+    with pytest.raises(SystemExit) as exc:
+        main(["detection-curve", "--n", n, "--reps", "100"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"swapqkd: error: --n takes comma-separated integers, not {entry!r}\n"
+
+
 def test_cached_parser_carries_nothing_between_calls(capsys):
     # The parser is built once per process; a failing call must not change
     # what a later call in the same process prints.

@@ -302,9 +302,13 @@ def test_a_curve_whose_root_draws_nothing_finishes_at_once(capsys, protocol_name
     assert time.monotonic() - start < 1.0
     assert "1000000000  0.000000" in capsys.readouterr().out
     # A root that always detects: every experiment of a point with a round detects.
-    tree = qstate.compile_tree([None], [[]], [protocol.Leaf({}, True, False)], [3])
+    # Three one-outcome rows above the leaf fold into a root that jumps over their draws.
+    leaf = protocol.Leaf({}, True, False)
+    tree = qstate.compile_tree([(1.0,)] * 3 + [None], [[1], [2], [3], []], [None] * 3 + [leaf],
+                               lambda leaf: leaf.detected)
+    assert (tree.leaves[0], tree.levels[0], tree.draws) == (leaf, 3, 3)
     for n, hits in ((0, 0), (1, 150), (10**12, 150)):
-        assert harness._curve_hits(tree, np.array([True]), 7, [n], 150) == [hits]
+        assert harness._curve_hits(tree, np.array([True] * 4), 7, [n], 150) == [hits]
 
 
 def test_a_long_curve_prints_the_scalar_walks_bytes(capsys, monkeypatch):

@@ -540,7 +540,8 @@ def test_tree_thresholds_pick_as_the_inverse_cdf_loop(monkeypatch):
     for name, kind in (("six", "none"), ("six", "mixed"), ("four", "none"), ("four", "four-swap")):
         thresholds, slots, _leaves, _levels = harness._round_tree(
             harness.CurveConfig(name, AttackStrategy(kind))).rows
-        ((probabilities, children, _leaves, _levels),) = compiled
+        ((probabilities, children, _leaves, fold),) = compiled
+        assert fold is None
         compiled.clear()
         for i, probs in enumerate(probabilities):
             if probs is None:

@@ -262,6 +262,35 @@ def test_check_basis_rejects_bad_shape_and_non_orthonormal(conv):
     assert qstate._check_basis(conv.basis_matrix) is conv.basis_matrix
 
 
+def test_kernels_leave_a_writable_gate_and_basis_writable(conv):
+    # The kernels change no input, its flags included, and check an array that can change on
+    # every call: made non-unitary in place after one call, it is refused by the next.
+    amps, _ = to_front(np.eye(2, dtype=complex), (0,), (0,))
+    gate = GATES["X"].copy()
+    qstate.gate_rows(amps, (gate,))
+    assert gate.flags.writeable
+    gate[0, 0] = 1.0
+    with pytest.raises(ValueError, match="not unitary"):
+        qstate.gate_rows(amps, (gate,))
+    # A read-only view changes with its writable base, so it is checked on every call too.
+    base = GATES["X"].copy()
+    view = base.view()
+    view.setflags(write=False)
+    qstate.gate_rows(amps, (view,))
+    base[0, 0] = 1.0
+    with pytest.raises(ValueError, match="not unitary"):
+        qstate.gate_rows(amps, (view,))
+    basis = conv.basis_matrix.copy()
+    front, _ = to_front(conv.states["00"][None], (1, 0), (1, 0))
+    qstate.collapse_rows(basis, *qstate.project_rows(front, basis), np.array([0]))
+    assert basis.flags.writeable
+    basis[0] *= 2.0
+    with pytest.raises(ValueError, match="orthonormal"):
+        qstate.project_rows(front, basis)
+    with pytest.raises(ValueError, match="orthonormal"):
+        qstate.collapse_rows(basis, *qstate.project_rows(front, conv.basis_matrix), np.array([0]))
+
+
 def test_apply_gate_preserves_norm_on_random_states():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -517,7 +546,8 @@ class Node(NamedTuple):
 
 
 class End(NamedTuple):
-    """A row that ends a walk at ``leaf`` after ``levels`` more uniforms."""
+    """A row that ends a walk at ``leaf`` after ``levels`` more uniforms: a chain of ``levels``
+    one-outcome rows above ``leaf``, which :func:`compile_nested` folds into one row."""
 
     leaf: object
     levels: int
@@ -525,22 +555,25 @@ class End(NamedTuple):
 
 def compile_nested(root) -> qstate.CompiledTree:
     """:func:`qstate.compile_tree` of a tree written out as :class:`Node` and :class:`End`
-    descriptions, rows in pre-order; any other node is a leaf."""
-    probabilities, children, leaves, levels = [], [], [], []
+    descriptions, rows in pre-order; any other node is a leaf.  A tree that holds an
+    :class:`End` is compiled with each leaf as its own fold key, which folds every chain."""
+    probabilities, children, leaves, ends = [], [], [], []
 
     def visit(node) -> int:
+        if isinstance(node, End):
+            ends.append(node)
+            node = Node((1.0,), [End(node.leaf, node.levels - 1)]) if node.levels else node.leaf
         i, drawing = len(leaves), isinstance(node, Node)
-        end = node if isinstance(node, End) else End(node, 0)
         probabilities.append(node.probabilities if drawing else None)
         children.append([])
-        leaves.append(None if drawing else end.leaf)
-        levels.append(0 if drawing else end.levels)
+        leaves.append(None if drawing else node)
         if drawing:
             children[i] = [visit(child) for child in node.children]
         return i
 
     visit(root)
-    return qstate.compile_tree(probabilities, children, leaves, levels)
+    return qstate.compile_tree(probabilities, children, leaves,
+                               (lambda leaf: leaf) if ends else None)
 
 
 def pick(probs, u: float) -> int:
@@ -762,9 +795,10 @@ def test_a_compiled_jump_absorbs_its_levels(levels):
     # walk in the other slot takes.
     root = Node((0.3, 0.7), [End("jumped", levels), pick_tree(DESCENT_LEVELS[:levels])])
     assert assert_lanes_walk_as_descend(root).draws == levels + 1
-    # A root that ends every walk draws nothing itself; its leaf is the tree's one end.
+    # A root that ends every walk draws nothing itself; its leaf is the tree's one end, and
+    # the chain's rows below it, unreached, end at that leaf too.
     tree = compile_nested(End("all", levels))
-    assert (tree.draws, tree.leaves) == (levels, ("all",))
+    assert (tree.draws, tree.levels[0], set(tree.leaves)) == (levels, levels, {"all"})
 
 
 def test_compiling_refuses_paths_of_unequal_draws():
@@ -781,4 +815,4 @@ def test_compiling_refuses_paths_of_unequal_draws():
     assert tree.draws == 1 and "dead" not in [tree.leaves[row] for row in tree.children[0]]
     # Rows are listed each before its children, so a pass in reverse sees children first.
     with pytest.raises(ValueError, match="listed before"):
-        qstate.compile_tree([(1.0,), None], [[0], []], [None, "leaf"], [0, 0])
+        qstate.compile_tree([(1.0,), None], [[0], []], [None, "leaf"])

@@ -12,6 +12,7 @@ facts as the full tree, from the same stretch of the stream.
 import ast
 import hashlib
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -93,8 +94,10 @@ def test_tree_sampler_matches_statevector_draw_for_draw(conv, protocol_name, kin
                          ids=[f"{name}-{kind}" for name, kind in HARNESS_CONFIGS])
 def test_the_folded_tree_reads_the_full_trees_facts_from_the_same_draws(
         protocol_name, kind, policy):
-    config = harness.CurveConfig(protocol_name, AttackStrategy(kind), policy)
-    full, folded = harness._round_tree(config), harness._fold(harness._round_tree(config))
+    full = harness._round_tree(harness.CurveConfig(protocol_name, AttackStrategy(kind), policy))
+    folded, _ = harness._folded_tree(protocol_name, AttackStrategy(kind), policy)
+    # The reference tree is compiled without a fold key, so no row of it jumps.
+    assert not any(full.levels)
     for i in range(4_000):
         rng, twin = RandomSource(splitmix64(2024, i)), RandomSource(splitmix64(2024, i))
         leaf, twin_leaf = rng.descend(folded), twin.descend(full)
@@ -176,34 +179,22 @@ def _leaf(detected: bool, informed: bool = False) -> Leaf:
     return Leaf({}, detected, informed)
 
 
-def test_equal_facts_at_unequal_depths_do_not_fold():
-    # Both paths end undetected, one a level deeper: a jump would misplace the stream.
-    # compile_tree refuses such a tree, so its rows are written as arrays: row 0 draws
-    # into the shallow leaf (row 1) and row 2, which draws into the deep leaf (row 3).
-    shallow, deep = _leaf(False), _leaf(False)
-    tree = qstate.CompiledTree(
-        np.array([[0.5, 1.0], [np.inf, np.inf], [1.0, np.inf], [np.inf, np.inf]]),
-        np.array([[1, 2, 2], [1, 1, 1], [3, 3, 3], [3, 3, 3]]),
-        (None, shallow, None, deep), (0, 0, 0, 0), 2)
-    folded = harness._fold(tree)
-    assert folded.leaves[0] is None and folded.leaves[folded.children[0, 0]] is shallow
-    inner = folded.children[0, 1]
-    assert (folded.leaves[inner], folded.levels[inner]) == (deep, 1)
+FACTS = operator.attrgetter("detected", "informed")  # the fold key of a Monte Carlo tree
 
 
 def test_an_unreachable_child_does_not_block_a_fold():
     # Outcome 1 of row 1 has probability 0, so its other facts cannot be reached.
     kept, dead = _leaf(True, True), _leaf(False)
-    tree = qstate.compile_tree([(0.25, 0.75), (0.5, 0.0, 0.5), None, None, None],
-                               [[1, 1], [2, 3, 4], [], [], []],
-                               [None, None, kept, dead, _leaf(True, True)], [0] * 5)
-    folded = harness._fold(tree)
-    assert (folded.leaves[0], folded.levels[0]) == (kept, 2)
+    folded = qstate.compile_tree([(0.25, 0.75), (0.5, 0.0, 0.5), None, None, None],
+                                 [[1, 1], [2, 3, 4], [], [], []],
+                                 [None, None, kept, dead, _leaf(True, True)], FACTS)
+    # The folded row ends at its lowest slot's leaf, the same object, not an equal one.
+    assert folded.leaves[0] is kept and folded.levels[0] == 2
     # A live child with other facts does block it, whichever of the two facts differs.
     for other in (_leaf(False, True), _leaf(True, False)):
         mixed = qstate.compile_tree([(0.5, 0.1, 0.4), None, None, None], [[1, 2, 3], [], [], []],
-                                    [None, kept, other, _leaf(True, True)], [0] * 4)
-        assert harness._fold(mixed).leaves[0] is None
+                                    [None, kept, other, _leaf(True, True)], FACTS)
+        assert mixed.leaves[0] is None
 
 
 def test_oracle_shares_no_code_with_the_kernels():
