@@ -137,6 +137,8 @@ def _cmd_detection_curve(args) -> int:
             n_values.append(int(entry))
         except ValueError:
             raise ValueError(f"--n takes comma-separated integers, not {entry!r}") from None
+    if not n_values:
+        raise ValueError(f"--n needs at least one integer, got {args.n!r}")
     points = harness.detection_curve(config, n_values, args.reps)
     if args.format == "json":
         sys.stdout.write(_json_doc([dataclasses.asdict(pt) for pt in points]))

@@ -8,7 +8,7 @@ point ``n`` is one stream seeded ``splitmix64(splitmix64(master_seed, n), r)``,
 and its round t reads draws ``t*D`` to ``t*D + D - 1`` of it (D below).  Serial and
 concurrent execution therefore see identical per-round streams.  Under seed contract v1
 each stream is numpy's ``Generator(PCG64(seed)).random()``, computed in-package
-(``qstate.random_sources``, seeded in chunks) and pinned to numpy by a test.
+(seeded ``SEED_CHUNK`` at a time) and pinned to numpy by a test.
 
 A round is one walk down one ``qstate.CompiledTree``, built once per process per
 (protocol, attack, procedure policy) straight from the round models' branches, one
@@ -21,18 +21,19 @@ Carlo reads only a leaf's two facts, ``detected`` and ``informed``, so
 leaves share both facts ends every walk through it with one LCG jump over its levels,
 and the stream is consumed exactly as before.
 
-A simulated run walks that tree one ``RandomSource.descend`` per round.  A detection
-curve walks the same rows as numpy lanes, one per experiment of every point, seeded
-``SEED_CHUNK`` at a time in seed order (``qstate.RandomLanes``), each lane carrying
-its point and its round limit n.  Every walk of a folded tree draws the same number
-D of uniforms at every procedure policy, a jump's levels included (6 for six/mixed;
-5 for six/zlg, six/tailored and four/four-swap; 4 for six/none; 3 for four/none).
-One jump-ahead grid per block of ``ROUNDS_PER_BLOCK`` rounds holds those draws for
-every running lane, ``CompiledTree.descend`` walks them, a detection counts within a
-lane's first n rounds, and a lane leaves at the end of the block that holds its
-first detection or its n-th round; a root that ends every walk draws nothing at
-all.  The streams, the seed contract and every printed byte are those of one
-``RandomSource.descend`` per round.
+A simulated run walks that tree once on each round's stream, one ``qstate.descend_streams``
+call per chunk of seeds, which also draws the coin, and counts the rows its walks end at
+against each row's two facts.  A detection curve walks the same rows as numpy lanes, one
+per experiment of every point, seeded ``SEED_CHUNK`` at a time in seed order
+(``qstate.RandomLanes``), each lane carrying its point and its round limit n.  Every walk
+of a folded tree draws the same number D of uniforms at every procedure policy, a jump's
+levels included (6 for six/mixed; 5 for six/zlg, six/tailored and four/four-swap; 4 for
+six/none; 3 for four/none).  One jump-ahead grid per block of ``ROUNDS_PER_BLOCK`` rounds
+holds those draws for every running lane, ``CompiledTree.descend`` walks them, a detection
+counts within a lane's first n rounds, and a lane leaves at the end of the block that holds
+its first detection or its n-th round; a root that ends every walk draws nothing at all.
+The streams, the seed contract and every printed byte are those of one scalar walk per
+round.
 
 A compared round counts as a detection when Bob's inferred key differs
 from Alice's key; no error-rate thresholding is layered on top.  The
@@ -53,11 +54,11 @@ import numpy as np
 from . import bell, qstate
 from .adversary import AttackStrategy
 from .protocol import PROTOCOLS, Procedure, protocol_driver
-from .qstate import SEED_CHUNK, CompiledTree, RandomLanes, compile_tree, random_sources
+from .qstate import SEED_CHUNK, CompiledTree, RandomLanes, compile_tree
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
-ROUNDS_PER_BLOCK = 4  # rounds of a curve's lanes drawn and walked as one grid
+ROUNDS_PER_BLOCK = 2  # rounds of a curve's lanes drawn and walked as one grid
 
 
 def splitmix64(master_seed: int | np.ndarray, index: int | np.ndarray) -> int | np.ndarray:
@@ -201,11 +202,13 @@ def _round_tree(config: CurveConfig, fold=None) -> CompiledTree:
 @lru_cache(maxsize=16)
 def _folded_tree(protocol: str, attack: AttackStrategy, procedure_policy: float):
     """:func:`_round_tree` of these curve settings, folded on each leaf's ``(detected,
-    informed)``, with each row's ``detected`` fact (False where a walk cannot end), built once
-    per process."""
+    informed)``, with each row's ``detected`` and ``informed`` facts as bool arrays (False where
+    a walk cannot end), built once per process."""
     facts = operator.attrgetter("detected", "informed")
     tree = _round_tree(CurveConfig(protocol, attack, procedure_policy), facts)
-    return tree, np.array([leaf is not None and leaf.detected for leaf in tree.leaves])
+    table = [(False, False) if leaf is None else facts(leaf) for leaf in tree.leaves]
+    detected, informed = np.array(table, dtype=bool).T
+    return tree, detected, informed
 
 
 def _seed_chunks(master_seeds: Sequence[int], count: int) -> Iterator[np.ndarray]:
@@ -218,25 +221,19 @@ def _seed_chunks(master_seeds: Sequence[int], count: int) -> Iterator[np.ndarray
         yield splitmix64(masters[at // count], at % count)
 
 
-def _round_sources(master_seeds: Sequence[int], count: int) -> Iterator[qstate.RandomSource]:
-    """A :class:`qstate.RandomSource` per seed of :func:`_seed_chunks`, seeded a chunk at a time."""
-    for seeds in _seed_chunks(master_seeds, count):
-        yield from random_sources(seeds)
-
-
 def run_simulation(config: SimulationConfig) -> SimulationReport:
     """Run ``config.rounds`` independently seeded rounds and aggregate."""
-    tree, _ = _folded_tree(config.protocol, config.attack, config.procedure_policy)
-    test_fraction = config.test_fraction
-
-    compared = detected = agreed = eve_informed = 0
-    for rng in _round_sources([config.master_seed], config.rounds):
-        leaf = rng.descend(tree)
-        if rng.uniform() < test_fraction:
-            compared += 1
-            detected += leaf.detected
-        agreed += not leaf.detected
-        eve_informed += leaf.informed
+    tree, detected_at, informed_at = _folded_tree(
+        config.protocol, config.attack, config.procedure_policy)
+    reached = np.zeros(len(tree.leaves), dtype=np.int64)  # rounds that end at each row
+    tested = np.zeros(len(tree.leaves), dtype=np.int64)  # compared rounds that end there
+    for seeds in _seed_chunks([config.master_seed], config.rounds):
+        rows, coins = qstate.descend_streams(tree, seeds)
+        rows = np.array(rows, dtype=np.intp)
+        reached += np.bincount(rows, minlength=len(reached))
+        tested += np.bincount(rows[np.array(coins) < config.test_fraction], minlength=len(tested))
+    compared, detected = int(tested.sum()), int(tested[detected_at].sum())
+    agreed, eve_informed = int(reached[~detected_at].sum()), int(reached[informed_at].sum())
 
     ci_low, ci_high = _binomial_ci(detected, compared)
     return SimulationReport(
@@ -290,7 +287,7 @@ def detection_curve(
         raise ValueError("repetitions must be < 2**63")
     if any(n < 0 for n in n_values):
         raise ValueError("n values must be >= 0")
-    tree, detected = _folded_tree(config.protocol, config.attack, config.procedure_policy)
+    tree, detected, _ = _folded_tree(config.protocol, config.attack, config.procedure_policy)
     points = []
     for n, hits in zip(n_values, _curve_hits(tree, detected, config.master_seed, n_values,
                                              repetitions)):

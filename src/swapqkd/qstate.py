@@ -18,11 +18,10 @@ that layout and leave their results in it.  The caller carries each batch's
 order.  All operations are pure: they return new arrays and never mutate
 their inputs.
 
-Monte Carlo reads numpy's PCG64 stream, computed here with Python ints
-(:class:`RandomSource`) or as uint64 lanes (:class:`RandomLanes`), and walks a
-round's :class:`CompiledTree`, one row per node: :meth:`RandomSource.descend` walks
-it one round at a time, and :meth:`CompiledTree.descend` walks a grid of lanes'
-uniforms.
+Monte Carlo reads numpy's PCG64 stream, seeded a chunk of seeds at a time, and walks a
+round's :class:`CompiledTree`, one row per node: :func:`descend_streams` walks one round
+on each stream with Python ints, and :meth:`CompiledTree.descend` walks a grid of
+uniforms that :class:`RandomLanes` draws as uint64 lanes.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from __future__ import annotations
 import functools
 from bisect import bisect_right
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -263,12 +262,12 @@ def collapse_rows(
 
 # --- randomness ---------------------------------------------------------------
 #
-# numpy's ``Generator(PCG64(seed)).random()`` stream with Python ints, seeded the
-# way numpy's SeedSequence (a four-word pool) and PCG64's set-seq init seed it.
+# numpy's ``Generator(PCG64(seed)).random()`` stream, seeded the way numpy's
+# SeedSequence (a four-word pool) and PCG64's set-seq init seed it.
 
 _MASK32, _MASK53, _MASK64, _MASK128 = ((1 << n) - 1 for n in (32, 53, 64, 128))
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-SEED_CHUNK = 1024  # seeds its callers pass to one :func:`random_sources` call
+SEED_CHUNK = 1024  # seeds its callers pass to one :func:`descend_streams` or :class:`RandomLanes`
 
 
 def _hash_steps(const: int, mult: int, steps: int) -> list[tuple[int, int]]:
@@ -305,71 +304,22 @@ def _seed_words(seed):
     return [words[k] | words[k + 1] << 32 for k in (0, 2, 4, 6)]
 
 
-class RandomSource:
-    """Deterministic uniform stream: numpy's ``Generator(PCG64(seed)).random()`` bit
-    for bit, the seed reduced to 64 bits, with no numpy generator built.  ``words``
-    are the seed's :func:`_seed_words` when :func:`random_sources` has them."""
-
-    __slots__ = ("seed", "_state", "_inc")
-
-    def __init__(self, seed: int, words: Sequence[int] | None = None):
-        self.seed = int(seed) & _MASK64
-        s_high, s_low, i_high, i_low = _seed_words(self.seed) if words is None else words
-        # PCG64's set-seq init: an odd increment, then two LCG steps around the seed.
-        self._inc = ((i_high << 64 | i_low) << 1 | 1) & _MASK128
-        self._state = ((self._inc + (s_high << 64 | s_low)) * _PCG64_MULT + self._inc) & _MASK128
-
-    def uniform(self) -> float:
-        """Next uniform float in [0, 1): the top 53 bits of the next XSL-RR output."""
-        self._state = state = (self._state * _PCG64_MULT + self._inc) & _MASK128
-        x = (state >> 64 ^ state) & _MASK64  # xor the halves; rotate right by the top 6 bits
-        return ((x << 64 | x) >> (11 + (state >> 122)) & _MASK53) * 2.0**-53
-
-    def descend(self, tree: CompiledTree):
-        """The leaf a walk down ``tree`` from its root reaches: each drawing row on the way
-        draws the next uniform ``u`` and steps to the row of the slot ``u`` picks, and the row
-        that ends the walk steps the stream over its levels at once.
-
-        :meth:`uniform` is inlined, so this consumes the stream exactly as one :meth:`uniform`
-        per row and per level does, and steps where :meth:`CompiledTree.descend` steps.
-        """
-        thresholds, children, leaves, levels = tree.rows
-        state, inc = self._state, self._inc
-        node = 0
-        while leaves[node] is None:
-            state = (state * _PCG64_MULT + inc) & _MASK128
-            x = (state >> 64 ^ state) & _MASK64
-            u = ((x << 64 | x) >> (11 + (state >> 122)) & _MASK53) * 2.0**-53
-            node = children[node][bisect_right(thresholds[node], u)]
-        if levels[node]:
-            mult, add = _jump(levels[node])
-            state = (state * mult + inc * add) & _MASK128
-        self._state = state
-        return leaves[node]
-
-
 @functools.lru_cache(maxsize=64)
 def _jump(levels: int) -> tuple[int, int]:
     """``(MULT**levels, MULT**0 + ... + MULT**(levels - 1))`` mod 2**128, as ``(mult, add)``:
     ``levels`` LCG steps ``state -> state * MULT + inc`` compose to ``state * mult + inc * add``,
-    so the stream ends where ``levels`` :meth:`RandomSource.uniform` calls leave it."""
+    so the stream ends where ``levels`` draws leave it."""
     add = sum(pow(_PCG64_MULT, j, 1 << 128) for j in range(levels)) & _MASK128
     return pow(_PCG64_MULT, levels, 1 << 128), add
 
 
-def random_sources(seeds: np.ndarray) -> Iterator[RandomSource]:
-    """``RandomSource(seed)`` for each seed of a uint64 array, in order, all seeded in
-    one vectorized pass; callers chunk long seed lists (``SEED_CHUNK`` per call)."""
-    for seed, *seed_words in zip(seeds.tolist(), *(w.tolist() for w in _seed_words(seeds))):
-        yield RandomSource(seed, seed_words)
-
-
-# --- lanes --------------------------------------------------------------------
+# --- streams and lanes --------------------------------------------------------
 #
-# Many sources' streams at once, one lane per source: a lane's 128-bit state and
+# Many streams are seeded at once, one lane per seed: a lane's 128-bit state and
 # increment are uint64 (high, low) word arrays.  Every operand is uint64, since numpy
 # 1.x promotes uint64 mixed with int64 to float64, and a 64 x 64-bit product's high
-# word is built from 32-bit limbs.
+# word is built from 32-bit limbs.  :func:`descend_streams` steps each lane's stream
+# with Python ints; :class:`RandomLanes` steps all of them as arrays.
 
 _SHIFT32, _LOW32 = np.uint64(32), np.uint64(_MASK32)
 _MULT_WORDS = (np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & _MASK64))
@@ -395,6 +345,46 @@ def _add128(a_high, a_low, b_high, b_low):
     return a_high + b_high + (low < a_low), low
 
 
+def _pcg64_init(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    """PCG64's set-seq init of each seed of a uint64 array, from one vectorized
+    :func:`_seed_words` pass: an odd increment, then two LCG steps around the seed.  Returns
+    the state's (high, low) words, then the increment's, as uint64 arrays; the state is that of
+    ``np.random.PCG64(seed)``."""
+    s_high, s_low, i_high, i_low = _seed_words(seeds)
+    inc = ((i_high << np.uint64(1)) | (i_low >> np.uint64(63)),
+           (i_low << np.uint64(1)) | np.uint64(1))
+    return (*_add128(*_mul128(*_add128(*inc, s_high, s_low), *_MULT_WORDS), *inc), *inc)
+
+
+def descend_streams(tree: CompiledTree, seeds: np.ndarray) -> tuple[list[int], list[float]]:
+    """One walk down ``tree`` on each stream of a uint64 array of seeds, in order, as ``(rows,
+    uniforms)``: the row each walk ends at and the uniform its stream draws next.
+
+    A stream is numpy's ``Generator(PCG64(seed)).random()``, seeded by :func:`_pcg64_init` and
+    stepped with Python ints.  Each drawing row on the way draws the next uniform ``u`` and steps
+    to the row of the slot ``u`` picks; the row that ends the walk steps the stream over its
+    levels and one more draw at once.  So a stream is consumed as one uniform per row and per
+    level, then one more, and steps where :meth:`CompiledTree.descend` steps.  Callers chunk long
+    seed lists (``SEED_CHUNK`` per call).
+    """
+    thresholds, children, _leaves, _levels = tree.rows
+    jumps = tree.jumps
+    mult, mask53, mask64, mask128 = _PCG64_MULT, _MASK53, _MASK64, _MASK128
+    rows, uniforms = [], []
+    for s_high, s_low, i_high, i_low in zip(*(w.tolist() for w in _pcg64_init(seeds))):
+        state, inc, node = s_high << 64 | s_low, i_high << 64 | i_low, 0
+        while (jump := jumps[node]) is None:
+            state = (state * mult + inc) & mask128
+            x = (state >> 64 ^ state) & mask64  # xor the halves; rotate right by the top 6 bits
+            u = ((x << 64 | x) >> (11 + (state >> 122)) & mask53) * 2.0**-53
+            node = children[node][bisect_right(thresholds[node], u)]
+        state = (state * jump[0] + inc * jump[1]) & mask128
+        x = (state >> 64 ^ state) & mask64
+        rows.append(node)
+        uniforms.append(((x << 64 | x) >> (11 + (state >> 122)) & mask53) * 2.0**-53)
+    return rows, uniforms
+
+
 @functools.lru_cache(maxsize=32)
 def _jump_words(steps: int) -> tuple[np.ndarray, ...]:
     """The :func:`_jump` constants of 1, 2, ..., ``steps`` LCG steps, as uint64 rows
@@ -405,19 +395,15 @@ def _jump_words(steps: int) -> tuple[np.ndarray, ...]:
 
 
 class RandomLanes:
-    """``RandomSource(seed)`` for each seed of a uint64 array, as lanes seeded in one
-    vectorized :func:`_seed_words` pass.  :meth:`uniforms` is :meth:`RandomSource.uniform`
-    over a grid: the next ``count`` draws of every lane at once, bit for bit."""
+    """numpy's ``Generator(PCG64(seed)).random()`` stream of each seed of a uint64 array, as
+    lanes seeded in one :func:`_pcg64_init` pass.  :meth:`uniforms` draws over a grid: the next
+    ``count`` draws of every lane at once, bit for bit."""
 
     __slots__ = ("_state", "_inc")
 
     def __init__(self, seeds: np.ndarray):
-        s_high, s_low, i_high, i_low = _seed_words(seeds)
-        # PCG64's set-seq init, as in RandomSource.__init__.
-        self._inc = ((i_high << np.uint64(1)) | (i_low >> np.uint64(63)),
-                     (i_low << np.uint64(1)) | np.uint64(1))
-        start = _add128(*self._inc, s_high, s_low)
-        self._state = _add128(*_mul128(*start, *_MULT_WORDS), *self._inc)
+        s_high, s_low, i_high, i_low = _pcg64_init(seeds)
+        self._state, self._inc = (s_high, s_low), (i_high, i_low)
 
     def __len__(self) -> int:
         return len(self._inc[1])
@@ -457,11 +443,12 @@ class CompiledTree:
     Any other row ends a walk at its leaf, after ``levels[i]`` more uniforms that the stream
     skips at once; its thresholds are all +inf and every slot is itself.  :func:`compile_tree`
     computes ``levels``: the draws below a row it folded, 0 for every other row.  ``draws`` is
-    the uniforms every walk consumes, levels included, and ``rows`` the tree as Python lists, for
-    :meth:`RandomSource.descend`.
+    the uniforms every walk consumes, levels included, ``rows`` the tree as Python lists, and
+    ``jumps`` per row None where it draws, or the :func:`_jump` over its levels and one more draw
+    where it ends a walk, for :func:`descend_streams`.
     """
 
-    __slots__ = ("thresholds", "children", "leaves", "levels", "draws", "rows")
+    __slots__ = ("thresholds", "children", "leaves", "levels", "draws", "rows", "jumps")
 
     def __init__(self, thresholds: np.ndarray, children: np.ndarray, leaves: tuple,
                  levels: tuple[int, ...], draws: int):
@@ -470,6 +457,8 @@ class CompiledTree:
         self.thresholds, self.children, self.leaves, self.levels, self.draws = (
             thresholds, children, leaves, levels, draws)
         self.rows = (thresholds.tolist(), children.tolist(), leaves, levels)
+        self.jumps = tuple(None if leaf is None else _jump(level + 1)
+                           for leaf, level in zip(leaves, levels))
 
     def descend(self, uniforms: np.ndarray) -> np.ndarray:
         """The row each walk ends at: a walk over ``uniforms[..., :draws]`` per leading index,

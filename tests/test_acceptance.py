@@ -24,9 +24,10 @@ from swapqkd.adversary import (
     eve_information_probability,
 )
 from swapqkd.protocol import Procedure
-from swapqkd.qstate import GATES, RandomSource
+from swapqkd.qstate import GATES
 
 import oracle
+from streams import RandomSource
 
 EXACT = 1e-10
 MC_REPETITIONS = 10_000

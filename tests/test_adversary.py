@@ -39,7 +39,9 @@ from swapqkd.protocol import (
     enumerate_plans,
     protocol_driver,
 )
-from swapqkd.qstate import GATES, RandomSource
+from swapqkd.qstate import GATES
+
+from streams import RandomSource
 
 EXACT = 1e-10
 

@@ -15,9 +15,10 @@ from swapqkd.bell import (
     derive_swap_table,
     label_xor,
 )
-from swapqkd.qstate import GATES, RandomSource, prepare_pairs
+from swapqkd.qstate import GATES, prepare_pairs
 
 import oracle
+from streams import RandomSource
 
 
 def reduced_single_qubit(amps: np.ndarray, keep_first: bool) -> np.ndarray:

@@ -169,6 +169,16 @@ def test_a_bad_n_entry_is_named_with_its_flag(capsys, n, entry):
     assert captured.err == f"swapqkd: error: --n takes comma-separated integers, not {entry!r}\n"
 
 
+@pytest.mark.parametrize("n", [",", ""], ids=["comma", "empty"])
+def test_an_n_with_no_entries_exits_2(capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        main(["detection-curve", "--n", n, "--reps", "100"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"swapqkd: error: --n needs at least one integer, got {n!r}\n"
+
+
 def test_cached_parser_carries_nothing_between_calls(capsys):
     # The parser is built once per process; a failing call must not change
     # what a later call in the same process prints.

@@ -17,6 +17,8 @@ from swapqkd.harness import (
 )
 from swapqkd.qstate import SEED_CHUNK
 
+from streams import round_sources
+
 
 def test_splitmix64_is_deterministic_and_spreads():
     seeds = [splitmix64(12345, i) for i in range(1000)]
@@ -38,7 +40,7 @@ def test_splitmix64_on_uint64_arrays_equals_the_scalar_form():
         assert got.dtype == np.uint64 and got.tolist() == want
     # A run's sources, mixed a chunk at a time, carry the same seeds in order.
     assert SPLITMIX_INDICES > 2 * SEED_CHUNK
-    sources = harness._round_sources(SPLITMIX_MASTERS, SPLITMIX_INDICES)
+    sources = round_sources(SPLITMIX_MASTERS, SPLITMIX_INDICES)
     assert [rng.seed for rng in sources] == [seed for seeds in scalar for seed in seeds]
 
 
@@ -244,15 +246,15 @@ LANE_DRAWS = {("six", "mixed"): 6, ("six", "zlg"): 5, ("six", "tailored"): 5,
               ("four", "four-swap"): 5, ("six", "none"): 4, ("four", "none"): 3}
 LANE_POLICIES = (0.0, 0.3, 0.5, 1.0)
 LANE_SEEDS = (0, 2**63, 2**64 - 1, 0xE848F808F54D35BF)
-# Both sides of the first and fourth block edges (4 rounds a block), and ten blocks.
-LANE_N = (0, 1, 3, 4, 5, 16, 17, 40)
+# Both sides of the first and fourth block edges (2 rounds a block), and twenty blocks.
+LANE_N = (0, 1, 2, 3, 7, 8, 9, 40)
 LANE_REPS = (100, SEED_CHUNK + 76)  # one chunk of lanes, and two
 
 
 def scalar_detections(config, n, repetitions):
     """Whether each experiment of point ``n`` detects, walked one descent per round."""
-    tree, _ = harness._folded_tree(config.protocol, config.attack, config.procedure_policy)
-    sources = harness._round_sources([splitmix64(config.master_seed, n)], repetitions)
+    tree, _, _ = harness._folded_tree(config.protocol, config.attack, config.procedure_policy)
+    sources = round_sources([splitmix64(config.master_seed, n)], repetitions)
     return [any(rng.descend(tree).detected for _ in range(n)) for rng in sources]
 
 
@@ -269,6 +271,41 @@ def test_curve_lanes_count_the_scalar_walks_detections(protocol_name, kind, poli
         points = detection_curve(config, LANE_N, reps)
         assert [pt.empirical for pt in points] == [
             sum(detections[n][:reps]) / reps for n in LANE_N]
+
+
+# --- the simulate walk against the scalar walk -----------------------------------
+# A simulated round is one qstate.descend_streams walk and the uniform after it; the
+# reference is one RandomSource.descend and one RandomSource.uniform per round.
+
+WALK_ROUNDS = SEED_CHUNK + 76  # a run's seeds cross a chunk edge
+
+
+@pytest.mark.parametrize("seed", LANE_SEEDS, ids=["0", "top-bit", "all-ones", "random"])
+@pytest.mark.parametrize("policy", LANE_POLICIES)
+@pytest.mark.parametrize("protocol_name,kind", LANE_CONFIGS,
+                         ids=[f"{name}-{kind}" for name, kind in LANE_CONFIGS])
+def test_the_simulate_walk_draws_as_the_scalar_walk(protocol_name, kind, policy, seed):
+    tree, _, _ = harness._folded_tree(protocol_name, AttackStrategy(kind), policy)
+    reference = round_sources([seed], WALK_ROUNDS)
+    walked = 0
+    for seeds in harness._seed_chunks([seed], WALK_ROUNDS):
+        rows, uniforms = qstate.descend_streams(tree, seeds)
+        assert len(rows) == len(uniforms) == len(seeds)
+        for row, uniform, rng in zip(rows, uniforms, reference):
+            assert tree.leaves[row] is rng.descend(tree)
+            assert uniform.hex() == rng.uniform().hex()
+        walked += len(rows)
+    assert walked == WALK_ROUNDS and next(reference, None) is None
+
+
+@pytest.mark.parametrize("seed", LANE_SEEDS, ids=["0", "top-bit", "all-ones", "random"])
+def test_the_shared_init_is_numpy_pcg64s(seed):
+    # The seed itself, then a run's seeds in their chunks.
+    for seeds in (np.array([seed], dtype=np.uint64), *harness._seed_chunks([seed], WALK_ROUNDS)):
+        words = zip(*(w.tolist() for w in qstate._pcg64_init(seeds)), strict=True)
+        for each, (s_high, s_low, i_high, i_low) in zip(seeds.tolist(), words, strict=True):
+            want = np.random.PCG64(each).state["state"]
+            assert {"state": s_high << 64 | s_low, "inc": i_high << 64 | i_low} == want
 
 
 # A 0, a repeated n and descending order; at 700 repetitions a seed chunk ends inside a point.
@@ -289,9 +326,10 @@ def test_each_row_of_a_curve_is_that_point_run_alone(protocol_name, kind):
 @pytest.mark.parametrize("policy", LANE_POLICIES)
 def test_every_path_of_a_folded_tree_draws_the_same_uniforms(policy):
     for (protocol_name, kind), draws in LANE_DRAWS.items():
-        tree, detected = harness._folded_tree(protocol_name, AttackStrategy(kind), policy)
+        tree, detected, informed = harness._folded_tree(protocol_name, AttackStrategy(kind), policy)
         assert tree.draws == draws
         assert detected.tolist() == [leaf is not None and leaf.detected for leaf in tree.leaves]
+        assert informed.tolist() == [leaf is not None and leaf.informed for leaf in tree.leaves]
 
 
 @pytest.mark.parametrize("protocol_name", ["six", "four"])

@@ -29,9 +29,10 @@ from swapqkd.protocol import (
     protocol_driver,
     reproduce_table1,
 )
-from swapqkd.qstate import GATES, RandomSource
+from swapqkd.qstate import GATES
 
 import oracle
+from streams import RandomSource
 
 
 @pytest.fixture(scope="module", params=["six", "four"])

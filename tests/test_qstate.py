@@ -8,7 +8,6 @@ import pytest
 from swapqkd import qstate
 from swapqkd.qstate import (
     GATES,
-    RandomSource,
     collapse_rows,
     gate_rows,
     prepare_pairs,
@@ -17,6 +16,7 @@ from swapqkd.qstate import (
 )
 
 import oracle
+from streams import RandomSource, random_sources
 from swapqkd.harness import splitmix64
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -613,14 +613,14 @@ def draws(rng: RandomSource, count: int = DRAWS) -> list[float]:
 
 @pytest.mark.parametrize("seed", STREAM_SEEDS)
 def test_random_source_is_numpy_pcg64(seed):
-    (batched,) = qstate.random_sources(np.array([seed % 2**64], dtype=np.uint64))
+    (batched,) = random_sources(np.array([seed % 2**64], dtype=np.uint64))
     assert batched.seed == RandomSource(seed).seed == seed % 2**64
     assert draws(RandomSource(seed)) == draws(batched) == numpy_stream(seed)
 
 
 def test_batched_sources_are_numpy_pcg64_over_splitmix_seeds():
     seeds = [splitmix64(2024, i) for i in range(10_000)]
-    batch = qstate.random_sources(np.array(seeds, dtype=np.uint64))
+    batch = random_sources(np.array(seeds, dtype=np.uint64))
     for seed, batched in zip(seeds, batch, strict=True):
         assert draws(batched) == numpy_stream(seed)
 
@@ -630,7 +630,7 @@ def test_batched_sources_are_numpy_pcg64_over_splitmix_seeds():
 )
 def test_a_batch_equals_its_seeds_one_at_a_time(size):
     seeds = [splitmix64(2024, i) for i in range(size)]
-    batch = list(qstate.random_sources(np.array(seeds, dtype=np.uint64)))
+    batch = list(random_sources(np.array(seeds, dtype=np.uint64)))
     assert [rng.seed for rng in batch] == seeds
     assert [draws(rng, 3) for rng in batch] == [draws(RandomSource(s), 3) for s in seeds]
 
@@ -766,7 +766,7 @@ def test_lanes_of_a_chunk_equal_random_sources():
     seeds = np.array([splitmix64(2024, i) for i in range(qstate.SEED_CHUNK + 1)],
                      dtype=np.uint64)
     grid = qstate.RandomLanes(seeds).uniforms(3)
-    assert grid.tolist() == [draws(rng, 3) for rng in qstate.random_sources(seeds)]
+    assert grid.tolist() == [draws(rng, 3) for rng in random_sources(seeds)]
 
 
 def assert_lanes_walk_as_descend(root, rounds=40):

@@ -23,9 +23,9 @@ from swapqkd.adversary import AttackStrategy, ZlgAttack
 from swapqkd.bell import LABELS
 from swapqkd.harness import splitmix64
 from swapqkd.protocol import Leaf, MeasureStep, Procedure, protocol_driver
-from swapqkd.qstate import RandomSource
 
 import oracle
+from streams import RandomSource
 
 HARNESS_CONFIGS = [
     ("six", "none"),
@@ -95,7 +95,7 @@ def test_tree_sampler_matches_statevector_draw_for_draw(conv, protocol_name, kin
 def test_the_folded_tree_reads_the_full_trees_facts_from_the_same_draws(
         protocol_name, kind, policy):
     full = harness._round_tree(harness.CurveConfig(protocol_name, AttackStrategy(kind), policy))
-    folded, _ = harness._folded_tree(protocol_name, AttackStrategy(kind), policy)
+    folded, _, _ = harness._folded_tree(protocol_name, AttackStrategy(kind), policy)
     # The reference tree is compiled without a fold key, so no row of it jumps.
     assert not any(full.levels)
     for i in range(4_000):
@@ -162,7 +162,7 @@ def _canonical_form(tree) -> str:
 @pytest.mark.parametrize("protocol_name,kind,policy", list(FOLDED_TREE_SHA256), ids=[
     f"{name}-{kind}-q{policy}" for name, kind, policy in FOLDED_TREE_SHA256])
 def test_folded_trees_are_pinned_bit_for_bit(protocol_name, kind, policy):
-    tree, _ = harness._folded_tree(protocol_name, AttackStrategy(kind), policy)
+    tree, _, _ = harness._folded_tree(protocol_name, AttackStrategy(kind), policy)
     digest = hashlib.sha256(_canonical_form(tree).encode()).hexdigest()
     assert digest == FOLDED_TREE_SHA256[protocol_name, kind, policy]
 
@@ -170,7 +170,7 @@ def test_folded_trees_are_pinned_bit_for_bit(protocol_name, kind, policy):
 def test_a_round_without_an_attack_folds_to_one_jump():
     # Every six-qubit round without Eve reads (False, False) after the coin and the
     # three measurements, so the root ends every walk and no round walks a level.
-    tree, _ = harness._folded_tree("six", AttackStrategy("none"), 0.5)
+    tree, _, _ = harness._folded_tree("six", AttackStrategy("none"), 0.5)
     assert tree.leaves[0] is not None and tree.levels[0] == 4
     assert (tree.leaves[0].detected, tree.leaves[0].informed) == (False, False)
 
