@@ -157,8 +157,9 @@ class Interception:
         steps: tuple[Step, ...] = gates(self.before) + (MeasureStep("eve", self.pair),)
         steps += gates(self.after)
         if self.corrections:
-            table = tuple((m, qstate.gate(name)) for m, name in self.corrections)
-            steps += (ConditionalGateStep(qubit=self.corrected, on="eve", gates=table),)
+            by_outcome = dict(self.corrections)
+            gates = tuple(qstate.gate(by_outcome[m]) for m in LABELS)
+            steps += (ConditionalGateStep(qubit=self.corrected, on="eve", gates=gates),)
         return replace(self.wiring, steps=steps)
 
 
@@ -235,21 +236,19 @@ def attack_detection_probability(
 ) -> float:
     """Per-compared-round detection probability, by exhaustive enumeration.
 
-    Both exact reads sum their branch masses left to right: ``sum()`` of floats rounds
+    Both exact reads sum their leaves' masses left to right: ``sum()`` of floats rounds
     differently from Python 3.12 on.
     """
-    model = protocol_driver(conv, protocol).round_model(procedure, attack)
-    masses = (prob for (prob, _out), leaf in zip(model.branches, model.leaves) if leaf.detected)
-    return reduce(add, masses, 0.0)
+    leaves = protocol_driver(conv, protocol).round_model(procedure, attack).leaves
+    return reduce(add, (leaf.mass for leaf in leaves if leaf.detected), 0.0)
 
 
 def eve_information_probability(
     conv: BellConvention, protocol: str, procedure: Procedure, attack
 ) -> float:
     """Probability that Eve's inferred-key set is exactly the true key."""
-    model = protocol_driver(conv, protocol).round_model(procedure, attack)
-    masses = (prob for (prob, _out), leaf in zip(model.branches, model.leaves) if leaf.informed)
-    return reduce(add, masses, 0.0)
+    leaves = protocol_driver(conv, protocol).round_model(procedure, attack).leaves
+    return reduce(add, (leaf.mass for leaf in leaves if leaf.informed), 0.0)
 
 
 # --- tailored attack search -------------------------------------------------
@@ -298,9 +297,8 @@ def _block_masses(conv: BellConvention, build: Callable[..., Plan], names: Seque
     plans = [build(name, procedure) for procedure in Procedure for name in names]
     masses = np.zeros((len(plans), 4, 4))
     for joint, branches in zip(masses, enumerate_plans(conv, plans)):
-        for prob, out in branches:
-            first, second = (LABELS.index(label) for label in out.values())
-            joint[first, second] = prob  # each cell takes at most one branch
+        for mass, _out, (first, second) in branches:
+            joint[first, second] = mass  # each cell takes at most one branch
     return masses.reshape(len(Procedure), len(names), 4, 4)
 
 
@@ -420,7 +418,7 @@ def zlg_outcome_rows(conv: BellConvention) -> list[tuple[str, ...]]:
     rows = set()
     for procedure in Procedure:
         model = driver.round_model(procedure, attack)
-        for _prob, out in model.branches:
+        for out in (leaf.outcomes for leaf in model.leaves):
             if out["key"] != "00":
                 continue
             rows.add(

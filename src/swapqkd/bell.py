@@ -17,6 +17,10 @@ assignment satisfying both constraints.  The result is frozen into
 Several assignments satisfy the constraints — all of them must (and do)
 reproduce the same protocol outcome tables, which is checked in the test
 suite rather than resolved here.
+
+The swap algebra is one read-only ``(a, b, m) -> r`` mapping, built by
+:func:`derive_swap_table` from one batched measurement of all 16 two-pair
+states; :func:`xor_permutation` reads its XOR structure off it.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -120,12 +126,10 @@ class BellConvention:
         basis.setflags(write=False)
         return basis
 
-    def describe(self) -> list[str]:
+    def signed_states(self) -> dict[str, str]:
+        """Label -> its signed canonical state, as ``"+phi+"``."""
         signs = {1: "+", -1: "-"}
-        return [
-            f"|{lab}> = {signs[sign]}{name}"
-            for lab, (name, sign) in zip(LABELS, self.assignment)
-        ]
+        return {lab: signs[sign] + name for lab, (name, sign) in zip(LABELS, self.assignment)}
 
 
 def convention_residuals(conv: BellConvention) -> tuple[float, float]:
@@ -187,37 +191,27 @@ def convention() -> BellConvention:
     return FROZEN_CONVENTION
 
 
-@dataclass(frozen=True)
-class SwapTable:
-    """Entanglement-swap outcome algebra.
+def xor_permutation(table: Mapping[tuple[str, str, str], str]) -> dict[str, str] | None:
+    """Discovered structure: r == perm[a xor b xor m], if that holds.
 
-    ``entries[(a, b, m)] = r`` means: with pairs (1,2) in state a and (3,4)
-    in state b, Bell-measuring (1,3) with outcome m leaves (2,4) in state r.
-    For every (a, b) the four outcomes are uniform and m -> r is a bijection.
+    Returns the fixed permutation when the table factors through the
+    label-wise XOR of its arguments, else None.  This is recorded as a
+    finding; only totality and per-(a, b) bijectivity are guaranteed.
     """
-
-    entries: tuple[tuple[tuple[str, str, str], str], ...]
-
-    def as_dict(self) -> dict[tuple[str, str, str], str]:
-        return dict(self.entries)
-
-    def xor_permutation(self) -> dict[str, str] | None:
-        """Discovered structure: r == perm[a xor b xor m], if that holds.
-
-        Returns the fixed permutation when the table factors through the
-        label-wise XOR of its arguments, else None.  This is recorded as a
-        finding; only totality and per-(a, b) bijectivity are guaranteed.
-        """
-        table = self.as_dict()
-        perm = {m: table[("00", "00", m)] for m in LABELS}
-        for (a, b, m), r in table.items():
-            if perm[label_xor(a, b, m)] != r:
-                return None
+    perm = {m: table["00", "00", m] for m in LABELS}
+    if all(perm[label_xor(a, b, m)] == r for (a, b, m), r in table.items()):
         return perm
+    return None
 
 
-def derive_swap_table(conv: BellConvention) -> SwapTable:
-    """Compute the swap algebra by exhaustive four-qubit simulation."""
+def derive_swap_table(conv: BellConvention) -> Mapping[tuple[str, str, str], str]:
+    """The entanglement-swap outcome algebra, by exhaustive four-qubit simulation.
+
+    A read-only mapping: ``table[a, b, m] = r`` means that with pairs (1,2) in
+    state a and (3,4) in state b, Bell-measuring (1,3) with outcome m leaves
+    (2,4) in state r.  For every (a, b) the four outcomes are uniform and
+    m -> r is a bijection.
+    """
     basis = conv.basis_matrix
     cells = list(itertools.product(LABELS, repeat=2))
     # states[4 * x + y] has pairs (1,2) in LABELS[x] and (3,4) in LABELS[y];
@@ -253,8 +247,8 @@ def derive_swap_table(conv: BellConvention) -> SwapTable:
             m = LABELS[int(np.argmin(single[s]))]
             raise ConventionError(f"swap remainder for (a={a}, b={b}, m={m}) is not a Bell state")
         raise ConventionError(f"swap map for (a={a}, b={b}) is not a bijection")
-    return SwapTable(tuple(
-        ((a, b, m), LABELS[r])
+    return MappingProxyType({
+        (a, b, m): LABELS[r]
         for (a, b), row in zip(cells, hits.argmax(axis=2).tolist())
         for m, r in zip(LABELS, row)
-    ))
+    })

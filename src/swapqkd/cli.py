@@ -74,13 +74,12 @@ def _cmd_validate_convention(args) -> int:
     conv = bell.convention()
     r_s, r_z = bell.convention_residuals(conv)
     payload = {
-        "labels": {lab: desc.split(" = ")[1] for lab, desc in
-                   zip(bell.LABELS, conv.describe())},
+        "labels": conv.signed_states(),
         "acting_factor": conv.acting_factor,
         "s_rotation_residual": r_s,
         "z_rotation_residual": r_z,
         "satisfying_conventions": len(bell.all_conventions()),
-        "swap_xor_permutation": bell.derive_swap_table(conv).xor_permutation(),
+        "swap_xor_permutation": bell.xor_permutation(bell.derive_swap_table(conv)),
     }
     if args.format == "json":
         sys.stdout.write(_json_doc(payload))

@@ -11,7 +11,7 @@ each stream is numpy's ``Generator(PCG64(seed)).random()``, computed in-package
 (seeded ``SEED_CHUNK`` at a time) and pinned to numpy by a test.
 
 A round is one walk down one ``qstate.CompiledTree``, built once per process per
-(protocol, attack, procedure policy) straight from the round models' branches, one
+(protocol, attack, procedure policy) straight from the round models' leaves, one
 uniform per level, so the stream is consumed in the tree's level order: the
 attack-selection coin (only for strategies that need one), Alice's procedure coin,
 the round's measurement rows in protocol order.  A simulated round then draws the
@@ -152,10 +152,10 @@ def _round_tree(config: CurveConfig, fold=None) -> CompiledTree:
 
     Its levels are the attack coin (two-attack mixtures only), the procedure coin over
     ``(policy, 1 - policy)``, then the chosen round model's measurements: each prefix of its
-    branches' outcome paths is one row, listed when a branch first takes it, which puts every row
-    before its children because the branches come depth first.  A prefix's row draws outcome k
-    with probability ``mass(prefix + k) / mass(prefix)``, both masses summed left to right in
-    branch order, and a whole path's row ends at its branch's leaf.  Every round model is
+    leaves' paths is one row, listed when a leaf first takes it, which puts every row before its
+    children because the leaves come depth first.  A prefix's row draws outcome k with
+    probability ``mass(prefix + k) / mass(prefix)``, both masses summed left to right in leaf
+    order, and a whole path's row ends at its leaf.  Every round model is
     resolved here, once.  ``fold`` is passed to :func:`qstate.compile_tree` as its fold key;
     without one the tree keeps every row.
     """
@@ -173,13 +173,12 @@ def _round_tree(config: CurveConfig, fold=None) -> CompiledTree:
     def branch_rows(model) -> int:
         mass: dict[tuple[int, ...], float] = {}
         at: dict[tuple[int, ...], int] = {}  # each prefix of an outcome-index path -> its row
-        for (prob, outcomes), leaf in zip(model.branches, model.leaves, strict=True):
-            path = tuple(bell.LABELS.index(label) for label in outcomes.values())
-            for depth in range(len(path) + 1):
-                prefix = path[:depth]
-                mass[prefix] = mass.get(prefix, 0.0) + prob
+        for leaf in model.leaves:
+            for depth in range(len(leaf.path) + 1):
+                prefix = leaf.path[:depth]
+                mass[prefix] = mass.get(prefix, 0.0) + leaf.mass
                 if prefix not in at:
-                    at[prefix] = row(leaf=leaf if depth == len(path) else None)
+                    at[prefix] = row(leaf=leaf if depth == len(leaf.path) else None)
         for prefix, i in at.items():
             if leaves[i] is None:
                 after = [prefix + (k,) for k in range(4)]

@@ -19,17 +19,17 @@ qubits, Alice's and Bob's steps, and the outcomes Bob infers the key from.
 :func:`build_plan` and its channel check read only the entry, never the
 protocol's name, and reroute the honest steps through an attack's
 ``forward`` map.  An attack's two procedure plans are enumerated once, as
-one batch, over every measurement branch; the exact tables and
-probabilities read those branches, and Monte Carlo samples the same branch
-tree, drawing one uniform per measurement and picking the outcome by
-inverse CDF over its conditional probabilities.  Bob's key inference and
-Eve's posterior are one :func:`key_support` map, each observation to the keys
-it occurs with, read off those same branches (the adversary-free ones for
-Bob), never assumed in closed form.  A round model holds one :class:`Leaf`
-per branch: did Bob infer a wrong key, and did Eve's posterior pin it.  Every
-exact probability and every Monte Carlo count is a mass-weighted read of
-those two facts.  A round model builds no tree: ``harness`` builds each run's
-round tree from the models' branches and leaves.
+one batch, over every measurement branch; each branch comes out as its mass,
+its outcomes and its path, the outcomes' ``LABELS`` indices.  Bob's key
+inference and Eve's posterior are one :func:`key_support` map, each
+observation to the keys it occurs with, read off those outcomes (the
+adversary-free ones for Bob), never assumed in closed form.  A round model
+holds one :class:`Leaf` per branch, that branch and its two facts: did Bob
+infer a wrong key, and did Eve's posterior pin it.  Every exact table and
+probability reads the leaves, and every exact probability and Monte Carlo
+count is a mass-weighted read of the two facts.  A round model builds no
+tree: ``harness`` builds each run's round tree from the leaves' paths and
+masses.
 
 Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 0-based register happens only at the physics boundary.
@@ -107,11 +107,16 @@ class MeasureStep:
 
 @dataclass(frozen=True)
 class ConditionalGateStep:
-    """Gate on one qubit chosen by the outcome of an earlier measurement."""
+    """Gate on one qubit chosen by the outcome of an earlier measurement: ``gates[k]`` after
+    outcome ``LABELS[k]``."""
 
     qubit: int
     on: str
-    gates: tuple[tuple[str, np.ndarray], ...]  # outcome label -> matrix
+    gates: tuple[np.ndarray, ...]
+
+    def __post_init__(self) -> None:
+        if len(self.gates) != len(LABELS):
+            raise ValueError(f"one gate per outcome label, got {len(self.gates)}")
 
 
 @dataclass(frozen=True)
@@ -264,7 +269,9 @@ def _initial_state(conv: BellConvention, plan: Plan) -> np.ndarray:
     )
 
 
-Branch = tuple[float, Mapping[str, str]]
+# A branch: its mass, its read-only outcomes (measurement name -> label, in first-measured
+# order), and its path, the outcomes' ``LABELS`` indices in that order.
+Branch = tuple[float, Mapping[str, str], tuple[int, ...]]
 
 
 def _skeleton(step: Step) -> tuple | MeasureStep:
@@ -272,7 +279,7 @@ def _skeleton(step: Step) -> tuple | MeasureStep:
     if isinstance(step, GateStep):
         return (GateStep, step.qubit)
     if isinstance(step, ConditionalGateStep):
-        return (ConditionalGateStep, step.qubit, step.on, tuple(label for label, _ in step.gates))
+        return (ConditionalGateStep, step.qubit, step.on)
     return step
 
 
@@ -282,7 +289,9 @@ def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Br
 
     Every live branch of every plan is a row of one amplitude batch, so each
     step is one batched gate or projection.  Survivors of a measurement keep
-    (row, outcome) order: each plan's branches come out in depth-first order.
+    (row, outcome) order: each plan's branches come out in depth-first order,
+    each as a :data:`Branch`.  A conditional gate picks each row's matrix by
+    the outcome column it reads.
     A measurement's post-measurement states are built by the step after it,
     so a family's last measurement builds none.
     """
@@ -319,13 +328,14 @@ def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Br
             shared = all(m is matrices[0] for m in matrices)
             amps = qstate.gate_rows(amps, matrices, None if shared else owner)
         else:
-            labels = [label for label, _ in step.gates]
-            matrices = tuple(g for s in steps for _, g in s.gates)  # plan-major
-            on = [labels.index(LABELS[k]) for k in picked[:, column[step.on]].tolist()]
-            amps = qstate.gate_rows(amps, matrices, owner * len(labels) + on)
+            matrices = tuple(g for s in steps for g in s.gates)  # plan-major
+            on = picked[:, column[step.on]]
+            amps = qstate.gate_rows(amps, matrices, owner * len(LABELS) + on)
     branches: list[list[Branch]] = [[] for _ in plans]
-    for i, mass, row in zip(owner.tolist(), masses.tolist(), picked.tolist()):
-        branches[i].append((mass, {name: LABELS[row[j]] for name, j in column.items()}))
+    paths = picked[:, list(column.values())].tolist()
+    for i, mass, path in zip(owner.tolist(), masses.tolist(), map(tuple, paths)):
+        outcomes = MappingProxyType({name: LABELS[k] for name, k in zip(column, path)})
+        branches[i].append((mass, outcomes, path))
     return branches
 
 
@@ -335,46 +345,44 @@ KeySupport = Mapping[Hashable, tuple[str, ...]]
 
 
 def key_support(
-    branches: Iterable[Branch], observe: Callable[[Mapping[str, str]], Hashable]
+    outcomes: Iterable[Mapping[str, str]], observe: Callable[[Mapping[str, str]], Hashable]
 ) -> KeySupport:
-    """Each observation ``observe(outcomes)`` the branches make -> their sorted keys, read-only.
+    """Each observation ``observe(out)`` of the branches' outcomes -> their sorted keys, read-only.
 
     Every enumerated branch has positive mass.  Over the adversary-free branches
     with Bob's observation this is his inference; over an attacked round's
     branches with Eve's it is her posterior.
     """
     support: dict[Hashable, set[str]] = {}
-    for _prob, out in branches:
+    for out in outcomes:
         support.setdefault(observe(out), set()).add(out["key"])
     return MappingProxyType({obs: tuple(sorted(keys)) for obs, keys in support.items()})
 
 
 @dataclass(frozen=True)
 class Leaf:
-    """One branch's facts, which every exact and Monte Carlo read weighs by the branch's mass.
+    """One branch, as :func:`enumerate_plans` hands it out, and its two facts, which every
+    exact and Monte Carlo read weighs by its ``mass``.
 
-    ``outcomes`` is the branch's own read-only mapping.  ``detected``: Bob infers a
-    key other than Alice's.  ``informed``: Eve's posterior for her observation is
-    exactly the key; never without an attack.
+    ``outcomes`` is the branch's read-only mapping and ``path`` its ``LABELS`` indices.
+    ``detected``: Bob infers a key other than Alice's.  ``informed``: Eve's posterior for
+    her observation is exactly the key; never without an attack.
     """
 
+    mass: float
     outcomes: Mapping[str, str]
+    path: tuple[int, ...]
     detected: bool
     informed: bool
 
 
 @dataclass(frozen=True)
 class RoundModel:
-    """A wired plan, its exact branches, and what is read off them.
+    """A round's exact branches, one :class:`Leaf` each in branch order, and Eve's
+    ``posterior``, her :func:`key_support`, empty without an attack."""
 
-    ``posterior`` is Eve's :func:`key_support`, empty without an attack.  ``leaves``
-    holds one :class:`Leaf` per branch, in branch order.
-    """
-
-    plan: Plan
-    branches: tuple[Branch, ...]
-    posterior: KeySupport
     leaves: tuple[Leaf, ...]
+    posterior: KeySupport
 
 
 # --- protocol drivers -----------------------------------------------------
@@ -415,11 +423,10 @@ class _ProtocolBase:
                 )
             transit = attack.transit_plan() if attack is not None else None
             plans = [build_plan(self.spec, p, transit) for p in Procedure]
-            for p, plan, found in zip(Procedure, plans, enumerate_plans(self.conv, plans)):
-                # Read-only views: every caller shares these branches.
-                branches = tuple((prob, MappingProxyType(out)) for prob, out in found)
+            for p, branches in zip(Procedure, enumerate_plans(self.conv, plans)):
+                outcomes = [out for _mass, out, _path in branches]
                 if attack is None:
-                    self.inference[p] = key_support(branches, self.spec.bob_observation)
+                    self.inference[p] = key_support(outcomes, self.spec.bob_observation)
                     for obs, keys in self.inference[p].items():
                         if len(keys) > 1:
                             raise AmbiguityError(
@@ -429,14 +436,14 @@ class _ProtocolBase:
                             )
                     posterior = MappingProxyType({})
                 else:
-                    posterior = key_support(branches, self.spec.eve_observation)
+                    posterior = key_support(outcomes, self.spec.eve_observation)
                 eve_observation = self.spec.eve_observation
                 leaves = tuple(
-                    Leaf(out, self.infer(p, out) != out["key"],
+                    Leaf(mass, out, path, self.infer(p, out) != out["key"],
                          attack is not None and posterior[eve_observation(out)] == (out["key"],))
-                    for _prob, out in branches
+                    for mass, out, path in branches
                 )
-                self._models[p, attack] = RoundModel(plan, branches, posterior, leaves)
+                self._models[p, attack] = RoundModel(leaves, posterior)
             model = self._models[procedure, attack]
         return model
 
@@ -469,7 +476,7 @@ def six_qubit_outcome_rows(conv: BellConvention) -> list[tuple[str, str, str, st
     driver = protocol_driver(conv, "six")
     rows = set()
     for procedure in Procedure:
-        for _prob, out in driver.round_model(procedure).branches:
+        for out in (leaf.outcomes for leaf in driver.round_model(procedure).leaves):
             if out["key"] != "00":
                 continue
             inferred = driver.infer(procedure, out)

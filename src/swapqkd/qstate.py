@@ -19,9 +19,11 @@ order.  All operations are pure: they return new arrays and never mutate
 their inputs.
 
 Monte Carlo reads numpy's PCG64 stream, seeded a chunk of seeds at a time, and walks a
-round's :class:`CompiledTree`, one row per node: :func:`descend_streams` walks one round
-on each stream with Python ints, and :meth:`CompiledTree.descend` walks a grid of
-uniforms that :class:`RandomLanes` draws as uint64 lanes.
+round's :class:`CompiledTree`, one row per node, whose ``leaves`` and ``levels`` say where
+and after how many skipped draws a walk ends: :func:`descend_streams` walks one round on
+each stream with Python ints, over the tree's ``rows`` (its thresholds and children as
+lists), and :meth:`CompiledTree.descend` walks a grid of uniforms that :class:`RandomLanes`
+draws as uint64 lanes.
 """
 
 from __future__ import annotations
@@ -367,8 +369,7 @@ def descend_streams(tree: CompiledTree, seeds: np.ndarray) -> tuple[list[int], l
     level, then one more, and steps where :meth:`CompiledTree.descend` steps.  Callers chunk long
     seed lists (``SEED_CHUNK`` per call).
     """
-    thresholds, children, _leaves, _levels = tree.rows
-    jumps = tree.jumps
+    (thresholds, children), jumps = tree.rows, tree.jumps
     mult, mask53, mask64, mask128 = _PCG64_MULT, _MASK53, _MASK64, _MASK128
     rows, uniforms = [], []
     for s_high, s_low, i_high, i_low in zip(*(w.tolist() for w in _pcg64_init(seeds))):
@@ -443,9 +444,9 @@ class CompiledTree:
     Any other row ends a walk at its leaf, after ``levels[i]`` more uniforms that the stream
     skips at once; its thresholds are all +inf and every slot is itself.  :func:`compile_tree`
     computes ``levels``: the draws below a row it folded, 0 for every other row.  ``draws`` is
-    the uniforms every walk consumes, levels included, ``rows`` the tree as Python lists, and
-    ``jumps`` per row None where it draws, or the :func:`_jump` over its levels and one more draw
-    where it ends a walk, for :func:`descend_streams`.
+    the uniforms every walk consumes, levels included, ``rows`` the thresholds and children as
+    Python lists, and ``jumps`` per row None where it draws, or the :func:`_jump` over its levels
+    and one more draw where it ends a walk, for :func:`descend_streams`.
     """
 
     __slots__ = ("thresholds", "children", "leaves", "levels", "draws", "rows", "jumps")
@@ -456,7 +457,7 @@ class CompiledTree:
         children.setflags(write=False)
         self.thresholds, self.children, self.leaves, self.levels, self.draws = (
             thresholds, children, leaves, levels, draws)
-        self.rows = (thresholds.tolist(), children.tolist(), leaves, levels)
+        self.rows = (thresholds.tolist(), children.tolist())
         self.jumps = tuple(None if leaf is None else _jump(level + 1)
                            for leaf, level in zip(leaves, levels))
 

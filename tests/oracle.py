@@ -90,7 +90,10 @@ def walk(conv, plan):
                     out = {**outcomes, step.name: LABELS[k]}
                     visit(after, idx + 1, prob * float(probs[0, k]), out)
             return
-        matrix = step.matrix if isinstance(step, GateStep) else dict(step.gates)[outcomes[step.on]]
+        if isinstance(step, GateStep):
+            matrix = step.matrix
+        else:  # one matrix per outcome, in LABELS order
+            matrix = step.gates[LABELS.index(outcomes[step.on])]
         visit(gate(state, matrix, step.qubit - 1), idx + 1, prob, outcomes)
 
     visit(initial_state(conv, plan), 0, 1.0, {})
@@ -128,6 +131,5 @@ def sample(conv, plan, uniforms):
         elif isinstance(step, GateStep):
             state = gate(state, step.matrix, step.qubit - 1)
         else:
-            gates = np.array([dict(step.gates)[label] for label in LABELS])
-            state = gate(state, gates[picked[step.on]], step.qubit - 1)
+            state = gate(state, np.array(step.gates)[picked[step.on]], step.qubit - 1)
     return {name: [LABELS[k] for k in ks] for name, ks in picked.items()}

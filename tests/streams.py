@@ -45,7 +45,7 @@ class RandomSource:
         :meth:`uniform` is inlined, so this consumes the stream exactly as one :meth:`uniform`
         per row and per level does, and steps where ``CompiledTree.descend`` steps.
         """
-        thresholds, children, leaves, levels = tree.rows
+        (thresholds, children), leaves, levels = tree.rows, tree.leaves, tree.levels
         state, inc = self._state, self._inc
         node = 0
         while leaves[node] is None:

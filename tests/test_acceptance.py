@@ -80,7 +80,7 @@ def test_acceptance_no_eavesdropper_correctness(conv):
     for name in ("six", "four"):
         driver = protocol.protocol_driver(conv, name)
         for procedure in Procedure:
-            for _prob, out in driver.round_model(procedure).branches:
+            for out in (leaf.outcomes for leaf in driver.round_model(procedure).leaves):
                 inferred = driver.infer(procedure, out)
                 assert inferred == out["key"]
                 checked += 1

@@ -69,12 +69,13 @@ def test_zlg_under_p1_branch_structure(conv):
     # Bob's secret both equal her outcome shifted by the key.
     driver = protocol_driver(conv, "six")
     attack = ZlgAttack(conv)
-    for prob, out in driver.round_model(Procedure.P_I, attack).branches:
+    for leaf in driver.round_model(Procedure.P_I, attack).leaves:
+        out = leaf.outcomes
         if out["key"] != "00":
             continue
         assert out["public"] == out["eve"]
         assert out["secret"] == out["eve"]
-        assert abs(prob - 1 / 16) < EXACT
+        assert abs(leaf.mass - 1 / 16) < EXACT
 
 
 def test_zlg_under_p2_detection_is_half(conv):
@@ -107,8 +108,8 @@ def test_zlg_p2_worked_example(conv):
     driver = protocol_driver(conv, "six")
     attack = ZlgAttack(conv)
     slice_ = [
-        (p, o) for p, o in driver.round_model(Procedure.P_II, attack).branches
-        if o["key"] == "00" and o["eve"] == "01"
+        (leaf.mass, leaf.outcomes) for leaf in driver.round_model(Procedure.P_II, attack).leaves
+        if leaf.outcomes["key"] == "00" and leaf.outcomes["eve"] == "01"
     ]
     publics = {}
     for p, o in slice_:
@@ -134,8 +135,8 @@ def test_zlg_is_the_interception_without_rotation(conv):
     assert zlg.corrections == params.pauli_map == paulis
     driver = protocol_driver(conv, "six")
     for procedure in Procedure:
-        want = driver.round_model(procedure, TailoredAttack(conv, params)).branches
-        assert driver.round_model(procedure, zlg).branches == want
+        want = driver.round_model(procedure, TailoredAttack(conv, params)).leaves
+        assert driver.round_model(procedure, zlg).leaves == want
 
 
 def test_equal_interceptions_share_one_round_model(conv):
@@ -168,8 +169,7 @@ def test_zlg_gates_under_another_kind_get_their_own_round_model(conv):
     assert renamed == TailoredAttack(conv, TailoredParams(("I", "I"), zlg.corrections))
     for procedure in Procedure:
         ours, theirs = driver.round_model(procedure, zlg), driver.round_model(procedure, renamed)
-        assert ours is not theirs and ours.branches == theirs.branches
-        assert ours.leaves == theirs.leaves
+        assert ours is not theirs and ours.leaves == theirs.leaves
         assert not any(a is b for a, b in zip(ours.leaves, theirs.leaves))
 
 
@@ -197,7 +197,8 @@ def test_identity_pre_rotations_emit_no_gate(conv):
     for procedure in Procedure:
         want = enumerate_plans(conv, (build_plan(six, procedure, with_identities),))[0]
         got = enumerate_plans(conv, (build_plan(six, procedure, transit),))[0]
-        assert [(p.hex(), out) for p, out in got] == [(p.hex(), out) for p, out in want]
+        assert [(p.hex(), out, path) for p, out, path in got] == [
+            (p.hex(), out, path) for p, out, path in want]
     tailored = TailoredAttack(conv).transit_plan()  # rotates only qubit 8
     assert [s.qubit for s in tailored.steps if isinstance(s, GateStep)] == [8]
 
@@ -247,12 +248,11 @@ def test_zlg_leaf_contents(conv):
 
 
 def test_zlg_substitution_keeps_valid_eight_qubit_state(conv):
-    driver = protocol_driver(conv, "six")
-    plan = driver.round_model(Procedure.P_II, ZlgAttack(conv)).plan
+    plan = build_plan(PROTOCOLS["six"], Procedure.P_II, ZlgAttack(conv).transit_plan())
     assert plan.num_qubits == 8
     # Every collapsed branch along the way is norm-checked within 1e-12.
     branches = enumerate_plans(conv, (plan,))[0]
-    assert abs(sum(prob for prob, _ in branches) - 1.0) < 1e-12
+    assert abs(sum(mass for mass, _out, _path in branches) - 1.0) < 1e-12
 
 
 # --- published attack table -----------------------------------------------------
@@ -410,6 +410,10 @@ def test_interception_corrections_run_in_label_order(conv):
     assert attack == TailoredAttack(conv)
     assert [m for m, _name in attack.corrections] == list(LABELS)
     assert dict(attack.corrections) == dict(shuffled.pauli_map)
+    # An interception built with its corrections in another order applies the same gates.
+    reordered = replace(attack, corrections=attack.corrections[::-1])
+    got, want = (a.transit_plan().steps[-1].gates for a in (reordered, attack))
+    assert len(got) == len(LABELS) and all(g is w for g, w in zip(got, want, strict=True))
 
 
 def test_verification_refuses_a_map_detected_under_p2(conv):
@@ -465,7 +469,7 @@ def test_four_swap_matched_outcome_equals_key(conv):
     driver = protocol_driver(conv, "four")
     for guess in Procedure:
         attack = FourSwapAttack(conv, guess)
-        for _prob, out in driver.round_model(guess, attack).branches:
+        for out in (leaf.outcomes for leaf in driver.round_model(guess, attack).leaves):
             assert out["eve"] == out["key"]
             assert out["secret"] == out["key"]
 

@@ -341,7 +341,7 @@ def test_a_curve_whose_root_draws_nothing_finishes_at_once(capsys, protocol_name
     assert "1000000000  0.000000" in capsys.readouterr().out
     # A root that always detects: every experiment of a point with a round detects.
     # Three one-outcome rows above the leaf fold into a root that jumps over their draws.
-    leaf = protocol.Leaf({}, True, False)
+    leaf = protocol.Leaf(1.0, {}, (), True, False)
     tree = qstate.compile_tree([(1.0,)] * 3 + [None], [[1], [2], [3], []], [None] * 3 + [leaf],
                                lambda leaf: leaf.detected)
     assert (tree.leaves[0], tree.levels[0], tree.draws) == (leaf, 3, 3)

@@ -45,9 +45,9 @@ def driver(request, conv):
 
 def test_inferred_key_equals_key_on_every_branch(driver):
     for procedure in Procedure:
-        branches = driver.round_model(procedure).branches
-        assert abs(sum(p for p, _ in branches) - 1.0) < 1e-10
-        for _prob, out in branches:
+        leaves = driver.round_model(procedure).leaves
+        assert abs(sum(leaf.mass for leaf in leaves) - 1.0) < 1e-10
+        for out in (leaf.outcomes for leaf in leaves):
             inferred = driver.infer(procedure, out)
             assert inferred == out["key"]
 
@@ -55,29 +55,29 @@ def test_inferred_key_equals_key_on_every_branch(driver):
 def test_key_is_uniform(driver):
     for procedure in Procedure:
         dist = dict.fromkeys(LABELS, 0.0)
-        for prob, out in driver.round_model(procedure).branches:
-            dist[out["key"]] += prob
+        for leaf in driver.round_model(procedure).leaves:
+            dist[leaf.outcomes["key"]] += leaf.mass
         assert np.allclose(list(dist.values()), 0.25, atol=1e-10)
 
 
 def test_six_qubit_branch_counts(conv):
     drv = protocol_driver(conv, "six")
     for procedure in Procedure:
-        branches = drv.round_model(procedure).branches
+        leaves = drv.round_model(procedure).leaves
         # 4 keys x 4 publics, secret fully determined
-        assert len(branches) == 16
-        for prob, _ in branches:
-            assert abs(prob - 1 / 16) < 1e-10
+        assert len(leaves) == 16
+        for leaf in leaves:
+            assert abs(leaf.mass - 1 / 16) < 1e-10
 
 
 def test_four_qubit_branch_counts(conv):
     drv = protocol_driver(conv, "four")
     for procedure in Procedure:
-        branches = drv.round_model(procedure).branches
-        assert len(branches) == 4
-        for prob, out in branches:
-            assert abs(prob - 1 / 4) < 1e-10
-            assert out["secret"] == out["key"]  # derived: secret pins the key
+        leaves = drv.round_model(procedure).leaves
+        assert len(leaves) == 4
+        for leaf in leaves:
+            assert abs(leaf.mass - 1 / 4) < 1e-10
+            assert leaf.outcomes["secret"] == leaf.outcomes["key"]  # derived: secret pins the key
 
 
 # --- breadth-first enumeration ---------------------------------------------------
@@ -113,8 +113,17 @@ def _exact_pass_plans():
 
 
 def _assert_same_branches(got, want):
-    assert [list(out.items()) for _p, out in got] == [list(out.items()) for _p, out in want]
-    assert [p.hex() for p, _out in got] == [p.hex() for p, _out in want]
+    """``got``'s ``(mass, outcomes, path)`` branches are the walk's ``(mass, outcomes)``, bit for
+    bit, each path the ``LABELS`` indices of its outcomes."""
+    assert [list(out.items()) for _p, out, _path in got] == [list(out.items()) for _p, out in want]
+    assert [p.hex() for p, _out, _path in got] == [p.hex() for p, _out in want]
+    paths = [tuple(map(LABELS.index, out.values())) for _p, out in want]
+    assert [path for _p, _out, path in got] == paths
+
+
+def _branches(model):
+    """A round model's branches, as :func:`protocol.enumerate_plans` hands them out."""
+    return [(leaf.mass, leaf.outcomes, leaf.path) for leaf in model.leaves]
 
 
 def test_breadth_first_enumeration_matches_depth_first_walk():
@@ -177,8 +186,9 @@ def test_round_models_match_depth_first_walk_without_identity_steps():
                     spec = unrotated if procedure is Procedure.P_I else PROTOCOLS[name]
                     plan = build_plan(spec, procedure, transit)
                     if procedure is Procedure.P_I:
-                        assert len(plan.steps) < len(model.plan.steps)
-                    _assert_same_branches(model.branches, oracle.walk(conv, plan))
+                        batched = build_plan(PROTOCOLS[name], procedure, transit)
+                        assert len(plan.steps) < len(batched.steps)
+                    _assert_same_branches(_branches(model), oracle.walk(conv, plan))
                     checked += 1
     assert checked == 64 * 12
 
@@ -208,6 +218,10 @@ def _feed_fields(h, name, fields):
 
 def _feed(h, value):
     """Hash ``value`` field by field, never through a class repr."""
+    if isinstance(value, ConditionalGateStep):
+        # Fed as captured, when the step paired each matrix with its outcome label.
+        gates = tuple(zip(LABELS, value.gates))
+        value = _Record("ConditionalGateStep", qubit=value.qubit, on=value.on, gates=gates)
     if dataclasses.is_dataclass(value):
         fields = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
         _feed_fields(h, type(value).__name__, fields)
@@ -258,8 +272,9 @@ def test_round_models_match_pinned_digest():
     # Every plan step, float.hex branch mass, outcome, Bob's inferred key,
     # Eve's posterior and leaf transcript of the 768 driver round models:
     # six/{none, zlg, tailored} and four/{none, four-swap (I), (II)}, both
-    # procedures, all 64 conventions.  The transcripts are rebuilt from each
-    # branch, and each leaf's two facts must agree with them.
+    # procedures, all 64 conventions.  Each model's plan is rebuilt as the
+    # driver builds it, the transcripts are rebuilt from each leaf's outcomes,
+    # and each leaf's two facts must agree with them.
     h = hashlib.sha256()
     models = 0
     for conv in bell.all_conventions():
@@ -269,19 +284,20 @@ def test_round_models_match_pinned_digest():
         ):
             driver = protocol._ProtocolBase(conv, name)
             for attack in attacks:
+                transit = attack.transit_plan() if attack is not None else None
                 for procedure in Procedure:
                     model = driver.round_model(procedure, attack)
-                    _feed(h, (name, procedure, model.plan))
-                    for prob, out in model.branches:
-                        inferred = driver.infer(procedure, out)
-                        _feed(h, (prob, tuple(out.items()), inferred))
+                    _feed(h, (name, procedure, build_plan(driver.spec, procedure, transit)))
+                    for leaf in model.leaves:
+                        inferred = driver.infer(procedure, leaf.outcomes)
+                        _feed(h, (leaf.mass, tuple(leaf.outcomes.items()), inferred))
                     _feed(h, tuple(model.posterior.items()))
                     assert all(model.posterior.values())  # Eve never infers no key
                     transcripts = []
-                    for (_prob, out), leaf in zip(model.branches, model.leaves, strict=True):
+                    for leaf in model.leaves:
+                        out = leaf.outcomes
                         record = _digest_record(driver, procedure, attack, model.posterior, out)
                         key, eve = out["key"], record.fields["eve_record"]
-                        assert leaf.outcomes is out
                         assert leaf.detected == (record.fields["bob_inferred_key"] != key)
                         assert leaf.informed == (
                             eve is not None and eve.fields["inferred_keys"] == (key,)
@@ -297,14 +313,14 @@ def test_enumeration_rejects_non_unitary_gates(conv):
     shear = np.array([[1, 1], [0, 1]], dtype=complex)
     with pytest.raises(ValueError, match="not unitary"):
         protocol.enumerate_plans(conv, (Plan(2, ((1, 2),), (GateStep(1, shear),)),))
-    gates = tuple((lab, shear if lab == "11" else GATES["I"]) for lab in LABELS)
+    gates = tuple(shear if lab == "11" else GATES["I"] for lab in LABELS)
     plan = Plan(
         4, ((1, 2), (3, 4)), (MeasureStep("m", (1, 3)), ConditionalGateStep(2, "m", gates))
     )
     with pytest.raises(ValueError, match="not unitary"):
         protocol.enumerate_plans(conv, (plan,))
     # In a batch, one plan's non-unitary matrix fails the whole batch.
-    flips = ConditionalGateStep(2, "m", tuple((lab, GATES["X"]) for lab in LABELS))
+    flips = ConditionalGateStep(2, "m", (GATES["X"],) * len(LABELS))
     unitary = replace(plan, steps=(plan.steps[0], flips))
     with pytest.raises(ValueError, match="not unitary"):
         protocol.enumerate_plans(conv, [unitary, plan])
@@ -323,7 +339,7 @@ def test_enumerate_plans_rejects_mismatched_skeletons(conv):
         adversary._travel_block_plan("X", "S", Procedure.P_II),
     ]
     assert len(protocol.enumerate_plans(conv, [base] + others)) == 3
-    cond = ConditionalGateStep(1, "eve", tuple((lab, GATES["X"]) for lab in LABELS))
+    cond = ConditionalGateStep(1, "eve", (GATES["X"],) * len(LABELS))
     six = build_plan(PROTOCOLS["six"], Procedure.P_I, TailoredAttack(conv).transit_plan())
     at = next(i for i, s in enumerate(six.steps) if isinstance(s, ConditionalGateStep))
     tail = six.steps[at]
@@ -338,13 +354,13 @@ def test_enumerate_plans_rejects_mismatched_skeletons(conv):
     for plan in mismatched:
         with pytest.raises(ValueError, match="differ only in gate matrices"):
             protocol.enumerate_plans(conv, [base, plan])
-    for changed in (
-        replace(tail, on="key"),
-        replace(tail, gates=tail.gates[::-1]),  # labels in another order
-    ):
-        steps6 = six.steps[:at] + (changed,) + six.steps[at + 1:]
-        with pytest.raises(ValueError, match="differ only in gate matrices"):
-            protocol.enumerate_plans(conv, [six, replace(six, steps=steps6)])
+    steps6 = six.steps[:at] + (replace(tail, on="key"),) + six.steps[at + 1:]
+    with pytest.raises(ValueError, match="differ only in gate matrices"):
+        protocol.enumerate_plans(conv, [six, replace(six, steps=steps6)])
+    # A conditional gate holds one matrix per outcome, indexed by the outcome's LABELS position.
+    for gates in (tail.gates[:3], tail.gates + tail.gates[:1]):
+        with pytest.raises(ValueError, match="one gate per outcome label"):
+            replace(tail, gates=gates)
     with pytest.raises(ValueError, match="differ only in gate matrices"):
         protocol.enumerate_plans(conv, [])
 
@@ -353,9 +369,8 @@ def test_enumerate_plans_rejects_mismatched_skeletons(conv):
 
 
 def test_key_support_backs_bob_and_eve(conv):
-    branches = ((0.25, {"key": "11", "m": "00"}), (0.25, {"key": "00", "m": "00"}),
-                (0.5, {"key": "01", "m": "10"}))
-    support = protocol.key_support(branches, lambda out: out["m"])
+    outcomes = ({"key": "11", "m": "00"}, {"key": "00", "m": "00"}, {"key": "01", "m": "10"})
+    support = protocol.key_support(outcomes, lambda out: out["m"])
     assert support == {"00": ("00", "11"), "10": ("01",)}
     with pytest.raises(TypeError):
         support["01"] = ("10",)  # read-only
@@ -364,10 +379,10 @@ def test_key_support_backs_bob_and_eve(conv):
         honest = driver.round_model(procedure)
         assert honest.posterior == {}
         assert driver.inference[procedure] == protocol.key_support(
-            honest.branches, driver.spec.bob_observation)
+            (leaf.outcomes for leaf in honest.leaves), driver.spec.bob_observation)
         attacked = driver.round_model(procedure, ZlgAttack(conv))
         assert attacked.posterior == protocol.key_support(
-            attacked.branches, driver.spec.eve_observation)
+            (leaf.outcomes for leaf in attacked.leaves), driver.spec.eve_observation)
 
 
 def test_six_inference_tables_are_total_and_balanced(conv):
@@ -411,9 +426,9 @@ def test_six_p1_inference_is_swap_table_composition(conv):
     swap = derive_swap_table(conv)
     driver = protocol_driver(conv, "six")
     for key in LABELS:
-        middle = swap.as_dict()["00", "00", key]
+        middle = swap["00", "00", key]
         for public in LABELS:
-            secret = swap.as_dict()[middle, "00", public]
+            secret = swap[middle, "00", public]
             assert driver.infer(Procedure.P_I, {"public": public, "secret": secret}) == key
 
 
@@ -462,7 +477,8 @@ def test_exact_reads_build_no_harness_tree(conv, monkeypatch):
     config = harness.CurveConfig("six", AttackStrategy("tailored"), 0.0)
     tree = round_tree(config)
     leaf = RandomSource(0).descend(tree)
-    assert round_tree(config).rows == tree.rows
+    again = round_tree(config)
+    assert (again.rows, again.leaves, again.levels) == (tree.rows, tree.leaves, tree.levels)
     assert list(fresh._models.values()) == models
     model = fresh.round_model(Procedure.P_II, TailoredAttack(conv))
     assert any(leaf is own for own in model.leaves)
@@ -480,21 +496,52 @@ def _driver_configs(conv):
 
 
 def test_leaves_match_a_per_branch_rebuild(conv):
+    # Each leaf is its enumerated branch, in branch order, and that branch's two facts.
     checked = 0
     for name, procedure, attack in _driver_configs(conv):
         driver = protocol._ProtocolBase(conv, name)
         model = driver.round_model(procedure, attack)
-        assert len(model.leaves) == len(model.branches)
-        for (_prob, out), leaf in zip(model.branches, model.leaves):
+        transit = attack.transit_plan() if attack is not None else None
+        plans = [build_plan(PROTOCOLS[name], p, transit) for p in Procedure]
+        branches = protocol.enumerate_plans(conv, plans)[list(Procedure).index(procedure)]
+        assert len(model.leaves) == len(branches)
+        for (mass, out, path), leaf in zip(branches, model.leaves):
             informed = False
             if attack is not None:
                 observation = (out["eve"], out["public"]) if name == "six" else out["eve"]
                 informed = model.posterior[observation] == (out["key"],)
-            want = Leaf(out, driver.infer(procedure, out) != out["key"], informed)
-            assert leaf == want and leaf.outcomes is out
+            want = Leaf(mass, out, path, driver.infer(procedure, out) != out["key"], informed)
+            assert leaf == want and leaf.mass.hex() == mass.hex()
             checked += 1
     # Six: 16 + 16 free, 16 + 64 per attack; four: 4 + 4 free, 4 + 16 per guess.
     assert checked == 32 + 2 * 80 + 8 + 2 * 20
+
+
+def test_leaf_paths_index_their_outcomes_and_name_the_block_mass_cells():
+    # Every leaf of the 768 driver round models carries its outcomes' LABELS indices, in the
+    # outcomes' order, as its path: the round tree's rows are built from those paths.
+    models = 0
+    for conv in bell.all_conventions():
+        for name, procedure, attack in _driver_configs(conv):
+            for leaf in protocol_driver(conv, name).round_model(procedure, attack).leaves:
+                assert leaf.path == tuple(LABELS.index(label) for label in leaf.outcomes.values())
+            models += 1
+    assert models == 768
+    # Each cell of the attack search's block tables holds exactly the mass of the one branch
+    # whose two outcomes name it, and a cell that no branch names holds 0.
+    conv = bell.convention()
+    for build, names in (
+        (adversary._alice_block_plan, adversary.CORRECTIONS_EXTENDED),
+        (lambda rotation, p: adversary._travel_block_plan(*rotation, p), adversary.ROTATIONS),
+    ):
+        plans = [build(n, procedure) for procedure in Procedure for n in names]
+        tables = adversary._block_masses(conv, build, names).reshape(len(plans), 4, 4)
+        for table, branches in zip(tables, protocol.enumerate_plans(conv, plans), strict=True):
+            want = np.zeros((4, 4))
+            for mass, out, _path in branches:
+                want[tuple(LABELS.index(label) for label in out.values())] = mass
+            assert np.count_nonzero(want) == len(branches)  # no two branches share a cell
+            assert np.array_equal(table, want)
 
 
 def _left_to_right(masses) -> float:
@@ -515,9 +562,11 @@ def test_exact_reads_equal_the_per_branch_sums():
             driver = protocol_driver(conv, name)
             model = driver.round_model(procedure, attack)
             observe = driver.spec.eve_observation
-            detection = _left_to_right(prob for prob, out in model.branches
+            branches = _branches(model)
+            detection = _left_to_right(mass for mass, out, _path in branches
                                        if driver.infer(procedure, out) != out["key"])
-            information = _left_to_right(prob for prob, out in model.branches if attack is not None
+            information = _left_to_right(mass for mass, out, _path in branches
+                                         if attack is not None
                                          and model.posterior[observe(out)] == (out["key"],))
             got = (adversary.attack_detection_probability(conv, name, procedure, attack),
                    adversary.eve_information_probability(conv, name, procedure, attack))
@@ -539,8 +588,8 @@ def test_tree_thresholds_pick_as_the_inverse_cdf_loop(monkeypatch):
     uniforms = np.random.default_rng(2024)
     nodes = coins = 0
     for name, kind in (("six", "none"), ("six", "mixed"), ("four", "none"), ("four", "four-swap")):
-        thresholds, slots, _leaves, _levels = harness._round_tree(
-            harness.CurveConfig(name, AttackStrategy(kind))).rows
+        config = harness.CurveConfig(name, AttackStrategy(kind))
+        thresholds, slots = harness._round_tree(config).rows
         ((probabilities, children, _leaves, fold),) = compiled
         assert fold is None
         compiled.clear()
@@ -615,7 +664,7 @@ def test_leaves_follow_the_announced_outcome(conv, monkeypatch):
         assert six.outcomes["public"] in LABELS
         renamed = {("broadcast" if name == "public" else name): label
                    for name, label in six.outcomes.items()}
-        assert rounds["renamed"] == Leaf(renamed, six.detected, six.informed)
+        assert rounds["renamed"] == Leaf(six.mass, renamed, six.path, six.detected, six.informed)
         assert rounds["silent"] == six
     # Eve hears the announced outcome: under (i) it pins the key for zlg, and
     # without it her posterior never does; Bob's facts do not change.
@@ -649,8 +698,8 @@ def test_driver_enumerates_each_adversary_free_plan_once(conv, monkeypatch):
 
 def test_p1_key00_public01_row(conv):
     drv = protocol_driver(conv, "six")
-    outs = [o for _p, o in drv.round_model(Procedure.P_I).branches
-            if o["key"] == "00" and o["public"] == "01"]
+    outs = [leaf.outcomes for leaf in drv.round_model(Procedure.P_I).leaves
+            if leaf.outcomes["key"] == "00" and leaf.outcomes["public"] == "01"]
     assert len(outs) == 1
     assert outs[0]["secret"] == "01"
     assert drv.infer(Procedure.P_I, {"public": "01", "secret": "01"}) == "00"
@@ -658,8 +707,8 @@ def test_p1_key00_public01_row(conv):
 
 def test_p2_key00_public10_row(conv):
     drv = protocol_driver(conv, "six")
-    outs = [o for _p, o in drv.round_model(Procedure.P_II).branches
-            if o["key"] == "00" and o["public"] == "10"]
+    outs = [leaf.outcomes for leaf in drv.round_model(Procedure.P_II).leaves
+            if leaf.outcomes["key"] == "00" and leaf.outcomes["public"] == "10"]
     assert len(outs) == 1
     assert outs[0]["secret"] == "01"
     assert drv.infer(Procedure.P_II, {"public": "10", "secret": "01"}) == "00"
@@ -683,14 +732,14 @@ def _step_names(plan):
 def test_round_plan_events_order(conv):
     # Alice rotates and measures the key, then the public pair (announced
     # with the procedure); only then does Bob rotate and measure.
-    plan = protocol_driver(conv, "six").round_model(Procedure.P_II).plan
+    plan = build_plan(protocol_driver(conv, "six").spec, Procedure.P_II, None)
     assert _step_names(plan) == [
         ("S", 3), ("key", (1, 3)), ("public", (5, 6)), ("S", 4), ("secret", (2, 4)),
     ]
 
 
 def test_four_qubit_rotation_precedes_key_measurement(conv):
-    plan = protocol_driver(conv, "four").round_model(Procedure.P_II).plan
+    plan = build_plan(protocol_driver(conv, "four").spec, Procedure.P_II, None)
     assert _step_names(plan) == [("S", 1), ("key", (1, 3)), ("S", 2), ("secret", (2, 4))]
 
 
@@ -699,8 +748,7 @@ def test_honest_leaves_are_undetected_and_uninformed(driver):
     for procedure in Procedure:
         model = driver.round_model(procedure)
         assert model.leaves
-        for (_prob, out), leaf in zip(model.branches, model.leaves, strict=True):
-            assert leaf.outcomes is out
+        for leaf in model.leaves:
             assert not leaf.detected and not leaf.informed
 
 

@@ -581,8 +581,8 @@ def pick(probs, u: float) -> int:
     and the bisect over the row's thresholds that ``RandomSource.descend`` takes agree on it."""
     tree = compile_nested(Node(probs, list(range(len(probs)))))
     outcome = tree.leaves[int(tree.descend(np.array([[u]]))[0])]
-    thresholds, children, leaves, _levels = tree.rows
-    assert leaves[children[0][bisect_right(thresholds[0], u)]] == outcome
+    thresholds, children = tree.rows
+    assert tree.leaves[children[0][bisect_right(thresholds[0], u)]] == outcome
     return outcome
 
 

@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from swapqkd import harness, qstate
-from swapqkd.adversary import AttackStrategy, ZlgAttack
+from swapqkd.adversary import ATTACKS, AttackStrategy, ZlgAttack, attack_detection_probability
 from swapqkd.bell import LABELS
 from swapqkd.harness import splitmix64
-from swapqkd.protocol import Leaf, MeasureStep, Procedure, protocol_driver
+from swapqkd.protocol import Leaf, MeasureStep, Procedure, build_plan, protocol_driver
 
 import oracle
 from streams import RandomSource
@@ -40,6 +40,12 @@ HARNESS_CONFIGS = [
 ROUNDS_PER_POLICY = {0.5: 10_000, 0.0: 4_000, 1.0: 4_000}
 
 
+def _plan(driver, procedure, attack):
+    """The plan ``driver`` enumerates for its round model of ``procedure`` under ``attack``."""
+    transit = attack.transit_plan() if attack is not None else None
+    return build_plan(driver.spec, procedure, transit)
+
+
 @pytest.mark.parametrize("protocol_name,kind,policy", [
     pytest.param(name, kind, policy, id=f"{name}-{kind}" + ("" if policy == 0.5 else f"-q{policy}"))
     for policy in ROUNDS_PER_POLICY for name, kind in HARNESS_CONFIGS
@@ -55,6 +61,8 @@ def test_tree_sampler_matches_statevector_draw_for_draw(conv, protocol_name, kin
         for _weight, attack in mixture for procedure in Procedure
         for leaf in driver.round_model(procedure, attack).leaves
     }
+    plans = {(procedure, attack): _plan(driver, procedure, attack)
+             for _weight, attack in mixture for procedure in Procedure}
     rounds_per_config = ROUNDS_PER_POLICY[policy]
     got = []
     rounds = {}  # plan id -> (plan, procedure, round indices, uniforms)
@@ -72,7 +80,7 @@ def test_tree_sampler_matches_statevector_draw_for_draw(conv, protocol_name, kin
         if len(mixture) == 2 and not ref_rng.uniform() < mixture[0][0]:
             attack = mixture[1][1]
         procedure = Procedure.P_I if ref_rng.uniform() < policy else Procedure.P_II
-        plan = driver.round_model(procedure, attack).plan
+        plan = plans[procedure, attack]
         draws = [ref_rng.uniform() for step in plan.steps if isinstance(step, MeasureStep)]
         group = rounds.setdefault(id(plan), (plan, procedure, [], []))
         group[2].append(i)
@@ -103,6 +111,53 @@ def test_the_folded_tree_reads_the_full_trees_facts_from_the_same_draws(
         leaf, twin_leaf = rng.descend(folded), twin.descend(full)
         assert (leaf.detected, leaf.informed) == (twin_leaf.detected, twin_leaf.informed)
         assert rng.uniform() == twin.uniform()
+
+
+# Per-compared-round detection probability of each attack kind at procedure coin q: Eve's
+# matched procedure goes undetected and her mismatched one is caught half the time.
+CLOSED_FORM_DETECTION = {
+    "none": lambda q: 0.0,
+    "zlg": lambda q: (1.0 - q) / 2,
+    "tailored": lambda q: q / 2,
+    "mixed": lambda q: 0.25,
+    "four-swap": lambda q: 0.25,
+}
+
+
+@pytest.mark.parametrize("policy", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("protocol_name,kind", HARNESS_CONFIGS,
+                         ids=[f"{name}-{kind}" for name, kind in HARNESS_CONFIGS])
+def test_the_folded_tree_samples_the_exact_detection_probability(
+        conv, protocol_name, kind, policy):
+    # Every attack kind on each of its protocols.
+    assert sorted(HARNESS_CONFIGS) == sorted(
+        (name, k) for k, (protocols, _builds) in ATTACKS.items() for name in protocols)
+    # A reachable row that ends a walk gets the product of the threshold steps on the way.
+    tree, detected, _ = harness._folded_tree(protocol_name, AttackStrategy(kind), policy)
+    thresholds, children = tree.rows
+    ends = {}
+
+    def visit(row, mass):
+        if tree.leaves[row] is not None:
+            ends[row] = ends.get(row, 0.0) + mass
+            return
+        below = 0.0
+        for k, threshold in enumerate(t for t in thresholds[row] if t != math.inf):
+            if threshold > below:
+                visit(children[row][k], mass * (threshold - below))
+            below = threshold
+
+    visit(0, 1.0)
+    assert abs(sum(ends.values()) - 1.0) <= 1e-12
+    sampled = sum(mass for row, mass in ends.items() if detected[row])
+    exact = sum(
+        weight * (policy * attack_detection_probability(conv, protocol_name, Procedure.P_I, a)
+                  + (1.0 - policy)
+                  * attack_detection_probability(conv, protocol_name, Procedure.P_II, a))
+        for weight, a in AttackStrategy(kind).mixture(conv)
+    )
+    assert abs(sampled - exact) <= 1e-12
+    assert abs(sampled - CLOSED_FORM_DETECTION[kind](policy)) <= 1e-12
 
 
 # SHA-256 of each folded round tree's _canonical_form, captured from the linked-node trees
@@ -140,7 +195,7 @@ def _canonical_form(tree) -> str:
     """The rows a walk from the root can reach, in pre-order and numbered in that order: a
     drawing row as ``draw``, its thresholds as float.hex and each slot's row number, the gap
     slot included; a row that ends a walk as ``end``, its levels and its leaf's two facts."""
-    thresholds, children, leaves, levels = tree.rows
+    (thresholds, children), leaves, levels = tree.rows, tree.leaves, tree.levels
     number, lines = {}, []
 
     def visit(row):
@@ -176,7 +231,7 @@ def test_a_round_without_an_attack_folds_to_one_jump():
 
 
 def _leaf(detected: bool, informed: bool = False) -> Leaf:
-    return Leaf({}, detected, informed)
+    return Leaf(1.0, {}, (), detected, informed)
 
 
 FACTS = operator.attrgetter("detected", "informed")  # the fold key of a Monte Carlo tree
@@ -233,12 +288,13 @@ def _model_roots(conv):
 def test_tree_path_products_equal_branch_masses(conv):
     checked = 0
     for driver, procedure, attack, tree, root in _model_roots(conv):
-        thresholds, children, leaves, _levels = tree.rows
+        (thresholds, children), leaves = tree.rows, tree.leaves
         model = driver.round_model(procedure, attack)
-        measured = [step.name for step in model.plan.steps if isinstance(step, MeasureStep)]
-        for (mass, outcomes), leaf in zip(model.branches, model.leaves, strict=True):
+        plan = _plan(driver, procedure, attack)
+        measured = [step.name for step in plan.steps if isinstance(step, MeasureStep)]
+        for leaf in model.leaves:
             node, prefix, product = root, (), 1.0
-            for name, label in outcomes.items():
+            for name, label in leaf.outcomes.items():
                 # The row at depth j draws the plan's j-th measurement; every row
                 # is on some branch's path.
                 assert leaves[node] is None and measured[len(prefix)] == name
@@ -247,15 +303,15 @@ def test_tree_path_products_equal_branch_masses(conv):
                 product *= thresholds[node][k] - (thresholds[node][k - 1] if k else 0.0)
                 node = children[node][k]
                 prefix += (k,)
-            assert leaves[node] is leaf
-            assert abs(product - mass) <= 1e-12
+            assert leaves[node] is leaf and prefix == leaf.path
+            assert abs(product - leaf.mass) <= 1e-12
             checked += 1
     assert checked == 32 + 2 * 80 + 8 + 2 * 20
 
 
 def test_enumeration_is_shared_across_attack_instances(conv):
     driver = protocol_driver(conv, "six")
-    first = driver.round_model(Procedure.P_II, ZlgAttack(conv)).branches
-    assert driver.round_model(Procedure.P_II, ZlgAttack(conv)).branches is first
+    first = driver.round_model(Procedure.P_II, ZlgAttack(conv)).leaves
+    assert driver.round_model(Procedure.P_II, ZlgAttack(conv)).leaves is first
     with pytest.raises(TypeError):
-        first[0][1]["key"] = "11"
+        first[0].outcomes["key"] = "11"
