@@ -47,7 +47,6 @@ from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
-from . import qstate
 from .bell import LABELS, BellConvention
 from .protocol import (
     ConditionalGateStep,
@@ -152,14 +151,14 @@ class Interception:
     def transit_plan(self) -> TransitPlan:
         """The interception's steps; an identity gate emits no step."""
         def gates(steps: tuple[tuple[int, str], ...]) -> tuple[GateStep, ...]:
-            return tuple(GateStep(q, qstate.gate(name)) for q, name in steps if name != "I")
+            return tuple(GateStep(q, name) for q, name in steps if name != "I")
 
         steps: tuple[Step, ...] = gates(self.before) + (MeasureStep("eve", self.pair),)
         steps += gates(self.after)
         if self.corrections:
             by_outcome = dict(self.corrections)
-            gates = tuple(qstate.gate(by_outcome[m]) for m in LABELS)
-            steps += (ConditionalGateStep(qubit=self.corrected, on="eve", gates=gates),)
+            names = tuple(by_outcome[m] for m in LABELS)
+            steps += (ConditionalGateStep(qubit=self.corrected, on="eve", gates=names),)
         return replace(self.wiring, steps=steps)
 
 
@@ -269,9 +268,9 @@ ROTATIONS: tuple[tuple[str, str], ...] = tuple(itertools.product(PRE_UNITARIES, 
 def _alice_block_plan(correction: str, procedure: Procedure) -> Plan:
     # block qubits 1,2,3,5 -> 1,2,3,4
     steps = (
-        GateStep(3, qstate.gate(procedure.rotation)),
+        GateStep(3, procedure.rotation),
         MeasureStep("key", (1, 3)),
-        GateStep(2, qstate.gate(correction)),
+        GateStep(2, correction),
         MeasureStep("public", (4, 2)),
     )
     return Plan(4, ((1, 2), (3, 4)), steps)
@@ -280,10 +279,10 @@ def _alice_block_plan(correction: str, procedure: Procedure) -> Plan:
 def _travel_block_plan(u6: str, u8: str, procedure: Procedure) -> Plan:
     # block qubits 4,6,7,8 -> 1,2,3,4
     steps = (
-        GateStep(2, qstate.gate(u6)),
-        GateStep(4, qstate.gate(u8)),
+        GateStep(2, u6),
+        GateStep(4, u8),
         MeasureStep("eve", (2, 4)),
-        GateStep(1, qstate.gate(procedure.rotation)),
+        GateStep(1, procedure.rotation),
         MeasureStep("secret", (3, 1)),
     )
     return Plan(4, ((1, 2), (3, 4)), steps)

@@ -101,11 +101,10 @@ class BellConvention:
     acting_factor: str
 
     def __post_init__(self) -> None:
-        if len(self.assignment) != 4:
-            raise ValueError("assignment must list four signed states")
-        for name, sign in self.assignment:
-            if name not in BASE_STATES or sign not in (1, -1):
-                raise ValueError(f"bad assignment entry {(name, sign)!r}")
+        names = sorted(name for name, _sign in self.assignment)
+        if names != sorted(BASE_ORDER) or any(sign not in (1, -1) for _, sign in self.assignment):
+            raise ValueError(f"assignment must sign each of {BASE_ORDER} once by +1 or -1, "
+                             f"got {self.assignment!r}")
 
     # Built on first read: all_conventions() makes 64 conventions that mostly
     # go unread.
@@ -121,8 +120,11 @@ class BellConvention:
 
     @cached_property
     def basis_matrix(self) -> np.ndarray:
-        """4x4 array, row k = state of LABELS[k]."""
+        """4x4 array, row k = state of LABELS[k]; every measurement reads it, and it is
+        checked orthonormal within 1e-10 here, once."""
         basis = np.vstack([self.states[lab] for lab in LABELS])
+        if not np.abs(basis @ basis.conj().T - np.eye(4)).max() <= qstate.ATOL_MEASURE:
+            raise ValueError(f"basis states are not orthonormal within {qstate.ATOL_MEASURE}")
         basis.setflags(write=False)
         return basis
 
@@ -218,11 +220,6 @@ def derive_swap_table(conv: BellConvention) -> Mapping[tuple[str, str, str], str
     # output axes run from qubit 4 down to qubit 1, the amplitude-index order.
     pair = basis.reshape(4, 2, 2)
     states = np.einsum("xab,ycd->xydcba", pair, pair).reshape(len(cells), 16)
-    norms = np.sqrt(np.einsum("sa,sa->s", states, states.conj()).real)
-    if not np.abs(norms - 1.0).max() <= qstate.ATOL_ALGEBRA:
-        raise ValueError(
-            f"two-pair state norms {norms.tolist()} are not 1 within {qstate.ATOL_ALGEBRA}"
-        )
     # One projection of (1,3) measures all 16 states.  proj[s, m] is what
     # outcome m leaves on qubits (4,2), unnormalized: as a two-qubit register
     # whose qubit 0 is qubit 2, its pair (0,1) is the remainder pair (2,4).

@@ -151,7 +151,7 @@ def _cmd_detection_curve(args) -> int:
 def _cmd_derive_attack(args) -> int:
     params = adversary.derive_tailored_attack(bell.convention())
     text = params.to_json() + "\n"
-    if args.emit_params:
+    if args.emit_params is not None:
         try:
             with open(args.emit_params, "w", encoding="utf-8") as fh:
                 fh.write(text)

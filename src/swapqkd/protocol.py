@@ -18,8 +18,10 @@ Each protocol is one :data:`PROTOCOLS` entry: its pairs, its in-flight
 qubits, Alice's and Bob's steps, and the outcomes Bob infers the key from.
 :func:`build_plan` and its channel check read only the entry, never the
 protocol's name, and reroute the honest steps through an attack's
-``forward`` map.  An attack's two procedure plans are enumerated once, as
-one batch, over every measurement branch; each branch comes out as its mass,
+``forward`` map.  A gate step holds :func:`qstate.gate` names and refuses an
+unknown one when it is made; :func:`enumerate_plans` looks up each name's
+matrix.  An attack's two procedure plans are enumerated once, as one batch,
+over every measurement branch; each branch comes out as its mass,
 its outcomes and its path, the outcomes' ``LABELS`` indices.  Bob's key
 inference and Eve's posterior are one :func:`key_support` map, each
 observation to the keys it occurs with, read off those outcomes (the
@@ -40,7 +42,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from types import MappingProxyType
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -95,8 +97,13 @@ class TableMismatchError(RuntimeError):
 
 @dataclass(frozen=True)
 class GateStep:
+    """The :func:`qstate.gate` named ``gate`` on one qubit; an unknown name is refused here."""
+
     qubit: int
-    matrix: np.ndarray
+    gate: str
+
+    def __post_init__(self) -> None:
+        qstate.gate(self.gate)
 
 
 @dataclass(frozen=True)
@@ -107,16 +114,18 @@ class MeasureStep:
 
 @dataclass(frozen=True)
 class ConditionalGateStep:
-    """Gate on one qubit chosen by the outcome of an earlier measurement: ``gates[k]`` after
-    outcome ``LABELS[k]``."""
+    """Gate on one qubit chosen by the outcome of an earlier measurement: the
+    :func:`qstate.gate` named ``gates[k]`` after outcome ``LABELS[k]``."""
 
     qubit: int
     on: str
-    gates: tuple[np.ndarray, ...]
+    gates: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if len(self.gates) != len(LABELS):
             raise ValueError(f"one gate per outcome label, got {len(self.gates)}")
+        for name in self.gates:
+            qstate.gate(name)
 
 
 @dataclass(frozen=True)
@@ -152,7 +161,7 @@ class ProtocolSpec:
     between the parties.  ``steps`` are Alice's measurements, then Bob's, as
     if nothing were intercepted; each :class:`Rotate` is a slot that
     :func:`build_plan` fills with the procedure's ``rotation``, so that both
-    procedures share one step skeleton, and a spec holds no gate matrix.  Bob
+    procedures share one step skeleton, and a spec holds no gate.  Bob
     infers the key from the ``observed`` outcomes; the ``announced`` outcomes
     are made public, so Eve observes them with her own outcome ``eve``.
     ``bob_observation(outcomes)`` and ``eve_observation(outcomes)`` read the
@@ -168,7 +177,7 @@ class ProtocolSpec:
 
     def __post_init__(self) -> None:
         if not all(isinstance(step, (Rotate, MeasureStep)) for step in self.steps):
-            raise ValueError("spec steps must be Rotate slots and MeasureSteps: no gate matrices")
+            raise ValueError("spec steps must be Rotate slots and MeasureSteps: no gates")
         measured = {step.name for step in self.steps if isinstance(step, MeasureStep)}
         unmeasured = sorted(set(self.observed + self.announced) - measured)
         if unmeasured:
@@ -243,30 +252,22 @@ def build_plan(spec: ProtocolSpec, procedure: Procedure, transit: TransitPlan | 
     """Eve's steps, then the honest steps on the qubits actually delivered.
 
     Every spec :class:`Rotate` slot takes ``procedure.rotation``, so the two
-    procedures' plans differ only in gate matrices and enumerate as one batch.
+    procedures' plans differ only in gate names and enumerate as one batch.
     """
     transit = transit or TransitPlan()
     _validate_transit(spec, transit)
     route = dict(transit.forward)
     steps: list[Step] = list(transit.steps)
-    rotation = qstate.gate(procedure.rotation)
     for step in spec.steps:
         if isinstance(step, MeasureStep):
             steps.append(replace(step, pair=tuple(route.get(q, q) for q in step.pair)))
         else:
-            steps.append(GateStep(route.get(step.qubit, step.qubit), rotation))
+            steps.append(GateStep(route.get(step.qubit, step.qubit), procedure.rotation))
     pairs = spec.pairs + transit.ancilla_pairs
     return Plan(2 * len(pairs), pairs, tuple(steps))
 
 
 # --- plan execution -------------------------------------------------------
-
-
-def _initial_state(conv: BellConvention, plan: Plan) -> np.ndarray:
-    vec = conv.states["00"]
-    return qstate.prepare_pairs(
-        plan.num_qubits, [(i - 1, j - 1, vec) for i, j in plan.pairs]
-    )
 
 
 # A branch: its mass, its read-only outcomes (measurement name -> label, in first-measured
@@ -275,7 +276,7 @@ Branch = tuple[float, Mapping[str, str], tuple[int, ...]]
 
 
 def _skeleton(step: Step) -> tuple | MeasureStep:
-    """The step with its gate matrices left out."""
+    """The step with its gate names left out."""
     if isinstance(step, GateStep):
         return (GateStep, step.qubit)
     if isinstance(step, ConditionalGateStep):
@@ -285,22 +286,28 @@ def _skeleton(step: Step) -> tuple | MeasureStep:
 
 def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Branch]]:
     """All measurement branches, with their exact probabilities, of plans that
-    differ only in gate matrices.
+    differ only in gate names.
 
     Every live branch of every plan is a row of one amplitude batch, so each
-    step is one batched gate or projection.  Survivors of a measurement keep
-    (row, outcome) order: each plan's branches come out in depth-first order,
-    each as a :data:`Branch`.  A conditional gate picks each row's matrix by
-    the outcome column it reads.
+    step is one batched gate or projection.  The batch starts as the labeled-00
+    state on each pair, its qubits in the pairs' listed order; the pairs must
+    partition a register of 1..``qstate.MAX_QUBITS`` qubits.  Survivors of a
+    measurement keep (row, outcome) order: each plan's branches come out in
+    depth-first order, each as a :data:`Branch`.  A conditional gate picks each
+    row's matrix by the outcome column it reads.
     A measurement's post-measurement states are built by the step after it,
     so a family's last measurement builds none.
     """
     if len({(p.num_qubits, p.pairs, tuple(map(_skeleton, p.steps))) for p in plans}) != 1:
-        raise ValueError("enumerate_plans needs plans that differ only in gate matrices")
-    n = plans[0].num_qubits
+        raise ValueError("enumerate_plans needs plans that differ only in gate names")
+    n, pairs = plans[0].num_qubits, plans[0].pairs
+    order = tuple(q - 1 for pair in pairs for q in pair)  # the qubits indexing amps, high first
+    if sorted(order) != list(range(n)):
+        raise ValueError(f"pairs {pairs} do not partition the {n}-qubit register")
+    if not 0 < n <= qstate.MAX_QUBITS:
+        raise ValueError(f"a register holds 1..{qstate.MAX_QUBITS} qubits, got {n}")
     basis = conv.basis_matrix
-    amps = np.repeat(_initial_state(conv, plans[0])[None], len(plans), axis=0)
-    order = tuple(range(n - 1, -1, -1))  # the qubits indexing amps, most significant first
+    amps = np.repeat(reduce(np.kron, [conv.states["00"]] * len(pairs))[None], len(plans), axis=0)
     measured: tuple = ()  # the last measurement's (proj, probs, picks), not yet collapsed
     owner = np.arange(len(plans))  # the plan each row belongs to
     masses = np.ones(len(plans))
@@ -324,11 +331,11 @@ def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Br
             continue
         amps, order = qstate.to_front(amps, order, (step.qubit - 1,))
         if isinstance(step, GateStep):
-            matrices = tuple(s.matrix for s in steps)
-            shared = all(m is matrices[0] for m in matrices)
-            amps = qstate.gate_rows(amps, matrices, None if shared else owner)
+            names = [s.gate for s in steps]
+            shared = len(set(names)) == 1
+            amps = qstate.gate_rows(amps, tuple(map(qstate.gate, names)), None if shared else owner)
         else:
-            matrices = tuple(g for s in steps for g in s.gates)  # plan-major
+            matrices = tuple(qstate.gate(g) for s in steps for g in s.gates)  # plan-major
             on = picked[:, column[step.on]]
             amps = qstate.gate_rows(amps, matrices, owner * len(LABELS) + on)
     branches: list[list[Branch]] = [[] for _ in plans]

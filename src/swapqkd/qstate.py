@@ -10,13 +10,14 @@ Conventions, fixed once for the whole package:
 
 States are dense complex128 vectors; at 8 qubits (256 amplitudes) there is
 no reason for anything cleverer.  A batch holds one state per row, its
-amplitudes indexed by its qubits in some order, most significant first;
-:func:`prepare_pairs` gives the canonical order, highest qubit first.
+amplitudes indexed by its qubits in some order, most significant first.
 :func:`to_front` lays a batch out for one step, the step's qubits first, and
 three batch kernels compute the step's gates, projections and collapses in
 that layout and leave their results in it.  The caller carries each batch's
 order.  All operations are pure: they return new arrays and never mutate
-their inputs.
+their inputs.  The kernels check no matrix: :func:`gate` checks each composed
+gate once, as it composes it, and ``BellConvention.basis_matrix`` checks its
+basis once, as it builds it.
 
 Monte Carlo reads numpy's PCG64 stream, seeded a chunk of seeds at a time, and walks a
 round's :class:`CompiledTree`, one row per node, whose ``leaves`` and ``levels`` say where
@@ -38,7 +39,7 @@ import numpy as np
 MAX_QUBITS = 8
 
 # Tolerances: 1e-12 for algebraic identities (norms, unitarity), 1e-10 for
-# composed or measured quantities (orthonormality of supplied bases,
+# composed or measured quantities (orthonormality of a convention's basis,
 # probability completeness).
 ATOL_ALGEBRA = 1e-12
 ATOL_MEASURE = 1e-10
@@ -61,13 +62,16 @@ for _m in GATES.values():
 
 @functools.cache
 def gate(name: str) -> np.ndarray:
-    """One read-only array per gate name; compound names compose right to left."""
+    """One read-only array per gate name; compound names compose right to left, and each
+    composed product is checked for unitarity once, as it is made."""
     if name in GATES:
         return GATES[name]
     if name and all(c in GATES for c in name):
         out = np.eye(2, dtype=complex)
         for c in name:
             out = out @ GATES[c]
+        if not is_unitary(out):
+            raise ValueError(f"gate {name!r} is not unitary within {ATOL_ALGEBRA}")
         out.setflags(write=False)
         return out
     raise ValueError(f"unknown gate name {name!r}")
@@ -81,68 +85,13 @@ def is_unitary(matrix: np.ndarray, atol: float = ATOL_ALGEBRA) -> bool:
     return bool(np.abs(matrix @ matrix.conj().T - np.eye(2)).max() <= atol)
 
 
-# Validation memo keyed by array identity: gate matrices and measurement
-# bases are long-lived, read-only module- or convention-level constants, so
-# caching their (expensive) unitarity/orthonormality checks takes them off the
-# per-measurement hot path.  Only a read-only array that owns its data is
-# remembered, since a read-only view changes with its base; any other array is
-# checked on every call, and no array's flags are changed.  Values hold strong
-# references to keep ids stable.
-_KNOWN_GOOD_GATES: dict[int, np.ndarray] = {}
-_KNOWN_GOOD_BASES: dict[int, np.ndarray] = {}
-
-
-def prepare_pairs(num_qubits: int, pairs: list[tuple[int, int, np.ndarray]]) -> np.ndarray:
-    """Tensor product of two-qubit states placed on disjoint pairs, as a read-only
-    ``(2**num_qubits,)`` amplitude array.
-
-    Each entry is ``(i, j, vec4)`` where ``vec4`` is indexed ``2*bit_i + bit_j``.
-    ``num_qubits`` is in 1..MAX_QUBITS, every qubit of the register must be
-    covered by exactly one pair, and the product must have unit norm within 1e-12.
-    """
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in 1..{MAX_QUBITS}, got {num_qubits}")
-    seen: set[int] = set()
-    for i, j, _ in pairs:
-        for q in (i, j):
-            if not 0 <= q < num_qubits or q in seen:
-                raise ValueError(f"pairs must partition 0..{num_qubits - 1}, bad qubit {q}")
-            seen.add(q)
-    if len(seen) != num_qubits:
-        raise ValueError("pairs do not cover the whole register")
-
-    # einsum: one axis letter per qubit, output axes ordered high qubit first
-    # to match the amplitude-index convention.
-    letters = "abcdefgh"
-    subs, operands = [], []
-    for i, j, vec in pairs:
-        vec = np.asarray(vec, dtype=complex)
-        if vec.shape != (4,):
-            raise ValueError(f"a pair state has 4 amplitudes, got shape {vec.shape}")
-        subs.append(letters[i] + letters[j])
-        operands.append(vec.reshape(2, 2))
-    out = "".join(letters[q] for q in range(num_qubits - 1, -1, -1))
-    amps = np.einsum(",".join(subs) + "->" + out, *operands).reshape(-1)
-    # A non-finite amplitude makes the norm non-finite, so this one check
-    # enforces both normalization and finiteness.
-    norm = float(np.vdot(amps, amps).real) ** 0.5
-    if not abs(norm - 1.0) <= ATOL_ALGEBRA:
-        raise ValueError(
-            f"state norm {norm!r} is not 1 within {ATOL_ALGEBRA} "
-            "(non-finite amplitudes also land here)"
-        )
-    amps.setflags(write=False)
-    return amps
-
-
 def to_front(
     amps: np.ndarray, order: tuple[int, ...], qubits: Sequence[int]
 ) -> tuple[np.ndarray, tuple[int, ...]]:
     """A batch laid out for one step on ``qubits``, as ``(front, order)``.
 
     ``amps`` holds one state per row, its amplitudes indexed by the qubits of
-    ``order``, the first most significant; a :func:`prepare_pairs` state is in
-    the canonical order ``(n - 1, ..., 0)``.  ``front`` is ``(rows,
+    ``order``, the first most significant.  ``front`` is ``(rows,
     2**len(qubits), rest)``: the middle index is ``2 * bit_first + bit_second``
     for a pair, and ``rest`` runs over the other qubits in descending order,
     whatever order ``amps`` held.  The returned order is ``qubits`` and then
@@ -160,36 +109,6 @@ def to_front(
     return arr.reshape(len(amps), 2 ** len(qubits), -1), front
 
 
-def _check_gate(gate_matrix: np.ndarray) -> np.ndarray:
-    matrix = np.asarray(gate_matrix, dtype=complex)
-    frozen = not matrix.flags.writeable and matrix.flags.owndata
-    if frozen and id(matrix) in _KNOWN_GOOD_GATES:
-        return matrix
-    if not is_unitary(matrix):
-        raise ValueError("gate is not unitary within 1e-12")
-    if frozen:
-        if len(_KNOWN_GOOD_GATES) > 1024:
-            _KNOWN_GOOD_GATES.clear()
-        _KNOWN_GOOD_GATES[id(matrix)] = matrix
-    return matrix
-
-
-def _check_basis(basis: np.ndarray) -> np.ndarray:
-    basis = np.asarray(basis, dtype=complex)
-    frozen = not basis.flags.writeable and basis.flags.owndata
-    if frozen and id(basis) in _KNOWN_GOOD_BASES:
-        return basis
-    if basis.shape != (4, 4):
-        raise ValueError("basis must be four two-qubit states (a 4x4 array of rows)")
-    if not np.abs(basis @ basis.conj().T - np.eye(4)).max() <= ATOL_MEASURE:
-        raise ValueError("basis states are not orthonormal within 1e-10")
-    if frozen:
-        if len(_KNOWN_GOOD_BASES) > 1024:
-            _KNOWN_GOOD_BASES.clear()
-        _KNOWN_GOOD_BASES[id(basis)] = basis
-    return basis
-
-
 # --- batch kernels ----------------------------------------------------------
 #
 # A batch is one pure state per row, laid out by :func:`to_front` for the step
@@ -204,10 +123,9 @@ def gate_rows(
     rest)`` batch, and return the batch in that layout.
 
     Row b gets ``gates[choice[b]]``, or ``gates[0]`` for every row when
-    ``choice`` is None.  Every gate is checked for unitarity.
+    ``choice`` is None.  The gates are :func:`gate` arrays, checked where they were made.
     """
-    checked = [_check_gate(g) for g in gates]
-    matrix = checked[0] if choice is None else np.array(checked)[choice]
+    matrix = gates[0] if choice is None else np.array(gates)[choice]
     return matrix @ front
 
 
@@ -216,12 +134,12 @@ def project_rows(front: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.n
     basis state at once.
 
     ``basis`` is a 4x4 array whose rows are orthonormal two-qubit states in
-    the pair-index convention.  Returns ``(proj, probs)``: ``proj[b, k]`` is
+    the pair-index convention, a convention's ``basis_matrix``, checked where it
+    was built.  Returns ``(proj, probs)``: ``proj[b, k]`` is
     the rest of row b's register given outcome k (unnormalized), and
     ``probs[b, k]`` its Born probability.  Raises ValueError if a probability
     is not finite.
     """
-    basis = _check_basis(basis)
     proj = basis.conj() @ front
     probs = np.einsum("bkr,bkr->bk", proj, proj.conj()).real
     if not np.isfinite(probs).all():
@@ -241,7 +159,6 @@ def collapse_rows(
     outcome) order.  Raises ValueError unless every resulting row has unit
     norm within 1e-12.
     """
-    basis = _check_basis(basis)
     # outer(basis state, projection) / sqrt(p), in that order: normalizing
     # the projection first changes the last bits of later branch masses.
     # Dividing a complex number by a real one multiplies both of its parts by

