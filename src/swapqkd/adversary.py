@@ -6,8 +6,9 @@ interception point, before any announcement exists.  What she hears later
 (the procedure choice, and in the six-qubit protocol the public result)
 only feeds her classical key inference.
 
-Every attack is one :class:`Interception` value written in gate names, and
-:data:`ATTACKS` maps each attack kind to its protocols and weighted attacks.
+Every attack is one :class:`protocol.Attack` record, its steps written in
+gate names with its ancilla pairs and forwarding, and :data:`ATTACKS` maps
+each attack kind to its protocols and weighted attacks.
 
 Six-qubit interception: Eve holds an ancilla pair (7,8) in the labeled-00
 state.  She captures qubit 2 on its way to Bob and sends her qubit 7
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
 from typing import Callable, ClassVar, Sequence
@@ -49,13 +50,12 @@ import numpy as np
 
 from .bell import LABELS, BellConvention
 from .protocol import (
+    Attack,
     ConditionalGateStep,
     GateStep,
     MeasureStep,
     Plan,
     Procedure,
-    Step,
-    TransitPlan,
     _checked_rows,
     enumerate_plans,
     protocol_driver,
@@ -86,13 +86,14 @@ class TailoredParams:
     pauli_map: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
+        if len(self.pre_unitaries) != 2:
+            raise ValueError(f"one pre-unitary each for qubits 6 and 8, got {self.pre_unitaries}")
         for name in self.pre_unitaries:
             if name not in PRE_UNITARIES:
                 raise ValueError(f"pre-unitary {name!r} not in {PRE_UNITARIES}")
-        mapping = dict(self.pauli_map)
-        if sorted(mapping) != sorted(LABELS):
-            raise ValueError("pauli_map must cover exactly the four outcome labels")
-        for name in mapping.values():
+        if sorted(m for m, _name in self.pauli_map) != sorted(LABELS):
+            raise ValueError("pauli_map must name each of the four outcome labels once")
+        for _m, name in self.pauli_map:
             if name not in CORRECTIONS_EXTENDED:
                 raise ValueError(f"correction {name!r} not in {CORRECTIONS_EXTENDED}")
 
@@ -128,67 +129,36 @@ def pauli_for_label(conv: BellConvention) -> dict[str, str]:
     return mapping
 
 
-@dataclass(frozen=True)
-class Interception:
-    """One in-flight attack, written in gate names.
-
-    Eve applies the ``before`` gates, Bell-measures ``pair`` as ``eve``,
-    applies the ``after`` gates, then applies to qubit ``corrected`` the gate
-    that ``corrections`` maps her outcome to.  ``wiring`` holds the ancilla
-    pairs and the ``forward`` map.  Equal values share one round model per
-    driver.
-    """
-
-    kind: str
-    protocol: str
-    pair: tuple[int, int]
-    before: tuple[tuple[int, str], ...] = ()
-    after: tuple[tuple[int, str], ...] = ()
-    corrected: int | None = None
-    corrections: tuple[tuple[str, str], ...] = ()  # Eve's outcome -> gate name
-    wiring: TransitPlan = TransitPlan()
-
-    def transit_plan(self) -> TransitPlan:
-        """The interception's steps; an identity gate emits no step."""
-        def gates(steps: tuple[tuple[int, str], ...]) -> tuple[GateStep, ...]:
-            return tuple(GateStep(q, name) for q, name in steps if name != "I")
-
-        steps: tuple[Step, ...] = gates(self.before) + (MeasureStep("eve", self.pair),)
-        steps += gates(self.after)
-        if self.corrections:
-            by_outcome = dict(self.corrections)
-            names = tuple(by_outcome[m] for m in LABELS)
-            steps += (ConditionalGateStep(qubit=self.corrected, on="eve", gates=names),)
-        return replace(self.wiring, steps=steps)
+def _gates(*gates: tuple[int, str]) -> tuple[GateStep, ...]:
+    """A step per ``(qubit, gate name)``; an identity gate emits no step."""
+    return tuple(GateStep(qubit, name) for qubit, name in gates if name != "I")
 
 
-# Eve delivers her ancilla 7 in place of 2, and the captured 2 in place of 6.
-_SIX_WIRING = TransitPlan(ancilla_pairs=((7, 8),), forward=((6, 2), (2, 7)))
-
-
-def _six_interception(kind: str, params: TailoredParams) -> Interception:
-    """Rotate 6 and 8, Bell-measure them, correct 2 by Eve's outcome."""
+def _six_interception(kind: str, params: TailoredParams) -> Attack:
+    """Rotate 6 and 8, Bell-measure them, correct 2 by Eve's outcome; deliver 7 for 2, 2 for 6."""
     mapping = dict(params.pauli_map)
-    corrections = tuple((m, mapping[m]) for m in LABELS)
-    return Interception(kind, "six", (6, 8), tuple(zip((6, 8), params.pre_unitaries)),
-                        corrected=2, corrections=corrections, wiring=_SIX_WIRING)
+    steps = _gates(*zip((6, 8), params.pre_unitaries)) + (
+        MeasureStep("eve", (6, 8)),
+        ConditionalGateStep(2, "eve", tuple(mapping[m] for m in LABELS)),
+    )
+    return Attack(kind, "six", steps, ancilla_pairs=((7, 8),), forward=((6, 2), (2, 7)))
 
 
-def ZlgAttack(conv: BellConvention) -> Interception:
+def ZlgAttack(conv: BellConvention) -> Attack:
     """The published interception: no rotation, Pauli corrections."""
     paulis = tuple(pauli_for_label(conv).items())
     return _six_interception("zlg", TailoredParams(("I", "I"), paulis))
 
 
-def TailoredAttack(conv: BellConvention, params: TailoredParams | None = None) -> Interception:
+def TailoredAttack(conv: BellConvention, params: TailoredParams | None = None) -> Attack:
     """The procedure-(ii)-matched interception; the frozen search result by default."""
     return _six_interception("tailored", params if params is not None else FROZEN_TAILORED_PARAMS)
 
 
-def FourSwapAttack(conv: BellConvention, guess: Procedure) -> Interception:
+def FourSwapAttack(conv: BellConvention, guess: Procedure) -> Attack:
     """Bell-measure (2, 4) in the guessed basis: its gate on 2 before and after it."""
-    rotation = ((2, guess.rotation),)  # I or S, each its own inverse
-    return Interception("four-swap", "four", (2, 4), before=rotation, after=rotation)
+    rotation = _gates((2, guess.rotation))  # I or S, each its own inverse
+    return Attack("four-swap", "four", rotation + (MeasureStep("eve", (2, 4)),) + rotation)
 
 
 # Attack kind -> (the protocols it applies to, the constructors, each called with
@@ -222,7 +192,7 @@ class AttackStrategy:
     def compatible_protocols(self) -> tuple[str, ...]:
         return ATTACKS[self.kind][0]
 
-    def mixture(self, conv: BellConvention) -> tuple[tuple[float, Interception | None], ...]:
+    def mixture(self, conv: BellConvention) -> tuple[tuple[float, Attack | None], ...]:
         """The attacks this kind draws each round, with their weights."""
         return tuple((weight, build(conv)) for weight, build in ATTACKS[self.kind][1])
 
@@ -413,7 +383,7 @@ def zlg_outcome_rows(conv: BellConvention) -> list[tuple[str, ...]]:
     """All distinct zlg-attack rows with key 00, in the published order."""
     driver = protocol_driver(conv, "six")
     attack = ZlgAttack(conv)
-    transformation = dict(attack.corrections)  # Eve's outcome -> her correction
+    transformation = dict(zip(LABELS, attack.steps[-1].gates))  # Eve's correction per outcome
     rows = set()
     for procedure in Procedure:
         model = driver.round_model(procedure, attack)

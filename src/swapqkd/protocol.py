@@ -16,22 +16,23 @@ result alone determines the key.
 
 Each protocol is one :data:`PROTOCOLS` entry: its pairs, its in-flight
 qubits, Alice's and Bob's steps, and the outcomes Bob infers the key from.
-:func:`build_plan` and its channel check read only the entry, never the
-protocol's name, and reroute the honest steps through an attack's
-``forward`` map.  A gate step holds :func:`qstate.gate` names and refuses an
-unknown one when it is made; :func:`enumerate_plans` looks up each name's
-matrix.  An attack's two procedure plans are enumerated once, as one batch,
-over every measurement branch; each branch comes out as its mass,
-its outcomes and its path, the outcomes' ``LABELS`` indices.  Bob's key
-inference and Eve's posterior are one :func:`key_support` map, each
-observation to the keys it occurs with, read off those outcomes (the
-adversary-free ones for Bob), never assumed in closed form.  A round model
-holds one :class:`Leaf` per branch, that branch and its two facts: did Bob
-infer a wrong key, and did Eve's posterior pin it.  Every exact table and
-probability reads the leaves, and every exact probability and Monte Carlo
-count is a mass-weighted read of the two facts.  A round model builds no
-tree: ``harness`` builds each run's round tree from the leaves' paths and
-masses.
+An :class:`Attack` is one record: Eve's in-flight steps, her ancilla pairs
+and her ``forward`` map.  :func:`build_plan` and its channel check read
+only the entry and that record, never the protocol's name, and reroute the
+honest steps through the attack's ``forward`` map.  A gate step holds
+:func:`qstate.gate` names and refuses an unknown one when it is made;
+:func:`enumerate_plans` looks up each name's matrix.  An attack's two
+procedure plans are enumerated once, as one batch, over every measurement
+branch; each branch comes out as its mass, its outcomes and its path, the
+outcomes' ``LABELS`` indices.  Bob's key inference and Eve's posterior are
+one :func:`key_support` map, each observation to the keys it occurs with,
+read off those outcomes (the adversary-free ones for Bob), never assumed in
+closed form.  A round model holds one :class:`Leaf` per branch, that
+branch and its two facts: did Bob infer a wrong key, and did Eve's
+posterior pin it.  Every exact table and probability reads the leaves, and
+every exact probability and Monte Carlo count is a mass-weighted read of
+the two facts.  A round model builds no tree: ``harness`` builds each run's
+round tree from the leaves' paths and masses.
 
 Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 0-based register happens only at the physics boundary.
@@ -137,18 +138,21 @@ Step = GateStep | MeasureStep | ConditionalGateStep
 
 
 @dataclass(frozen=True)
-class TransitPlan:
-    """What an eavesdropper does while qubits are in flight.
+class Attack:
+    """What an eavesdropper does while qubits are in flight, against ``protocol``.
 
     ``steps`` run at the interception point, before any announcement
     exists; the channel structurally cannot leak Alice's procedure choice
     to them.  ``ancilla_pairs`` are extra qubit pairs prepared in the
     labeled-00 state and appended to the register.  ``forward`` pairs an
     in-flight qubit with the physical qubit delivered in its place; an
-    in-flight qubit it does not name is delivered as itself.
+    in-flight qubit it does not name is delivered as itself.  Equal values
+    share one round model per driver.
     """
 
-    steps: tuple[Step, ...] = ()
+    kind: str
+    protocol: str
+    steps: tuple[Step, ...]
     ancilla_pairs: tuple[tuple[int, int], ...] = ()
     forward: tuple[tuple[int, int], ...] = ()
 
@@ -226,44 +230,49 @@ class Plan:
     steps: tuple[Step, ...]
 
 
-def _validate_transit(spec: ProtocolSpec, transit: TransitPlan) -> None:
+def _validate_transit(spec: ProtocolSpec, attack: Attack) -> None:
     base = 2 * len(spec.pairs)
-    ancilla = [q for pair in transit.ancilla_pairs for q in pair]
+    ancilla = [q for pair in attack.ancilla_pairs for q in pair]
     if sorted(ancilla) != list(range(base + 1, base + 1 + len(ancilla))):
         raise MalformedAdversaryError(
-            f"ancilla pairs must extend the register contiguously, got {transit.ancilla_pairs}"
+            f"ancilla pairs must extend the register contiguously, got {attack.ancilla_pairs}"
         )
     allowed = spec.in_flight | set(ancilla)
-    for step in transit.steps:
+    measured = set()  # Eve may condition a gate only on an outcome she has measured
+    for step in attack.steps:
         bad = set(step.pair if isinstance(step, MeasureStep) else (step.qubit,)) - allowed
         if bad:
             raise MalformedAdversaryError(f"attack touches protected qubits {sorted(bad)}")
         if isinstance(step, MeasureStep) and step.name in RESERVED_NAMES:
             raise MalformedAdversaryError(f"attack reuses reserved measurement name {step.name!r}")
-    route = dict(transit.forward)
-    if len(route) < len(transit.forward) or not route.keys() <= spec.in_flight:
-        raise MalformedAdversaryError(f"forwards protected or repeated sources {transit.forward}")
+        if isinstance(step, ConditionalGateStep) and step.on not in measured:
+            raise MalformedAdversaryError(f"attack conditions on {step.on!r} before measuring it")
+        if isinstance(step, MeasureStep):
+            measured.add(step.name)
+    route = dict(attack.forward)
+    if len(route) < len(attack.forward) or not route.keys() <= spec.in_flight:
+        raise MalformedAdversaryError(f"forwards protected or repeated sources {attack.forward}")
     delivered = [route.get(q, q) for q in sorted(spec.in_flight)]
     if len(set(delivered)) < len(delivered) or not set(delivered) <= allowed:
         raise MalformedAdversaryError(f"delivers protected or repeated qubits {delivered}")
 
 
-def build_plan(spec: ProtocolSpec, procedure: Procedure, transit: TransitPlan | None) -> Plan:
+def build_plan(spec: ProtocolSpec, procedure: Procedure, attack: Attack | None) -> Plan:
     """Eve's steps, then the honest steps on the qubits actually delivered.
 
     Every spec :class:`Rotate` slot takes ``procedure.rotation``, so the two
     procedures' plans differ only in gate names and enumerate as one batch.
     """
-    transit = transit or TransitPlan()
-    _validate_transit(spec, transit)
-    route = dict(transit.forward)
-    steps: list[Step] = list(transit.steps)
+    attack = attack or Attack("none", "", ())
+    _validate_transit(spec, attack)
+    route = dict(attack.forward)
+    steps: list[Step] = list(attack.steps)
     for step in spec.steps:
         if isinstance(step, MeasureStep):
             steps.append(replace(step, pair=tuple(route.get(q, q) for q in step.pair)))
         else:
             steps.append(GateStep(route.get(step.qubit, step.qubit), procedure.rotation))
-    pairs = spec.pairs + transit.ancilla_pairs
+    pairs = spec.pairs + attack.ancilla_pairs
     return Plan(2 * len(pairs), pairs, tuple(steps))
 
 
@@ -414,7 +423,7 @@ class _ProtocolBase:
         """Bob's key for a round's outcomes; ``KeyError`` if no branch made his observation."""
         return self.inference[procedure][self.spec.bob_observation(outcomes)][0]
 
-    def round_model(self, procedure: Procedure, attack=None) -> RoundModel:
+    def round_model(self, procedure: Procedure, attack: Attack | None = None) -> RoundModel:
         """The round under ``attack``.
 
         Both procedures' plans are enumerated as one batch, once per attack value:
@@ -428,8 +437,7 @@ class _ProtocolBase:
                     f"attack {attack.kind!r} targets the {attack.protocol}-qubit "
                     f"protocol, not {self.name}"
                 )
-            transit = attack.transit_plan() if attack is not None else None
-            plans = [build_plan(self.spec, p, transit) for p in Procedure]
+            plans = [build_plan(self.spec, p, attack) for p in Procedure]
             for p, branches in zip(Procedure, enumerate_plans(self.conv, plans)):
                 outcomes = [out for _mass, out, _path in branches]
                 if attack is None:

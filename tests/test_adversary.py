@@ -16,7 +16,6 @@ from swapqkd.adversary import (
     AttackSearchError,
     AttackStrategy,
     FourSwapAttack,
-    Interception,
     TailoredAttack,
     TailoredParams,
     ZlgAttack,
@@ -30,11 +29,12 @@ from swapqkd.adversary import (
 from swapqkd.bell import LABELS
 from swapqkd.harness import CurveConfig
 from swapqkd.protocol import (
+    Attack,
+    ConditionalGateStep,
     GateStep,
     MeasureStep,
     PROTOCOLS,
     Procedure,
-    TransitPlan,
     build_plan,
     enumerate_plans,
     protocol_driver,
@@ -128,10 +128,15 @@ def test_zlg_is_the_interception_without_rotation(conv):
     # corrections; its branches are those of that parameter choice.
     params = TailoredParams(("I", "I"), tuple(pauli_for_label(conv).items()))
     zlg = ZlgAttack(conv)
-    assert (zlg.kind, zlg.protocol, zlg.pair, zlg.corrected) == ("zlg", "six", (6, 8), 2)
-    assert [gate for _qubit, gate in zlg.before if gate != "I"] == [] and zlg.after == ()
+    assert (zlg.kind, zlg.protocol) == ("zlg", "six")
+    assert (zlg.ancilla_pairs, zlg.forward) == (((7, 8),), ((6, 2), (2, 7)))
+    # No gate before or after Eve's measurement of (6, 8): only her correction of 2.
+    measure, correction = zlg.steps
+    assert measure == MeasureStep("eve", (6, 8))
+    assert isinstance(correction, ConditionalGateStep)
+    assert (correction.qubit, correction.on) == (2, "eve")
     paulis = (("00", "I"), ("01", "Z"), ("10", "X"), ("11", "Y"))
-    assert zlg.corrections == params.pauli_map == paulis
+    assert tuple(zip(LABELS, correction.gates)) == params.pauli_map == paulis
     driver = protocol_driver(conv, "six")
     for procedure in Procedure:
         want = driver.round_model(procedure, TailoredAttack(conv, params)).leaves
@@ -142,10 +147,9 @@ def test_equal_interceptions_share_one_round_model(conv):
     driver = protocol._ProtocolBase(conv, "six")
     first, second = ZlgAttack(conv), ZlgAttack(conv)
     assert first is not second and first == second and hash(first) == hash(second)
-    built = Interception(
-        "zlg", "six", (6, 8), ((6, "I"), (8, "I")), corrected=2,
-        corrections=tuple(pauli_for_label(conv).items()), wiring=first.wiring,
-    )
+    paulis = tuple(pauli_for_label(conv)[m] for m in LABELS)
+    steps = (MeasureStep("eve", (6, 8)), ConditionalGateStep(2, "eve", paulis))
+    built = Attack("zlg", "six", steps, ancilla_pairs=((7, 8),), forward=((6, 2), (2, 7)))
     assert built == first
     four = protocol._ProtocolBase(conv, "four")
     for procedure in Procedure:
@@ -165,7 +169,8 @@ def test_zlg_gates_under_another_kind_get_their_own_round_model(conv):
     zlg = ZlgAttack(conv)
     renamed = replace(zlg, kind="tailored")
     assert renamed != zlg
-    assert renamed == TailoredAttack(conv, TailoredParams(("I", "I"), zlg.corrections))
+    paulis = tuple(zip(LABELS, zlg.steps[-1].gates))
+    assert renamed == TailoredAttack(conv, TailoredParams(("I", "I"), paulis))
     for procedure in Procedure:
         ours, theirs = driver.round_model(procedure, zlg), driver.round_model(procedure, renamed)
         assert ours is not theirs and ours.leaves == theirs.leaves
@@ -174,9 +179,10 @@ def test_zlg_gates_under_another_kind_get_their_own_round_model(conv):
 
 def test_four_swap_guess_plans_are_the_measurement_in_the_guessed_basis(conv):
     # Guess (I) is the measurement alone; guess (II) is S on 2, measure (2, 4), S on 2.
-    plain = FourSwapAttack(conv, Procedure.P_I).transit_plan()
-    assert plain == TransitPlan(steps=(MeasureStep("eve", (2, 4)),))
-    rotated = FourSwapAttack(conv, Procedure.P_II).transit_plan()
+    plain = FourSwapAttack(conv, Procedure.P_I)
+    assert plain == Attack("four-swap", "four", (MeasureStep("eve", (2, 4)),))
+    rotated = FourSwapAttack(conv, Procedure.P_II)
+    assert (rotated.kind, rotated.protocol) == ("four-swap", "four")
     assert (rotated.ancilla_pairs, rotated.forward) == ((), ())
     first, measure, last = rotated.steps
     assert measure == MeasureStep("eve", (2, 4))
@@ -188,17 +194,17 @@ def test_four_swap_guess_plans_are_the_measurement_in_the_guessed_basis(conv):
 def test_identity_pre_rotations_emit_no_gate(conv):
     # zlg's plan has no gate before Eve's measurement, and its branches are
     # bit-identical to the plan that applies the two identity gates.
-    transit = ZlgAttack(conv).transit_plan()
-    assert isinstance(transit.steps[0], MeasureStep)
+    zlg = ZlgAttack(conv)
+    assert isinstance(zlg.steps[0], MeasureStep)
     identities = (GateStep(6, "I"), GateStep(8, "I"))
-    with_identities = replace(transit, steps=identities + transit.steps)
+    with_identities = replace(zlg, steps=identities + zlg.steps)
     six = PROTOCOLS["six"]
     for procedure in Procedure:
         want = enumerate_plans(conv, (build_plan(six, procedure, with_identities),))[0]
-        got = enumerate_plans(conv, (build_plan(six, procedure, transit),))[0]
+        got = enumerate_plans(conv, (build_plan(six, procedure, zlg),))[0]
         assert [(p.hex(), out, path) for p, out, path in got] == [
             (p.hex(), out, path) for p, out, path in want]
-    tailored = TailoredAttack(conv).transit_plan()  # rotates only qubit 8
+    tailored = TailoredAttack(conv)  # rotates only qubit 8
     assert [s.qubit for s in tailored.steps if isinstance(s, GateStep)] == [8]
 
 
@@ -241,13 +247,13 @@ def test_zlg_leaf_contents(conv):
     tree = harness._round_tree(CurveConfig("six", AttackStrategy("zlg"), 1.0))
     leaf = RandomSource(8).descend(tree)
     eve, key = leaf.outcomes["eve"], leaf.outcomes["key"]
-    assert dict(attack.corrections)[eve] == pauli_for_label(conv)[eve]
+    assert attack.steps[-1].gates[LABELS.index(eve)] == pauli_for_label(conv)[eve]
     assert model.posterior[eve, leaf.outcomes["public"]] == (key,)
     assert leaf.informed and not leaf.detected
 
 
 def test_zlg_substitution_keeps_valid_eight_qubit_state(conv):
-    plan = build_plan(PROTOCOLS["six"], Procedure.P_II, ZlgAttack(conv).transit_plan())
+    plan = build_plan(PROTOCOLS["six"], Procedure.P_II, ZlgAttack(conv))
     assert plan.num_qubits == 8
     # Every collapsed branch along the way is norm-checked within 1e-12.
     branches = enumerate_plans(conv, (plan,))[0]
@@ -387,7 +393,7 @@ def test_tailored_leaf_uses_extended_gate_names(conv):
     tree = harness._round_tree(CurveConfig("six", AttackStrategy("tailored"), 0.0))
     leaf = RandomSource(4).descend(tree)
     eve, key = leaf.outcomes["eve"], leaf.outcomes["key"]
-    assert dict(attack.corrections)[eve] in CORRECTIONS_EXTENDED
+    assert attack.steps[-1].gates[LABELS.index(eve)] in CORRECTIONS_EXTENDED
     assert model.posterior[eve, leaf.outcomes["public"]] == (key,)
     assert leaf.informed and not leaf.detected
 
@@ -398,12 +404,11 @@ def test_interception_corrections_run_in_label_order(conv):
     shuffled = replace(frozen, pauli_map=frozen.pauli_map[::-1])
     attack = TailoredAttack(conv, shuffled)
     assert attack == TailoredAttack(conv)
-    assert [m for m, _name in attack.corrections] == list(LABELS)
-    assert dict(attack.corrections) == dict(shuffled.pauli_map)
-    # An interception built with its corrections in another order applies the same gates.
-    reordered = replace(attack, corrections=attack.corrections[::-1])
-    got, want = (a.transit_plan().steps[-1].gates for a in (reordered, attack))
-    assert got == want and len(got) == len(LABELS)
+    correction = attack.steps[-1]
+    assert isinstance(correction, ConditionalGateStep)
+    assert (correction.qubit, correction.on, len(correction.gates)) == (2, "eve", len(LABELS))
+    assert dict(zip(LABELS, correction.gates)) == dict(shuffled.pauli_map)
+    assert correction.gates == tuple(name for _m, name in frozen.pauli_map)
 
 
 def test_verification_refuses_a_map_detected_under_p2(conv):
@@ -430,6 +435,15 @@ def test_tailored_params_validation():
         TailoredParams(("I", "I"), (("00", "I"), ("01", "I"), ("10", "I"), ("11", "QQ")))
     with pytest.raises(ValueError):
         TailoredParams(("I", "I"), (("00", "I"), ("01", "I")))
+    # One pre-unitary per rotated qubit: one alone would drop qubit 8's rotation.
+    paulis = (("00", "I"), ("01", "Z"), ("10", "X"), ("11", "Y"))
+    with pytest.raises(ValueError, match="one pre-unitary each"):
+        TailoredParams(("I",), paulis)
+    with pytest.raises(ValueError, match="one pre-unitary each"):
+        TailoredParams(("I", "S", "S"), paulis)
+    # Each label once: a repeated one would let its last entry win.
+    with pytest.raises(ValueError, match="each of the four outcome labels once"):
+        TailoredParams(("I", "I"), (("00", "X"),) + paulis)
 
 
 # --- four-qubit attack --------------------------------------------------------------

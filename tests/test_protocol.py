@@ -14,6 +14,7 @@ from swapqkd.protocol import (
     EXPECTED_TABLE1,
     PROTOCOLS,
     AmbiguityError,
+    Attack,
     ConditionalGateStep,
     GateStep,
     Leaf,
@@ -23,7 +24,6 @@ from swapqkd.protocol import (
     Procedure,
     Rotate,
     TableMismatchError,
-    TransitPlan,
     WrongProtocolError,
     build_plan,
     protocol_driver,
@@ -99,13 +99,13 @@ def _exact_pass_plans():
     16 Alice-block and 50 travel-block plans of the tailored-attack search.
     """
     for conv in bell.all_conventions():
-        six = [None, ZlgAttack(conv).transit_plan(), TailoredAttack(conv).transit_plan()]
-        four = [None] + [FourSwapAttack(conv, guess).transit_plan() for guess in Procedure]
+        six = [None, ZlgAttack(conv), TailoredAttack(conv)]
+        four = [None] + [FourSwapAttack(conv, guess) for guess in Procedure]
         for procedure in Procedure:
-            for transit in six:
-                yield conv, build_plan(PROTOCOLS["six"], procedure, transit)
-            for transit in four:
-                yield conv, build_plan(PROTOCOLS["four"], procedure, transit)
+            for attack in six:
+                yield conv, build_plan(PROTOCOLS["six"], procedure, attack)
+            for attack in four:
+                yield conv, build_plan(PROTOCOLS["four"], procedure, attack)
     conv = bell.convention()
     for family in _search_families():
         for plan in family:
@@ -142,11 +142,11 @@ def test_breadth_first_enumeration_matches_depth_first_walk():
     # pre-rotations, each with its own correction map.
     frozen = adversary.FROZEN_TAILORED_PARAMS
     names = [name for _m, name in frozen.pauli_map]
-    maps = [frozen.pauli_map, ZlgAttack(conv).corrections]
+    maps = [frozen.pauli_map, tuple(adversary.pauli_for_label(conv).items())]
     maps += [tuple(zip(LABELS, names[k:] + names[:k])) for k in (1, 2)]
     for procedure in Procedure:
         attacks = [TailoredAttack(conv, replace(frozen, pauli_map=m)) for m in maps]
-        family = [build_plan(PROTOCOLS["six"], procedure, a.transit_plan()) for a in attacks]
+        family = [build_plan(PROTOCOLS["six"], procedure, a) for a in attacks]
         for plan, got in zip(family, protocol.enumerate_plans(conv, family)):
             _assert_same_branches(got, oracle.walk(conv, plan))
 
@@ -156,7 +156,7 @@ def test_enumeration_collapses_only_measurements_a_step_follows(conv, monkeypatc
     real, calls = qstate.collapse_rows, []
     monkeypatch.setattr(qstate, "collapse_rows", lambda *args: calls.append(1) or real(*args))
     for name, attack in (("six", ZlgAttack(conv)), ("four", FourSwapAttack(conv, Procedure.P_I))):
-        family = [build_plan(PROTOCOLS[name], p, attack.transit_plan()) for p in Procedure]
+        family = [build_plan(PROTOCOLS[name], p, attack) for p in Procedure]
         steps = family[0].steps
         assert isinstance(steps[-1], MeasureStep)
         calls.clear()
@@ -180,13 +180,12 @@ def test_round_models_match_depth_first_walk_without_identity_steps():
             measures_only = tuple(s for s in PROTOCOLS[name].steps if isinstance(s, MeasureStep))
             unrotated = replace(PROTOCOLS[name], steps=measures_only)
             for attack in attacks:
-                transit = attack.transit_plan() if attack is not None else None
                 for procedure in Procedure:
                     model = driver.round_model(procedure, attack)
                     spec = unrotated if procedure is Procedure.P_I else PROTOCOLS[name]
-                    plan = build_plan(spec, procedure, transit)
+                    plan = build_plan(spec, procedure, attack)
                     if procedure is Procedure.P_I:
-                        batched = build_plan(PROTOCOLS[name], procedure, transit)
+                        batched = build_plan(PROTOCOLS[name], procedure, attack)
                         assert len(plan.steps) < len(batched.steps)
                     _assert_same_branches(_branches(model), oracle.walk(conv, plan))
                     checked += 1
@@ -247,6 +246,14 @@ def _feed(h, value):
         h.update(repr(value).encode())
 
 
+def _correction(attack, eve):
+    """The gate the attack's correction step applies after Eve's outcome ``eve``, if any."""
+    for step in attack.steps:
+        if isinstance(step, ConditionalGateStep) and step.on == "eve":
+            return step.gates[LABELS.index(eve)]
+    return None
+
+
 def _digest_record(driver, procedure, attack, posterior, out):
     """The leaf transcript the digest was captured over, rebuilt from one branch."""
     eve_record = None
@@ -255,7 +262,7 @@ def _digest_record(driver, procedure, attack, posterior, out):
             "EveRecord",
             attack=attack.kind,
             secret=out["eve"],
-            transformation=dict(attack.corrections).get(out["eve"]),
+            transformation=_correction(attack, out["eve"]),
             inferred_keys=posterior[driver.spec.eve_observation(out)],
         )
     return _Record(
@@ -287,10 +294,9 @@ def test_round_models_match_pinned_digest():
         ):
             driver = protocol._ProtocolBase(conv, name)
             for attack in attacks:
-                transit = attack.transit_plan() if attack is not None else None
                 for procedure in Procedure:
                     model = driver.round_model(procedure, attack)
-                    _feed(h, (name, procedure, build_plan(driver.spec, procedure, transit)))
+                    _feed(h, (name, procedure, build_plan(driver.spec, procedure, attack)))
                     for leaf in model.leaves:
                         inferred = driver.infer(procedure, leaf.outcomes)
                         _feed(h, (leaf.mass, tuple(leaf.outcomes.items()), inferred))
@@ -367,7 +373,7 @@ def test_enumeration_looks_up_each_gate_by_name(conv, monkeypatch):
     variant = replace(frozen, pre_unitaries=("I", "Y"),
                       pauli_map=tuple(zip(LABELS, names[1:] + names[:1])))
     attacks = (TailoredAttack(conv), TailoredAttack(conv, variant))
-    family = [build_plan(PROTOCOLS["six"], Procedure.P_II, a.transit_plan()) for a in attacks]
+    family = [build_plan(PROTOCOLS["six"], Procedure.P_II, a) for a in attacks]
     assert family[0] != family[1] and hash(family[0]) == hash(replace(family[0]))
     protocol.enumerate_plans(conv, family)
     steps = [[s.gates if isinstance(s, ConditionalGateStep) else (s.gate,) for s in plan.steps
@@ -391,7 +397,7 @@ def test_enumerate_plans_rejects_mismatched_skeletons(conv):
     ]
     assert len(protocol.enumerate_plans(conv, [base] + others)) == 3
     cond = ConditionalGateStep(1, "eve", ("X",) * len(LABELS))
-    six = build_plan(PROTOCOLS["six"], Procedure.P_I, TailoredAttack(conv).transit_plan())
+    six = build_plan(PROTOCOLS["six"], Procedure.P_I, TailoredAttack(conv))
     at = next(i for i, s in enumerate(six.steps) if isinstance(s, ConditionalGateStep))
     tail = six.steps[at]
     mismatched = [
@@ -552,8 +558,7 @@ def test_leaves_match_a_per_branch_rebuild(conv):
     for name, procedure, attack in _driver_configs(conv):
         driver = protocol._ProtocolBase(conv, name)
         model = driver.round_model(procedure, attack)
-        transit = attack.transit_plan() if attack is not None else None
-        plans = [build_plan(PROTOCOLS[name], p, transit) for p in Procedure]
+        plans = [build_plan(PROTOCOLS[name], p, attack) for p in Procedure]
         branches = protocol.enumerate_plans(conv, plans)[list(Procedure).index(procedure)]
         assert len(model.leaves) == len(branches)
         for (mass, out, path), leaf in zip(branches, model.leaves):
@@ -813,25 +818,14 @@ def test_round_functions_are_deterministic(conv):
 # --- channel contract ------------------------------------------------------------
 
 
-class _BadAttack:
-    kind = "bad"
-
-    def __init__(self, transit, protocol="six"):
-        self._transit = transit
-        self.protocol = protocol
-
-    def transit_plan(self):
-        return self._transit
-
-
 def test_attack_may_not_touch_protected_qubits(conv):
-    bad = _BadAttack(TransitPlan(steps=(GateStep(1, "X"),)))
+    bad = Attack("bad", "six", (GateStep(1, "X"),))
     with pytest.raises(MalformedAdversaryError):
         protocol_driver(conv, "six").round_model(Procedure.P_I, bad)
 
 
 def test_attack_ancillas_must_extend_register(conv):
-    bad = _BadAttack(TransitPlan(ancilla_pairs=((9, 10),)))
+    bad = Attack("bad", "six", (), ancilla_pairs=((9, 10),))
     with pytest.raises(MalformedAdversaryError):
         protocol_driver(conv, "six").round_model(Procedure.P_I, bad)
 
@@ -843,14 +837,27 @@ def test_attack_may_not_reuse_reserved_names(conv, name):
     assert protocol.RESERVED_NAMES == {"key", "public", "secret"}
     pair = tuple(sorted(PROTOCOLS[name].in_flight))
     for reserved in sorted(protocol.RESERVED_NAMES):
-        bad = _BadAttack(TransitPlan(steps=(MeasureStep(reserved, pair),)), name)
+        bad = Attack("bad", name, (MeasureStep(reserved, pair),))
         with pytest.raises(MalformedAdversaryError, match="reserved measurement name"):
             protocol_driver(conv, name).round_model(Procedure.P_I, bad)
-    build_plan(PROTOCOLS[name], Procedure.P_I, TransitPlan(steps=(MeasureStep("eve", pair),)))
+    build_plan(PROTOCOLS[name], Procedure.P_I, Attack("eve", name, (MeasureStep("eve", pair),)))
+
+
+@pytest.mark.parametrize("name", list(PROTOCOLS))
+def test_attack_conditions_only_on_her_earlier_measurements(conv, name):
+    # Eve may condition a gate only on what she has measured: not on Alice's key,
+    # nor on her own outcome before she measures it.
+    pair = tuple(sorted(PROTOCOLS[name].in_flight))
+    measure = MeasureStep("eve", pair)
+    on_key, on_eve = (ConditionalGateStep(pair[0], on, ("X",) * 4) for on in ("key", "eve"))
+    for on, steps in (("key", (measure, on_key)), ("eve", (on_eve,)), ("eve", (on_eve, measure))):
+        with pytest.raises(MalformedAdversaryError, match=f"conditions on {on!r} before"):
+            protocol_driver(conv, name).round_model(Procedure.P_I, Attack("bad", name, steps))
+    build_plan(PROTOCOLS[name], Procedure.P_I, Attack("eve", name, (measure, on_eve)))
 
 
 def test_attack_may_not_forward_same_qubit_twice(conv):
-    bad = _BadAttack(TransitPlan(forward=((6, 2), (2, 2))))
+    bad = Attack("bad", "six", (), forward=((6, 2), (2, 2)))
     with pytest.raises(MalformedAdversaryError):
         protocol_driver(conv, "six").round_model(Procedure.P_I, bad)
 
@@ -867,16 +874,17 @@ def test_attack_may_not_forward_same_qubit_twice(conv):
 )
 def test_four_qubit_forwarding_is_checked(forward):
     with pytest.raises(MalformedAdversaryError):
-        build_plan(PROTOCOLS["four"], Procedure.P_I, TransitPlan(forward=forward))
+        build_plan(PROTOCOLS["four"], Procedure.P_I, Attack("bad", "four", (), forward=forward))
 
 
 def test_forwarding_reroutes_the_honest_steps():
     # Swapping Bob's two qubits in flight moves his S and his measurement.
-    plan = build_plan(PROTOCOLS["four"], Procedure.P_II, TransitPlan(forward=((2, 4), (4, 2))))
+    swap = Attack("swap", "four", (), forward=((2, 4), (4, 2)))
+    plan = build_plan(PROTOCOLS["four"], Procedure.P_II, swap)
     assert _step_names(plan) == [("S", 1), ("key", (1, 3)), ("S", 4), ("secret", (4, 2))]
     # The six-qubit interception: Alice measures (5, 2), Bob (7, 4).
-    transit = TransitPlan(ancilla_pairs=((7, 8),), forward=((6, 2), (2, 7)))
-    plan = build_plan(PROTOCOLS["six"], Procedure.P_II, transit)
+    wiring = Attack("wiring", "six", (), ancilla_pairs=((7, 8),), forward=((6, 2), (2, 7)))
+    plan = build_plan(PROTOCOLS["six"], Procedure.P_II, wiring)
     assert plan.num_qubits == 8 and plan.pairs[-1] == (7, 8)
     assert _step_names(plan) == [
         ("S", 3), ("key", (1, 3)), ("public", (5, 2)), ("S", 4), ("secret", (7, 4)),
@@ -884,19 +892,19 @@ def test_forwarding_reroutes_the_honest_steps():
 
 
 def test_spec_is_checked_by_its_own_geometry():
-    # A spec validates transits by its own in-flight set and register, never
+    # A spec validates attacks by its own in-flight set and register, never
     # by its protocol's name.
     only_4 = replace(PROTOCOLS["four"], in_flight=frozenset({4}))
-    for transit in (
-        TransitPlan(steps=(GateStep(2, "X"),)),
-        TransitPlan(steps=(MeasureStep("eve", (2, 4)),)),
-        TransitPlan(forward=((4, 2),)),
+    for attack in (
+        Attack("bad", "four", (GateStep(2, "X"),)),
+        Attack("bad", "four", (MeasureStep("eve", (2, 4)),)),
+        Attack("bad", "four", (), forward=((4, 2),)),
     ):
         with pytest.raises(MalformedAdversaryError):
-            build_plan(only_4, Procedure.P_I, transit)
-    build_plan(only_4, Procedure.P_I, TransitPlan(steps=(GateStep(4, "X"),)))
+            build_plan(only_4, Procedure.P_I, attack)
+    build_plan(only_4, Procedure.P_I, Attack("flip", "four", (GateStep(4, "X"),)))
     with pytest.raises(MalformedAdversaryError, match="contiguously"):
-        build_plan(only_4, Procedure.P_I, TransitPlan(ancilla_pairs=((7, 8),)))
+        build_plan(only_4, Procedure.P_I, Attack("bad", "four", (), ancilla_pairs=((7, 8),)))
 
 
 def test_eve_observes_her_outcome_and_the_announced_ones():
@@ -936,9 +944,9 @@ def test_wrong_protocol_attack_is_rejected(conv):
 
 def test_plan_builders_reject_malformed_transit(conv):
     with pytest.raises(MalformedAdversaryError):
-        build_plan(PROTOCOLS["six"], Procedure.P_I, TransitPlan(steps=(GateStep(3, "X"),)))
+        build_plan(PROTOCOLS["six"], Procedure.P_I, Attack("bad", "six", (GateStep(3, "X"),)))
     with pytest.raises(MalformedAdversaryError):
-        build_plan(PROTOCOLS["four"], Procedure.P_I, TransitPlan(steps=(GateStep(6, "X"),)))
+        build_plan(PROTOCOLS["four"], Procedure.P_I, Attack("bad", "four", (GateStep(6, "X"),)))
 
 
 # --- ambiguity guard ----------------------------------------------------------

@@ -6,7 +6,8 @@ attack kind on each of its protocols, ``detection-curve`` on both protocols,
 and one invalid input that exits 2) and the calls ``benchmarks/child.py``
 makes outside the CLI.  It records the first line of every package function
 it enters.  The functions it never enters must be exactly :data:`UNREACHED`,
-so a function that only tests call cannot stay in ``src/`` unnoticed.
+so a function that only tests call cannot stay in ``src/`` unnoticed.  Nor
+can an import: each module must read every name it imports.
 
 Run as a script, this file prints what the traced pass entered.
 """
@@ -125,6 +126,22 @@ def test_only_the_allowlisted_functions_go_unreached():
         if not any((key[0], name, line) in entered for line in lines)
     }
     assert unreached == UNREACHED
+
+
+def _unread_imports(tree):
+    """The names a module binds by import and never reads; ``__future__`` binds none."""
+    imported = {
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__" for alias in node.names
+    }
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_every_import_is_read():
+    unread = {path.name: sorted(_unread_imports(ast.parse(path.read_text())))
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name: names for name, names in unread.items() if names} == {}
 
 
 if __name__ == "__main__":

@@ -40,12 +40,6 @@ HARNESS_CONFIGS = [
 ROUNDS_PER_POLICY = {0.5: 10_000, 0.0: 4_000, 1.0: 4_000}
 
 
-def _plan(driver, procedure, attack):
-    """The plan ``driver`` enumerates for its round model of ``procedure`` under ``attack``."""
-    transit = attack.transit_plan() if attack is not None else None
-    return build_plan(driver.spec, procedure, transit)
-
-
 @pytest.mark.parametrize("protocol_name,kind,policy", [
     pytest.param(name, kind, policy, id=f"{name}-{kind}" + ("" if policy == 0.5 else f"-q{policy}"))
     for policy in ROUNDS_PER_POLICY for name, kind in HARNESS_CONFIGS
@@ -61,7 +55,7 @@ def test_tree_sampler_matches_statevector_draw_for_draw(conv, protocol_name, kin
         for _weight, attack in mixture for procedure in Procedure
         for leaf in driver.round_model(procedure, attack).leaves
     }
-    plans = {(procedure, attack): _plan(driver, procedure, attack)
+    plans = {(procedure, attack): build_plan(driver.spec, procedure, attack)
              for _weight, attack in mixture for procedure in Procedure}
     rounds_per_config = ROUNDS_PER_POLICY[policy]
     got = []
@@ -290,7 +284,7 @@ def test_tree_path_products_equal_branch_masses(conv):
     for driver, procedure, attack, tree, root in _model_roots(conv):
         (thresholds, children), leaves = tree.rows, tree.leaves
         model = driver.round_model(procedure, attack)
-        plan = _plan(driver, procedure, attack)
+        plan = build_plan(driver.spec, procedure, attack)
         measured = [step.name for step in plan.steps if isinstance(step, MeasureStep)]
         for leaf in model.leaves:
             node, prefix, product = root, (), 1.0
