@@ -17,12 +17,15 @@ Bell-measures them, then applies an outcome-dependent correction to the
 captured qubit 2 and forwards that to Alice.  Bob's secret measurement
 therefore physically acts on (7,4) and Alice's public measurement on
 (5,2).  The two six-qubit attacks are this one interception with two
-parameter choices: "zlg", the published attack, uses no rotation and
-Pauli corrections; "tailored", its procedure-(ii) mirror, is found by
-:func:`derive_tailored_attack`, an exhaustive deterministic search, and
-the found values are frozen in :data:`FROZEN_TAILORED_PARAMS` with a
-regeneration test.  The search scores each candidate as a sum of per-outcome
-detection terms, read from one table built from two small block enumerations.
+parameter choices: "zlg", the published attack, uses no rotation and the
+Pauli corrections :func:`pauli_for_label` reads off the enumeration;
+"tailored", its procedure-(ii) mirror, is found by :func:`derive_tailored_attack`,
+one exhaustive deterministic scan over the extended corrections that scores
+each candidate as a sum of per-outcome detection terms read from two small
+block enumerations, and is frozen in :data:`FROZEN_TAILORED_PARAMS` with a
+regeneration test.  The scan needs the S products: no Pauli-only map collapses
+Alice's rotated public pair under any of the 64 conventions
+(``test_only_extended_corrections_pass_the_ii_predicate``).
 
 Four-qubit "four-swap": Eve intercepts both transmitted qubits and
 Bell-measures them in the basis of the procedure she guesses, rotating
@@ -60,7 +63,6 @@ from .protocol import (
     enumerate_plans,
     protocol_driver,
 )
-from .qstate import GATES
 
 # Correction gates Eve may apply to the captured qubit 2: the Paulis, and
 # compositions of a Pauli with the basis-change gate S (needed whenever the
@@ -108,25 +110,23 @@ class TailoredParams:
 
 
 def pauli_for_label(conv: BellConvention) -> dict[str, str]:
-    """The Pauli that shifts the labeled-00 pair state to each label.
+    """Each label -> the Pauli that shifts the labeled-00 pair state to it (up to phase), on
+    either qubit: the interception's published correction column, read off the enumeration.
 
-    Applying the returned gate to either qubit of a pair in state 00 leaves
-    the pair in the keyed Bell state (up to phase).  This reproduces the
-    published outcome-to-transformation column of the interception attack.
+    One batch applies each Pauli of :data:`CORRECTIONS_PAULI` to qubit 2 of a labeled-00 pair,
+    then Bell-measures the pair.  A label maps to the first Pauli, in that order, whose plan
+    reaches it in a single branch; a plan with several branches reaches no label.
     """
-    # Each Pauli on the pair's second qubit: (I x P) v is P applied to v's rows.
-    pair = conv.states["00"].reshape(2, 2)
-    images = {name: (pair @ GATES[name].T).reshape(-1) for name in CORRECTIONS_PAULI}
-    mapping = {}
+    plans = [Plan(2, ((1, 2),), (GateStep(2, p), MeasureStep("label", (1, 2))))
+             for p in CORRECTIONS_PAULI]
+    reached: dict[str, str] = {}
+    for name, branches in zip(CORRECTIONS_PAULI, enumerate_plans(conv, plans)):
+        if len(branches) == 1:
+            reached.setdefault(branches[0][1]["label"], name)
     for label in LABELS:
-        target = conv.states[label]
-        for name, image in images.items():
-            if abs(abs(np.vdot(target, image)) - 1.0) <= 1e-10:
-                mapping[label] = name
-                break
-        else:
+        if label not in reached:
             raise AttackSearchError(f"no Pauli shifts label 00 to {label}")
-    return mapping
+    return {label: reached[label] for label in LABELS}
 
 
 def _gates(*gates: tuple[int, str]) -> tuple[GateStep, ...]:
@@ -291,30 +291,25 @@ def _detection_terms(conv: BellConvention) -> list[np.ndarray]:
 def derive_tailored_attack(conv: BellConvention) -> TailoredParams:
     """Exhaustive deterministic search for the procedure-(ii) attack.
 
-    Candidates are scanned lexicographically over (gate on qubit 6, gate on
-    qubit 8, correction map), gates ordered I, X, Y, Z, S.  The correction
-    set starts as the bare Paulis; since no Pauli-only candidate can make
-    Alice's rotated public pair collapse deterministically, the search then
-    widens the corrections to Pauli-times-S products (order I, X, Y, Z, S,
-    XS, YS, ZS).  It returns the first candidate in scan order whose
-    :func:`_detection_terms` meet both predicates: every (ii) term of its map
-    is exactly ``0.0`` (Bob always infers the key under (ii)), and some (i)
-    term is ``> 0.0`` (procedure (i) detects it).  The full eight-qubit round
+    One scan runs lexicographically over (gate on qubit 6, gate on qubit 8,
+    correction map), gates ordered I, X, Y, Z, S and each outcome's correction
+    drawn from :data:`CORRECTIONS_EXTENDED` in its order.  It returns the first
+    candidate whose :func:`_detection_terms` meet both predicates: every (ii)
+    term of its map is exactly ``0.0`` (Bob always infers the key under (ii)),
+    and some (i) term is ``> 0.0`` (procedure (i) detects it).  The full eight-qubit round
     engine re-verifies the winner, and that Eve's (ii) inference is a correct singleton.
     """
     terms_i, terms_ii = _detection_terms(conv)
     detected, undetected = (terms_i > 0.0).tolist(), (terms_ii == 0.0).tolist()
-    assert CORRECTIONS_EXTENDED[: len(CORRECTIONS_PAULI)] == CORRECTIONS_PAULI
-    for width in (len(CORRECTIONS_PAULI), len(CORRECTIONS_EXTENDED)):
-        for r, rotation in enumerate(ROTATIONS):
-            # Per outcome, the corrections that leave procedure (ii) undetected.
-            valid = [[g for g in range(width) if row[g]] for row in undetected[r]]
-            for combo in itertools.product(*valid):
-                if any(detected[r][m][g] for m, g in enumerate(combo)):
-                    corrections = (CORRECTIONS_EXTENDED[g] for g in combo)
-                    params = TailoredParams(rotation, tuple(zip(LABELS, corrections)))
-                    _verify_tailored(conv, params)
-                    return params
+    for r, rotation in enumerate(ROTATIONS):
+        # Per outcome, the corrections that leave procedure (ii) undetected.
+        valid = [[g for g, ok in enumerate(row) if ok] for row in undetected[r]]
+        for combo in itertools.product(*valid):
+            if any(detected[r][m][g] for m, g in enumerate(combo)):
+                corrections = (CORRECTIONS_EXTENDED[g] for g in combo)
+                params = TailoredParams(rotation, tuple(zip(LABELS, corrections)))
+                _verify_tailored(conv, params)
+                return params
     raise AttackSearchError("no (pre-unitaries, correction map) candidate defeats procedure "
                             "(ii); the parameterization would need further widening")
 

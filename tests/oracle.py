@@ -36,6 +36,19 @@ def gate_matrix(name):
     return reduce(np.matmul, (GATES[c] for c in name), np.eye(2, dtype=complex))
 
 
+def pauli_for_label(conv):
+    """Each label -> the first Pauli P, in I, X, Y, Z order, with ``|<label|(I x P)|00>| = 1``
+    on ``conv.states``: the correction column's overlap check, with no enumeration."""
+    images = {p: np.kron(GATES["I"], GATES[p]) @ conv.states["00"] for p in "IXYZ"}
+    return {
+        label: next(
+            p for p, image in images.items()
+            if abs(abs(np.vdot(conv.states[label], image)) - 1.0) <= 1e-10
+        )
+        for label in LABELS
+    }
+
+
 def _front(state, qubits):
     """``state`` as ``(rows, 2**len(qubits), rest)`` with the qubits' axes first."""
     n = state.ndim - 1

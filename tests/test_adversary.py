@@ -34,15 +34,28 @@ from swapqkd.protocol import (
     GateStep,
     MeasureStep,
     PROTOCOLS,
+    Plan,
     Procedure,
     build_plan,
     enumerate_plans,
     protocol_driver,
 )
 
+import oracle
 from streams import RandomSource
 
 EXACT = 1e-10
+
+
+@pytest.fixture
+def batches(monkeypatch):
+    """Every plan batch ``adversary`` hands to ``enumerate_plans``, in call order."""
+    seen = []
+    real = adversary.enumerate_plans
+    monkeypatch.setattr(
+        adversary, "enumerate_plans", lambda conv, plans: seen.append(plans) or real(conv, plans)
+    )
+    return seen
 
 
 # --- outcome-to-correction naming -------------------------------------------
@@ -50,6 +63,44 @@ EXACT = 1e-10
 
 def test_pauli_for_label_matches_published_naming(conv):
     assert pauli_for_label(conv) == {"00": "I", "01": "Z", "10": "X", "11": "Y"}
+
+
+# The four plans the correction column is read off: a Pauli on qubit 2 of a labeled-00
+# pair, then the pair's Bell measurement.
+PAULI_PLANS = [
+    Plan(2, ((1, 2),), (GateStep(2, p), MeasureStep("label", (1, 2))))
+    for p in adversary.CORRECTIONS_PAULI
+]
+
+
+def test_pauli_for_label_matches_the_numpy_reference(batches):
+    # On every convention the enumeration read gives the overlap check's column,
+    # and each Pauli plan has one branch of mass 1.
+    for candidate in bell.all_conventions():
+        batches.clear()
+        assert pauli_for_label(candidate) == oracle.pauli_for_label(candidate)
+        assert batches == [PAULI_PLANS]
+        for branches in enumerate_plans(candidate, PAULI_PLANS):
+            [(mass, _out, _path)] = branches
+            assert abs(mass - 1.0) <= 1e-12
+
+
+def test_zlg_build_enumerates_one_family_of_four_plans(conv, batches):
+    ZlgAttack(conv)
+    assert batches == [PAULI_PLANS]
+
+
+def test_a_plan_with_several_branches_reaches_no_label(conv, monkeypatch):
+    # Doubling the I plan's one branch leaves label 00 unreached.
+    real = adversary.enumerate_plans
+
+    def doubled(conv, plans):
+        first, *rest = real(conv, plans)
+        return [first * 2, *rest]
+
+    monkeypatch.setattr(adversary, "enumerate_plans", doubled)
+    with pytest.raises(AttackSearchError, match="label 00 to 00"):
+        pauli_for_label(conv)
 
 
 # --- zlg attack ---------------------------------------------------------------
@@ -304,15 +355,10 @@ def test_search_matches_pinned_digest_on_every_convention():
     assert hashlib.sha256(found.encode()).hexdigest() == ALL_CONVENTIONS_SEARCH_SHA256
 
 
-def test_search_enumerates_each_block_plan_once(conv, monkeypatch):
+def test_search_enumerates_each_block_plan_once(conv, batches):
     # Two batches, one per block over both procedures: 16 Alice-block plans
     # (8 corrections x 2 procedures) and 50 travel-block plans (25
     # pre-rotation pairs x 2 procedures), each exactly once.
-    batches = []
-    real = adversary.enumerate_plans
-    monkeypatch.setattr(
-        adversary, "enumerate_plans", lambda conv, plans: batches.append(plans) or real(conv, plans)
-    )
     assert derive_tailored_attack(conv) == adversary.FROZEN_TAILORED_PARAMS
     assert [len(plans) for plans in batches] == [16, 50]
     want = [adversary._alice_block_plan(g, p) for p in Procedure for g in CORRECTIONS_EXTENDED]
@@ -349,20 +395,26 @@ def test_detection_terms_match_the_full_engine(conv):
 
 def test_only_extended_corrections_pass_the_ii_predicate(conv):
     # A pre-rotation pair can pass the (ii) predicate only if every outcome has
-    # a correction with a zero (ii) term.  No pair has one among the Paulis;
-    # with the S products, exactly the pairs holding one S do.
-    _terms_i, terms_ii = adversary._detection_terms(conv)
-    paulis = len(adversary.CORRECTIONS_PAULI)
-
-    def passing(width):
+    # a correction with a zero (ii) term.  Under no convention does a pair have
+    # one among the Paulis, which is why the search scans the extended set once;
+    # with the S products, under the frozen convention exactly the pairs holding
+    # one S pass.
+    def passing(terms_ii, width):
         return [
             rotation
             for r, rotation in enumerate(adversary.ROTATIONS)
             if all((row[:width] == 0.0).any() for row in terms_ii[r])
         ]
 
-    assert passing(paulis) == []
-    assert passing(len(CORRECTIONS_EXTENDED)) == [
+    paulis = len(adversary.CORRECTIONS_PAULI)
+    assert CORRECTIONS_EXTENDED[:paulis] == adversary.CORRECTIONS_PAULI
+    conventions = bell.all_conventions()
+    assert len(conventions) == 64
+    for candidate in conventions:
+        _terms_i, terms_ii = adversary._detection_terms(candidate)
+        assert passing(terms_ii, paulis) == []
+    _terms_i, terms_ii = adversary._detection_terms(conv)
+    assert passing(terms_ii, len(CORRECTIONS_EXTENDED)) == [
         ("I", "S"), ("X", "S"), ("Y", "S"), ("Z", "S"),
         ("S", "I"), ("S", "X"), ("S", "Y"), ("S", "Z"),
     ]
