@@ -47,7 +47,7 @@ import json
 from dataclasses import dataclass
 from functools import partial, reduce
 from operator import add
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -61,6 +61,7 @@ from .protocol import (
     Procedure,
     _checked_rows,
     enumerate_plans,
+    outcome_masses,
     protocol_driver,
 )
 
@@ -117,7 +118,7 @@ def pauli_for_label(conv: BellConvention) -> dict[str, str]:
     then Bell-measures the pair.  A label maps to the first Pauli, in that order, whose plan
     reaches it in a single branch; a plan with several branches reaches no label.
     """
-    plans = [Plan(2, ((1, 2),), (GateStep(2, p), MeasureStep("label", (1, 2))))
+    plans = [Plan(((1, 2),), (GateStep(2, p), MeasureStep("label", (1, 2))))
              for p in CORRECTIONS_PAULI]
     reached: dict[str, str] = {}
     for name, branches in zip(CORRECTIONS_PAULI, enumerate_plans(conv, plans)):
@@ -243,7 +244,7 @@ def _alice_block_plan(correction: str, procedure: Procedure) -> Plan:
         GateStep(2, correction),
         MeasureStep("public", (4, 2)),
     )
-    return Plan(4, ((1, 2), (3, 4)), steps)
+    return Plan(((1, 2), (3, 4)), steps)
 
 
 def _travel_block_plan(u6: str, u8: str, procedure: Procedure) -> Plan:
@@ -255,20 +256,7 @@ def _travel_block_plan(u6: str, u8: str, procedure: Procedure) -> Plan:
         GateStep(1, procedure.rotation),
         MeasureStep("secret", (3, 1)),
     )
-    return Plan(4, ((1, 2), (3, 4)), steps)
-
-
-def _block_masses(conv: BellConvention, build: Callable[..., Plan], names: Sequence) -> np.ndarray:
-    """Per procedure, a ``(plans, 4, 4)`` array: the plans ``build(name, procedure)``,
-    all enumerated in one batch; ``[i, a, b]`` is the mass at which plan ``names[i]``'s
-    first measurement reads ``LABELS[a]`` and its second ``LABELS[b]``.
-    """
-    plans = [build(name, procedure) for procedure in Procedure for name in names]
-    masses = np.zeros((len(plans), 4, 4))
-    for joint, branches in zip(masses, enumerate_plans(conv, plans)):
-        for mass, _out, (first, second) in branches:
-            joint[first, second] = mass  # each cell takes at most one branch
-    return masses.reshape(len(Procedure), len(names), 4, 4)
+    return Plan(((1, 2), (3, 4)), steps)
 
 
 def _detection_terms(conv: BellConvention) -> list[np.ndarray]:
@@ -277,8 +265,10 @@ def _detection_terms(conv: BellConvention) -> list[np.ndarray]:
     ``CORRECTIONS_EXTENDED[g]``.  Terms sum non-negative products, so a zero is exact.
     """
     driver = protocol_driver(conv, "six")
-    alice = _block_masses(conv, _alice_block_plan, CORRECTIONS_EXTENDED)  # [g, key, public]
-    travel = _block_masses(conv, lambda r, p: _travel_block_plan(*r, p), ROTATIONS)  # [r, m, sec]
+    alice = [_alice_block_plan(g, p) for p in Procedure for g in CORRECTIONS_EXTENDED]
+    travel = [_travel_block_plan(*r, p) for p in Procedure for r in ROTATIONS]
+    shape = (len(Procedure), -1, 4, 4)  # per procedure: [g, key, public] and [r, m, secret]
+    alice, travel = (outcome_masses(conv, plans).reshape(shape) for plans in (alice, travel))
     terms = []
     for procedure, alice_p, travel_p in zip(Procedure, alice, travel):
         infer = driver.inference[procedure]  # (public, secret) -> (Bob's key,)

@@ -1,4 +1,4 @@
-"""Bell-basis labeling convention, Bell measurement, and swap algebra.
+"""Bell-basis labeling convention.
 
 The protocols label the four Bell states "00", "01", "10", "11" but never
 write out which maximally entangled state each label means.  The labeling
@@ -9,18 +9,17 @@ is pinned down here by two published constraints:
 * applying Z to the same factor of that result must give
   (|00> - |11>)/sqrt(2),
 
-both up to a global phase.  :func:`derive_convention` enumerates every
+both up to a global phase.  :func:`all_conventions` enumerates every
 assignment of labels to the four canonical Bell states, with per-state sign
-choices and both choices of acted-on tensor factor, and returns the first
-assignment satisfying both constraints.  The result is frozen into
-:data:`FROZEN_CONVENTION`; a regeneration test keeps the two in sync.
+choices and both choices of acted-on tensor factor, and returns those
+satisfying both constraints, in a documented order.  The first is frozen
+into :data:`FROZEN_CONVENTION`; a regeneration test keeps the two in sync.
 Several assignments satisfy the constraints — all of them must (and do)
 reproduce the same protocol outcome tables, which is checked in the test
 suite rather than resolved here.
 
-The swap algebra is one read-only ``(a, b, m) -> r`` mapping, built by
-:func:`derive_swap_table` from one batched measurement of all 16 two-pair
-states; :func:`xor_permutation` reads its XOR structure off it.
+:func:`xor_permutation` reads the XOR structure off a swap table, the
+``(a, b, m) -> r`` mapping that ``protocol.derive_swap_table`` enumerates.
 """
 
 from __future__ import annotations
@@ -48,10 +47,6 @@ BASE_STATES: dict[str, np.ndarray] = {
 BASE_ORDER: tuple[str, ...] = ("phi+", "phi-", "psi+", "psi-")
 
 CONSTRAINT_ATOL = 1e-10
-
-
-class ConventionError(RuntimeError):
-    """No labeling satisfies the constraints, or a derived table is malformed."""
 
 
 def label_xor(*labels: str) -> str:
@@ -109,14 +104,15 @@ class BellConvention:
     # Built on first read: all_conventions() makes 64 conventions that mostly
     # go unread.
     @cached_property
-    def states(self) -> dict[str, np.ndarray]:
-        """Label -> two-qubit pair state (index 2*b_first + b_second)."""
+    def states(self) -> Mapping[str, np.ndarray]:
+        """Label -> two-qubit pair state (index 2*b_first + b_second), read-only: every plan's
+        start reads it, so no write may change a later enumeration."""
         states = {}
         for label, (name, sign) in zip(LABELS, self.assignment):
             vec = sign * BASE_STATES[name]
             vec.setflags(write=False)
             states[label] = vec
-        return states
+        return MappingProxyType(states)
 
     @cached_property
     def basis_matrix(self) -> np.ndarray:
@@ -171,16 +167,8 @@ def all_conventions() -> list[BellConvention]:
     ]
 
 
-def derive_convention() -> BellConvention:
-    """First satisfying convention in the documented enumeration order."""
-    found = all_conventions()
-    if not found:
-        raise ConventionError("no Bell labeling satisfies both defining constraints")
-    return found[0]
-
-
-# Derived once by derive_convention() and frozen; the test suite re-derives
-# and compares.  Reads: 00 -> phi+, 01 -> phi-, 10 -> psi+, 11 -> psi-, all
+# The first of all_conventions(), frozen; the test suite re-derives and
+# compares.  Reads: 00 -> phi+, 01 -> phi-, 10 -> psi+, 11 -> psi-, all
 # with + sign, narrative gates acting on the second factor of a pair.
 FROZEN_CONVENTION = BellConvention(
     assignment=(("phi+", 1), ("phi-", 1), ("psi+", 1), ("psi-", 1)),
@@ -204,48 +192,3 @@ def xor_permutation(table: Mapping[tuple[str, str, str], str]) -> dict[str, str]
     if all(perm[label_xor(a, b, m)] == r for (a, b, m), r in table.items()):
         return perm
     return None
-
-
-def derive_swap_table(conv: BellConvention) -> Mapping[tuple[str, str, str], str]:
-    """The entanglement-swap outcome algebra, by exhaustive four-qubit simulation.
-
-    A read-only mapping: ``table[a, b, m] = r`` means that with pairs (1,2) in
-    state a and (3,4) in state b, Bell-measuring (1,3) with outcome m leaves
-    (2,4) in state r.  For every (a, b) the four outcomes are uniform and
-    m -> r is a bijection.
-    """
-    basis = conv.basis_matrix
-    cells = list(itertools.product(LABELS, repeat=2))
-    # states[4 * x + y] has pairs (1,2) in LABELS[x] and (3,4) in LABELS[y];
-    # output axes run from qubit 4 down to qubit 1, the amplitude-index order.
-    pair = basis.reshape(4, 2, 2)
-    states = np.einsum("xab,ycd->xydcba", pair, pair).reshape(len(cells), 16)
-    # One projection of (1,3) measures all 16 states.  proj[s, m] is what
-    # outcome m leaves on qubits (4,2), unnormalized: as a two-qubit register
-    # whose qubit 0 is qubit 2, its pair (0,1) is the remainder pair (2,4).
-    front, _ = qstate.to_front(states, (3, 2, 1, 0), (0, 2))
-    proj, probs = qstate.project_rows(front, basis)
-    front, _ = qstate.to_front(proj.reshape(-1, 4), (1, 0), (0, 1))
-    _, rest = qstate.project_rows(front, basis)
-    rest = rest.reshape(len(cells), 4, 4)
-    uniform = (np.abs(probs - 0.25) <= CONSTRAINT_ATOL).all(axis=1)
-    # hits[s, m, r]: outcome m leaves the remainder pair in Bell state r.
-    hits = rest > (1.0 - CONSTRAINT_ATOL) * probs[:, :, None]
-    single = hits.sum(axis=2) == 1
-    # With one state per outcome, the map is a bijection when it reaches all four.
-    bijective = hits.any(axis=1).all(axis=1)
-    for s in np.flatnonzero(~(uniform & single.all(axis=1) & bijective))[:1]:
-        a, b = cells[s]
-        if not uniform[s]:
-            raise ConventionError(
-                f"swap outcomes for (a={a}, b={b}) are not uniform: {probs[s].tolist()}"
-            )
-        if not single[s].all():
-            m = LABELS[int(np.argmin(single[s]))]
-            raise ConventionError(f"swap remainder for (a={a}, b={b}, m={m}) is not a Bell state")
-        raise ConventionError(f"swap map for (a={a}, b={b}) is not a bijection")
-    return MappingProxyType({
-        (a, b, m): LABELS[r]
-        for (a, b), row in zip(cells, hits.argmax(axis=2).tolist())
-        for m, r in zip(LABELS, row)
-    })

@@ -79,7 +79,7 @@ def _cmd_validate_convention(args) -> int:
         "s_rotation_residual": r_s,
         "z_rotation_residual": r_z,
         "satisfying_conventions": len(bell.all_conventions()),
-        "swap_xor_permutation": bell.xor_permutation(bell.derive_swap_table(conv)),
+        "swap_xor_permutation": bell.xor_permutation(protocol.derive_swap_table(conv)),
     }
     if args.format == "json":
         sys.stdout.write(_json_doc(payload))
@@ -170,58 +170,48 @@ def build_parser() -> argparse.ArgumentParser:
         description="Entanglement-swapping key distribution: simulation and analysis.",
     )
     parser.add_argument("--version", action="version", version=f"swapqkd {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="64-bit master seed (default 0)")
-    common.add_argument("--format", choices=FORMATS, default="human")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "validate-convention", parents=[common],
-        help="print the derived Bell labeling and its defining residuals",
-    )
+    def command(name: str, summary: str, monte_carlo: bool = False) -> argparse.ArgumentParser:
+        """A subcommand with the shared options: ``--seed`` and ``--format``, then, for the
+        Monte Carlo commands, the protocol and Alice's procedure coin."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--seed", type=int, default=0, help="64-bit master seed (default 0)")
+        p.add_argument("--format", choices=FORMATS, default="human")
+        if monte_carlo:
+            p.add_argument("--protocol", choices=tuple(PROTOCOLS), default="six")
+            p.add_argument("--procedure-prob", type=float, default=0.5,
+                           help="probability Alice picks procedure (i)")
+        return p
+
+    p = command("validate-convention",
+                "print the derived Bell labeling and its defining residuals")
     p.set_defaults(func=_cmd_validate_convention)
 
-    p = sub.add_parser(
-        "reproduce-table1", parents=[common],
-        help="emit the adversary-free outcome table, self-checked",
-    )
+    p = command("reproduce-table1", "emit the adversary-free outcome table, self-checked")
     p.set_defaults(func=_cmd_reproduce_table, reproduce=(protocol, "reproduce_table1"),
                    columns=protocol.TABLE1_COLUMNS)
 
-    p = sub.add_parser(
-        "reproduce-table2", parents=[common],
-        help="emit the interception-attack outcome table, self-checked",
-    )
+    p = command("reproduce-table2", "emit the interception-attack outcome table, self-checked")
     p.set_defaults(func=_cmd_reproduce_table, reproduce=(adversary, "reproduce_table2"),
                    columns=adversary.TABLE2_COLUMNS)
 
-    # The Monte Carlo commands share the protocol and Alice's procedure coin.
-    run = argparse.ArgumentParser(add_help=False)
-    run.add_argument("--protocol", choices=tuple(PROTOCOLS), default="six")
-    run.add_argument("--procedure-prob", type=float, default=0.5,
-                     help="probability Alice picks procedure (i)")
-
-    p = sub.add_parser("simulate", parents=[common, run], help="Monte Carlo protocol run")
+    p = command("simulate", "Monte Carlo protocol run", monte_carlo=True)
     p.add_argument("--attack", choices=tuple(ATTACKS), default="none")
     p.add_argument("--rounds", type=int, default=1000)
     p.add_argument("--test-fraction", type=float, default=0.5,
                    help="fraction of rounds whose keys are publicly compared")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser(
-        "detection-curve", parents=[common, run],
-        help="empirical vs theoretical detection probability per compared pairs",
-    )
+    p = command("detection-curve",
+                "empirical vs theoretical detection probability per compared pairs",
+                monte_carlo=True)
     p.add_argument("--attack", choices=tuple(ATTACKS), default="mixed")
     p.add_argument("--n", default="1,2,4,8,16", help="comma-separated compared-pair counts")
     p.add_argument("--reps", type=int, default=10000, help="experiments per point (>= 100)")
     p.set_defaults(func=_cmd_detection_curve)
 
-    p = sub.add_parser(
-        "derive-attack", parents=[common],
-        help="search for the procedure-(ii)-matched attack parameters",
-    )
+    p = command("derive-attack", "search for the procedure-(ii)-matched attack parameters")
     p.add_argument("--emit-params", metavar="PATH", default=None,
                    help="also write the parameters JSON to this file")
     p.set_defaults(func=_cmd_derive_attack)

@@ -21,18 +21,21 @@ and her ``forward`` map.  :func:`build_plan` and its channel check read
 only the entry and that record, never the protocol's name, and reroute the
 honest steps through the attack's ``forward`` map.  A gate step holds
 :func:`qstate.gate` names and refuses an unknown one when it is made;
-:func:`enumerate_plans` looks up each name's matrix.  An attack's two
-procedure plans are enumerated once, as one batch, over every measurement
-branch; each branch comes out as its mass, its outcomes and its path, the
-outcomes' ``LABELS`` indices.  Bob's key inference and Eve's posterior are
-one :func:`key_support` map, each observation to the keys it occurs with,
-read off those outcomes (the adversary-free ones for Bob), never assumed in
-closed form.  A round model holds one :class:`Leaf` per branch, that
-branch and its two facts: did Bob infer a wrong key, and did Eve's
-posterior pin it.  Every exact table and probability reads the leaves, and
-every exact probability and Monte Carlo count is a mass-weighted read of
-the two facts.  A round model builds no tree: ``harness`` builds each run's
-round tree from the leaves' paths and masses.
+:func:`enumerate_plans`, the one caller of ``qstate``'s batch kernels, looks
+up each name's matrix.  An attack's two procedure plans are enumerated once,
+as one batch, over every measurement branch; each branch comes out as its
+mass, its outcomes and its path, the outcomes' ``LABELS`` indices.
+:func:`outcome_masses` reads a family as one dense mass array, as the attack
+search and :func:`derive_swap_table`, the swap algebra, do.  Bob's key
+inference and Eve's posterior are one :func:`key_support` map, each
+observation to the keys it occurs with, read off those outcomes (the
+adversary-free ones for Bob), never assumed in closed form.  A round model
+holds one :class:`Leaf` per branch, that branch and its two facts: did Bob
+infer a wrong key, and did Eve's posterior pin it.  Every exact table and
+probability reads the leaves, and every exact probability and Monte Carlo
+count is a mass-weighted read of the two facts.  A round model builds no
+tree: ``harness`` builds each run's round tree from the leaves' paths and
+masses.
 
 Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 0-based register happens only at the physics boundary.
@@ -40,6 +43,7 @@ Qubits are numbered 1..8 as in the protocol narrative; conversion to the
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -50,7 +54,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 import numpy as np
 
 from . import qstate
-from .bell import LABELS, BellConvention
+from .bell import CONSTRAINT_ATOL, LABELS, BellConvention
 
 # Branch probabilities in these protocols are multiples of 1/4 per
 # measurement; anything below this is numerical dust, not a branch.
@@ -71,6 +75,10 @@ class Procedure(Enum):
     def rotation(self) -> str:
         """The gate each party applies before measuring: ``I`` under (i), ``S`` under (ii)."""
         return "S" if self is Procedure.P_II else "I"
+
+
+class ConventionError(RuntimeError):
+    """A convention's swap algebra is malformed."""
 
 
 class AmbiguityError(RuntimeError):
@@ -223,11 +231,19 @@ RESERVED_NAMES = frozenset({"key"}.union(*(s.observed + s.announced for s in PRO
 
 @dataclass(frozen=True)
 class Plan:
-    """A fully wired round: register size, initial pairs, ordered steps."""
+    """A fully wired round on a register of ``2 * len(pairs)`` qubits: its pairs, its ordered
+    steps, and ``start``, the Bell label each pair begins in, 00 on every pair by default.
+    A start that is not one label per pair is refused here."""
 
-    num_qubits: int
     pairs: tuple[tuple[int, int], ...]
     steps: tuple[Step, ...]
+    start: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.start is None:
+            object.__setattr__(self, "start", ("00",) * len(self.pairs))
+        if len(self.start) != len(self.pairs) or not set(self.start) <= set(LABELS):
+            raise ValueError(f"one start label of {LABELS} per pair, got {self.start}")
 
 
 def _validate_transit(spec: ProtocolSpec, attack: Attack) -> None:
@@ -272,8 +288,7 @@ def build_plan(spec: ProtocolSpec, procedure: Procedure, attack: Attack | None) 
             steps.append(replace(step, pair=tuple(route.get(q, q) for q in step.pair)))
         else:
             steps.append(GateStep(route.get(step.qubit, step.qubit), procedure.rotation))
-    pairs = spec.pairs + attack.ancilla_pairs
-    return Plan(2 * len(pairs), pairs, tuple(steps))
+    return Plan(spec.pairs + attack.ancilla_pairs, tuple(steps))
 
 
 # --- plan execution -------------------------------------------------------
@@ -293,30 +308,32 @@ def _skeleton(step: Step) -> tuple | MeasureStep:
     return step
 
 
-def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Branch]]:
-    """All measurement branches, with their exact probabilities, of plans that
-    differ only in gate names.
+def _enumerate(conv: BellConvention, plans: Sequence[Plan]) -> tuple:
+    """Every live branch of a plan family, as rows ``(owner, masses, paths, names)``: each
+    row's plan and mass, and its path, the ``LABELS`` index of the latest outcome of each
+    measurement name, the names in first-measured order.
 
-    Every live branch of every plan is a row of one amplitude batch, so each
-    step is one batched gate or projection.  The batch starts as the labeled-00
-    state on each pair, its qubits in the pairs' listed order; the pairs must
-    partition a register of 1..``qstate.MAX_QUBITS`` qubits.  Survivors of a
-    measurement keep (row, outcome) order: each plan's branches come out in
-    depth-first order, each as a :data:`Branch`.  A conditional gate picks each
-    row's matrix by the outcome column it reads.
-    A measurement's post-measurement states are built by the step after it,
-    so a family's last measurement builds none.
+    Every live branch is a row of one amplitude batch, so each step is one batched gate or
+    projection.  Each distinct start, the kron of its pairs' labeled states, its qubits in the
+    pairs' listed order, is built once; the pairs must partition a register of
+    1..``qstate.MAX_QUBITS`` qubits.  Survivors of a measurement keep (row, outcome) order.  A
+    conditional gate picks each row's matrix by the outcome column it reads.  A measurement's
+    post-measurement states are built by the step after it, so the last one builds none.
     """
-    if len({(p.num_qubits, p.pairs, tuple(map(_skeleton, p.steps))) for p in plans}) != 1:
-        raise ValueError("enumerate_plans needs plans that differ only in gate names")
-    n, pairs = plans[0].num_qubits, plans[0].pairs
+    if len({(p.pairs, tuple(map(_skeleton, p.steps))) for p in plans}) != 1:
+        raise ValueError("enumerate_plans needs plans that differ only in gate names and starts")
+    pairs = plans[0].pairs
+    n = 2 * len(pairs)
     order = tuple(q - 1 for pair in pairs for q in pair)  # the qubits indexing amps, high first
     if sorted(order) != list(range(n)):
         raise ValueError(f"pairs {pairs} do not partition the {n}-qubit register")
     if not 0 < n <= qstate.MAX_QUBITS:
         raise ValueError(f"a register holds 1..{qstate.MAX_QUBITS} qubits, got {n}")
     basis = conv.basis_matrix
-    amps = np.repeat(reduce(np.kron, [conv.states["00"]] * len(pairs))[None], len(plans), axis=0)
+    # np.multiply.outer, raveled, forms np.kron's products without its per-call overhead.
+    starts = {p.start for p in plans}
+    states = {s: reduce(np.multiply.outer, [conv.states[k] for k in s]).ravel() for s in starts}
+    amps = np.stack([states[p.start] for p in plans])
     measured: tuple = ()  # the last measurement's (proj, probs, picks), not yet collapsed
     owner = np.arange(len(plans))  # the plan each row belongs to
     masses = np.ones(len(plans))
@@ -347,12 +364,70 @@ def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Br
             matrices = tuple(qstate.gate(g) for s in steps for g in s.gates)  # plan-major
             on = picked[:, column[step.on]]
             amps = qstate.gate_rows(amps, matrices, owner * len(LABELS) + on)
+    return owner, masses, picked[:, list(column.values())], tuple(column)
+
+
+def enumerate_plans(conv: BellConvention, plans: Sequence[Plan]) -> list[list[Branch]]:
+    """All measurement branches, with their exact probabilities, of a plan family, plans that
+    differ only in gate names and start labels, enumerated as one batch: each plan's branches
+    in depth-first order, each as a :data:`Branch`."""
+    owner, masses, paths, names = _enumerate(conv, plans)
     branches: list[list[Branch]] = [[] for _ in plans]
-    paths = picked[:, list(column.values())].tolist()
-    for i, mass, path in zip(owner.tolist(), masses.tolist(), map(tuple, paths)):
-        outcomes = MappingProxyType({name: LABELS[k] for name, k in zip(column, path)})
+    for i, mass, path in zip(owner.tolist(), masses.tolist(), map(tuple, paths.tolist())):
+        outcomes = MappingProxyType({name: LABELS[k] for name, k in zip(names, path)})
         branches[i].append((mass, outcomes, path))
     return branches
+
+
+def outcome_masses(conv: BellConvention, plans: Sequence[Plan]) -> np.ndarray:
+    """A plan family's branch masses, enumerated as :func:`enumerate_plans` enumerates them, as
+    one dense ``(plans, 4, ..., 4)`` array with an outcome axis per measurement name in
+    first-measured order: ``[i, k, ...]`` is plan ``i``'s mass of outcomes ``LABELS[k], ...``."""
+    owner, masses, paths, _names = _enumerate(conv, plans)
+    table = np.zeros((len(plans),) + (len(LABELS),) * paths.shape[1])
+    np.add.at(table, (owner, *paths.T), masses)
+    return table
+
+
+# The swap algebra's family: one plan per (a, b), in LABELS order, whose pairs (1,2) and
+# (3,4) start in a and b, and which Bell-measures (1,3), then (2,4).
+_SWAP_FAMILY: tuple[Plan, ...] = tuple(
+    Plan(((1, 2), (3, 4)), (MeasureStep("m", (1, 3)), MeasureStep("r", (2, 4))), start)
+    for start in itertools.product(LABELS, repeat=2)
+)
+
+
+def derive_swap_table(conv: BellConvention) -> Mapping[tuple[str, str, str], str]:
+    """The entanglement-swap outcome algebra, read off the swap family's masses.
+
+    A read-only mapping: ``table[a, b, m] = r`` means that with pairs (1,2) in
+    state a and (3,4) in state b, Bell-measuring (1,3) with outcome m leaves
+    (2,4) in state r.  For every (a, b) the four outcomes are uniform and
+    m -> r is a bijection, or :class:`ConventionError`.
+    """
+    masses = outcome_masses(conv, _SWAP_FAMILY)  # [(a, b), m, r]
+    probs = masses.sum(axis=2)
+    uniform = (np.abs(probs - 0.25) <= CONSTRAINT_ATOL).all(axis=1)
+    # hits[s, m, r]: outcome m leaves the remainder pair in Bell state r.
+    hits = masses > (1.0 - CONSTRAINT_ATOL) * probs[:, :, None]
+    single = hits.sum(axis=2) == 1
+    # With one state per outcome, the map is a bijection when it reaches all four.
+    bijective = hits.any(axis=1).all(axis=1)
+    for s in np.flatnonzero(~(uniform & single.all(axis=1) & bijective))[:1]:
+        a, b = _SWAP_FAMILY[s].start
+        if not uniform[s]:
+            raise ConventionError(
+                f"swap outcomes for (a={a}, b={b}) are not uniform: {probs[s].tolist()}"
+            )
+        if not single[s].all():
+            m = LABELS[int(np.argmin(single[s]))]
+            raise ConventionError(f"swap remainder for (a={a}, b={b}, m={m}) is not a Bell state")
+        raise ConventionError(f"swap map for (a={a}, b={b}) is not a bijection")
+    return MappingProxyType({
+        (a, b, m): LABELS[r]
+        for (a, b), row in zip((p.start for p in _SWAP_FAMILY), hits.argmax(axis=2).tolist())
+        for m, r in zip(LABELS, row)
+    })
 
 
 # An observation (``ProtocolSpec.bob_observation`` or ``eve_observation`` of a

@@ -72,9 +72,10 @@ def product_state(num_qubits, pairs):
 
 
 def initial_state(conv, plan):
-    """One row: every pair of ``plan`` in the labeled-00 state."""
-    vec = conv.states["00"]
-    return product_state(plan.num_qubits, [(i - 1, j - 1, vec) for i, j in plan.pairs])
+    """One row: each pair of ``plan`` in the state of its start label, on a register of
+    two qubits per pair."""
+    pairs = [(i - 1, j - 1, conv.states[label]) for (i, j), label in zip(plan.pairs, plan.start)]
+    return product_state(2 * len(plan.pairs), pairs)
 
 
 def gate(state, matrix, qubit):
@@ -106,7 +107,7 @@ def walk(conv, plan):
     ``basis.conj() @ (4, rest)`` and collapses as ``outer(basis[k],
     projection) / sqrt(p)``, so the engine's masses compare bit for bit.
     """
-    n = plan.num_qubits
+    n = 2 * len(plan.pairs)
     basis = conv.basis_matrix
     branches = []
 
@@ -151,7 +152,7 @@ def sample(conv, plan, uniforms):
     measurement picks an outcome with column j.  Returns measurement name ->
     each row's outcome label.
     """
-    n = plan.num_qubits
+    n = 2 * len(plan.pairs)
     basis = conv.basis_matrix
     state = np.repeat(initial_state(conv, plan), len(uniforms), axis=0)
     picked = {}

@@ -49,12 +49,13 @@ EXACT = 1e-10
 
 @pytest.fixture
 def batches(monkeypatch):
-    """Every plan batch ``adversary`` hands to ``enumerate_plans``, in call order."""
+    """Every plan family ``adversary`` hands to ``enumerate_plans`` or ``outcome_masses``, in
+    call order."""
     seen = []
-    real = adversary.enumerate_plans
-    monkeypatch.setattr(
-        adversary, "enumerate_plans", lambda conv, plans: seen.append(plans) or real(conv, plans)
-    )
+    for name in ("enumerate_plans", "outcome_masses"):
+        real = getattr(adversary, name)
+        spy = lambda conv, plans, real=real: seen.append(plans) or real(conv, plans)  # noqa: E731
+        monkeypatch.setattr(adversary, name, spy)
     return seen
 
 
@@ -68,7 +69,7 @@ def test_pauli_for_label_matches_published_naming(conv):
 # The four plans the correction column is read off: a Pauli on qubit 2 of a labeled-00
 # pair, then the pair's Bell measurement.
 PAULI_PLANS = [
-    Plan(2, ((1, 2),), (GateStep(2, p), MeasureStep("label", (1, 2))))
+    Plan(((1, 2),), (GateStep(2, p), MeasureStep("label", (1, 2))))
     for p in adversary.CORRECTIONS_PAULI
 ]
 
@@ -305,7 +306,7 @@ def test_zlg_leaf_contents(conv):
 
 def test_zlg_substitution_keeps_valid_eight_qubit_state(conv):
     plan = build_plan(PROTOCOLS["six"], Procedure.P_II, ZlgAttack(conv))
-    assert plan.num_qubits == 8
+    assert 2 * len(plan.pairs) == 8
     # Every collapsed branch along the way is norm-checked within 1e-12.
     branches = enumerate_plans(conv, (plan,))[0]
     assert abs(sum(mass for mass, _out, _path in branches) - 1.0) < 1e-12

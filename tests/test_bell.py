@@ -8,14 +8,12 @@ from swapqkd import adversary, bell, protocol, qstate
 from swapqkd.bell import (
     LABELS,
     BellConvention,
-    ConventionError,
     all_conventions,
     convention_residuals,
-    derive_convention,
-    derive_swap_table,
     label_xor,
     xor_permutation,
 )
+from swapqkd.protocol import ConventionError, derive_swap_table
 from swapqkd.qstate import GATES
 
 import oracle
@@ -29,7 +27,7 @@ def reduced_single_qubit(amps: np.ndarray, keep_first: bool) -> np.ndarray:
 
 
 def test_derivation_matches_frozen_convention():
-    assert derive_convention() == bell.FROZEN_CONVENTION
+    assert all_conventions()[0] == bell.FROZEN_CONVENTION
 
 
 def test_derivation_enumeration_is_fast_and_exhaustive():
@@ -97,6 +95,19 @@ def test_bell_state_rejects_unknown_label(conv):
     assert list(conv.states) == list(LABELS)
     with pytest.raises(KeyError):
         conv.states["2"]
+
+
+def test_convention_states_are_read_only():
+    # Every plan's start reads the states by label: a write into the frozen convention's
+    # cached mapping would change every later enumeration.
+    states = bell.FROZEN_CONVENTION.states
+    with pytest.raises(TypeError):
+        states["00"] = states["01"]
+    with pytest.raises(TypeError):
+        states["2"] = states["00"]
+    with pytest.raises(TypeError):
+        del states["00"]
+    assert list(states) == list(LABELS)
 
 
 def _on_acting_factor(conv, matrix, pair_states):
@@ -199,43 +210,43 @@ def test_bad_convention_raises_on_swap_derivation():
     assert len(table) == 64
 
 
-def _derive_with_edited_probabilities(monkeypatch, conv, call, edit):
-    """derive_swap_table with ``edit(probs)`` applied to one project_rows call's result."""
-    real, calls = qstate.project_rows, []
+def _derive_with_edited_masses(conv, edit):
+    """derive_swap_table with ``edit(masses)`` applied to its family's outcome masses."""
+    real = protocol.outcome_masses
 
-    def project(*args):
-        proj, probs = real(*args)
-        if len(calls) == call:
-            probs = probs.copy()
-            edit(probs)
-        calls.append(1)
-        return proj, probs
+    def outcome_masses(*args):
+        masses = real(*args)
+        edit(masses)
+        return masses
 
-    monkeypatch.setattr(qstate, "project_rows", project)
-    return derive_swap_table(conv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(protocol, "outcome_masses", outcome_masses)
+        return derive_swap_table(conv)
 
 
-def test_swap_derivation_rejects_malformed_outcomes(conv, monkeypatch):
-    # The first projection gives each two-pair state's (1,3) outcome
-    # probabilities, one row per (a, b) cell; the second, one row per (cell,
-    # outcome), the probabilities of the remainder pair's Bell states.
-    def skewed(probs):
-        probs[5] = [0.5, 0.5, 0.0, 0.0]
+def test_swap_derivation_rejects_malformed_outcomes(conv):
+    # The family's masses are [cell, m, r]: one cell per (a, b), at 4 * a + b by LABELS
+    # index, then the (1,3) outcome m and the remainder pair's Bell state r.  The edits go to
+    # the masses: an edited projection would fail the norm check of the collapse after it.
+    def skewed(masses):
+        masses[5] = np.diag([0.5, 0.5, 0.0, 0.0])
 
     with pytest.raises(ConventionError, match=r"\(a=01, b=01\) are not uniform"):
-        _derive_with_edited_probabilities(monkeypatch, conv, 0, skewed)
+        _derive_with_edited_masses(conv, skewed)
 
-    def split(probs):
-        probs[4 * 2 + 3] = [0.125, 0.125, 0.0, 0.0]
+    def split(masses):
+        masses[4 * 0 + 2, 3] = [0.125, 0.125, 0.0, 0.0]
 
     with pytest.raises(ConventionError, match=r"\(a=00, b=10, m=11\) is not a Bell state"):
-        _derive_with_edited_probabilities(monkeypatch, conv, 1, split)
+        _derive_with_edited_masses(conv, split)
 
-    def collapsed(probs):
-        probs[4:8] = [0.25, 0.0, 0.0, 0.0]
+    def collapsed(masses):
+        masses[1] = [[0.25, 0.0, 0.0, 0.0]] * 4
 
     with pytest.raises(ConventionError, match=r"\(a=00, b=01\) is not a bijection"):
-        _derive_with_edited_probabilities(monkeypatch, conv, 1, collapsed)
+        _derive_with_edited_masses(conv, collapsed)
+    # Unedited, the same read passes.
+    assert len(_derive_with_edited_masses(conv, lambda masses: None)) == 64
 
 
 def test_swap_derivation_checks_state_norms(monkeypatch):
@@ -326,4 +337,4 @@ def test_outcome_tables_across_all_conventions():
         assert t2_full == (symmetric_ray and adversary.pauli_for_label(candidate) == izxy)
         full_matches += t2_full
     assert full_matches == 16
-    assert tuple(adversary.zlg_outcome_rows(derive_convention())) == adversary.EXPECTED_TABLE2
+    assert tuple(adversary.zlg_outcome_rows(all_conventions()[0])) == adversary.EXPECTED_TABLE2

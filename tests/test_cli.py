@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,6 +206,29 @@ def test_cached_parser_carries_nothing_between_calls(capsys):
     )
     assert (fresh.returncode, fresh.stderr) == (0, "")
     assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+def test_each_subcommand_help_lists_its_shared_options_in_order(capsys):
+    # Every subcommand takes --seed and --format right after -h, and the two Monte Carlo
+    # commands the protocol and Alice's procedure coin next, before their own options.
+    shared = ["--help", "--seed", "--format"]
+    monte_carlo = shared + ["--protocol", "--procedure-prob"]
+    want = {
+        "validate-convention": shared,
+        "reproduce-table1": shared,
+        "reproduce-table2": shared,
+        "simulate": monte_carlo + ["--attack", "--rounds", "--test-fraction"],
+        "detection-curve": monte_carlo + ["--attack", "--n", "--reps"],
+        "derive-attack": shared + ["--emit-params"],
+    }
+    for command, options in want.items():
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        usage = re.findall(r"\[(-[\w-]+)", out.split("\n\n")[0])
+        listed = re.findall(r"^  (?:-h, )?(--[\w-]+)", out, re.MULTILINE)
+        assert (usage, listed) == (["-h"] + options[1:], options), command
 
 
 def test_table_drift_exits_1_with_row_diff(capsys, monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from swapqkd import adversary, bell, harness, protocol, qstate
 from swapqkd.adversary import AttackStrategy, FourSwapAttack, TailoredAttack, ZlgAttack
-from swapqkd.bell import LABELS, derive_swap_table
+from swapqkd.bell import LABELS
 from swapqkd.protocol import (
     EXPECTED_TABLE1,
     PROTOCOLS,
@@ -26,6 +26,7 @@ from swapqkd.protocol import (
     TableMismatchError,
     WrongProtocolError,
     build_plan,
+    derive_swap_table,
     protocol_driver,
     reproduce_table1,
 )
@@ -151,6 +152,38 @@ def test_breadth_first_enumeration_matches_depth_first_walk():
             _assert_same_branches(got, oracle.walk(conv, plan))
 
 
+def test_swap_family_matches_depth_first_walk():
+    # The swap algebra's 16 plans differ only in their start labels; on every convention each
+    # gets, bit for bit, what the walk gets from its start, and the dense mass table holds each
+    # branch's mass at its path.
+    family = protocol._SWAP_FAMILY
+    assert [p.start for p in family] == list(itertools.product(LABELS, repeat=2))
+    for conv in bell.all_conventions():
+        table = protocol.outcome_masses(conv, family)
+        assert table.shape == (16, 4, 4)
+        for plan, got, masses in zip(family, protocol.enumerate_plans(conv, family), table):
+            _assert_same_branches(got, oracle.walk(conv, plan))
+            want = np.zeros((4, 4))
+            for mass, _out, path in got:
+                want[path] = mass
+            assert np.array_equal(masses, want)
+
+
+def test_plan_start_is_one_label_per_pair(conv):
+    pairs, steps = ((1, 2), (3, 4)), (MeasureStep("m", (1, 3)), MeasureStep("r", (2, 4)))
+    assert Plan(pairs, steps).start == ("00", "00") == Plan(pairs, steps, ("00", "00")).start
+    assert Plan(pairs, steps) == Plan(pairs, steps, ("00", "00"))
+    for start in (("00",), ("00", "01", "10"), ("00", "2"), ("00", 0)):
+        with pytest.raises(ValueError, match="one start label"):
+            Plan(pairs, steps, start)
+    # Plans of one family may start apart; equal starts give equal branches.
+    family = [Plan(pairs, steps, start) for start in (("01", "10"), ("00", "00"), ("01", "10"))]
+    batch = protocol.enumerate_plans(conv, family)
+    assert batch[0] == batch[2] != batch[1]
+    for plan, got in zip(family, batch):
+        _assert_same_branches(got, oracle.walk(conv, plan))
+
+
 def test_enumeration_collapses_only_measurements_a_step_follows(conv, monkeypatch):
     # A measurement's states are built at the next step, so the last one builds none.
     real, calls = qstate.collapse_rows, []
@@ -224,6 +257,11 @@ def _feed(h, value):
         # Fed as captured, when the step paired each matrix with its outcome label.
         gates = tuple(zip(LABELS, map(qstate.gate, value.gates)))
         value = _Record("ConditionalGateStep", qubit=value.qubit, on=value.on, gates=gates)
+    if isinstance(value, Plan):
+        # Fed as captured, when a plan held its register size and started every pair at 00.
+        assert value.start == ("00",) * len(value.pairs)
+        value = _Record("Plan", num_qubits=2 * len(value.pairs), pairs=value.pairs,
+                        steps=value.steps)
     if dataclasses.is_dataclass(value):
         fields = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
         _feed_fields(h, type(value).__name__, fields)
@@ -333,23 +371,24 @@ def test_gate_steps_refuse_unknown_names():
 def test_enumeration_refuses_pairs_that_do_not_partition_the_register(conv):
     # The batch starts from the pairs, so they must cover each qubit once.
     steps = (MeasureStep("m", (1, 3)),)
-    assert len(protocol.enumerate_plans(conv, [Plan(4, ((1, 2), (3, 4)), steps)])[0]) == 4
-    for num_qubits, pairs in ((4, ((1, 2), (2, 3))), (4, ((1, 2),)), (4, ((1, 2), (3, 5))),
-                              (6, ((1, 2), (3, 4))), (2, ((1, 2), (3, 4)))):
+    assert len(protocol.enumerate_plans(conv, [Plan(((1, 2), (3, 4)), steps)])[0]) == 4
+    # A plan's register is two qubits per pair, so its pairs must cover 1..2 * len(pairs).
+    for pairs in (((1, 2), (2, 3)), ((2, 3),), ((1, 2), (3, 5)), ((0, 1), (2, 3)),
+                  ((1, 1), (3, 4))):
         with pytest.raises(ValueError, match="do not partition"):
-            protocol.enumerate_plans(conv, [Plan(num_qubits, pairs, steps)])
+            protocol.enumerate_plans(conv, [Plan(pairs, steps)])
 
 
 def test_enumeration_refuses_a_register_past_max_qubits(conv):
     steps = (MeasureStep("m", (1, 3)),)
     eight = tuple((q, q + 1) for q in range(1, 8, 2))
-    assert len(protocol.enumerate_plans(conv, [Plan(8, eight, steps)])[0]) == 4
+    assert len(protocol.enumerate_plans(conv, [Plan(eight, steps)])[0]) == 4
     ten = eight + ((9, 10),)
     assert qstate.MAX_QUBITS == 8
     with pytest.raises(ValueError, match=r"1\.\.8 qubits, got 10"):
-        protocol.enumerate_plans(conv, [Plan(10, ten, steps)])
+        protocol.enumerate_plans(conv, [Plan(ten, steps)])
     with pytest.raises(ValueError, match=r"1\.\.8 qubits, got 0"):
-        protocol.enumerate_plans(conv, [Plan(0, (), ())])
+        protocol.enumerate_plans(conv, [Plan((), ())])
 
 
 def test_enumeration_starts_each_pair_where_it_is_listed(conv):
@@ -357,7 +396,7 @@ def test_enumeration_starts_each_pair_where_it_is_listed(conv):
     steps = (GateStep(1, "S"), MeasureStep("a", (1, 2)), GateStep(3, "YS"),
              MeasureStep("b", (4, 3)), MeasureStep("c", (5, 6)))
     for pairs in (((1, 2), (3, 4), (5, 6)), ((6, 5), (3, 1), (4, 2)), ((2, 6), (5, 3), (1, 4))):
-        plan = Plan(6, pairs, steps)
+        plan = Plan(pairs, steps)
         _assert_same_branches(protocol.enumerate_plans(conv, [plan])[0], oracle.walk(conv, plan))
 
 
@@ -591,7 +630,7 @@ def test_leaf_paths_index_their_outcomes_and_name_the_block_mass_cells():
         (lambda rotation, p: adversary._travel_block_plan(*rotation, p), adversary.ROTATIONS),
     ):
         plans = [build(n, procedure) for procedure in Procedure for n in names]
-        tables = adversary._block_masses(conv, build, names).reshape(len(plans), 4, 4)
+        tables = protocol.outcome_masses(conv, plans)
         for table, branches in zip(tables, protocol.enumerate_plans(conv, plans), strict=True):
             want = np.zeros((4, 4))
             for mass, out, _path in branches:
@@ -885,7 +924,7 @@ def test_forwarding_reroutes_the_honest_steps():
     # The six-qubit interception: Alice measures (5, 2), Bob (7, 4).
     wiring = Attack("wiring", "six", (), ancilla_pairs=((7, 8),), forward=((6, 2), (2, 7)))
     plan = build_plan(PROTOCOLS["six"], Procedure.P_II, wiring)
-    assert plan.num_qubits == 8 and plan.pairs[-1] == (7, 8)
+    assert len(plan.pairs) == 4 and plan.pairs[-1] == (7, 8)
     assert _step_names(plan) == [
         ("S", 3), ("key", (1, 3)), ("public", (5, 2)), ("S", 4), ("secret", (7, 4)),
     ]

@@ -27,7 +27,6 @@ SRC = Path(swapqkd.__file__).resolve().parent
 
 # (module file, qualified name) of every function the pass may not reach.
 UNREACHED = {
-    ("bell.py", "derive_convention"),  # regenerates FROZEN_CONVENTION
     ("protocol.py", "_row_diff"),  # a table mismatch's row diff
     ("protocol.py", "TableMismatchError.__init__"),
     # Run only while the package is imported, before the pass starts.
