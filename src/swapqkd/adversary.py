@@ -62,6 +62,7 @@ from .protocol import (
     _checked_rows,
     enumerate_plans,
     outcome_masses,
+    outcome_rows,
     protocol_driver,
 )
 
@@ -364,32 +365,7 @@ TABLE2_COLUMNS = (
 )
 
 
-def zlg_outcome_rows(conv: BellConvention) -> list[tuple[str, ...]]:
-    """All distinct zlg-attack rows with key 00, in the published order."""
-    driver = protocol_driver(conv, "six")
-    attack = ZlgAttack(conv)
-    transformation = dict(zip(LABELS, attack.steps[-1].gates))  # Eve's correction per outcome
-    rows = set()
-    for procedure in Procedure:
-        model = driver.round_model(procedure, attack)
-        for out in (leaf.outcomes for leaf in model.leaves):
-            if out["key"] != "00":
-                continue
-            rows.add(
-                (
-                    procedure.printed,
-                    out["key"],
-                    out["public"],
-                    out["secret"],
-                    driver.infer(procedure, out),
-                    out["eve"],
-                    transformation[out["eve"]],
-                    " or ".join(model.posterior[driver.spec.eve_observation(out)]),
-                )
-            )
-    return sorted(rows, key=lambda r: (r[0], r[3], r[5], r[2]))
-
-
 def reproduce_table2(conv: BellConvention) -> list[tuple[str, ...]]:
     """Reproduce the attack outcome table; raise on any drift."""
-    return _checked_rows("zlg attack outcome table", EXPECTED_TABLE2, zlg_outcome_rows(conv))
+    return _checked_rows("zlg attack outcome table", EXPECTED_TABLE2,
+                        outcome_rows(conv, ZlgAttack(conv)))

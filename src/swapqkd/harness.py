@@ -59,6 +59,9 @@ from .qstate import SEED_CHUNK, CompiledTree, RandomLanes, compile_tree
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 ROUNDS_PER_BLOCK = 2  # rounds of a curve's lanes drawn and walked as one grid
+# A curve point's round limit n is read as at most this, by its lanes and by its reference
+# 1 - 0.75**n: every lane of a root that draws detects long before, and 0.75**n is 0.0.
+LIMIT_CLAMP = 2**62
 
 
 def splitmix64(master_seed: int | np.ndarray, index: int | np.ndarray) -> int | np.ndarray:
@@ -291,7 +294,8 @@ def detection_curve(
     for n, hits in zip(n_values, _curve_hits(tree, detected, config.master_seed, n_values,
                                              repetitions)):
         ci = _binomial_ci(hits, repetitions)
-        points.append(CurvePoint(n, hits / repetitions, 1.0 - 0.75**n, ci[0], ci[1]))
+        reference = 1.0 - 0.75**min(n, LIMIT_CLAMP)
+        points.append(CurvePoint(n, hits / repetitions, reference, ci[0], ci[1]))
     return points
 
 
@@ -300,18 +304,17 @@ def _curve_hits(tree: CompiledTree, detected: np.ndarray, master_seed: int,
     """How many of ``repetitions`` experiments detect at each point n of ``n_values``,
     experiment r of point n seeded ``splitmix64(splitmix64(master_seed, n), r)``.
 
-    Each lane carries its point and its round limit n, which is clamped to 2**62: every lane
-    of a root that draws detects long before.  Every block walks ``ROUNDS_PER_BLOCK`` rounds,
-    fewer past the largest live limit, of every running lane as one grid.  A detection counts
-    within a lane's first n rounds, and a lane leaves at the end of the block holding its first
-    detection or its n-th round.  A point with n = 0 gets no lane, and a root that draws
-    nothing gives every experiment its one leaf.
+    Each lane carries its point and its round limit n, clamped to ``LIMIT_CLAMP``.  Every
+    block walks ``ROUNDS_PER_BLOCK`` rounds, fewer past the largest live limit, of every running
+    lane as one grid.  A detection counts within a lane's first n rounds, and a lane leaves at
+    the end of the block holding its first detection or its n-th round.  A point with n = 0
+    gets no lane, and a root that draws nothing gives every experiment its one leaf.
     """
     if tree.leaves[0] is not None:
         return [repetitions if n and detected[0] else 0 for n in n_values]
     live = [i for i, n in enumerate(n_values) if n]
     points = np.array(live, dtype=np.intp)
-    limits = np.array([min(n_values[i], 2**62) for i in live], dtype=np.int64)
+    limits = np.array([min(n_values[i], LIMIT_CLAMP) for i in live], dtype=np.int64)
     hits, first = np.zeros(len(n_values), dtype=np.int64), 0
     for seeds in _seed_chunks([splitmix64(master_seed, n_values[i]) for i in live], repetitions):
         lane = np.arange(first, first + len(seeds)) // repetitions

@@ -561,22 +561,29 @@ EXPECTED_TABLE1: tuple[tuple[str, str, str, str, str], ...] = (
 TABLE1_COLUMNS = ("procedure", "key", "public", "secret", "inferred")
 
 
-def six_qubit_outcome_rows(conv: BellConvention) -> list[tuple[str, str, str, str, str]]:
-    """All distinct adversary-free six-qubit rows with key 00."""
+def outcome_rows(conv: BellConvention, attack: Attack | None = None) -> list[tuple[str, ...]]:
+    """All distinct six-qubit rows with key 00 under ``attack``: procedure, key, public, secret
+    and Bob's inferred key, then with an attack Eve's outcome, her correction for it and her
+    inferred keys.  Rows sort by procedure, secret, Eve's outcome and public."""
     driver = protocol_driver(conv, "six")
     rows = set()
     for procedure in Procedure:
-        for out in (leaf.outcomes for leaf in driver.round_model(procedure).leaves):
+        model = driver.round_model(procedure, attack)
+        for out in (leaf.outcomes for leaf in model.leaves):
             if out["key"] != "00":
                 continue
-            inferred = driver.infer(procedure, out)
-            rows.add((procedure.printed, out["key"], out["public"], out["secret"], inferred))
-    return sorted(rows, key=lambda r: (r[0], r[3], r[2]))
+            row = (procedure.printed, out["key"], out["public"], out["secret"],
+                   driver.infer(procedure, out))
+            if attack is not None:  # Eve's correction is her last step
+                row += (out["eve"], attack.steps[-1].gates[LABELS.index(out["eve"])],
+                        " or ".join(model.posterior[driver.spec.eve_observation(out)]))
+            rows.add(row)
+    return sorted(rows, key=lambda r: (r[0], r[3], *r[5:6], r[2]))
 
 
 def reproduce_table1(conv: BellConvention) -> list[tuple[str, str, str, str, str]]:
     """Reproduce the adversary-free outcome table; raise on any drift."""
-    return _checked_rows("six-qubit outcome table", EXPECTED_TABLE1, six_qubit_outcome_rows(conv))
+    return _checked_rows("six-qubit outcome table", EXPECTED_TABLE1, outcome_rows(conv))
 
 
 def _checked_rows(table: str, expected: tuple[tuple, ...], rows: list[tuple]) -> list[tuple]:

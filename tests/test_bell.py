@@ -328,8 +328,8 @@ def test_outcome_tables_across_all_conventions():
     full_matches = 0
     for candidate in all_conventions():
         symmetric_ray = candidate.assignment[0][0] in ("phi+", "psi-")
-        t1 = tuple(protocol.six_qubit_outcome_rows(candidate)) == protocol.EXPECTED_TABLE1
-        rows2 = tuple(adversary.zlg_outcome_rows(candidate))
+        t1 = tuple(protocol.outcome_rows(candidate)) == protocol.EXPECTED_TABLE1
+        rows2 = tuple(protocol.outcome_rows(candidate, adversary.ZlgAttack(candidate)))
         t2_outcomes = _strip_transformation(rows2) == expected2_outcomes
         assert t1 == symmetric_ray
         assert t2_outcomes == symmetric_ray
@@ -337,4 +337,6 @@ def test_outcome_tables_across_all_conventions():
         assert t2_full == (symmetric_ray and adversary.pauli_for_label(candidate) == izxy)
         full_matches += t2_full
     assert full_matches == 16
-    assert tuple(adversary.zlg_outcome_rows(all_conventions()[0])) == adversary.EXPECTED_TABLE2
+    first = all_conventions()[0]
+    rows2 = tuple(protocol.outcome_rows(first, adversary.ZlgAttack(first)))
+    assert rows2 == adversary.EXPECTED_TABLE2

@@ -1,17 +1,23 @@
-"""Every pinned CLI command gives the exit code, stdout and stderr of its record.
+"""Every golden record matches its rerun: a CLI command's exit code, stdout and stderr, and an
+exact record's lines of text.
 
 The records live under ``tests/golden/``, one file per pin set, and
-``tests/regen_golden.py`` rewrites them.  A record and the rerun are compared
-as the lines of their file text, so a failure names the first line that moved.
+``tests/regen_golden.py`` rewrites them.  A record and its rerun are compared
+as lists of lines, so a failure names the first line that moved.
 """
+
+from collections import Counter
+from functools import cache
 
 import pytest
 
-from regen_golden import dumps, pin_sets, record
+from regen_golden import EXACT_DIR, EXACT_SETS, dumps, pin_sets, record
 from swapqkd import cli
 from swapqkd.adversary import ATTACKS
 
 RECORDS = [(name, rec) for name, doc in pin_sets().items() for rec in doc["records"]]
+EXACT = [(name, rec) for name, doc in pin_sets(EXACT_DIR).items() for rec in doc["records"]]
+built = cache(lambda name: EXACT_SETS[name]())  # each exact set, built once
 
 
 @pytest.mark.parametrize(
@@ -37,3 +43,22 @@ def test_records_cover_every_subcommand_format_and_attack():
             seen |= {(args.command, args.format),
                      (args.command, getattr(args, "attack", None), getattr(args, "protocol", None))}
     assert want - seen == set()
+
+
+@pytest.mark.parametrize(
+    "name,expected", EXACT, ids=[f"{name}:{rec['name']}" for name, rec in EXACT])
+def test_exact_record_matches_its_rebuild(name, expected):
+    assert built(name).get(expected["name"]) == expected["lines"]
+
+
+def test_exact_sets_hold_every_record_they_build():
+    # Each builder has its file, and each file every record its builder makes, in order.
+    stored = pin_sets(EXACT_DIR)
+    assert list(stored) == sorted(EXACT_SETS)
+    for name, doc in stored.items():
+        assert [rec["name"] for rec in doc["records"]] == list(built(name))
+    # 12 round models under each of 64 conventions, and four search results of 16 each.
+    models = built("round_models")
+    assert (len(models) - 1, len(models["sha256 per convention"])) == (12, 64)
+    (search,) = built("search").values()
+    assert list(Counter(search).values()) == [16] * 4

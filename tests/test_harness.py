@@ -146,10 +146,11 @@ def test_report_invariants_and_json():
 def test_detection_curve_edge_points():
     config = SimulationConfig(protocol="six", rounds=1, attack=AttackStrategy("mixed"),
                               master_seed=21)
-    points = detection_curve(config, [0, 1], 200)
-    zero, one = points
+    zero, one, huge = detection_curve(config, [0, 1, 10**400], 200)
     assert zero.n == 0 and zero.empirical == 0.0 and zero.theoretical == 0.0
     assert one.theoretical == 0.25
+    # A limit past any float reads the clamped reference, and every lane detects.
+    assert (huge.n, huge.theoretical, huge.empirical) == (10**400, 1.0, 1.0)
     sigma = math.sqrt(0.25 * 0.75 / 200)
     assert abs(one.empirical - 0.25) < 4 * sigma
 

@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import itertools
 from bisect import bisect_right
 from dataclasses import replace
@@ -223,137 +222,6 @@ def test_round_models_match_depth_first_walk_without_identity_steps():
                     _assert_same_branches(_branches(model), oracle.walk(conv, plan))
                     checked += 1
     assert checked == 64 * 12
-
-
-# SHA-256 over every driver round model of the 64 conventions; see
-# test_round_models_match_pinned_digest.
-ROUND_MODELS_SHA256 = "cb78874f35c3ee15935f4e25f8359cebfb3437993a58be8eb3de54dc9bac77c8"
-
-# Fields a leaf transcript had when the digest was captured, with the value every
-# leaf held; they were removed unread, so they are fed as they were.
-RETIRED_FIELDS = (("compared", False), ("detected", False))
-
-
-class _Record:
-    """A record of a class the digest was captured over, fed as that dataclass was."""
-
-    def __init__(self, name, **fields):
-        self.name, self.fields = name, fields
-
-
-def _feed_fields(h, name, fields):
-    h.update(name.encode())
-    for field_name, item in fields:
-        h.update(field_name.encode())
-        _feed(h, item)
-
-
-def _feed(h, value):
-    """Hash ``value`` field by field, never through a class repr."""
-    # Gate steps are fed as captured, when they held their matrices, not their names.
-    if isinstance(value, GateStep):
-        value = _Record("GateStep", qubit=value.qubit, matrix=qstate.gate(value.gate))
-    if isinstance(value, ConditionalGateStep):
-        # Fed as captured, when the step paired each matrix with its outcome label.
-        gates = tuple(zip(LABELS, map(qstate.gate, value.gates)))
-        value = _Record("ConditionalGateStep", qubit=value.qubit, on=value.on, gates=gates)
-    if isinstance(value, Plan):
-        # Fed as captured, when a plan held its register size and started every pair at 00.
-        assert value.start == ("00",) * len(value.pairs)
-        value = _Record("Plan", num_qubits=2 * len(value.pairs), pairs=value.pairs,
-                        steps=value.steps)
-    if dataclasses.is_dataclass(value):
-        fields = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
-        _feed_fields(h, type(value).__name__, fields)
-    elif isinstance(value, _Record):
-        _feed_fields(h, value.name, value.fields.items())
-    elif isinstance(value, Procedure):
-        h.update(b"procedure " + value.value.encode())
-    elif isinstance(value, np.ndarray):
-        h.update(f"{value.dtype.str}{value.shape}".encode())
-        h.update(np.ascontiguousarray(value).tobytes())
-    elif isinstance(value, float):
-        h.update(value.hex().encode())
-    elif isinstance(value, (tuple, list)):
-        h.update(f"({len(value)}".encode())
-        for item in value:
-            _feed(h, item)
-        h.update(b")")
-    else:
-        assert value is None or isinstance(value, (str, int))
-        h.update(repr(value).encode())
-
-
-def _correction(attack, eve):
-    """The gate the attack's correction step applies after Eve's outcome ``eve``, if any."""
-    for step in attack.steps:
-        if isinstance(step, ConditionalGateStep) and step.on == "eve":
-            return step.gates[LABELS.index(eve)]
-    return None
-
-
-def _digest_record(driver, procedure, attack, posterior, out):
-    """The leaf transcript the digest was captured over, rebuilt from one branch."""
-    eve_record = None
-    if attack is not None:
-        eve_record = _Record(
-            "EveRecord",
-            attack=attack.kind,
-            secret=out["eve"],
-            transformation=_correction(attack, out["eve"]),
-            inferred_keys=posterior[driver.spec.eve_observation(out)],
-        )
-    return _Record(
-        "RoundTranscript",
-        protocol=driver.name,
-        procedure=procedure,
-        key=out["key"],
-        public_result="".join(out[name] for name in driver.spec.announced) or None,
-        bob_secret=out["secret"],
-        bob_inferred_key=driver.infer(procedure, out),
-        eve_record=eve_record,
-        **dict(RETIRED_FIELDS),  # a name given twice raises: no field is hashed twice
-    )
-
-
-def test_round_models_match_pinned_digest():
-    # Every plan step, float.hex branch mass, outcome, Bob's inferred key,
-    # Eve's posterior and leaf transcript of the 768 driver round models:
-    # six/{none, zlg, tailored} and four/{none, four-swap (I), (II)}, both
-    # procedures, all 64 conventions.  Each model's plan is rebuilt as the
-    # driver builds it, the transcripts are rebuilt from each leaf's outcomes,
-    # and each leaf's two facts must agree with them.
-    h = hashlib.sha256()
-    models = 0
-    for conv in bell.all_conventions():
-        for name, attacks in (
-            ("six", (None, ZlgAttack(conv), TailoredAttack(conv))),
-            ("four", (None,) + tuple(FourSwapAttack(conv, guess) for guess in Procedure)),
-        ):
-            driver = protocol._ProtocolBase(conv, name)
-            for attack in attacks:
-                for procedure in Procedure:
-                    model = driver.round_model(procedure, attack)
-                    _feed(h, (name, procedure, build_plan(driver.spec, procedure, attack)))
-                    for leaf in model.leaves:
-                        inferred = driver.infer(procedure, leaf.outcomes)
-                        _feed(h, (leaf.mass, tuple(leaf.outcomes.items()), inferred))
-                    _feed(h, tuple(model.posterior.items()))
-                    assert all(model.posterior.values())  # Eve never infers no key
-                    transcripts = []
-                    for leaf in model.leaves:
-                        out = leaf.outcomes
-                        record = _digest_record(driver, procedure, attack, model.posterior, out)
-                        key, eve = out["key"], record.fields["eve_record"]
-                        assert leaf.detected == (record.fields["bob_inferred_key"] != key)
-                        assert leaf.informed == (
-                            eve is not None and eve.fields["inferred_keys"] == (key,)
-                        )
-                        transcripts.append((tuple(map(LABELS.index, out.values())), record))
-                    _feed(h, tuple(transcripts))
-                    models += 1
-    assert models == 768
-    assert h.hexdigest() == ROUND_MODELS_SHA256
 
 
 def test_gate_steps_refuse_unknown_names():

@@ -10,7 +10,6 @@ facts as the full tree, from the same stretch of the stream.
 """
 
 import ast
-import hashlib
 import math
 import operator
 from pathlib import Path
@@ -152,68 +151,6 @@ def test_the_folded_tree_samples_the_exact_detection_probability(
     )
     assert abs(sampled - exact) <= 1e-12
     assert abs(sampled - CLOSED_FORM_DETECTION[kind](policy)) <= 1e-12
-
-
-# SHA-256 of each folded round tree's _canonical_form, captured from the linked-node trees
-# that the compiled arrays replaced.  A draw-for-draw test only sees a change that flips a
-# pick; this sees one ulp of a threshold, a slot's row, a level or a fact.
-FOLDED_TREE_SHA256 = {
-    ("six", "none", 0.0): "29a536851d6b63478ab7fbde55b61cae1ef6caea781ecfc13956d5b8e827f764",
-    ("six", "none", 0.3): "29a536851d6b63478ab7fbde55b61cae1ef6caea781ecfc13956d5b8e827f764",
-    ("six", "none", 0.5): "29a536851d6b63478ab7fbde55b61cae1ef6caea781ecfc13956d5b8e827f764",
-    ("six", "none", 1.0): "29a536851d6b63478ab7fbde55b61cae1ef6caea781ecfc13956d5b8e827f764",
-    ("six", "zlg", 0.0): "46f0eb0f7e0941516137231afb07b7023ff5c6386ffa3407d84bae8bdf35ad4a",
-    ("six", "zlg", 0.3): "b81d9c637f2641da81c5b745ef41ae130daaf8b112e783d4bd3e730afad806f6",
-    ("six", "zlg", 0.5): "5a81249b63579dece16946bdd55804304713ffd7b0a76e08dc5bfc0ce64703db",
-    ("six", "zlg", 1.0): "e91e762649f0ed6fe8a41fa1c50f9bf8a87cbed9746ce805fe5b24ca01c3e38e",
-    ("six", "tailored", 0.0): "e91e762649f0ed6fe8a41fa1c50f9bf8a87cbed9746ce805fe5b24ca01c3e38e",
-    ("six", "tailored", 0.3): "06a2f56253d73532282d38fca821b5d69de02c8af04da53b91d4727655f5a058",
-    ("six", "tailored", 0.5): "55f35fb033a663502e859c3f3a1198549632c83d699f694d32669cb3ab72d755",
-    ("six", "tailored", 1.0): "caf1aa2c778d6e80030e856b5e3d7700780cfbf7cac6c45b0a58d260917623d7",
-    ("six", "mixed", 0.0): "f781d6c4914b941ed88e5dd2184c2b040550b385e7f2ccf04ef79670a0a4191e",
-    ("six", "mixed", 0.3): "1b0f0303ce198a8790d665be50719d732e928e0965a1051758e6aed1a4ac774e",
-    ("six", "mixed", 0.5): "31b598301d836061eb99ec3ea7489e78df5a85c8fa7b511b97ca1de79eb14136",
-    ("six", "mixed", 1.0): "c812768d1fab40ef8eb1bfc5708e428aef9a7371acf43b1ae334a8a5fd1b543d",
-    ("four", "none", 0.0): "78ca9093bdcaca663d2a445aa8a7267b2f55b75a08bf02f43596aafe3309126e",
-    ("four", "none", 0.3): "78ca9093bdcaca663d2a445aa8a7267b2f55b75a08bf02f43596aafe3309126e",
-    ("four", "none", 0.5): "78ca9093bdcaca663d2a445aa8a7267b2f55b75a08bf02f43596aafe3309126e",
-    ("four", "none", 1.0): "78ca9093bdcaca663d2a445aa8a7267b2f55b75a08bf02f43596aafe3309126e",
-    ("four", "four-swap", 0.0): "498fa94bc419b6777892a23ffefbad29265172a854ebc63dd93f169e4b84bd10",
-    ("four", "four-swap", 0.3): "e5003cfd2720dab27e8408df8094074bd3927bba98a3841af27a3b4b4117f05d",
-    ("four", "four-swap", 0.5): "04640d95b11f61a5a83d81bde8bda8c65fbba5bdfba7418df5a754c6b4e33f00",
-    ("four", "four-swap", 1.0): "00b182a0c58d616860aca0d0c6be15e95924bb139c77d6fca1022854731b126b",
-}
-
-
-def _canonical_form(tree) -> str:
-    """The rows a walk from the root can reach, in pre-order and numbered in that order: a
-    drawing row as ``draw``, its thresholds as float.hex and each slot's row number, the gap
-    slot included; a row that ends a walk as ``end``, its levels and its leaf's two facts."""
-    (thresholds, children), leaves, levels = tree.rows, tree.leaves, tree.levels
-    number, lines = {}, []
-
-    def visit(row):
-        if row not in number:
-            number[row] = n = len(lines)
-            lines.append(None)
-            if leaves[row] is None:
-                finite = [t for t in thresholds[row] if t != math.inf]
-                slots = [visit(child) for child in children[row][:len(finite) + 1]]
-                lines[n] = f"draw {','.join(map(float.hex, finite))} {','.join(map(str, slots))}"
-            else:
-                lines[n] = f"end {levels[row]} {leaves[row].detected} {leaves[row].informed}"
-        return number[row]
-
-    visit(0)
-    return "\n".join(lines)
-
-
-@pytest.mark.parametrize("protocol_name,kind,policy", list(FOLDED_TREE_SHA256), ids=[
-    f"{name}-{kind}-q{policy}" for name, kind, policy in FOLDED_TREE_SHA256])
-def test_folded_trees_are_pinned_bit_for_bit(protocol_name, kind, policy):
-    tree, _, _ = harness._folded_tree(protocol_name, AttackStrategy(kind), policy)
-    digest = hashlib.sha256(_canonical_form(tree).encode()).hexdigest()
-    assert digest == FOLDED_TREE_SHA256[protocol_name, kind, policy]
 
 
 def test_a_round_without_an_attack_folds_to_one_jump():
